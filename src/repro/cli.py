@@ -60,39 +60,27 @@ from repro.streams import (
 )
 from repro.tasks.heavy_hitters import HeavyHitterTracker
 
-#: name -> memory-budgeted sketch factory.  ``engine`` picks the SALSA
-#: row storage backend; fixed-width baselines have no engine to pick.
+#: name -> memory-budgeted sketch factory.
 SKETCHES = {
-    "cms": lambda mem, seed, engine=None: CountMinSketch.for_memory(
+    "cms": lambda mem, seed: CountMinSketch.for_memory(mem, d=4, seed=seed),
+    "cus": lambda mem, seed: ConservativeUpdateSketch.for_memory(
         mem, d=4, seed=seed),
-    "cus": lambda mem, seed, engine=None: ConservativeUpdateSketch.for_memory(
-        mem, d=4, seed=seed),
-    "cs": lambda mem, seed, engine=None: CountSketch.for_memory(
-        mem, d=5, seed=seed),
-    "salsa-cms": lambda mem, seed, engine=None: SalsaCountMin.for_memory(
-        mem, d=4, s=8, seed=seed, engine=engine),
-    "salsa-cus": lambda mem, seed, engine=None:
-        SalsaConservativeUpdate.for_memory(mem, d=4, s=8, seed=seed,
-                                           engine=engine),
-    "salsa-cs": lambda mem, seed, engine=None: SalsaCountSketch.for_memory(
-        mem, d=5, s=8, seed=seed, engine=engine),
+    "cs": lambda mem, seed: CountSketch.for_memory(mem, d=5, seed=seed),
+    "salsa-cms": lambda mem, seed: SalsaCountMin.for_memory(
+        mem, d=4, s=8, seed=seed),
+    "salsa-cus": lambda mem, seed: SalsaConservativeUpdate.for_memory(
+        mem, d=4, s=8, seed=seed),
+    "salsa-cs": lambda mem, seed: SalsaCountSketch.for_memory(
+        mem, d=5, s=8, seed=seed),
     # The competitor family of Figs 8-16, batched by the matrix-kernel
     # layer (see docs/architecture.md).
-    "pyramid": lambda mem, seed, engine=None: PyramidSketch.for_memory(
-        mem, d=4, seed=seed),
-    "nitro": lambda mem, seed, engine=None: NitroSketch.for_memory(
+    "pyramid": lambda mem, seed: PyramidSketch.for_memory(mem, d=4, seed=seed),
+    "nitro": lambda mem, seed: NitroSketch.for_memory(
         mem, d=5, p=0.1, seed=seed),
-    "elastic": lambda mem, seed, engine=None: ElasticSketch.for_memory(
-        mem, seed=seed),
-    "univmon": lambda mem, seed, engine=None: UnivMon.for_memory(
-        mem, d=5, seed=seed),
-    "coldfilter": lambda mem, seed, engine=None: ColdFilter.for_memory(
-        mem, seed=seed),
+    "elastic": lambda mem, seed: ElasticSketch.for_memory(mem, seed=seed),
+    "univmon": lambda mem, seed: UnivMon.for_memory(mem, d=5, seed=seed),
+    "coldfilter": lambda mem, seed: ColdFilter.for_memory(mem, seed=seed),
 }
-
-#: Sketches whose storage is engine-backed; ``--engine`` on any other
-#: sketch is an error rather than a silently ignored flag.
-ENGINE_SKETCHES = frozenset({"salsa-cms", "salsa-cus", "salsa-cs"})
 
 #: Sketches the scale-out path can merge and ship over the wire
 #: (``ops.merge`` + ``serialize``); ``--shards`` on any other sketch is
@@ -111,17 +99,6 @@ def _check_shards(args) -> int:
             f"{args.sketch!r} cannot be merged from shards"
         )
     return shards
-
-
-def _check_engine(args) -> str | None:
-    """Validated ``--engine`` value for the selected sketch."""
-    engine = getattr(args, "engine", None)
-    if engine and args.sketch not in ENGINE_SKETCHES:
-        raise SystemExit(
-            f"error: --engine applies to {sorted(ENGINE_SKETCHES)}; "
-            f"{args.sketch!r} has no row engine"
-        )
-    return engine
 
 
 def _load(path: str):
@@ -170,8 +147,7 @@ def cmd_run(args) -> int:
     shards = _check_shards(args)
     if shards > 1:
         return _run_sharded(args, trace, memory, shards)
-    sketch = SKETCHES[args.sketch](memory, args.seed,
-                                   engine=_check_engine(args))
+    sketch = SKETCHES[args.sketch](memory, args.seed)
     collector = OnArrivalCollector()
     if args.batch_size > 1:
         # Batched ingest: each chunk is queried before it is applied,
@@ -205,9 +181,8 @@ def _dist_factory(args, memory: int, shards: int):
     functions -- the merge precondition -- without threading the shared
     family through the memory-budgeted factories.
     """
-    engine = _check_engine(args)
     return DistributedSketch(
-        lambda fam: SKETCHES[args.sketch](memory, args.seed, engine=engine),
+        lambda fam: SKETCHES[args.sketch](memory, args.seed),
         workers=shards, seed=args.seed)
 
 
@@ -266,9 +241,7 @@ def cmd_speed(args) -> int:
         batched = feed_throughput_mops(
             _dist_factory(args, memory, shards), pieces,
             batch_size=args.batch_size, jobs=args.jobs)
-        engine = _check_engine(args)
-        print(f"sketch:    {args.sketch} ({memory:,}B"
-              + (f", engine={engine}" if engine else "") + ")")
+        print(f"sketch:    {args.sketch} ({memory:,}B)")
         print(f"stream:    {trace.name} ({len(trace):,} updates, "
               f"{shards} shards/{args.shard_policy})")
         print(f"per-item:  {per_item * 1e6:,.0f} items/s  (feed_per_item)")
@@ -276,14 +249,11 @@ def cmd_speed(args) -> int:
               f"(feed_batched, batch={args.batch_size}, jobs={args.jobs})")
         print(f"speedup:   {batched / per_item:.2f}x")
         return 0
-    engine = _check_engine(args)
-    per_item = throughput_mops(
-        SKETCHES[args.sketch](memory, args.seed, engine=engine), trace)
-    batched = throughput_mops(
-        SKETCHES[args.sketch](memory, args.seed, engine=engine), trace,
-        batch_size=args.batch_size)
-    print(f"sketch:    {args.sketch} ({memory:,}B"
-          + (f", engine={engine}" if engine else "") + ")")
+    per_item = throughput_mops(SKETCHES[args.sketch](memory, args.seed),
+                               trace)
+    batched = throughput_mops(SKETCHES[args.sketch](memory, args.seed),
+                              trace, batch_size=args.batch_size)
+    print(f"sketch:    {args.sketch} ({memory:,}B)")
     print(f"stream:    {trace.name} ({len(trace):,} updates)")
     print(f"per-item:  {per_item * 1e6:,.0f} items/s")
     print(f"batched:   {batched * 1e6:,.0f} items/s "
@@ -298,12 +268,10 @@ def cmd_window(args) -> int:
 
     trace = _load(args.trace)
     memory = _parse_memory(args.memory)
-    engine = _check_engine(args)
     if args.epoch < 1:
         raise SystemExit(f"error: --epoch must be >= 1, got {args.epoch}")
-    win = WindowedSketch(
-        lambda: SKETCHES[args.sketch](memory, args.seed, engine=engine),
-        epoch=args.epoch)
+    win = WindowedSketch(lambda: SKETCHES[args.sketch](memory, args.seed),
+                         epoch=args.epoch)
     if args.batch_size > 1:
         for chunk in trace.chunks(args.batch_size):
             win.update_many(chunk)
@@ -427,7 +395,6 @@ def cmd_scenario_run(args) -> int:
     from repro.metrics import aae, nrmse
 
     memory = _parse_memory(args.memory)
-    engine = _check_engine(args)
     shards = _check_shards(args)
     if shards > 1 and args.epoch:
         raise SystemExit(
@@ -444,8 +411,7 @@ def cmd_scenario_run(args) -> int:
     mode = (f"{shards} shards ({args.shard_policy})" if shards > 1
             else f"windowed, epoch={args.epoch:,}" if args.epoch
             else "single sketch")
-    print(f"sketch:   {args.sketch} ({memory:,}B"
-          + (f", engine={engine}" if engine else "") + f"), {mode}")
+    print(f"sketch:   {args.sketch} ({memory:,}B), {mode}")
     print(f"stream:   length={args.length:,}, chunk={args.chunk:,}, "
           f"seed={args.seed}")
     if args.epoch:
@@ -468,8 +434,7 @@ def cmd_scenario_run(args) -> int:
 
         if args.epoch:
             win = WindowedSketch(
-                lambda: SKETCHES[args.sketch](memory, args.seed,
-                                              engine=engine),
+                lambda: SKETCHES[args.sketch](memory, args.seed),
                 epoch=args.epoch)
             start = time.perf_counter()
             for chunk in chunks:
@@ -498,8 +463,7 @@ def cmd_scenario_run(args) -> int:
             elapsed = time.perf_counter() - start
             queryable = sketch.combined()
         else:
-            queryable = sketch = SKETCHES[args.sketch](memory, args.seed,
-                                                       engine=engine)
+            queryable = sketch = SKETCHES[args.sketch](memory, args.seed)
             start = time.perf_counter()
             for chunk in chunks:
                 sketch.update_many(chunk)
@@ -537,9 +501,6 @@ def cmd_figure(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
     argv = list(args.figures)
-    engine = getattr(args, "engine", None)
-    if engine:
-        argv = ["--engine", engine] + argv
     jobs = getattr(args, "jobs", None)
     if jobs:
         argv = ["--jobs", str(jobs)] + argv
@@ -584,9 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=int, default=1,
                      help="ingest in chunks of this many updates "
                           "(1 = exact per-item on-arrival loop)")
-    run.add_argument("--engine", choices=("bitpacked", "vector"),
-                     default=None,
-                     help="SALSA row storage backend (default: bitpacked)")
     run.add_argument("--shards", type=int, default=1,
                      help="shard across this many workers and merge "
                           "(reports final-state errors; SALSA only)")
@@ -602,9 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     speed.add_argument("--memory", default="64K")
     speed.add_argument("--seed", type=int, default=0)
     speed.add_argument("--batch-size", type=int, default=4096)
-    speed.add_argument("--engine", choices=("bitpacked", "vector"),
-                       default=None,
-                       help="SALSA row storage backend (default: bitpacked)")
     speed.add_argument("--shards", type=int, default=1,
                        help="measure sharded ingest: per-item feed vs "
                             "feed_batched (SALSA only)")
@@ -627,9 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     win.add_argument("--batch-size", type=int, default=4096,
                      help="ingest in chunks of this many updates "
                           "(1 = per-item loop; identical final state)")
-    win.add_argument("--engine", choices=("bitpacked", "vector"),
-                     default=None,
-                     help="SALSA row storage backend (default: bitpacked)")
     win.set_defaults(func=cmd_window)
 
     scen = sub.add_parser(
@@ -665,9 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--set", action="append", metavar="K=V",
                           help="override a generator parameter "
                                "(applies to every scenario run)")
-    scen_run.add_argument("--engine", choices=("bitpacked", "vector"),
-                          default=None,
-                          help="SALSA row storage backend")
     scen_run.add_argument("--shards", type=int, default=1,
                           help="route chunks to this many workers "
                                "(feed_stream) and measure the merge")
@@ -691,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate paper figures")
     fig.add_argument("figures", nargs="*",
                      help="figure ids (or --list via repro.experiments)")
-    fig.add_argument("--engine", choices=("bitpacked", "vector"),
-                     default=None,
-                     help="row engine backing every SALSA sketch in the "
-                          "run (sets the process-wide default)")
     fig.add_argument("--jobs", type=int, default=None,
                      help="worker processes for independent sweep cells")
     fig.add_argument("--scenario", default=None,

@@ -2,9 +2,9 @@
 
 * :class:`SalsaRow` over a :class:`MergeBitLayout` (1 bit/counter) or
   :class:`CompactLayout` (~0.594 bits/counter, Appendix A);
-* pluggable row storage (:class:`BitPackedEngine` reference,
-  :class:`VectorRowEngine` NumPy bulk paths) behind one
-  :class:`RowEngine` interface;
+* row storage behind one :class:`RowEngine` interface:
+  :class:`VectorRowEngine` (NumPy bulk paths, the default) and
+  :class:`BitPackedEngine` (the bit-exact reference and wire codec);
 * :class:`TangoRow` for fine-grained merging;
 * the SALSA sketches of section V: :class:`SalsaCountMin`,
   :class:`TangoCountMin`, :class:`SalsaConservativeUpdate`,
@@ -23,8 +23,6 @@ from repro.core.engines import (
     BitPackedEngine,
     RowEngine,
     VectorRowEngine,
-    get_default_engine,
-    set_default_engine,
 )
 from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow
 from repro.core.tango import TangoRow
@@ -48,8 +46,6 @@ __all__ = [
     "BitPackedEngine",
     "VectorRowEngine",
     "ENGINES",
-    "get_default_engine",
-    "set_default_engine",
     "SUM",
     "MAX",
     "SIMPLE",

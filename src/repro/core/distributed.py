@@ -242,8 +242,9 @@ class DistributedSketch:
         returns the sketch over the :mod:`repro.core.serialize` wire
         format -- exactly how a real deployment's collection points
         would ship state, and the same fork-pool pattern as
-        ``repro experiments --jobs``.  Either mode lands every local
-        sketch in the same state as :meth:`feed_per_item`.
+        ``repro experiments --jobs``; shipped locals come back on vector
+        rows.  Either mode lands every local sketch in the same state as
+        :meth:`feed_per_item`.
         """
         self._check_shards(shards)
         if batch_size < 1:
@@ -261,10 +262,7 @@ class DistributedSketch:
                     blobs = pool.map(_feed_cell, range(len(self.locals)))
             finally:
                 _FEED_STATE = None
-            self.locals = [
-                loads(blob, engine=getattr(local, "engine_name", None))
-                for blob, local in zip(blobs, self.locals)
-            ]
+            self.locals = [loads(blob) for blob in blobs]
             return
         for sketch, piece in zip(self.locals, shards):
             _ingest(sketch, piece, batch_size)
@@ -275,9 +273,9 @@ class DistributedSketch:
         With several workers, locals are serialized and deserialized
         first -- the coordinator only ever sees the wire format,
         exactly as a real deployment would -- then folded with
-        :func:`repro.core.ops.merge`.  A single worker *is* the
-        coordinator: its sketch is returned directly (shared, not
-        copied), with no pointless wire round-trip.
+        :func:`repro.core.ops.merge`, on vector rows.  A single worker
+        *is* the coordinator: its sketch is returned directly (shared,
+        not copied), with no pointless wire round-trip.
         """
         if len(self.locals) == 1:
             return self.locals[0]

@@ -7,19 +7,24 @@ is a valid SALSA row.  :class:`SalsaRow` therefore owns the *policy*
 (merge rule, sign handling, overflow/saturation decisions) and
 delegates the *representation* to a :class:`RowEngine`:
 
+* :class:`VectorRowEngine` -- the production engine, built by every
+  sketch unless told otherwise: one int64 (or uint64 for unsigned
+  rows) value per *base slot* (the value of a merged counter is
+  duplicated across its block, so a point read is a single array
+  index) plus a per-slot level array; merge bits are derived, never
+  stored.  Its batch doors (``add_batch_partial``, ``absorb_bulk``)
+  are vectorized scatter-adds with overflow detection.  It reports the
+  *same* ``overhead_bits`` as the bit-packed encoding it emulates, so
+  memory accounting -- and every figure -- is engine-independent.
 * :class:`BitPackedEngine` -- the paper-faithful reference: counters
   bit-packed in a :class:`~repro.bitvec.BitArray`, layout tracked by
   :class:`~repro.core.layout.MergeBitLayout` or
   :class:`~repro.core.compact.CompactLayout`, Count-Sketch fields in
-  sign-magnitude.  This is what the memory accounting charges.
-* :class:`VectorRowEngine` -- a NumPy materialization: one int64 (or
-  uint64 for unsigned rows) value per *base slot* (the value of a
-  merged counter is duplicated across its block, so a point read is a
-  single array index) plus a per-slot level array; merge bits are
-  derived, never stored.  ``add_batch`` becomes a vectorized
-  scatter-add with overflow detection.  It reports the *same*
-  ``overhead_bits`` as the bit-packed encoding it emulates, so memory
-  accounting -- and every figure -- is engine-independent.
+  sign-magnitude.  This is what the memory accounting charges and what
+  :mod:`repro.core.serialize` writes; tests build it with
+  ``engine="bitpacked"`` to compare against.  It has no bulk path:
+  every batch door reports every superblock dirty, so a batch on it is
+  the per-item walk.
 
 Both engines expose decoded integer values; only the bit-packed engine
 knows about sign-magnitude bit patterns.  The contract (enforced by
@@ -43,33 +48,6 @@ from repro.core.layout import MergeBitLayout
 #: Layout encodings (accounting identities shared by every engine).
 SIMPLE = "simple"
 COMPACT = "compact"
-
-#: The process-wide default engine; ``--engine`` flags switch it so a
-#: whole experiment run can be re-backed without threading a kwarg
-#: through every figure factory.
-_DEFAULT_ENGINE = "bitpacked"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the engine used when a row/sketch is built with ``engine=None``."""
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = resolve_engine(name)
-
-
-def get_default_engine() -> str:
-    """Name of the current default row engine."""
-    return _DEFAULT_ENGINE
-
-
-def resolve_engine(name: str | None) -> str:
-    """Normalize an ``engine=`` argument to a registry key."""
-    if name is None:
-        return _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown row engine {name!r}; known: {sorted(ENGINES)}"
-        )
-    return name
 
 
 def field_fits(value: int, width: int, signed: bool) -> bool:
@@ -174,16 +152,6 @@ class RowEngine:
         raise NotImplementedError
 
     # -- bulk -----------------------------------------------------------
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        """Apply a pre-aggregated batch of adds iff provably merge-free.
-
-        Semantics are identical across engines (and to the historical
-        ``SalsaRow.add_batch``): all-or-nothing; ``False`` leaves the
-        row untouched.  ``apply=False`` runs the merge-free check only
-        (used for cross-row atomic batches, e.g. SALSA AEE).
-        """
-        raise NotImplementedError
-
     def add_batch_partial(self, idxs, values, apply: bool = True):
         """Apply the merge-free portion of a batch; report the rest.
 
@@ -207,12 +175,15 @@ class RowEngine:
         The returned plan stays valid until the row is next mutated;
         :meth:`apply_plan` applies it without re-planning (used when a
         check must pass on several rows before any row may write).
+
+        The default proves nothing -- every superblock is dirty -- so
+        the caller's replay *is* the reference per-item walk; the
+        bit-packed engine keeps exactly those semantics.
         """
-        raise NotImplementedError
+        return BatchPlan(np.ones(self.w >> self.max_level, dtype=bool), None)
 
     def apply_plan(self, plan: "BatchPlan") -> None:
         """Write a plan's clean-superblock deltas (dirty untouched)."""
-        raise NotImplementedError
 
     # -- sketch algebra (ops.merge / ops.subtract) ----------------------
     def counters_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,7 +240,9 @@ class BitPackedEngine(RowEngine):
 
     This is the original ``SalsaRow`` storage, extracted verbatim; its
     buffers are also the serialization wire format every engine round-
-    trips through (see :mod:`repro.core.serialize`).
+    trips through (see :mod:`repro.core.serialize`).  It keeps the
+    all-dirty bulk defaults of :class:`RowEngine`, so every batch on it
+    replays through the per-item policy walk.
     """
 
     name = "bitpacked"
@@ -331,74 +304,6 @@ class BitPackedEngine(RowEngine):
         read = self.read
         return np.fromiter((read(j) for j in idxs), dtype=np.int64,
                            count=len(idxs))
-
-    # -- bulk -----------------------------------------------------------
-    def _gather_blocks(self, idxs, values) -> dict[int, list]:
-        """Aggregate a batch into ``start -> [level, net, mag]``."""
-        if isinstance(idxs, np.ndarray):
-            idxs = idxs.tolist()
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        per_block: dict[int, list] = {}
-        locate = self.layout.locate
-        for j, v in zip(idxs, values):
-            level, start = locate(j)
-            entry = per_block.get(start)
-            if entry is None:
-                per_block[start] = [level, v, abs(v)]
-            else:
-                entry[1] += v
-                entry[2] += abs(v)
-        return per_block
-
-    def _block_is_mergefree(self, start: int, level: int, net: int,
-                            mag: int) -> bool:
-        """Every interleaving of this counter's deltas stays in range."""
-        width = self.s << level
-        if not self.signed and net != mag:
-            # A negative delta: per-item adds clamp at zero, so
-            # summation would not be equivalent.
-            return False
-        cur = self.read_block(start, level)
-        if not field_fits(cur + mag, width, self.signed):
-            return False
-        if self.signed and not field_fits(cur - mag, width, self.signed):
-            return False
-        return True
-
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        per_block = self._gather_blocks(idxs, values)
-        writes = []
-        for start, (level, net, mag) in per_block.items():
-            if not self._block_is_mergefree(start, level, net, mag):
-                return False
-            if net:
-                writes.append((start, level,
-                               self.read_block(start, level) + net))
-        if not apply:
-            return True
-        for start, level, value in writes:
-            self.write_block(start, level, value)
-        return True
-
-    def plan_add_batch(self, idxs, values) -> BatchPlan:
-        per_block = self._gather_blocks(idxs, values)
-        dirty: set[int] = set()
-        for start, (level, net, mag) in per_block.items():
-            if not self._block_is_mergefree(start, level, net, mag):
-                dirty.add(start >> self.max_level)
-        if not dirty:
-            return BatchPlan(None, per_block)
-        mask = np.zeros(self.w >> self.max_level, dtype=bool)
-        mask[list(dirty)] = True
-        return BatchPlan(mask, per_block)
-
-    def apply_plan(self, plan: BatchPlan) -> None:
-        mask = plan.dirty_mask
-        for start, (level, net, _mag) in plan.data.items():
-            if net and (mask is None or not mask[start >> self.max_level]):
-                self.write_block(start, level,
-                                 self.read_block(start, level) + net)
 
     # -- accounting / lifecycle ----------------------------------------
     @property
@@ -555,16 +460,6 @@ class VectorRowEngine(RowEngine):
             for off in range(1 << lv):
                 self.values[st + off] += dv
 
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        if len(idxs) == 0:
-            return True
-        ustarts, net, ok = self._batch_plan(idxs, values)
-        if not ok.all():
-            return False
-        if apply:
-            self._apply_plan(ustarts, net)
-        return True
-
     def plan_add_batch(self, idxs, values) -> BatchPlan:
         if len(idxs) == 0:
             return BatchPlan(None, None)
@@ -642,7 +537,11 @@ ENGINES: dict[str, type[RowEngine]] = {
 }
 
 
-def make_engine(name: str | None, w: int, s: int, max_level: int,
+def make_engine(name: str, w: int, s: int, max_level: int,
                 signed: bool = False, encoding: str = SIMPLE) -> RowEngine:
-    """Instantiate the engine registered under ``name`` (None = default)."""
-    return ENGINES[resolve_engine(name)](w, s, max_level, signed, encoding)
+    """Instantiate the engine registered under ``name``."""
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown row engine {name!r}; known: {sorted(ENGINES)}"
+        )
+    return ENGINES[name](w, s, max_level, signed, encoding)

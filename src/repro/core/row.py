@@ -12,10 +12,11 @@ symmetric in sign, which is what makes SALSA CS unbiased (Lemma V.4).
 
 The *physical* storage is pluggable (:mod:`repro.core.engines`):
 ``SalsaRow`` owns the merge policy and overflow decisions, while a
-:class:`~repro.core.engines.RowEngine` holds the counters -- either
-the paper's bit-packed encoding (``engine="bitpacked"``, the default)
-or a NumPy materialization (``engine="vector"``) whose bulk paths
-vectorize.  Both are observationally identical on every stream.
+:class:`~repro.core.engines.RowEngine` holds the counters -- a NumPy
+materialization whose bulk paths vectorize (``engine="vector"``, the
+default), or the paper's bit-packed encoding (``engine="bitpacked"``),
+kept as the reference tests compare against and as the wire codec.
+Both are observationally identical on every stream.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.core.engines import (
     BitPackedEngine,
     field_fits,
     make_engine,
-    resolve_engine,
 )
 
 #: Merge policies.
@@ -59,8 +59,8 @@ class SalsaRow:
     encoding:
         ``"simple"`` (1 bit/counter) or ``"compact"`` (~0.594).
     engine:
-        ``"bitpacked"`` (reference) or ``"vector"`` (NumPy bulk paths);
-        ``None`` uses :func:`repro.core.engines.get_default_engine`.
+        ``"vector"`` (NumPy bulk paths, the default) or ``"bitpacked"``
+        (the bit-exact reference, which has no bulk path).
 
     Examples
     --------
@@ -75,7 +75,7 @@ class SalsaRow:
 
     def __init__(self, w: int, s: int = 8, max_bits: int = 64,
                  merge: str = MAX, signed: bool = False,
-                 encoding: str = SIMPLE, engine: str | None = None):
+                 encoding: str = SIMPLE, engine: str = "vector"):
         if w < 2 or w & (w - 1):
             raise ValueError(f"w must be a power of two >= 2, got {w}")
         if s < 2 or s & (s - 1) or s > 64:
@@ -98,9 +98,9 @@ class SalsaRow:
         self.merge = merge
         self.signed = signed
         self.encoding = encoding
-        self.engine_name = resolve_engine(engine)
-        self.engine = make_engine(self.engine_name, w, s, max_level,
+        self.engine = make_engine(engine, w, s, max_level,
                                   signed=signed, encoding=encoding)
+        self.engine_name = engine
         #: Counts of overflow->merge events (exposed for experiments).
         self.merge_events = 0
         #: Counts of saturations at max_bits (should stay 0 in practice).
@@ -218,30 +218,16 @@ class SalsaRow:
         self.engine.write_block(start, level, value)
         return value
 
-    def add_batch(self, idxs, values, apply: bool = True) -> bool:
-        """Try to apply a pre-aggregated batch of adds without merging.
-
-        ``idxs``/``values`` are parallel sequences (lists or numpy
-        arrays) of base-slot indices and deltas (duplicates allowed).
-        The batch is applied only if it is provably *merge-free*: for
-        every touched counter, the current value plus the batch's total
-        absolute inflow still fits the counter's width.  Under that
-        condition every interleaving of the individual adds stays in
-        range, so plain summation is bit-identical to any per-item
-        order -- including the original stream order the caller
-        collapsed duplicates out of.
-
-        Returns ``True`` if applied (all-or-nothing); ``False`` if some
-        counter could overflow, in which case the row is untouched and
-        the caller must replay the batch through :meth:`add` in stream
-        order.  ``apply=False`` runs the check without writing (used to
-        make a batch atomic across several rows).
-        """
-        return self.engine.add_batch(idxs, values, apply=apply)
-
     def add_batch_partial(self, idxs, values, apply: bool = True):
         """Apply the merge-free portion of a batch at superblock
         granularity.
+
+        ``idxs``/``values`` are parallel sequences (lists or numpy
+        arrays) of base-slot indices and deltas (duplicates allowed).
+        A counter is *merge-free* when its current value plus the
+        batch's total absolute inflow into it still fits its width:
+        every interleaving of its adds then stays in range, so plain
+        summation is bit-identical to any per-item order.
 
         Counters merge only within their ``2^max_level``-aligned
         superblock, so superblocks are independent streams: every
@@ -249,7 +235,9 @@ class SalsaRow:
         is bulk-applied, and a boolean mask over the ``w >> max_level``
         superblocks flags the *dirty* rest (untouched -- the caller
         replays exactly the updates landing there, in stream order).
-        Returns ``None`` when the whole batch applied.
+        Returns ``None`` when the whole batch applied.  The bit-packed
+        reference engine reports every superblock dirty.
+        ``apply=False`` computes the mask without writing anything.
         """
         return self.engine.add_batch_partial(idxs, values, apply=apply)
 

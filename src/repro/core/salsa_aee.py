@@ -68,7 +68,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
                  delta: float = 0.001, downsample_first: int = 0,
                  split: bool = False, probabilistic: bool = True,
                  seed: int = 0, hash_family: HashFamily | None = None,
-                 engine: str | None = None):
+                 engine: str = "vector"):
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         self.w = w

@@ -48,8 +48,8 @@ class SalsaCountMin(BatchOpsMixin):
     max_bits:
         Counter growth ceiling (paper: up to 64).
     engine:
-        Row storage backend: ``"bitpacked"`` (reference) or
-        ``"vector"`` (NumPy bulk paths); ``None`` = process default.
+        Row storage backend: ``"vector"`` (NumPy bulk paths, the
+        default) or ``"bitpacked"`` (the bit-exact reference).
 
     Examples
     --------
@@ -65,7 +65,7 @@ class SalsaCountMin(BatchOpsMixin):
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
-                 engine: str | None = None):
+                 engine: str = "vector"):
         self.w = w
         self.d = d
         self.s = s
@@ -83,7 +83,7 @@ class SalsaCountMin(BatchOpsMixin):
     @classmethod
     def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
                    merge: str = MAX, encoding: str = SIMPLE,
-                   seed: int = 0, engine: str | None = None
+                   seed: int = 0, engine: str = "vector"
                    ) -> "SalsaCountMin":
         """Largest SALSA CMS fitting in ``memory_bytes`` with overheads.
 

@@ -48,7 +48,7 @@ class SalsaCountSketch(BatchOpsMixin):
     def __init__(self, w: int, d: int = 5, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
-                 engine: str | None = None):
+                 engine: str = "vector"):
         self.w = w
         self.d = d
         self.s = s
@@ -63,7 +63,7 @@ class SalsaCountSketch(BatchOpsMixin):
     @classmethod
     def for_memory(cls, memory_bytes: int, d: int = 5, s: int = 8,
                    encoding: str = SIMPLE, seed: int = 0,
-                   engine: str | None = None) -> "SalsaCountSketch":
+                   engine: str = "vector") -> "SalsaCountSketch":
         """Largest SALSA CS fitting in ``memory_bytes``."""
         overhead = 1.0 if encoding == SIMPLE else 0.594
         w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)

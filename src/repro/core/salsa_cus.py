@@ -43,7 +43,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     def __init__(self, w: int, d: int = 4, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
-                 engine: str | None = None):
+                 engine: str = "vector"):
         self.w = w
         self.d = d
         self.s = s
@@ -58,7 +58,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     @classmethod
     def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
                    encoding: str = SIMPLE, seed: int = 0,
-                   engine: str | None = None) -> "SalsaConservativeUpdate":
+                   engine: str = "vector") -> "SalsaConservativeUpdate":
         """Largest SALSA CUS fitting in ``memory_bytes``."""
         overhead = 1.0 if encoding == SIMPLE else 0.594
         w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
@@ -102,16 +102,17 @@ class SalsaConservativeUpdate(BatchOpsMixin):
         consecutive duplicate runs, hash each row once for the whole
         batch, and walk the collapsed stream in order.
 
-        On vector-engine rows the walk additionally drops onto plain
-        Python lists of the decoded counters wherever it provably can:
-        each conservative update raises a counter by at most its own
-        value, so a counter whose current value plus its total batch
-        inflow fits its width cannot merge during the batch.
+        The walk drops onto plain Python lists of the vector engine's
+        decoded counters wherever it provably can: each conservative
+        update raises a counter by at most its own value, so a counter
+        whose current value plus its total batch inflow fits its width
+        cannot merge during the batch.
         Superblocks passing that check are served from lists (no
         per-step engine calls); slots in the rare *dirty* superblocks
         keep using the real engine ops, which perform any merges.  The
         walk stays in stream order throughout, so it is bit-identical
-        to the per-item path.
+        to the per-item path.  Rows on the bit-packed reference engine
+        take the per-item loop.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
@@ -121,25 +122,18 @@ class SalsaConservativeUpdate(BatchOpsMixin):
                 "SALSA CUS is a Cash Register sketch; batch contains a "
                 "non-positive value"
             )
-        if not batch_sum_fits(values) or self.hashes.uses_bobhash:
+        rows = self.rows
+        if (not batch_sum_fits(values) or self.hashes.uses_bobhash
+                or not all(isinstance(row.engine, VectorRowEngine)
+                           for row in rows)):
             BatchOpsMixin.update_many(self, items, values)
             return
         items, values = collapse_runs(items, values)
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
                       for row_id in range(self.d)]
-        rows = self.rows
-        if all(isinstance(row.engine, VectorRowEngine) for row in rows):
-            masks = [row.add_batch_partial(idxs, values, apply=False)
-                     for row, idxs in zip(rows, idx_arrays)]
-            self._hybrid_walk(idx_arrays, values, masks)
-            return
-        idx_rows = [idxs.tolist() for idxs in idx_arrays]
-        for t, v in enumerate(values.tolist()):
-            idxs = [idx_row[t] for idx_row in idx_rows]
-            est = min(row.read(j) for row, j in zip(rows, idxs))
-            target = est + v
-            for row, j in zip(rows, idxs):
-                row.set_at_least(j, target)
+        masks = [row.add_batch_partial(idxs, values, apply=False)
+                 for row, idxs in zip(rows, idx_arrays)]
+        self._hybrid_walk(idx_arrays, values, masks)
 
     def _hybrid_walk(self, idx_arrays, values, masks) -> None:
         """Stream-order conservative walk, lists where merge-free.

@@ -10,8 +10,8 @@ The wire format is the **bit-packed reference encoding**, whatever
 engine backs the sketch in memory: every engine round-trips through
 the common decoded form (live ``(start, level, value)`` counters), so
 a blob written by a vector-engine sketch is byte-identical to one
-written by a bit-packed sketch in the same state, and either can be
-loaded into either engine (``loads(..., engine="vector")``).
+written by a bit-packed sketch in the same state.  Blobs record no
+engine; :func:`loads` always rebuilds on vector rows.
 
 The format is deliberately simple -- little-endian fixed header plus
 the two buffers each row's reference engine maintains -- so a C
@@ -61,6 +61,13 @@ _ENCODING_NAMES = {v: k for k, v in _ENCODINGS.items()}
 _HEADER = struct.Struct("<4sBBIHHHBBq")
 
 
+def _empty_reference(row: SalsaRow) -> SalsaRow:
+    """An empty bit-packed row of ``row``'s shape (the codec's form)."""
+    return SalsaRow(w=row.w, s=row.s, max_bits=row.max_bits, merge=row.merge,
+                    signed=row.signed, encoding=row.encoding,
+                    engine="bitpacked")
+
+
 def _reference_row(row: SalsaRow) -> SalsaRow:
     """A bit-packed twin of ``row`` in the same observable state.
 
@@ -70,9 +77,7 @@ def _reference_row(row: SalsaRow) -> SalsaRow:
     """
     if isinstance(row.engine, BitPackedEngine):
         return row
-    ref = SalsaRow(w=row.w, s=row.s, max_bits=row.max_bits, merge=row.merge,
-                   signed=row.signed, encoding=row.encoding,
-                   engine="bitpacked")
+    ref = _empty_reference(row)
     ref.import_counters(row.counters())
     return ref
 
@@ -92,30 +97,30 @@ def _row_payload(row: SalsaRow) -> bytes:
 
 
 def _restore_row(row: SalsaRow, payload: bytes) -> int:
-    """Fill one row from ``payload``; return bytes consumed."""
-    if isinstance(row.engine, BitPackedEngine):
-        ref = row
-    else:
-        ref = SalsaRow(w=row.w, s=row.s, max_bits=row.max_bits,
-                       merge=row.merge, signed=row.signed,
-                       encoding=row.encoding, engine="bitpacked")
+    """Fill one (empty) row from ``payload``; return bytes consumed.
+
+    The payload decodes into a bit-packed reference row, whose decoded
+    counters are then imported into ``row``.
+    """
+    ref = _empty_reference(row)
     engine = ref.engine
     if isinstance(engine.layout, MergeBitLayout):
         n_layout = engine.layout.bits.nbytes
+    else:
+        zbytes = (encoding_bits(engine.layout.group_level) + 7) // 8
+        n_layout = zbytes * engine.layout.n_groups
+    n_store = engine.store.nbytes
+    if len(payload) < n_layout + n_store:
+        raise ValueError("truncated SALSA sketch blob")
+    if isinstance(engine.layout, MergeBitLayout):
         engine.layout.bits._data[:] = payload[:n_layout]
     else:
-        zbits = encoding_bits(engine.layout.group_level)
-        zbytes = (zbits + 7) // 8
-        n_layout = zbytes * engine.layout.n_groups
         engine.layout._x = [
             int.from_bytes(payload[i * zbytes:(i + 1) * zbytes], "little")
             for i in range(engine.layout.n_groups)
         ]
-    n_store = engine.store.nbytes
     engine.store._data[:] = payload[n_layout:n_layout + n_store]
-    if ref is not row:
-        # Re-materialize the decoded counters in the target engine.
-        row.import_counters(ref.counters())
+    row.import_counters(ref.counters())
     return n_layout + n_store
 
 
@@ -146,14 +151,12 @@ def dumps(sketch) -> bytes:
     return header + b"".join(_row_payload(row) for row in sketch.rows)
 
 
-def loads(data: bytes, engine: str | None = None):
-    """Reconstruct a sketch serialized by :func:`dumps`.
+def loads(data: bytes):
+    """Reconstruct a sketch serialized by :func:`dumps`, on vector rows.
 
     The hash family is re-derived from the stored seed, so a round
     trip preserves hash functions (and therefore merge compatibility).
-    ``engine`` picks the row engine backing the reconstruction (blobs
-    do not record one; ``None`` = the process default), so state can
-    cross engines in either direction.
+    A malformed blob raises ``ValueError``.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated SALSA sketch blob")
@@ -167,11 +170,21 @@ def loads(data: bytes, engine: str | None = None):
     if cls is None:
         raise ValueError(f"unknown sketch type tag {type_tag}")
 
+    encoding = _ENCODING_NAMES.get(encoding_tag)
+    if encoding is None:
+        raise ValueError(f"unknown encoding tag {encoding_tag}")
+    merge = _MERGE_NAMES.get(merge_tag)
+    if merge is None:
+        raise ValueError(f"unknown merge tag {merge_tag}")
+
     kwargs = dict(w=w, d=d, s=s, max_bits=max_bits, seed=seed,
-                  encoding=_ENCODING_NAMES[encoding_tag], engine=engine)
+                  encoding=encoding)
     if cls is SalsaCountMin:
-        kwargs["merge"] = _MERGE_NAMES[merge_tag]
+        kwargs["merge"] = merge
     sketch = cls(**kwargs)
+    if any(row.merge != merge for row in sketch.rows):
+        raise ValueError(
+            f"merge tag {merge!r} is invalid for {cls.__name__}")
 
     offset = _HEADER.size
     for row in sketch.rows:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitvec import BitArray, Bitmap
-from repro.core.engines import resolve_engine
 from repro.core.row import MAX, SUM
 
 
@@ -138,8 +137,9 @@ class TangoRow:
     merge:
         ``"sum"`` or ``"max"`` -- same semantics as SALSA.
     engine:
-        ``"bitpacked"`` or ``"vector"`` storage (None = the process
-        default, see :mod:`repro.core.engines`).
+        ``"vector"`` or ``"bitpacked"`` storage.  ``None`` picks
+        ``"vector"`` whenever its uint64 cells can hold the widest
+        counter (``max_slots * s <= 64``), else ``"bitpacked"``.
 
     Examples
     --------
@@ -171,13 +171,20 @@ class TangoRow:
         self.s = s
         self.max_slots = min(max_slots, w)
         self.merge = merge
-        self.engine_name = resolve_engine(engine)
-        if self.engine_name == "vector" and self.max_slots * s > 64:
+        if engine is None:
+            engine = "vector" if self.max_slots * s <= 64 else "bitpacked"
+        if engine not in _TANGO_ENGINES:
+            raise ValueError(
+                f"unknown Tango engine {engine!r}; "
+                f"known: {sorted(_TANGO_ENGINES)}"
+            )
+        if engine == "vector" and self.max_slots * s > 64:
             raise ValueError(
                 f"vector Tango engine holds counters in uint64; "
                 f"max_slots * s = {self.max_slots * s} exceeds 64 bits"
             )
-        self.engine = _TANGO_ENGINES[self.engine_name](w, s)
+        self.engine_name = engine
+        self.engine = _TANGO_ENGINES[engine](w, s)
         self.merge_events = 0
         self.saturations = 0
 

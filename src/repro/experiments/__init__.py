@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     run_updates_batched,
     sweep,
     throughput_mops,
-    using_engine,
     using_jobs,
 )
 from repro.experiments.report import emit, format_table
@@ -37,7 +36,6 @@ __all__ = [
     "run_updates_batched",
     "throughput_mops",
     "sweep",
-    "using_engine",
     "using_jobs",
     "nrmse_of",
     "emit",

@@ -8,7 +8,7 @@ import time
 
 from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.report import emit
-from repro.experiments.runner import using_engine, using_jobs
+from repro.experiments.runner import using_jobs
 from repro.experiments.scenarios import using_scenario_grid
 
 
@@ -21,11 +21,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="figure ids (e.g. fig10a); 'all' for everything")
     parser.add_argument("--list", action="store_true",
                         help="list known figure ids and exit")
-    parser.add_argument("--engine", choices=("bitpacked", "vector"),
-                        default=None,
-                        help="row engine backing every SALSA sketch in "
-                             "this run (the figures' numbers are engine-"
-                             "independent; speed is not)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for independent "
                              "(sketch, trace, seed) sweep cells "
@@ -50,8 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     targets = (sorted(EXPERIMENTS) if args.figures == ["all"]
                else args.figures)
     scenarios = args.scenario.split(",") if args.scenario else None
-    with using_engine(args.engine), using_jobs(args.jobs), \
-            using_scenario_grid(scenarios, args.shards):
+    with using_jobs(args.jobs), using_scenario_grid(scenarios, args.shards):
         for fig in targets:
             start = time.perf_counter()
             for result in run(fig):

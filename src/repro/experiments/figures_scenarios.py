@@ -14,9 +14,9 @@ stress lab:
 
 Both respect the scoped grids: ``using_scenario_grid`` picks the
 scenarios (and an optional shard count routed through
-``DistributedSketch.feed_stream`` + ``ops.merge``), ``using_engine``
-re-backs every SALSA sketch, and ``using_jobs`` fans the accuracy
-cells over fork workers (speed cells always run serial).
+``DistributedSketch.feed_stream`` + ``ops.merge``), and
+``using_jobs`` fans the accuracy cells over fork workers (speed cells
+always run serial).
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def scenario_speed(length: int | None = None,
                    trials: int | None = None) -> ExperimentResult:
     """Batched ingest throughput (Mops) per scenario vs batch size.
 
-    One series per scenario in the grid, all through the same
-    32KB SALSA CMS (the active row engine applies).  Wall-clock cells
-    always run serial (``jobs=1``), like every other speed figure.
+    One series per scenario in the grid, all through the same 32KB
+    SALSA CMS (on vector rows).  Wall-clock cells always run serial
+    (``jobs=1``), like every other speed figure.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()

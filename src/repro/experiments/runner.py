@@ -17,28 +17,6 @@ from typing import Callable, Iterable, Sequence
 from repro.metrics import OnArrivalCollector, Summary, mean_ci
 
 
-@contextmanager
-def using_engine(name: str | None):
-    """Run a block with ``name`` as the default SALSA row engine.
-
-    Experiment factories rarely thread an ``engine=`` kwarg; this scopes
-    the process-wide default (restored on exit) so a whole sweep -- or
-    one benchmark measurement -- can be re-backed wholesale.  ``None``
-    leaves the default untouched.
-    """
-    from repro.core.engines import get_default_engine, set_default_engine
-
-    if name is None:
-        yield
-        return
-    previous = get_default_engine()
-    set_default_engine(name)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
 @dataclass
 class Series:
     """One labelled line of a figure."""

@@ -12,9 +12,8 @@ list``.
 The module also owns the process-wide *scenario grid* -- which specs a
 scenario sweep iterates, and how many shards each cell feeds through --
 scoped with :func:`using_scenario_grid` exactly like
-``runner.using_engine`` / ``using_jobs``, so ``--scenario`` and
-``--shards`` compose with ``--engine`` and ``--jobs`` on the same
-command line.
+``runner.using_jobs``, so ``--scenario`` and ``--shards`` compose with
+``--jobs`` on the same command line.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ def using_scenario_grid(names=None, shards: int | None = None):
     ``names`` is an iterable of scenario names (``None`` leaves the
     grid untouched); ``shards > 1`` makes scenario sweeps route every
     stream through a sharded :class:`~repro.core.DistributedSketch`
-    and merge before measuring.  Mirrors ``using_engine`` /
-    ``using_jobs`` so the CLI can nest all three.
+    and merge before measuring.  Mirrors ``using_jobs`` so the CLI
+    can nest both.
     """
     global _GRID, _SHARDS
     if names is not None:

@@ -191,12 +191,12 @@ class BatchOpsMixin:
     Sketches whose storage is backed by a pluggable row engine
     (:mod:`repro.core.engines`) accept an ``engine=`` kwarg -- plumbed
     through their ``for_memory`` constructors as well -- and record the
-    resolved choice in :attr:`engine_name`; fixed-width sketches leave
-    it ``None``.  The engine only changes which code path the batch
+    choice in :attr:`engine_name`; fixed-width sketches leave it
+    ``None``.  The engine only changes which code path the batch
     door takes, never the answers.
     """
 
-    #: Resolved row-engine name for engine-backed sketches, else None.
+    #: Row-engine name for engine-backed sketches, else None.
     engine_name: str | None = None
 
     def update_many(self, items, values=None) -> None:

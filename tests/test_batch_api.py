@@ -284,14 +284,18 @@ def test_collapse_runs_preserves_order():
 
 
 # ----------------------------------------------------------------------
-# SalsaRow.add_batch
+# SalsaRow.add_batch_partial
 # ----------------------------------------------------------------------
 def test_add_batch_is_all_or_nothing():
+    """Within one superblock (here the whole 8-slot row) the batch door
+    applies everything or nothing."""
     row = SalsaRow(w=8, s=8)
-    assert row.add_batch([0, 1, 2], [10, 20, 30])
+    assert row.max_level == 3
+    assert row.add_batch_partial([0, 1, 2], [10, 20, 30]) is None
     assert [row.read(j) for j in (0, 1, 2)] == [10, 20, 30]
     # 0 could absorb 200 but 2 would overflow: nothing may change.
-    assert not row.add_batch([0, 2], [200, 250])
+    dirty = row.add_batch_partial([0, 2], [200, 250])
+    assert dirty is not None and dirty.tolist() == [True]
     assert [row.read(j) for j in (0, 1, 2)] == [10, 20, 30]
     assert row.merge_events == 0
 
@@ -299,7 +303,8 @@ def test_add_batch_is_all_or_nothing():
 def test_add_batch_rejects_negative_on_unsigned_rows():
     row = SalsaRow(w=8, s=8)
     row.add(3, 100)
-    assert not row.add_batch([3], [-5])
+    dirty = row.add_batch_partial([3], [-5])
+    assert dirty is not None and dirty.tolist() == [True]
     assert row.read(3) == 100
 
 

@@ -122,7 +122,7 @@ class TestSharded:
     def test_speed_with_shards(self, npz_trace, capsys):
         assert main(["speed", npz_trace, "--sketch", "salsa-cms",
                      "--memory", "16K", "--shards", "2",
-                     "--batch-size", "512", "--engine", "vector"]) == 0
+                     "--batch-size", "512"]) == 0
         out = capsys.readouterr().out
         assert "feed_batched" in out
         assert "speedup" in out
@@ -182,10 +182,9 @@ class TestScenario:
 
     def test_run_sharded(self, capsys):
         assert main(["scenario", "run", "drift", "--length", "6000",
-                     "--shards", "3", "--engine", "vector",
-                     "--memory", "16K"]) == 0
+                     "--shards", "3", "--memory", "16K"]) == 0
         out = capsys.readouterr().out
-        assert "3 shards (hash)" in out and "engine=vector" in out
+        assert "3 shards (hash)" in out
 
     def test_run_windowed(self, capsys):
         assert main(["scenario", "run", "periodic", "--length", "8000",

@@ -9,8 +9,10 @@ from repro.core import (
     DistributedSketch,
     SalsaCountMin,
     SalsaCountSketch,
+    VectorRowEngine,
     shard,
 )
+from repro.core.serialize import dumps, loads
 from repro.hashing import mix64
 from repro.tasks import HierarchicalHeavyHitters, dotted
 from repro.streams import zipf_trace
@@ -162,6 +164,43 @@ class TestDistributedSketch:
                                hash_family=dist.family)
         single.update_many(trace)
         self._assert_counters_equal(combined, single)
+
+    @pytest.mark.parametrize("engine", ["bitpacked", "vector"])
+    def test_combined_answers_on_vector_rows(self, engine):
+        """Regression: the wire round-trip inside ``combined`` once
+        rebuilt bit-packed sketches, so every merge walked
+        ``SalsaRow.add`` and the final query ran on the slow engine.
+        Whatever engine the workers use, the merged sketch is on vector
+        rows and answers exactly like a whole-stream sum-merge sketch."""
+        trace = zipf_trace(20_000, 1.1, universe=2_000, seed=14)
+        dist = DistributedSketch(self._engine_factory(engine), workers=4,
+                                 d=4, seed=14)
+        dist.feed_stream(trace.chunks(4096), seed=14)
+        combined = dist.combined()
+        assert all(isinstance(row.engine, VectorRowEngine)
+                   for row in combined.rows)
+        single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
+                               hash_family=dist.family)
+        single.update_many(trace)
+        flows = sorted(set(trace.items.tolist()))
+        assert combined.query_many(flows) == single.query_many(flows)
+        self._assert_counters_equal(combined, single)
+
+    def test_loads_rebuilds_bitpacked_state_on_vector_rows(self):
+        """A blob from a bit-packed sketch loads into vector rows with
+        identical counters, and its bytes equal the blob of the same
+        sketch built on vector rows."""
+        trace = zipf_trace(20_000, 1.1, universe=2_000, seed=15)
+        ref = SalsaCountMin(w=512, d=4, s=8, seed=15, engine="bitpacked")
+        fast = SalsaCountMin(w=512, d=4, s=8, seed=15)
+        ref.update_many(trace)
+        fast.update_many(trace)
+        clone = loads(dumps(ref))
+        assert all(isinstance(row.engine, VectorRowEngine)
+                   for row in clone.rows)
+        for row_c, row_r in zip(clone.rows, ref.rows):
+            assert list(row_c.counters()) == list(row_r.counters())
+        assert dumps(ref) == dumps(fast) == dumps(clone)
 
     def test_count_sketch_workers(self):
         """CS merging (signed, Turnstile) distributes too."""

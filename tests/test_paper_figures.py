@@ -23,7 +23,8 @@ class TestFigure1:
     <14,15> and merge bits set at positions 4, 5, 6, 10, 14."""
 
     def _build(self):
-        row = SalsaRow(w=16, s=8, merge="sum")
+        # The bit-packed reference engine: the tests read its merge bits.
+        row = SalsaRow(w=16, s=8, merge="sum", engine="bitpacked")
         row.add(0, 7)
         row.add(2, 3)
         # Build the 32-bit counter <4..7> holding 21773.
@@ -75,7 +76,7 @@ class TestFigure2:
 
     def _initial(self, merge):
         # State: [0, 255, 3, 0, 65533(<4,5>), 95, 11], m4 set.
-        row = SalsaRow(w=8, s=8, merge=merge)
+        row = SalsaRow(w=8, s=8, merge=merge, engine="bitpacked")
         row.add(1, 255)
         row.add(2, 3)
         row.add(4, 255)

@@ -6,8 +6,9 @@ engines must report identical counter values, merge levels, estimates,
 never the sketch.  These tests drive both engines in lockstep through
 random, hot-key, turnstile (sum-merge), and signed Count-Sketch
 streams, through the stateful operations (``scale_down_half``,
-``try_split``, ``copy``), and through serialize round-trips in every
-engine direction, at row level and at sketch level.
+``try_split``, ``copy``), and through serialize round-trips (a blob
+from either engine loads into vector rows and folds back into either),
+at row level and at sketch level.
 """
 
 import numpy as np
@@ -27,9 +28,8 @@ from repro.core import (
     TangoCountMin,
     TangoRow,
     VectorRowEngine,
-    get_default_engine,
-    set_default_engine,
 )
+from repro.core import ops
 from repro.core.row import SUM
 from repro.core.serialize import dumps, loads
 
@@ -79,40 +79,53 @@ def test_row_add_lockstep(stream, merge, signed):
 
 
 def test_row_add_batch_lockstep():
+    """Batches through add_batch_partial plus the dirty replay a sketch
+    runs: the vector bulk path and the bit-packed reference (which
+    replays everything) stay in lockstep."""
     rng = np.random.default_rng(3)
     a, b = make_pair(w=32, s=4)
     for _ in range(50):
         idxs = rng.integers(0, 32, 40).tolist()
         vals = rng.integers(1, 5, 40).tolist()
-        ra, rb = a.add_batch(idxs, vals), b.add_batch(idxs, vals)
-        assert ra == rb
-        if not ra:  # replay, as a sketch would
-            for j, v in zip(idxs, vals):
-                a.add(j, v)
-                b.add(j, v)
-    assert row_state(a) == row_state(b)
+        for row in (a, b):
+            dirty = row.add_batch_partial(idxs, vals)
+            if dirty is None:
+                continue
+            for j, v in zip(idxs, vals):  # replay, as a sketch would
+                if dirty[j >> row.max_level]:
+                    row.add(j, v)
+        assert row_state(a) == row_state(b)
 
 
 def test_add_batch_partial_applies_clean_superblocks_only():
-    for engine in ENGINES:
-        row = SalsaRow(w=16, s=8, engine=engine)
-        row.add(0, 250)     # superblock 0 close to overflow
-        # slots 0 and 8 live in different superblocks (max_level=3).
-        dirty = row.add_batch_partial([0, 8], [100, 7])
-        assert dirty is not None and dirty.tolist() == [True, False]
-        assert row.read(0) == 250   # dirty superblock untouched
-        assert row.read(8) == 7     # clean superblock applied
-        # check-only mode must not write.
-        before = row_state(row)
-        mask = row.add_batch_partial([0], [100], apply=False)
-        assert mask is not None and row_state(row) == before
+    row = SalsaRow(w=16, s=8, engine="vector")
+    row.add(0, 250)     # superblock 0 close to overflow
+    # slots 0 and 8 live in different superblocks (max_level=3).
+    dirty = row.add_batch_partial([0, 8], [100, 7])
+    assert dirty is not None and dirty.tolist() == [True, False]
+    assert row.read(0) == 250   # dirty superblock untouched
+    assert row.read(8) == 7     # clean superblock applied
+    # check-only mode must not write.
+    before = row_state(row)
+    mask = row.add_batch_partial([0], [100], apply=False)
+    assert mask is not None and row_state(row) == before
+    # The bit-packed reference has no bulk path: everything is dirty,
+    # nothing is written.
+    ref = SalsaRow(w=16, s=8, engine="bitpacked")
+    before = row_state(ref)
+    dirty = ref.add_batch_partial([0, 8], [100, 7])
+    assert dirty.tolist() == [True, True] and row_state(ref) == before
 
 
 def test_add_batch_rejects_negative_on_unsigned_vector_rows():
-    row = SalsaRow(w=8, s=8, engine="vector")
+    """A negative delta clamps at zero per item, so summation is not
+    equivalent: its superblock is dirty and left untouched."""
+    row = SalsaRow(w=16, s=8, engine="vector")
     row.add(3, 100)
-    assert not row.add_batch([3], [-5])
+    dirty = row.add_batch_partial([3, 8], [-5, 4])
+    assert dirty is not None and dirty.tolist() == [True, False]
     assert row.read(3) == 100
+    assert row.read(8) == 4
 
 
 def test_scale_down_and_split_lockstep():
@@ -223,10 +236,17 @@ class EngineLockstepMachine(RuleBasedStateMachine):
     @rule(data=st.lists(st.tuples(st.integers(min_value=0, max_value=15),
                                   st.integers(min_value=1, max_value=9)),
                         max_size=12))
-    def add_batch(self, data):
+    def add_batch_partial(self, data):
+        """The vector bulk path plus its dirty replay lands where the
+        reference's all-dirty replay does (checked by the invariant)."""
         idxs = [j for j, _ in data]
         vals = [v for _, v in data]
-        assert self.a.add_batch(idxs, vals) == self.b.add_batch(idxs, vals)
+        for row in (self.a, self.b):
+            dirty = row.add_batch_partial(idxs, vals)
+            if dirty is not None:
+                for j, v in zip(idxs, vals):
+                    if dirty[j >> row.max_level]:
+                        row.add(j, v)
 
     @invariant()
     def observationally_equal(self):
@@ -328,15 +348,20 @@ def test_serialized_bytes_are_engine_independent(name):
 @pytest.mark.parametrize("src", sorted(ENGINES))
 @pytest.mark.parametrize("dst", sorted(ENGINES))
 def test_serialize_roundtrip_across_engines(src, dst):
+    """A blob from either engine loads into vector rows, and the loaded
+    state folds into an empty sketch of either engine unchanged."""
     items, values = SKETCH_STREAMS["hot-key"]
     sk = SalsaCountMin(w=64, d=3, s=8, seed=5, engine=src)
     sk.update_many(items, values)
-    clone = loads(dumps(sk), engine=dst)
-    assert clone.engine_name == dst
+    clone = loads(dumps(sk))
+    assert clone.engine_name == "vector"
+    target = SalsaCountMin(w=64, d=3, s=8, seed=5, engine=dst)
+    ops.merge(target, clone)
     probe = sorted(set(items.tolist()))
-    assert clone.query_many(probe) == sk.query_many(probe)
-    assert clone.memory_bytes == sk.memory_bytes
-    assert dumps(clone) == dumps(sk)
+    for other in (clone, target):
+        assert other.query_many(probe) == sk.query_many(probe)
+        assert other.memory_bytes == sk.memory_bytes
+        assert dumps(other) == dumps(sk)
 
 
 def test_scale_down_then_serialize_roundtrip():
@@ -345,7 +370,7 @@ def test_scale_down_then_serialize_roundtrip():
         sk.update(9)
     for row in sk.rows:
         row.scale_down_half()
-    clone = loads(dumps(sk), engine="bitpacked")
+    clone = loads(dumps(sk))
     assert clone.query(9) == sk.query(9)
     assert dumps(clone) == dumps(sk)
 
@@ -384,32 +409,11 @@ def test_tango_vector_engine_rejects_over_64_bit_counters():
 
 
 # ----------------------------------------------------------------------
-# plumbing: default engine, unknown names, for_memory
+# plumbing: unknown names, for_memory
 # ----------------------------------------------------------------------
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         SalsaRow(w=8, s=8, engine="gpu")
-
-
-def test_default_engine_is_process_wide():
-    assert get_default_engine() == "bitpacked"
-    set_default_engine("vector")
-    try:
-        assert SalsaRow(w=8, s=8).engine_name == "vector"
-        assert SalsaCountMin(w=64, d=2, seed=0).engine_name == "vector"
-    finally:
-        set_default_engine("bitpacked")
-    assert SalsaRow(w=8, s=8).engine_name == "bitpacked"
-
-
-def test_using_engine_scopes_the_default():
-    from repro.experiments.runner import using_engine
-
-    with using_engine("vector"):
-        assert get_default_engine() == "vector"
-    assert get_default_engine() == "bitpacked"
-    with using_engine(None):
-        assert get_default_engine() == "bitpacked"
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -421,28 +425,6 @@ def test_for_memory_shape_is_engine_independent(engine):
     assert isinstance(sk.rows[0].engine,
                       VectorRowEngine if engine == "vector"
                       else BitPackedEngine)
-
-
-def test_cli_speed_accepts_engine_flag(tmp_path, capsys):
-    from repro.cli import main
-
-    path = str(tmp_path / "t.npz")
-    assert main(["generate", "zipf", path, "--length", "2000"]) == 0
-    capsys.readouterr()
-    assert main(["speed", path, "--sketch", "salsa-cms",
-                 "--memory", "16K", "--engine", "vector"]) == 0
-    out = capsys.readouterr().out
-    assert "engine=vector" in out
-
-
-def test_cli_rejects_engine_for_engineless_sketches(tmp_path, capsys):
-    from repro.cli import main
-
-    path = str(tmp_path / "t.npz")
-    assert main(["generate", "zipf", path, "--length", "500"]) == 0
-    with pytest.raises(SystemExit):
-        main(["speed", path, "--sketch", "cms", "--memory", "16K",
-              "--engine", "vector"])
 
 
 def test_plan_apply_matches_partial():
@@ -464,17 +446,6 @@ def test_plan_apply_matches_partial():
         else:
             assert mask is not None
             assert plan.dirty_mask.tolist() == mask.tolist()
-
-
-def test_cli_run_accepts_engine_flag(tmp_path, capsys):
-    from repro.cli import main
-
-    path = str(tmp_path / "t.npz")
-    assert main(["generate", "zipf", path, "--length", "2000"]) == 0
-    capsys.readouterr()
-    assert main(["run", path, "--sketch", "salsa-cms", "--memory", "16K",
-                 "--engine", "vector", "--batch-size", "256"]) == 0
-    assert "NRMSE" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

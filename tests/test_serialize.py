@@ -109,3 +109,50 @@ class TestValidation:
         blob[4] = 99
         with pytest.raises(ValueError):
             loads(bytes(blob))
+
+    def test_unknown_tags_raise_value_error(self):
+        """Header byte 16 is the merge tag, byte 17 the encoding tag."""
+        blob = bytearray(dumps(SalsaCountMin(w=64, d=1, seed=1)))
+        for pos in (16, 17):
+            bad = bytearray(blob)
+            bad[pos] = 7
+            with pytest.raises(ValueError):
+                loads(bytes(bad))
+
+    @pytest.mark.parametrize("cls,wrong", [(SalsaConservativeUpdate, 0),
+                                           (SalsaCountSketch, 1)])
+    def test_merge_tag_must_match_the_sketch_type(self, cls, wrong):
+        """CUS rows max-merge and CS rows sum-merge: a blob claiming the
+        other rule is corrupt, not a variant."""
+        blob = bytearray(dumps(cls(w=64, d=2, seed=1)))
+        blob[16] = wrong
+        with pytest.raises(ValueError):
+            loads(bytes(blob))
+
+
+#: Size of the fixed blob header (magic .. seed).
+HEADER_BYTES = 26
+
+HEADER_SKETCHES = {
+    "cms": lambda enc: SalsaCountMin(w=64, d=2, encoding=enc, seed=7),
+    "cus": lambda enc: SalsaConservativeUpdate(w=64, d=2, encoding=enc,
+                                               seed=7),
+    "cs": lambda enc: SalsaCountSketch(w=64, d=2, encoding=enc, seed=7),
+}
+
+
+@pytest.mark.parametrize("encoding", ["simple", "compact"])
+@pytest.mark.parametrize("name", sorted(HEADER_SKETCHES))
+def test_header_corruption_loads_or_raises_value_error(name, encoding):
+    """Every single-byte header corruption either loads or raises
+    ``ValueError`` -- never another exception."""
+    sk = _fill(HEADER_SKETCHES[name](encoding), n=2_000)
+    blob = dumps(sk)
+    for pos in range(HEADER_BYTES):
+        for value in (0, 1, 2, 3, 7, 9, 255):
+            bad = bytearray(blob)
+            bad[pos] = value
+            try:
+                loads(bytes(bad))
+            except ValueError:
+                pass
