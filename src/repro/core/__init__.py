@@ -4,7 +4,8 @@
   :class:`CompactLayout` (~0.594 bits/counter, Appendix A);
 * row storage behind one :class:`RowEngine` interface:
   :class:`VectorRowEngine` (NumPy bulk paths, the default) and
-  :class:`BitPackedEngine` (the bit-exact reference and wire codec);
+  :class:`BitPackedEngine` (the bit-exact reference, whose buffers
+  define the wire format);
 * :class:`TangoRow` for fine-grained merging;
 * the SALSA sketches of section V: :class:`SalsaCountMin`,
   :class:`TangoCountMin`, :class:`SalsaConservativeUpdate`,

@@ -40,6 +40,14 @@ def encoding_bits(m: int) -> int:
     return (layout_count(m) - 1).bit_length()
 
 
+def default_group_level(w: int, max_level: int) -> int:
+    """The paper's ``m = max(5, #merges)``, shrunk to fit a ``w``-slot row."""
+    group_level = max(5, max_level)
+    while (1 << group_level) > w:
+        group_level -= 1
+    return group_level
+
+
 class CompactLayout:
     """Appendix-A group encoding with the MergeBitLayout interface.
 
@@ -69,9 +77,7 @@ class CompactLayout:
         if w < 1 or w & (w - 1):
             raise ValueError(f"w must be a positive power of two, got {w}")
         if group_level is None:
-            group_level = max(5, max_level)
-            while (1 << group_level) > w:
-                group_level -= 1
+            group_level = default_group_level(w, max_level)
         if max_level > group_level:
             raise ValueError(
                 f"max_level {max_level} exceeds group_level {group_level}"

@@ -20,17 +20,18 @@ delegates the *representation* to a :class:`RowEngine`:
   bit-packed in a :class:`~repro.bitvec.BitArray`, layout tracked by
   :class:`~repro.core.layout.MergeBitLayout` or
   :class:`~repro.core.compact.CompactLayout`, Count-Sketch fields in
-  sign-magnitude.  This is what the memory accounting charges and what
-  :mod:`repro.core.serialize` writes; tests build it with
-  ``engine="bitpacked"`` to compare against.  It has no bulk path:
+  sign-magnitude.  This is what the memory accounting charges, and its
+  buffers are the wire format :mod:`repro.core.serialize` writes (the
+  vector engine's arrays encode to the same bytes); tests build it
+  with ``engine="bitpacked"`` to compare against.  It has no bulk path:
   every batch door reports every superblock dirty, so a batch on it is
   the per-item walk.
 
 Both engines expose decoded integer values; only the bit-packed engine
-knows about sign-magnitude bit patterns.  The contract (enforced by
-``tests/test_row_engines.py``): on any stream, both engines yield
-identical counter values, merge levels, estimates, and memory bits --
-an engine changes speed, never the sketch.
+and the wire codec know about sign-magnitude bit patterns.  The
+contract (enforced by ``tests/test_row_engines.py``): on any stream,
+both engines yield identical counter values, merge levels, estimates,
+and memory bits -- an engine changes speed, never the sketch.
 
 Vectorized bulk paths assume the caller bounds a batch's total
 absolute inflow by ``2^61`` (see ``sketches.base.batch_sum_fits``) so
@@ -42,7 +43,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitvec import BitArray
-from repro.core.compact import CompactLayout, encoding_bits
+from repro.core.compact import (
+    CompactLayout,
+    default_group_level,
+    encoding_bits,
+)
 from repro.core.layout import MergeBitLayout
 
 #: Layout encodings (accounting identities shared by every engine).
@@ -64,9 +69,7 @@ def field_fits(value: int, width: int, signed: bool) -> bool:
 def _compact_overhead_bits(w: int, max_level: int) -> int:
     """Appendix-A overhead for a ``w``-slot row, without building the
     layout (the vector engine charges it while storing no such code)."""
-    group_level = max(5, max_level)
-    while (1 << group_level) > w:
-        group_level -= 1
+    group_level = default_group_level(w, max_level)
     return (w >> group_level) * encoding_bits(group_level)
 
 
@@ -239,8 +242,9 @@ class BitPackedEngine(RowEngine):
     """The bit-exact reference engine: ``BitArray`` + merge-bit layout.
 
     This is the original ``SalsaRow`` storage, extracted verbatim; its
-    buffers are also the serialization wire format every engine round-
-    trips through (see :mod:`repro.core.serialize`).  It keeps the
+    buffers are also the serialization wire format, which the vector
+    engine's arrays encode to byte for byte (see
+    :mod:`repro.core.serialize`).  It keeps the
     all-dirty bulk defaults of :class:`RowEngine`, so every batch on it
     replays through the per-item policy walk.
     """
@@ -330,13 +334,21 @@ class VectorRowEngine(RowEngine):
       scatter-adds never consult the layout.
 
     Unsigned rows store ``uint64`` (a saturated 64-bit counter holds
-    ``2^64 - 1``); Count-Sketch rows store ``int64``.
+    ``2^64 - 1``); Count-Sketch rows store ``int64``.  Counters wider
+    than 64 bits are therefore rejected at construction; only the
+    bit-packed reference holds them.
     """
 
     name = "vector"
 
     def __init__(self, w: int, s: int, max_level: int,
                  signed: bool = False, encoding: str = SIMPLE):
+        if s << max_level > 64:
+            raise ValueError(
+                f"vector rows hold counters in 64-bit words, but s={s} "
+                f"merged {max_level} times is {s << max_level} bits; "
+                f"lower max_bits or use engine='bitpacked'"
+            )
         super().__init__(w, s, max_level, signed, encoding)
         self.levels = np.zeros(w, dtype=np.int64)
         self.starts = np.arange(w, dtype=np.int64)

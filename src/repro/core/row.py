@@ -15,7 +15,8 @@ The *physical* storage is pluggable (:mod:`repro.core.engines`):
 :class:`~repro.core.engines.RowEngine` holds the counters -- a NumPy
 materialization whose bulk paths vectorize (``engine="vector"``, the
 default), or the paper's bit-packed encoding (``engine="bitpacked"``),
-kept as the reference tests compare against and as the wire codec.
+kept as the reference tests compare against and as the wire
+format's specification.
 Both are observationally identical on every stream.
 """
 
@@ -49,7 +50,8 @@ class SalsaRow:
         Base counter width in bits (paper default 8).
     max_bits:
         Widest counter allowed; merging stops there and the counter
-        saturates (the paper lets counters grow to 64 bits).
+        saturates (the paper lets counters grow to 64 bits).  The
+        vector engine holds at most 64; wider needs ``"bitpacked"``.
     merge:
         ``"sum"`` or ``"max"``.
     signed:
@@ -312,21 +314,6 @@ class SalsaRow:
             value = self._clamp(value, self.s << level)
             self.engine.write_block(start, level, value)
         return level, start
-
-    def _force_level(self, start: int, level: int) -> None:
-        """Coarsen the layout to (start, level) without touching values
-        (they are about to be overwritten; serialization import path)."""
-        lv, st = self.engine.locate(start)
-        while lv < level:
-            lv, st = self.engine.merge_up(st, lv)
-
-    def import_counters(self, counters) -> None:
-        """Rebuild this (empty) row from decoded ``(start, level,
-        value)`` triples -- the engine-independent interchange form."""
-        for start, level, value in counters:
-            if level:
-                self._force_level(start, level)
-            self.engine.write_block(start, level, value)
 
     def scale_down_half(self, rng=None) -> None:
         """Halve every counter (AEE downsampling).

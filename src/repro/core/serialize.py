@@ -6,12 +6,17 @@ requires shipping sketch state around.  This module provides a compact,
 versioned binary codec for the SALSA sketches: header, per-row merge
 bits (or compact-group words), and the raw counter payload.
 
-The wire format is the **bit-packed reference encoding**, whatever
-engine backs the sketch in memory: every engine round-trips through
-the common decoded form (live ``(start, level, value)`` counters), so
-a blob written by a vector-engine sketch is byte-identical to one
-written by a bit-packed sketch in the same state.  Blobs record no
-engine; :func:`loads` always rebuilds on vector rows.
+The wire format is the **bit-packed reference encoding**: a row's
+payload is exactly the two buffers a
+:class:`~repro.core.engines.BitPackedEngine` maintains -- the layout
+(one merge bit per slot, or one Appendix-A group number per ``2^m``
+slots) followed by the ``w * s``-bit counter store, with Count-Sketch
+fields in sign-magnitude.  Bit-packed rows write those buffers as they
+are; vector rows encode their ``levels``/``starts``/``values`` arrays
+to the same bytes with array operations, so a blob never records which
+engine wrote it.  :func:`loads` decodes a payload straight into vector
+arrays and accepts only bytes :func:`dumps` could have written: every
+decoded row is re-encoded and compared with its payload.
 
 The format is deliberately simple -- little-endian fixed header plus
 the two buffers each row's reference engine maintains -- so a C
@@ -32,10 +37,14 @@ from __future__ import annotations
 
 import struct
 
-from repro.core.layout import MergeBitLayout
-from repro.core.compact import encoding_bits
-from repro.core.engines import BitPackedEngine
-from repro.core.row import SalsaRow
+import numpy as np
+
+from repro.core.compact import (
+    default_group_level,
+    encoding_bits,
+    layout_count,
+)
+from repro.core.engines import SIMPLE, BitPackedEngine, VectorRowEngine
 from repro.core.salsa_cms import SalsaCountMin
 from repro.core.salsa_cus import SalsaConservativeUpdate
 from repro.core.salsa_cs import SalsaCountSketch
@@ -61,67 +70,185 @@ _ENCODING_NAMES = {v: k for k, v in _ENCODINGS.items()}
 _HEADER = struct.Struct("<4sBBIHHHBBq")
 
 
-def _empty_reference(row: SalsaRow) -> SalsaRow:
-    """An empty bit-packed row of ``row``'s shape (the codec's form)."""
-    return SalsaRow(w=row.w, s=row.s, max_bits=row.max_bits, merge=row.merge,
-                    signed=row.signed, encoding=row.encoding,
-                    engine="bitpacked")
+def _group_bytes(group_level: int) -> int:
+    """Bytes per Appendix-A group number on the wire."""
+    return (encoding_bits(group_level) + 7) // 8
 
 
-def _reference_row(row: SalsaRow) -> SalsaRow:
-    """A bit-packed twin of ``row`` in the same observable state.
-
-    The identity transform for bit-packed rows; other engines export
-    their decoded counters into a fresh reference row, which is what
-    makes the wire format engine-independent.
-    """
-    if isinstance(row.engine, BitPackedEngine):
-        return row
-    ref = _empty_reference(row)
-    ref.import_counters(row.counters())
-    return ref
+def _layout_nbytes(engine) -> int:
+    """Size of one row's layout bytes."""
+    if engine.encoding == SIMPLE:
+        return (engine.w + 7) // 8
+    group_level = default_group_level(engine.w, engine.max_level)
+    return (engine.w >> group_level) * _group_bytes(group_level)
 
 
-def _row_payload(row: SalsaRow) -> bytes:
-    """Layout bytes followed by counter bytes for one row."""
-    engine = _reference_row(row).engine
-    if isinstance(engine.layout, MergeBitLayout):
-        layout_bytes = bytes(engine.layout.bits._data)
+def _payload_nbytes(engine) -> int:
+    """Size of one row's payload: layout bytes, then counter bytes."""
+    return _layout_nbytes(engine) + (engine.w * engine.s + 7) // 8
+
+
+# ----------------------------------------------------------------------
+# encode
+# ----------------------------------------------------------------------
+def _bitpacked_payload(engine: BitPackedEngine) -> bytes:
+    """The reference engine's own buffers -- the wire format's spec."""
+    layout = engine.layout
+    if engine.encoding == SIMPLE:
+        layout_bytes = bytes(layout.bits._data)
     else:
-        zbits = encoding_bits(engine.layout.group_level)
-        zbytes = (zbits + 7) // 8
-        layout_bytes = b"".join(
-            x.to_bytes(zbytes, "little") for x in engine.layout._x
-        )
+        zbytes = _group_bytes(layout.group_level)
+        layout_bytes = b"".join(x.to_bytes(zbytes, "little")
+                                for x in layout._x)
     return layout_bytes + engine.store.tobytes()
 
 
-def _restore_row(row: SalsaRow, payload: bytes) -> int:
-    """Fill one (empty) row from ``payload``; return bytes consumed.
+def _encode_groups(levels: np.ndarray, group_level: int) -> np.ndarray:
+    """Appendix-A group numbers, built bottom-up over whole arrays.
 
-    The payload decodes into a bit-packed reference row, whose decoded
-    counters are then imported into ``row``.
+    ``x`` holds ``X_n`` of every aligned ``2^n`` block: a block inside
+    one counter of level ``>= n`` is ``a_n - 1``, any other is its two
+    halves' numbers in base ``a_{n-1}``.  Returns the little-endian
+    wire bytes as a ``(groups, bytes)`` uint8 array.
     """
-    ref = _empty_reference(row)
-    engine = ref.engine
-    if isinstance(engine.layout, MergeBitLayout):
-        n_layout = engine.layout.bits.nbytes
+    # Vector counters stop at 64 bits, so group_level <= 5 and every
+    # X_n < a_5 = 458330 fits int64.
+    x = np.zeros(levels.size, dtype=np.int64)
+    for n in range(1, group_level + 1):
+        x = x[0::2] * layout_count(n - 1) + x[1::2]
+        x[levels[::1 << n] >= n] = layout_count(n) - 1
+    wire = x.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return wire[:, :_group_bytes(group_level)]
+
+
+def _encode_store(engine: VectorRowEngine, off: np.ndarray) -> np.ndarray:
+    """The ``w * s``-bit counter store: slot ``j`` holds the ``s``-bit
+    chunk at offset ``off[j]`` of its counter's field."""
+    s = engine.s
+    raw = engine.values
+    if engine.signed:
+        top = ((s << engine.levels) - 1).astype(np.uint64)
+        sign = (raw < 0).astype(np.uint64) << top
+        raw = np.abs(raw).astype(np.uint64) | sign
+    chunks = ((raw >> (off * s).astype(np.uint64))
+              & np.uint64((1 << s) - 1))
+    if s >= 8:
+        return chunks.astype(f"<u{s // 8}")
+    bits = (chunks[:, None] >> np.arange(s, dtype=np.uint64)) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8), axis=None, bitorder="little")
+
+
+def _vector_payload(engine: VectorRowEngine) -> bytes:
+    """Encode a vector row's arrays to the reference engine's bytes."""
+    levels = engine.levels
+    off = np.arange(engine.w, dtype=np.int64) - engine.starts
+    if engine.encoding == SIMPLE:
+        # A level-L block sets the merge bits of all but its last slot.
+        layout = np.packbits(off < (1 << levels) - 1, bitorder="little")
     else:
-        zbytes = (encoding_bits(engine.layout.group_level) + 7) // 8
-        n_layout = zbytes * engine.layout.n_groups
-    n_store = engine.store.nbytes
-    if len(payload) < n_layout + n_store:
-        raise ValueError("truncated SALSA sketch blob")
-    if isinstance(engine.layout, MergeBitLayout):
-        engine.layout.bits._data[:] = payload[:n_layout]
+        layout = _encode_groups(
+            levels, default_group_level(engine.w, engine.max_level))
+    return layout.tobytes() + _encode_store(engine, off).tobytes()
+
+
+def _row_payload(row) -> bytes:
+    """Layout bytes followed by counter bytes for one row."""
+    engine = row.engine
+    if isinstance(engine, BitPackedEngine):
+        return _bitpacked_payload(engine)
+    return _vector_payload(engine)
+
+
+# ----------------------------------------------------------------------
+# decode
+# ----------------------------------------------------------------------
+def _decode_merge_bits(layout: np.ndarray, w: int,
+                       max_level: int) -> np.ndarray:
+    """Per-slot levels from merge bits: ``max_level`` probes, each over
+    the whole row.
+
+    Slot ``j`` takes the highest ``L`` whose probe bit
+    ``(j >> L << L) + 2^(L-1) - 1`` is set.  On merge bits ``dumps``
+    writes that is the reference decode; on any other bits it is still
+    a layout of aligned blocks, which the caller's re-encode check then
+    rejects.
+    """
+    bits = np.unpackbits(layout, count=w, bitorder="little").astype(bool)
+    slots = np.arange(w, dtype=np.int64)
+    levels = np.zeros(w, dtype=np.int64)
+    for lv in range(1, max_level + 1):
+        levels[bits[((slots >> lv) << lv) + (1 << (lv - 1)) - 1]] = lv
+    return levels
+
+
+def _decode_groups(layout: np.ndarray, w: int, max_level: int) -> np.ndarray:
+    """Per-slot levels from Appendix-A group numbers, top-down.
+
+    A block whose number is ``a_n - 1`` is one level-``n`` counter
+    (only for ``n <= max_level``); its slots keep the coarsest such
+    level.  Any other number splits into its base-``a_{n-1}`` digits.
+    Numbers no layout encodes decode to *some* layout, which the
+    caller's re-encode check then rejects.
+    """
+    group_level = default_group_level(w, max_level)
+    zbytes = _group_bytes(group_level)
+    wire = layout.reshape(-1, zbytes).astype(np.int64)
+    x = (wire << (8 * np.arange(zbytes, dtype=np.int64))).sum(axis=1)
+    levels = np.zeros(w, dtype=np.int64)
+    for n in range(group_level, 0, -1):
+        if n <= max_level:
+            full = x == layout_count(n) - 1
+            levels = np.maximum(levels, np.repeat(full * n, 1 << n))
+        x = np.stack(np.divmod(x, layout_count(n - 1)), axis=1).ravel()
+    return levels
+
+
+def _decode_store(store: np.ndarray, w: int, s: int) -> np.ndarray:
+    """The ``s``-bit chunk of every slot, as uint64."""
+    if s >= 8:
+        return store.view(f"<u{s // 8}").astype(np.uint64)
+    bits = np.unpackbits(store, count=w * s, bitorder="little")
+    bits = bits.reshape(w, s).astype(np.uint64)
+    return (bits << np.arange(s, dtype=np.uint64)).sum(axis=1,
+                                                       dtype=np.uint64)
+
+
+def _restore_row(engine: VectorRowEngine, payload: bytes) -> None:
+    """Decode one row's payload into a fresh vector engine's arrays.
+
+    Raises ``ValueError`` unless re-encoding the decoded row gives
+    ``payload`` back, so non-canonical merge bits, group numbers no
+    layout has, a sign-magnitude ``-0`` and set padding bits are all
+    rejected rather than silently rewritten.
+    """
+    w, s = engine.w, engine.s
+    n_layout = _layout_nbytes(engine)
+    raw_bytes = np.frombuffer(payload, dtype=np.uint8)
+    if engine.encoding == SIMPLE:
+        levels = _decode_merge_bits(raw_bytes[:n_layout], w,
+                                    engine.max_level)
     else:
-        engine.layout._x = [
-            int.from_bytes(payload[i * zbytes:(i + 1) * zbytes], "little")
-            for i in range(engine.layout.n_groups)
-        ]
-    engine.store._data[:] = payload[n_layout:n_layout + n_store]
-    row.import_counters(ref.counters())
-    return n_layout + n_store
+        levels = _decode_groups(raw_bytes[:n_layout], w, engine.max_level)
+    slots = np.arange(w, dtype=np.int64)
+    starts = slots & -(1 << levels)
+    off = slots - starts
+    chunks = _decode_store(raw_bytes[n_layout:], w, s)
+    heads = np.flatnonzero(off == 0)
+    head_levels = levels[heads]
+    # Each counter's field is the OR of its slots' shifted chunks.
+    raw = np.bitwise_or.reduceat(chunks << (off * s).astype(np.uint64),
+                                 heads)
+    if engine.signed:
+        top = ((s << head_levels) - 1).astype(np.uint64)
+        magnitude = (raw & ((np.uint64(1) << top) - np.uint64(1))
+                     ).astype(np.int64)
+        raw = np.where((raw >> top).astype(bool), -magnitude, magnitude)
+    engine.levels[:] = levels
+    engine.starts[:] = starts
+    engine.values[:] = np.repeat(raw, 1 << head_levels)
+    if _vector_payload(engine) != payload:
+        raise ValueError(
+            "non-canonical SALSA row payload (no dumps writes these bytes)")
 
 
 def serializable(sketch) -> bool:
@@ -136,8 +263,8 @@ def serializable(sketch) -> bool:
 def dumps(sketch) -> bytes:
     """Serialize a SALSA CMS / CUS / CS sketch to bytes.
 
-    Engine-independent: blobs carry decoded state in the reference
-    bit-packed encoding, never the in-memory representation.
+    Engine-independent: both engines write the reference bit-packed
+    encoding, never their in-memory representation.
     """
     cls = type(sketch)
     if cls not in _TYPES:
@@ -156,7 +283,9 @@ def loads(data: bytes):
 
     The hash family is re-derived from the stored seed, so a round
     trip preserves hash functions (and therefore merge compatibility).
-    A malformed blob raises ``ValueError``.
+    A malformed blob -- including any payload :func:`dumps` could not
+    have written, or counters wider than a vector row holds -- raises
+    ``ValueError``.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated SALSA sketch blob")
@@ -176,6 +305,10 @@ def loads(data: bytes):
     merge = _MERGE_NAMES.get(merge_tag)
     if merge is None:
         raise ValueError(f"unknown merge tag {merge_tag}")
+    # Every row stores at least its w*s counter bits: reject a header
+    # promising more than the blob holds before allocating any rows.
+    if d * ((w * s + 7) // 8) > len(data) - _HEADER.size:
+        raise ValueError("truncated SALSA sketch blob")
 
     kwargs = dict(w=w, d=d, s=s, max_bits=max_bits, seed=seed,
                   encoding=encoding)
@@ -186,13 +319,17 @@ def loads(data: bytes):
         raise ValueError(
             f"merge tag {merge!r} is invalid for {cls.__name__}")
 
-    offset = _HEADER.size
-    for row in sketch.rows:
-        consumed = _restore_row(row, data[offset:])
-        offset += consumed
-    if offset != len(data):
+    row_bytes = _payload_nbytes(sketch.rows[0].engine)
+    expected = _HEADER.size + d * row_bytes
+    if len(data) < expected:
+        raise ValueError("truncated SALSA sketch blob")
+    if len(data) > expected:
         raise ValueError(
-            f"trailing bytes in SALSA blob: expected {offset}, "
+            f"trailing bytes in SALSA blob: expected {expected}, "
             f"got {len(data)}"
         )
+    offset = _HEADER.size
+    for row in sketch.rows:
+        _restore_row(row.engine, data[offset:offset + row_bytes])
+        offset += row_bytes
     return sketch

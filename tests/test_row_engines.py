@@ -408,6 +408,24 @@ def test_tango_vector_engine_rejects_over_64_bit_counters():
         TangoRow(w=32, s=8, max_slots=16, engine="vector")
 
 
+def test_salsa_vector_engine_rejects_over_64_bit_counters():
+    """Vector rows hold counters in 64-bit words, so a row that could
+    merge past 64 bits is refused up front; the bit-packed reference
+    still counts past 2^64 when asked for explicitly, and its blob is
+    refused by ``loads`` (which always builds vector rows)."""
+    with pytest.raises(ValueError, match="64-bit"):
+        SalsaCountMin(w=64, d=1, s=8, max_bits=128, merge="sum")
+    ref = SalsaCountMin(w=64, d=1, s=8, max_bits=128, merge="sum",
+                        engine="bitpacked")
+    for _ in range(6):
+        ref.update(1, 2 ** 62)
+    assert ref.query(1) == 6 * 2 ** 62
+    with pytest.raises(ValueError, match="64-bit"):
+        loads(dumps(ref))
+    # A row too narrow to merge that far keeps its 64-bit ceiling.
+    assert SalsaRow(w=8, s=8, max_bits=128).max_bits == 64
+
+
 # ----------------------------------------------------------------------
 # plumbing: unknown names, for_memory
 # ----------------------------------------------------------------------
