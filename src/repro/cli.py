@@ -103,9 +103,13 @@ def _check_shards(args) -> int:
 
 def _load(path: str):
     """Load a trace from ``.npz`` or ``.flows`` by extension."""
-    if path.endswith(".flows"):
-        return load_flows_as_trace(path)
-    return load_trace(path)
+    try:
+        if path.endswith(".flows"):
+            return load_flows_as_trace(path)
+        return load_trace(path)
+    except OSError as exc:
+        raise SystemExit(
+            f"error: cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _parse_memory(text: str) -> int:

@@ -42,6 +42,25 @@ HASH = "hash"
 ROUND_ROBIN = "round_robin"
 
 
+def _worker_keys(items: np.ndarray, workers: int, policy: str, seed: int,
+                 offset: int = 0) -> np.ndarray:
+    """Worker index of each item under a partition ``policy``.
+
+    ``hash`` keys on the item: ``mix64(x ^ mix64(seed)) % workers`` for
+    the whole batch in one :func:`~repro.hashing.mix64_many` call (uint64
+    arithmetic wraps exactly like the masked per-item mixer).
+    ``round_robin`` keys on the arrival index; ``offset`` counts the
+    arrivals before ``items``.
+    """
+    if policy == HASH:
+        salt = np.uint64(mix64(seed))
+        return (mix64_many(items.view(np.uint64) ^ salt)
+                % np.uint64(workers)).astype(np.int64)
+    if policy == ROUND_ROBIN:
+        return (offset + np.arange(len(items))) % workers
+    raise ValueError(f"unknown policy {policy!r}")
+
+
 def shard(trace: Trace, workers: int, policy: str = HASH,
           seed: int = 0) -> list[Trace]:
     """Split a trace into ``workers`` shards.
@@ -50,23 +69,10 @@ def shard(trace: Trace, workers: int, policy: str = HASH,
     one worker -- the NIC-RSS model); ``round_robin`` spreads arrivals
     evenly regardless of identity (the load-balancer model).  Either
     way the shards' multisets union to the input.
-
-    The hash policy computes every worker key in one
-    :func:`~repro.hashing.mix64_many` call -- assignments are
-    bit-identical to the historical per-item
-    ``mix64(int(x) ^ mix64(seed)) % workers`` walk (uint64 arithmetic
-    wraps exactly like the masked Python mixer).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if policy == HASH:
-        salt = np.uint64(mix64(seed))
-        keys = (mix64_many(trace.items.view(np.uint64) ^ salt)
-                % np.uint64(workers)).astype(np.int64)
-    elif policy == ROUND_ROBIN:
-        keys = np.arange(len(trace)) % workers
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    keys = _worker_keys(trace.items, workers, policy, seed)
     return [
         Trace(trace.items[keys == worker],
               name=f"{trace.name}/shard{worker}")
@@ -214,18 +220,11 @@ class DistributedSketch:
         ``tests/test_scenarios.py``).
         """
         workers = len(self.locals)
-        salt = np.uint64(mix64(seed))
         offset = 0
         for chunk in chunks:
             items = np.ascontiguousarray(chunk, dtype=np.int64)
-            if policy == HASH:
-                keys = (mix64_many(items.view(np.uint64) ^ salt)
-                        % np.uint64(workers)).astype(np.int64)
-            elif policy == ROUND_ROBIN:
-                keys = (offset + np.arange(len(items))) % workers
-                offset += len(items)
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
+            keys = _worker_keys(items, workers, policy, seed, offset)
+            offset += len(items)
             for worker in range(workers):
                 part = items[keys == worker]
                 if len(part):

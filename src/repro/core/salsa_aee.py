@@ -227,7 +227,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
             return
         if int(values.min()) < 1:
             raise ValueError("SALSA AEE is a Cash Register sketch")
-        if self.p < 1.0 or self.hashes.uses_bobhash:
+        if self.p < 1.0:
             BatchOpsMixin.update_many(self, items, values)
             return
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
@@ -294,9 +294,6 @@ class SalsaAeeCountMin(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: deduped, one hash call per row, scaled by p."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             return self.rows[row_id].read_many(idxs)

@@ -134,8 +134,7 @@ class SalsaCountMin(BatchOpsMixin):
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if (int(values.min()) < 0 or not batch_sum_fits(values)
-                or self.hashes.uses_bobhash):
+        if int(values.min()) < 0 or not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -153,9 +152,6 @@ class SalsaCountMin(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             return self.rows[row_id].read_many(idxs)
@@ -250,9 +246,6 @@ class TangoCountMin(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, engine gathers."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             return self.rows[row_id].read_many(idxs)

@@ -106,8 +106,7 @@ class SalsaCountSketch(BatchOpsMixin):
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if (int(values.min()) < 0 or not batch_sum_fits(values)
-                or self.hashes.uses_bobhash):
+        if int(values.min()) < 0 or not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -130,9 +129,6 @@ class SalsaCountSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: per-row votes gathered once, exact median."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_votes(row_id, uniq):
             raw = self.hashes.raw_many(uniq, row_id)
             idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)

@@ -123,7 +123,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
                 "non-positive value"
             )
         rows = self.rows
-        if (not batch_sum_fits(values) or self.hashes.uses_bobhash
+        if (not batch_sum_fits(values)
                 or not all(isinstance(row.engine, VectorRowEngine)
                            for row in rows)):
             BatchOpsMixin.update_many(self, items, values)
@@ -226,9 +226,6 @@ class SalsaConservativeUpdate(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             return self.rows[row_id].read_many(idxs)

@@ -5,10 +5,11 @@ they compare against) use.  We implement the 32-bit ``hashlittle``
 variant over byte strings, processing 12-byte blocks with the
 ``mix``/``final`` rounds from lookup3.c.
 
-The pure-Python version is slow relative to the integer mixer in
-:mod:`repro.hashing.family`, so the sketches default to the mixer and
-expose BobHash as an opt-in for fidelity tests.  Both pass the same
-uniformity checks in ``tests/test_hashing.py``.
+:class:`repro.hashing.HashFamily` hashes every ``bytes`` key with it
+(two seeded 32-bit halves make one 64-bit row hash).  Integer keys go
+through the much faster splitmix64 mixer in :mod:`repro.hashing.family`
+instead; both pass the same uniformity checks in
+``tests/test_hashing.py``.
 """
 
 from __future__ import annotations

@@ -5,14 +5,20 @@ A sketch with ``d`` rows needs ``d`` independent hash functions
 ``g_i : U -> {+1, -1}``.  :class:`HashFamily` packages both, seeded and
 deterministic.
 
-Two keyed primitives back the family:
+The key's type alone picks the keyed primitive, and this module is the
+only place that decides it:
 
 * integer keys go through :func:`mix64` (the splitmix64 finalizer, a
-  full-avalanche 64-bit mixer) keyed by a per-row random 64-bit seed;
-* byte keys go through BobHash (:func:`repro.hashing.bobhash`), the
+  full-avalanche 64-bit mixer) keyed by a per-row random 64-bit seed,
+  per item and in the vectorized batch methods alike;
+* ``bytes`` keys go through BobHash (:func:`repro.hashing.bobhash`), the
   hash used by the paper's C++ code.
 
-Row widths are powths of two throughout the library (as in the paper's
+Sketches may therefore inline ``mix64(item ^ seeds[row])`` on their
+per-item integer path and call the batch methods on their vectorized
+path without any per-family check.
+
+Row widths are powers of two throughout the library (as in the paper's
 implementation: "For implementation efficiency, all row widths w are
 powers of two"), so index extraction is a mask.
 """
@@ -71,9 +77,6 @@ class HashFamily:
         are identical (required for sketch merge/subtract, which the
         paper performs only between sketches "sharing the same hash
         functions").
-    use_bobhash:
-        When True, integer keys are serialized to 8 bytes and hashed
-        with BobHash instead of the mixer.  Slower; for fidelity runs.
 
     Notes
     -----
@@ -82,30 +85,24 @@ class HashFamily:
     both (as Count Sketch does) does not correlate them.
     """
 
-    __slots__ = ("d", "seed", "seeds", "_use_bobhash")
+    __slots__ = ("d", "seed", "seeds")
 
-    def __init__(self, d: int, seed: int = 0, use_bobhash: bool = False):
+    def __init__(self, d: int, seed: int = 0):
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
         self.d = d
         self.seed = seed
         rng = random.Random(seed)
         self.seeds = [rng.getrandbits(64) for _ in range(d)]
-        self._use_bobhash = use_bobhash
 
     # ------------------------------------------------------------------
     def raw(self, item: int | bytes, row: int) -> int:
-        """Return the raw 64-bit (or 32-bit for BobHash) hash of ``item``."""
+        """Return the raw 64-bit hash of ``item``: :func:`mix64` for an
+        integer, two 32-bit BobHash halves for ``bytes``."""
         if isinstance(item, bytes):
             seed = self.seeds[row]
             lo = bobhash(item, seed & 0xFFFFFFFF)
             hi = bobhash(item, (seed >> 32) & 0xFFFFFFFF)
-            return (hi << 32) | lo
-        if self._use_bobhash:
-            seed = self.seeds[row]
-            key = (item & _MASK64).to_bytes(8, "little")
-            lo = bobhash(key, seed & 0xFFFFFFFF)
-            hi = bobhash(key, (seed >> 32) & 0xFFFFFFFF)
             return (hi << 32) | lo
         return mix64(item ^ self.seeds[row])
 
@@ -124,28 +121,11 @@ class HashFamily:
     # ------------------------------------------------------------------
     # batched variants (the vectorized datapath)
     # ------------------------------------------------------------------
-    @property
-    def uses_bobhash(self) -> bool:
-        """True for BobHash-keyed families.
-
-        Sketch fast paths consult this to take their exact per-item
-        fallback: the sketches' inline update/query hashing is the
-        mix64 path, so only mix64 families may vectorize without
-        changing which slots a batch touches.
-        """
-        return self._use_bobhash
-
     def raw_many(self, items: np.ndarray, row: int) -> np.ndarray:
         """Raw 64-bit hashes of an int64 batch, as a uint64 array.
 
-        Element-wise identical to :meth:`raw`; BobHash families fall
-        back to the scalar path per item (BobHash is byte-oriented).
+        Element-wise identical to :meth:`raw`.
         """
-        if self._use_bobhash:
-            return np.fromiter(
-                (self.raw(int(item), row) for item in items),
-                dtype=np.uint64, count=len(items),
-            )
         return mix64_many(items.view(np.uint64) ^ np.uint64(self.seeds[row]))
 
     def index_many(self, items: np.ndarray, row: int, w: int) -> np.ndarray:
@@ -158,12 +138,9 @@ class HashFamily:
         matrix from a single vectorized :func:`mix64_many` call (the
         matrix-kernel door; see :mod:`repro.sketches._kernels`).
 
-        Row ``r`` equals :meth:`raw_many` ``(items, r)`` exactly;
-        BobHash families stack the scalar fallback per row.
+        Row ``r`` equals :meth:`raw_many` ``(items, r)`` exactly.
         """
         d = self.d if rows is None else rows
-        if self._use_bobhash:
-            return np.stack([self.raw_many(items, row) for row in range(d)])
         seeds = np.array(self.seeds[:d], dtype=np.uint64)
         return mix64_many(items.view(np.uint64)[None, :] ^ seeds[:, None])
 
@@ -181,7 +158,7 @@ class HashFamily:
     # ------------------------------------------------------------------
     def same_functions(self, other: "HashFamily") -> bool:
         """True if both families realize identical hash functions."""
-        return self.seeds == other.seeds and self._use_bobhash == other._use_bobhash
+        return self.seeds == other.seeds
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HashFamily(d={self.d}, seed={self.seed})"

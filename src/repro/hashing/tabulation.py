@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Byte ``i`` of a 64-bit key sits at bit 8*i and indexes table ``i``.
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)[:, None]
+_TABLE_IDS = np.arange(8)[:, None]
 
 
 class TabulationHash:
@@ -38,7 +43,7 @@ class TabulationHash:
     True
     """
 
-    __slots__ = ("seed", "_tables")
+    __slots__ = ("seed", "_tables", "_table_array")
 
     def __init__(self, seed: int = 0):
         rng = random.Random(seed ^ 0x7AB1E)
@@ -46,6 +51,7 @@ class TabulationHash:
         self._tables = [
             [rng.getrandbits(64) for _ in range(256)] for _ in range(8)
         ]
+        self._table_array = np.array(self._tables, dtype=np.uint64)
 
     def __call__(self, key: int) -> int:
         """Hash a 64-bit (or smaller) integer key."""
@@ -55,6 +61,14 @@ class TabulationHash:
         for i in range(8):
             out ^= tables[i][(key >> (8 * i)) & 0xFF]
         return out
+
+    def many(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`__call__` over an int64 array: one
+        ``(8, n)`` table gather XOR-reduced over the byte axis."""
+        key_bytes = (keys.view(np.uint64)[None, :] >> _BYTE_SHIFTS) \
+            & np.uint64(0xFF)
+        lookups = self._table_array[_TABLE_IDS, key_bytes.astype(np.intp)]
+        return np.bitwise_xor.reduce(lookups, axis=0)
 
     def index(self, key: int, w: int) -> int:
         """Row index in a width-``w`` (power-of-two) row."""
@@ -67,8 +81,9 @@ class TabulationHash:
 
 class TabulationFamily:
     """``d`` independent tabulation functions (drop-in for
-    :class:`~repro.hashing.HashFamily` in sketches that only use
-    ``index``/``sign``/``indexes``).
+    :class:`~repro.hashing.HashFamily` in sketches that hash through
+    ``index``/``sign``/``indexes`` per item and ``raw_many``/
+    ``raw_matrix`` per batch).
 
     Examples
     --------
@@ -90,6 +105,16 @@ class TabulationFamily:
     def raw(self, item: int, row: int) -> int:
         """Raw 64-bit hash for ``row``."""
         return self._functions[row](item)
+
+    def raw_many(self, items: np.ndarray, row: int) -> np.ndarray:
+        """Raw hashes of an int64 batch; element-wise equal to :meth:`raw`."""
+        return self._functions[row].many(items)
+
+    def raw_matrix(self, items: np.ndarray,
+                   rows: int | None = None) -> np.ndarray:
+        """``(rows, n)`` raw hashes; row ``r`` equals :meth:`raw_many`."""
+        d = self.d if rows is None else rows
+        return np.stack([f.many(items) for f in self._functions[:d]])
 
     def index(self, item: int, row: int, w: int) -> int:
         """Row index of ``item`` in a width-``w`` row."""

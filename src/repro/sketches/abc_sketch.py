@@ -144,7 +144,7 @@ class AbcSketch(BatchOpsMixin):
             return
         if int(values.min()) < 1:
             raise ValueError("ABC is a Cash Register sketch")
-        if not batch_sum_fits(values) or self.hashes.uses_bobhash:
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -157,9 +157,6 @@ class AbcSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: deduped keys, one hash call per row."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             read = self._read

@@ -135,9 +135,6 @@ class ColdFilter(BatchOpsMixin):
             return
         if int(values.min()) < 1:
             raise ValueError("Cold Filter is a Cash Register framework")
-        if self.hashes.uses_bobhash:
-            BatchOpsMixin.update_many(self, items, values)
-            return
         idx2d = self.hashes.index_matrix(items, self.w1, self.d1)
         stage1_view = np.frombuffer(self.stage1, dtype=np.int64)
         threshold = self.threshold
@@ -185,8 +182,6 @@ class ColdFilter(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Batched query: stage-1 gather + stage-2 batch query."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         items, _ = as_batch(items)
         if len(items) == 0:
             return []

@@ -109,7 +109,7 @@ class ConservativeUpdateSketch(BatchOpsMixin):
                 "CUS is a Cash Register sketch; batch contains a "
                 "non-positive value"
             )
-        if not batch_sum_fits(values) or self.hashes.uses_bobhash:
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         items, values = collapse_runs(items, values)
@@ -129,9 +129,6 @@ class ConservativeUpdateSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Fully vectorized batch query (min over row gathers)."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
-
         def row_values(row_id, uniq):
             idxs = self.hashes.index_many(uniq, row_id, self.w)
             return np.frombuffer(self.rows[row_id], dtype=np.int64)[idxs]

@@ -124,7 +124,7 @@ class CountMinSketch(BatchOpsMixin):
         if len(items) == 0:
             return
         if (int(values.min()) < 0 or self.counter_bits >= 63
-                or not batch_sum_fits(values) or self.hashes.uses_bobhash):
+                or not batch_sum_fits(values)):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -133,8 +133,6 @@ class CountMinSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Fully vectorized batch query: one gather + min over rows."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         items, _ = as_batch(items)
         if len(items) == 0:
             return []

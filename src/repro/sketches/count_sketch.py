@@ -117,8 +117,7 @@ class CountSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def _batch_fast_ok(self, values: np.ndarray) -> bool:
         """Whether the vectorized kernels may run on this batch."""
-        return (self.counter_bits < 63 and batch_sum_fits(values)
-                and not self.hashes.uses_bobhash)
+        return self.counter_bits < 63 and batch_sum_fits(values)
 
     def update_many(self, items, values=None) -> None:
         """Vectorized batch update with a per-row clamp guard.
@@ -194,8 +193,6 @@ class CountSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Vectorized batch query: exact median over one 2D gather."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         items, _ = as_batch(items)
         if len(items) == 0:
             return []

@@ -140,9 +140,6 @@ class NitroSketch(BatchOpsMixin):
         n = len(items)
         if n == 0:
             return
-        if self.hashes.uses_bobhash:
-            BatchOpsMixin.update_many(self, items, values)
-            return
         self.n += int(values.sum())
         d = self.d
         fired: list[list[int]] = [[] for _ in range(d)]
@@ -183,8 +180,6 @@ class NitroSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Vectorized batch query: exact float median over row gathers."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         items, _ = as_batch(items)
         if len(items) == 0:
             return []

@@ -183,7 +183,7 @@ class PyramidSketch(BatchOpsMixin):
             return
         if int(values.min()) < 1:
             raise ValueError("Pyramid is a Cash Register sketch")
-        if self.hashes.uses_bobhash or not batch_sum_fits(values):
+        if not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -212,8 +212,6 @@ class PyramidSketch(BatchOpsMixin):
 
     def query_many(self, items) -> list:
         """Vectorized batch query: masked carry-chain walk + row min."""
-        if self.hashes.uses_bobhash:
-            return BatchOpsMixin.query_many(self, items)
         # The vectorized walk shifts int64; reconstructed values only
         # exceed that horizon when carries reached absurdly deep layers,
         # where the exact Python walk (arbitrary precision) takes over.

@@ -229,37 +229,6 @@ def test_hash_family_batched_ops_match_scalar():
             assert sign == family.sign(x, row)
 
 
-def test_bobhash_families_keep_batch_per_item_parity():
-    """Sketches hash inline with mix64, so BobHash-backed families must
-    route the batch API through the exact per-item fallback."""
-    rng = np.random.default_rng(21)
-    items = rng.integers(0, 100, 800).astype(np.int64)
-    for make in (
-        lambda: CountMinSketch(w=128, d=3,
-                               hash_family=HashFamily(3, seed=4,
-                                                      use_bobhash=True)),
-        lambda: SalsaCountMin(w=128, d=3, s=8,
-                              hash_family=HashFamily(3, seed=4,
-                                                     use_bobhash=True)),
-    ):
-        reference, batched = make(), make()
-        _feed_per_item(reference, items, None)
-        _feed_batched(batched, items, None)
-        probe = sorted(set(items.tolist()))
-        expected = [reference.query(x) for x in probe]
-        assert [batched.query(x) for x in probe] == expected
-        assert batched.query_many(probe) == expected
-
-
-def test_hash_family_batched_ops_match_bobhash():
-    family = HashFamily(d=2, seed=7, use_bobhash=True)
-    items = np.arange(20, dtype=np.int64)
-    for row in range(2):
-        assert family.raw_many(items, row).tolist() == [
-            family.raw(x, row) for x in items.tolist()
-        ]
-
-
 def test_aggregate_batch_sums_duplicates():
     items = np.array([5, 3, 5, 9, 3, 5], dtype=np.int64)
     values = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)

@@ -241,6 +241,16 @@ class TestFigureAlias:
         assert "drift" not in out                 # grid was scoped
 
 
+@pytest.mark.parametrize("command", ["run", "topk"])
+@pytest.mark.parametrize("name", ["missing.npz", "missing.flows"])
+def test_missing_trace_is_a_clean_error(tmp_path, command, name):
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as info:
+        main([command, path])
+    assert str(info.value) == (
+        f"error: cannot read {path}: No such file or directory")
+
+
 def test_module_entry_point():
     """`python -m repro` resolves (smoke test, no subprocess)."""
     import repro.__main__  # noqa: F401

@@ -9,13 +9,12 @@ state, heap contents, carry layers, and spill streams -- and
 ``query_many`` must agree with per-item ``query`` to the bit.  The
 streams include duplicates, weighted updates, deletions where the
 model supports them, and the exact-fallback triggers (clamp risks,
-BobHash families, unsaturated filters).
+unsaturated filters).
 """
 
 import numpy as np
 import pytest
 
-from repro.hashing import HashFamily
 from repro.sketches import (
     ColdFilter,
     ConservativeUpdateSketch,
@@ -261,31 +260,6 @@ def test_coldfilter_saturated_fast_door():
     b.update_many(items[100:])           # all-saturated chunk
     assert a.stage1 == b.stage1
     assert a.query(5) == b.query(5)
-
-
-def test_bobhash_injection_takes_exact_fallback():
-    """A BobHash-keyed family must route the batch door through the
-    per-item fallback (the kernels only vectorize mix64 hashing)."""
-    rng = np.random.default_rng(21)
-    items = rng.integers(0, 100, 600).astype(np.int64)
-    nitro = lambda: NitroSketch(
-        w=64, d=3, p=0.5, seed=4,
-        hash_family=HashFamily(3, seed=4, use_bobhash=True))
-    a, b = nitro(), nitro()
-    _feed_per_item(a, items, None)
-    _feed_batched(b, items, None)
-    assert np.array_equal(a._rows, b._rows)
-    for make in (lambda: PyramidSketch(w1=32, d=3, seed=4),
-                 lambda: ColdFilter(
-                     w1=64, stage2=CountMinSketch(w=64, d=3, seed=5),
-                     d1=3, seed=4)):
-        a, b = make(), make()
-        a.hashes = HashFamily(a.hashes.d, seed=4, use_bobhash=True)
-        b.hashes = HashFamily(b.hashes.d, seed=4, use_bobhash=True)
-        _feed_per_item(a, items, None)
-        _feed_batched(b, items, None)
-        probe = sorted(set(items.tolist()))
-        assert b.query_many(probe) == [a.query(x) for x in probe]
 
 
 def test_elastic_evictions_and_heavy_entries_match():

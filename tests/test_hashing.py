@@ -112,13 +112,6 @@ class TestHashFamily:
         assert 0 <= fam.index(b"10.0.0.1:443", 0, 128) < 128
         assert fam.sign(b"flow", 1) in (1, -1)
 
-    def test_bobhash_mode(self):
-        fam = HashFamily(2, seed=8, use_bobhash=True)
-        assert 0 <= fam.index(42, 0, 64) < 64
-        # BobHash mode and mixer mode disagree (different functions).
-        mixer = HashFamily(2, seed=8)
-        assert not fam.same_functions(mixer)
-
     def test_different_seed_different_functions(self):
         assert not HashFamily(2, seed=1).same_functions(HashFamily(2, seed=2))
 

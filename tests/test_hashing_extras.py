@@ -1,42 +1,11 @@
-"""Tests for tabulation hashing and the MurmurHash3 port."""
+"""Tests for tabulation hashing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (
-    TabulationFamily,
-    TabulationHash,
-    murmur3_32,
-    murmur3_64,
-)
-
-
-class TestMurmur3Vectors:
-    """Canonical MurmurHash3_x86_32 test vectors."""
-
-    @pytest.mark.parametrize("key,seed,expected", [
-        (b"", 0x00000000, 0x00000000),
-        (b"", 0x00000001, 0x514E28B7),
-        (b"", 0xFFFFFFFF, 0x81F16F39),
-        (b"test", 0x00000000, 0xBA6BD213),
-        (b"test", 0x9747B28C, 0x704B81DC),
-        (b"Hello, world!", 0x00000000, 0xC0363E43),
-        (b"The quick brown fox jumps over the lazy dog",
-         0x9747B28C, 0x2FA826CD),
-    ])
-    def test_reference_vectors(self, key, seed, expected):
-        assert murmur3_32(key, seed) == expected
-
-    def test_all_tail_lengths(self):
-        """1/2/3-byte tails exercise every branch of the tail switch."""
-        outs = {murmur3_32(b"a" * n) for n in range(1, 9)}
-        assert len(outs) == 8  # all distinct
-
-    def test_murmur64_composition(self):
-        lo = murmur3_32(b"key", 7)
-        assert murmur3_64(b"key", 7) & 0xFFFFFFFF == lo
-        assert murmur3_64(b"key", 7) >> 32 != 0
+from repro.hashing import TabulationFamily, TabulationHash
 
 
 class TestTabulation:
@@ -97,13 +66,26 @@ class TestTabulation:
             sketch.update(77)
         assert sketch.query(77) == 100.0
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_family_batch_doors_match_per_item(self, p):
+        """NitroSketch's batch doors hash through ``raw_many`` and
+        ``raw_matrix``; on a TabulationFamily they must reproduce the
+        per-item walk exactly, with and without sampling."""
+        from repro.sketches import NitroSketch
 
-@settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=64), st.integers(min_value=0, max_value=2**32 - 1))
-def test_murmur_deterministic_and_uint32(key, seed):
-    a = murmur3_32(key, seed)
-    assert a == murmur3_32(key, seed)
-    assert 0 <= a < 2**32
+        rng = np.random.default_rng(31)
+        items = rng.integers(-2**40, 2**40, 64)[rng.integers(0, 64, 900)]
+        make = lambda: NitroSketch(
+            w=64, d=5, p=p, seed=3, hash_family=TabulationFamily(5, seed=1))
+        per_item, batched = make(), make()
+        for x in items.tolist():
+            per_item.update(x)
+        for start in range(0, len(items), 128):
+            batched.update_many(items[start:start + 128])
+        assert np.array_equal(per_item._rows, batched._rows)
+        probe = np.unique(items)
+        assert batched.query_many(probe) == [per_item.query(x)
+                                             for x in probe.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
