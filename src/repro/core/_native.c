@@ -1,0 +1,195 @@
+/*
+ * Native SALSA walks over vector-row arrays (see core/_native.py).
+ *
+ * Each function runs, in C, a Python reference walk of core/row.py on
+ * a VectorRowEngine's arrays: values[j] is the decoded value of the
+ * counter containing slot j (uint64 for unsigned rows, int64 for
+ * sign-magnitude rows, duplicated across a merged block), levels[j]
+ * its merge level and starts[j] its block start.  All arithmetic is in
+ * __int128, so uint64 saturation, sign-magnitude clamps and clamping at
+ * zero are exact.  Merge and saturation events are counted per row in
+ * counts[2 * r] and counts[2 * r + 1].
+ *
+ *   salsa_cu_walk  == SalsaConservativeUpdate.update per item
+ *   salsa_absorb   == ops._absorb_walk over b's counters in slot order
+ */
+
+#include <stdint.h>
+
+typedef __int128 i128;
+
+typedef struct {
+    void *values;
+    int64_t *levels;
+    int64_t *starts;
+    int64_t s;
+    int64_t max_level;
+    int sgn;
+    int max_merge;
+    int64_t *counts;
+} row_t;
+
+static inline i128 get(const void *values, int64_t j, int sgn)
+{
+    return sgn ? (i128)((const int64_t *)values)[j]
+               : (i128)((const uint64_t *)values)[j];
+}
+
+/* SalsaRow._fits: does x fit a width-bit field? */
+static inline int fits(i128 x, int64_t width, int sgn)
+{
+    if (sgn) {
+        i128 bound = ((i128)1 << (width - 1)) - 1;
+        return x <= bound && x >= -bound;
+    }
+    return x >= 0 && x < ((i128)1 << width);
+}
+
+/* SalsaRow._clamp: saturate x into a width-bit field. */
+static inline i128 clamp(i128 x, int64_t width, int sgn)
+{
+    i128 hi = sgn ? ((i128)1 << (width - 1)) - 1 : ((i128)1 << width) - 1;
+    i128 lo = sgn ? -hi : 0;
+    return x > hi ? hi : (x < lo ? lo : x);
+}
+
+/* VectorRowEngine.write_block */
+static void write_block(row_t *r, int64_t start, int64_t level, i128 x)
+{
+    int64_t end = start + ((int64_t)1 << level);
+    if (r->sgn) {
+        int64_t *v = (int64_t *)r->values;
+        for (int64_t k = start; k < end; k++)
+            v[k] = (int64_t)x;
+    } else {
+        uint64_t *v = (uint64_t *)r->values;
+        for (int64_t k = start; k < end; k++)
+            v[k] = (uint64_t)x;
+    }
+}
+
+/* SalsaRow._grow: merge (start, level) upward once, folding the
+ * sibling half's live counters into the pending value. */
+static void grow(row_t *r, int64_t *start, int64_t *level, i128 *value)
+{
+    int64_t lv = *level, nl = lv + 1;
+    int64_t ns = (*start >> nl) << nl;
+    int64_t sib = *start != ns ? ns : ns + ((int64_t)1 << lv);
+    int64_t sib_end = sib + ((int64_t)1 << lv);
+    i128 acc = *value;
+    for (int64_t j = sib; j < sib_end; j += (int64_t)1 << r->levels[j]) {
+        i128 c = get(r->values, j, r->sgn);
+        if (r->max_merge)
+            acc = c > acc ? c : acc;
+        else
+            acc += c;
+    }
+    int64_t end = ns + ((int64_t)1 << nl);
+    for (int64_t j = ns; j < end; j++) {
+        r->levels[j] = nl;
+        r->starts[j] = ns;
+    }
+    r->counts[0]++;
+    *start = ns;
+    *level = nl;
+    *value = acc;
+}
+
+/* Shared tail of SalsaRow.add and set_at_least: merge until value
+ * fits (saturating at max_level), then store it. */
+static void settle(row_t *r, int64_t start, int64_t level, i128 value)
+{
+    while (!fits(value, r->s << level, r->sgn)) {
+        if (level >= r->max_level) {
+            value = clamp(value, r->s << level, r->sgn);
+            r->counts[1]++;
+            break;
+        }
+        grow(r, &start, &level, &value);
+    }
+    write_block(r, start, level, value);
+}
+
+/* SalsaRow.add */
+static void add(row_t *r, int64_t j, i128 v)
+{
+    int64_t start = r->starts[j];
+    i128 value = get(r->values, start, r->sgn) + v;
+    if (!r->sgn && value < 0)
+        value = 0;
+    settle(r, start, r->levels[j], value);
+}
+
+/* SalsaRow.set_at_least */
+static void set_at_least(row_t *r, int64_t j, i128 target)
+{
+    if (get(r->values, j, r->sgn) < target)
+        settle(r, r->starts[j], r->levels[j], target);
+}
+
+/* SalsaRow.ensure_level */
+static void ensure_level(row_t *r, int64_t j, int64_t target_level)
+{
+    int64_t start = r->starts[j], level = r->levels[j];
+    while (level < target_level) {
+        i128 value = get(r->values, start, r->sgn);
+        grow(r, &start, &level, &value);
+        write_block(r, start, level, clamp(value, r->s << level, r->sgn));
+    }
+}
+
+/*
+ * Stream-order conservative update over d unsigned max-merge rows:
+ * item t raises each of its counters idx[r][t] to at least
+ * min_r(counter) + vals[t].
+ */
+int salsa_cu_walk(int64_t d, int64_t n, int64_t s, int64_t max_level,
+                  void **values, int64_t **levels, int64_t **starts,
+                  const int64_t **idx, const int64_t *vals, int64_t *counts)
+{
+    if (d < 1)
+        return -1;
+    row_t rows[d];
+    for (int64_t r = 0; r < d; r++) {
+        row_t row = {values[r], levels[r], starts[r], s, max_level, 0, 1,
+                     counts + 2 * r};
+        rows[r] = row;
+    }
+    for (int64_t t = 0; t < n; t++) {
+        i128 est = get(rows[0].values, idx[0][t], 0);
+        for (int64_t r = 1; r < d; r++) {
+            i128 c = get(rows[r].values, idx[r][t], 0);
+            est = c < est ? c : est;
+        }
+        i128 target = est + vals[t];
+        for (int64_t r = 0; r < d; r++)
+            set_at_least(&rows[r], idx[r][t], target);
+    }
+    return 0;
+}
+
+/*
+ * Fold row b into row a with sign +1 or -1: for each counter of b in
+ * slot order, coarsen a's layout to cover it, then add its value.
+ * Returns -1, touching nothing more, on a b counter that is not an
+ * aligned block of at most max_level.
+ */
+int salsa_absorb(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
+                 int64_t max_merge, void *a_values, int64_t *a_levels,
+                 int64_t *a_starts, const void *b_values,
+                 const int64_t *b_levels, int64_t sign, int64_t *counts)
+{
+    row_t a = {a_values, a_levels, a_starts, s, max_level, (int)sgn,
+               (int)max_merge, counts};
+    for (int64_t j = 0; j < w; j += (int64_t)1 << b_levels[j]) {
+        int64_t level = b_levels[j];
+        if (level < 0 || level > max_level
+            || (j & (((int64_t)1 << level) - 1)))
+            return -1;
+        ensure_level(&a, j, level);
+        i128 v = get(b_values, j, a.sgn);
+        if (v)
+            add(&a, j, sign * v);
+    }
+    return 0;
+}

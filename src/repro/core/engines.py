@@ -12,8 +12,9 @@ delegates the *representation* to a :class:`RowEngine`:
   rows) value per *base slot* (the value of a merged counter is
   duplicated across its block, so a point read is a single array
   index) plus a per-slot level array; merge bits are derived, never
-  stored.  Its batch doors (``add_batch_partial``, ``absorb_bulk``)
-  are vectorized scatter-adds with overflow detection.  It reports the
+  stored.  Its batch door (``add_batch_partial``) is a vectorized
+  scatter-add with overflow detection, and the native walks of
+  :mod:`repro.core._native` run over its arrays.  It reports the
   *same* ``overhead_bits`` as the bit-packed encoding it emulates, so
   memory accounting -- and every figure -- is engine-independent.
 * :class:`BitPackedEngine` -- the paper-faithful reference: counters
@@ -187,45 +188,6 @@ class RowEngine:
 
     def apply_plan(self, plan: "BatchPlan") -> None:
         """Write a plan's clean-superblock deltas (dirty untouched)."""
-
-    # -- sketch algebra (ops.merge / ops.subtract) ----------------------
-    def counters_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live counters as parallel ``(starts, levels, values)`` int64
-        arrays, in :meth:`counters` order -- the bulk interchange form
-        consumed by :meth:`absorb_bulk`.
-
-        Raises ``OverflowError`` when a decoded value does not fit
-        int64 (a saturated 64-bit unsigned counter); callers fall back
-        to the per-counter Python walk.
-        """
-        starts, levels, values = [], [], []
-        for start, level in self.counters():
-            starts.append(start)
-            levels.append(level)
-            values.append(self.read_block(start, level))
-        return (np.asarray(starts, dtype=np.int64),
-                np.asarray(levels, dtype=np.int64),
-                np.asarray(values, dtype=np.int64))
-
-    def absorb_bulk(self, starts, levels, values, sign: int):
-        """Apply the merge-free part of absorbing another row's
-        counters (``counters_arrays`` form) with ``sign``.
-
-        A superblock is *clean* only when no policy event can fire
-        there: this row's layout already covers every absorbed counter
-        (no ``ensure_level`` merge) and every aggregated add provably
-        stays in range (no overflow merge, clamp, or saturation).
-        Clean superblocks are applied; the return value is ``None``
-        when everything applied, else a boolean mask over the
-        ``w >> max_level`` superblocks whose marked (dirty) entries
-        were left completely untouched for the caller to replay through
-        the policy layer in counter order.
-
-        The default applies nothing -- every superblock is dirty -- so
-        the caller's replay *is* the reference per-counter walk; the
-        bit-packed engine keeps exactly those semantics.
-        """
-        return np.ones(self.w >> self.max_level, dtype=bool)
 
     # -- accounting / lifecycle ----------------------------------------
     @property
@@ -486,43 +448,6 @@ class VectorRowEngine(RowEngine):
     def apply_plan(self, plan: BatchPlan) -> None:
         if plan.data is not None:
             self._apply_plan(*plan.data)
-
-    # -- sketch algebra -------------------------------------------------
-    def counters_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One vectorized pass: a slot is a counter head iff it is its
-        own block start (heads come out in slot order, matching
-        :meth:`counters`)."""
-        heads = np.flatnonzero(self.starts == np.arange(self.w,
-                                                        dtype=np.int64))
-        values = self.values[heads]
-        if (not self.signed and values.size
-                and int(values.max()) > (1 << 63) - 1):
-            raise OverflowError("counter value exceeds int64")
-        return (heads, self.levels[heads],
-                values.astype(np.int64, copy=False))
-
-    def absorb_bulk(self, starts, levels, values, sign: int):
-        """Array-ops absorb: coarser-in-``b`` counters mark their
-        superblock dirty (an ``ensure_level`` merge would fire -- a
-        policy event this engine cannot decide), the rest go through
-        the existing merge-free batch plan, and the two dirty masks
-        union.  Clean superblocks see no merge/clamp/saturation, so
-        the scatter-add is bit-identical to the reference walk there.
-        """
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        levels = np.ascontiguousarray(levels, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        dirty = np.zeros(self.w >> self.max_level, dtype=bool)
-        need_merge = self.levels[starts] < levels
-        if need_merge.any():
-            dirty[starts[need_merge] >> self.max_level] = True
-        keep = ~dirty[starts >> self.max_level]
-        if keep.any():
-            plan = self.plan_add_batch(starts[keep], sign * values[keep])
-            if plan.dirty_mask is not None:
-                dirty |= plan.dirty_mask
-            self.apply_plan(plan)
-        return dirty if dirty.any() else None
 
     # -- accounting / lifecycle ----------------------------------------
     @property

@@ -16,29 +16,39 @@ Change detection (Fig 15 c/d) is built on :func:`subtract`, and the
 distributed scale-out path (:mod:`repro.core.distributed`) is built on
 :func:`merge`.
 
-The absorb step is engine-aware: each row of ``b`` is exported once as
-``counters_arrays()`` and offered to ``a``'s row via ``absorb_bulk``,
-which applies every superblock where no merge/clamp/saturation can
-fire (a vectorized scatter-add on the vector engine) and reports the
-rest as a dirty mask.  Only the dirty counters replay through the
-reference ``ensure_level`` + ``add`` walk, in counter order -- and
-because counters never merge across a ``2^max_level``-aligned
-superblock, the split is observably identical to walking every counter
-(the representation-independence bar of the CRDT-emulation work in
-PAPERS.md).  The bit-packed engine reports everything dirty, keeping
-the exact reference semantics it always had.
+Each row of ``b`` folds into ``a``'s through the reference
+``ensure_level`` + ``add`` walk over ``b``'s counters in slot order
+(:func:`_absorb_walk`).  On vector rows that walk runs natively
+(:func:`repro.core._native.absorb`), observably identical to the Python
+walk -- the representation-independence bar of the CRDT-emulation work
+in PAPERS.md; bit-packed rows, or mixed engines, walk in Python.
 """
 
 from __future__ import annotations
 
+from repro.core import _native
+
 
 def _check_compatible(a, b) -> None:
+    """Raise ``ValueError`` unless ``b`` can fold into ``a``; runs
+    before any row is touched."""
+    if type(a) is not type(b):
+        raise ValueError(
+            f"sketch types differ: {type(a).__name__} vs {type(b).__name__}"
+        )
     if (a.w, a.d, a.s) != (b.w, b.d, b.s):
         raise ValueError(
             f"sketch shapes differ: ({a.w},{a.d},{a.s}) vs ({b.w},{b.d},{b.s})"
         )
     if not a.hashes.same_functions(b.hashes):
         raise ValueError("sketches do not share hash functions")
+    for ra, rb in zip(a.rows, b.rows):
+        for attr in ("merge", "signed", "max_bits"):
+            if getattr(ra, attr) != getattr(rb, attr):
+                raise ValueError(
+                    f"row {attr} differs: {getattr(ra, attr)!r} vs "
+                    f"{getattr(rb, attr)!r}"
+                )
 
 
 def _absorb_walk(a_row, counters, sign: int) -> None:
@@ -53,30 +63,13 @@ def _absorb_walk(a_row, counters, sign: int) -> None:
 
 
 def _absorb(a_row, b_row, sign: int) -> None:
-    """Fold one row of ``b`` into the matching row of ``a``.
-
-    Bulk-first: ``b``'s counters are exported once as arrays and the
-    merge-free superblocks are applied through ``a``'s engine; only
-    counters landing in a dirty superblock (layout coarsening needed,
-    or a possible overflow) replay through the reference walk.
-    """
-    try:
-        starts, levels, values = b_row.counters_arrays()
-    except OverflowError:
-        # A counter value beyond int64 (saturated 64-bit unsigned
-        # counter): arrays cannot represent it exactly, so walk.
+    """Fold one row of ``b`` into the matching row of ``a``: natively
+    on vector rows, else the reference walk over a snapshot of ``b``'s
+    counters (so a self-merge reads ``b`` as it was)."""
+    if _native.usable((a_row, b_row)):
+        _native.absorb(a_row, b_row, sign)
+    else:
         _absorb_walk(a_row, list(b_row.counters()), sign)
-        return
-    dirty = a_row.absorb_bulk(starts, levels, values, sign)
-    if dirty is None:
-        return
-    sel = dirty[starts >> a_row.max_level]
-    _absorb_walk(
-        a_row,
-        zip(starts[sel].tolist(), levels[sel].tolist(),
-            values[sel].tolist()),
-        sign,
-    )
 
 
 def merge(a, b) -> None:

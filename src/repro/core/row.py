@@ -286,21 +286,6 @@ class SalsaRow:
         for start, level in engine.counters():
             yield start, level, engine.read_block(start, level)
 
-    def counters_arrays(self):
-        """Live counters as ``(starts, levels, values)`` int64 arrays
-        (the bulk form of :meth:`counters`; may raise ``OverflowError``
-        on values beyond int64, which callers treat as a fallback
-        signal)."""
-        return self.engine.counters_arrays()
-
-    def absorb_bulk(self, starts, levels, values, sign: int):
-        """Bulk-apply the merge-free part of absorbing another row's
-        counters; see :meth:`RowEngine.absorb_bulk`.  Returns ``None``
-        when fully applied, else the dirty-superblock mask whose marked
-        counters the caller must replay through :meth:`ensure_level` +
-        :meth:`add` in counter order."""
-        return self.engine.absorb_bulk(starts, levels, values, sign)
-
     def ensure_level(self, j: int, target_level: int) -> tuple[int, int]:
         """Merge until the counter containing ``j`` spans >= target_level.
 

@@ -10,17 +10,13 @@ corresponding counter of the underlying coarse CUS, so
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hashing import HashFamily, mix64
-from repro.core.engines import VectorRowEngine
+from repro.core import _native
 from repro.core.row import MAX, SIMPLE, SalsaRow
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     as_batch,
-    batch_sum_fits,
-    collapse_runs,
     batched_min_query,
     width_for_memory,
 )
@@ -93,26 +89,14 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     # batch pipeline
     # ------------------------------------------------------------------
     def update_many(self, items, values=None) -> None:
-        """Batched conservative update.
+        """Batched conservative update, bit-identical to per-item
+        :meth:`update`.
 
         The conservative rule couples rows through the pre-update
-        minimum, so updates cannot be reordered -- but back-to-back
-        updates of one key fuse exactly (``update(x, a); update(x, b)
-        == update(x, a + b)``), and hashing vectorizes.  We collapse
-        consecutive duplicate runs, hash each row once for the whole
-        batch, and walk the collapsed stream in order.
-
-        The walk drops onto plain Python lists of the vector engine's
-        decoded counters wherever it provably can: each conservative
-        update raises a counter by at most its own value, so a counter
-        whose current value plus its total batch inflow fits its width
-        cannot merge during the batch.
-        Superblocks passing that check are served from lists (no
-        per-step engine calls); slots in the rare *dirty* superblocks
-        keep using the real engine ops, which perform any merges.  The
-        walk stays in stream order throughout, so it is bit-identical
-        to the per-item path.  Rows on the bit-packed reference engine
-        take the per-item loop.
+        minimum, so the walk stays in stream order.  On vector rows it
+        runs natively (:func:`repro.core._native.cu_walk`) over the
+        indices of one :meth:`HashFamily.index_matrix` call; bit-packed
+        rows, or a machine without a C compiler, take the per-item loop.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
@@ -122,107 +106,11 @@ class SalsaConservativeUpdate(BatchOpsMixin):
                 "SALSA CUS is a Cash Register sketch; batch contains a "
                 "non-positive value"
             )
-        rows = self.rows
-        if (not batch_sum_fits(values)
-                or not all(isinstance(row.engine, VectorRowEngine)
-                           for row in rows)):
+        if not _native.usable(self.rows):
             BatchOpsMixin.update_many(self, items, values)
             return
-        items, values = collapse_runs(items, values)
-        idx_arrays = [self.hashes.index_many(items, row_id, self.w)
-                      for row_id in range(self.d)]
-        masks = [row.add_batch_partial(idxs, values, apply=False)
-                 for row, idxs in zip(rows, idx_arrays)]
-        self._hybrid_walk(idx_arrays, values, masks)
-
-    def _hybrid_walk(self, idx_arrays, values, masks) -> None:
-        """Stream-order conservative walk, lists where merge-free.
-
-        ``masks[r]`` flags row ``r``'s dirty superblocks (None = all
-        clean).  Clean slots read/write Python lists of the decoded
-        counters -- valid because no merge can occur there, and the
-        vector engine duplicates a merged counter's value across its
-        block, so reading slot ``j`` is just ``vals[j]``.  Dirty slots
-        go through the engine, merging as the per-item path would;
-        merges stay inside dirty superblocks, so the lists never go
-        stale.  Clean slots are written back in one vectorized store.
-        """
-        rows = self.rows
-        sb_slots = 1 << rows[0].max_level
-        vals = [row.engine.values.tolist() for row in rows]
-        levs = [row.engine.levels.tolist() for row in rows]
-        idx_lists = [idxs.tolist() for idxs in idx_arrays]
-        if all(mask is None for mask in masks):
-            # Wholly merge-free: the tightest loop, no dirty checks.
-            head, *rest = all_rows = list(zip(idx_lists, vals, levs))
-            ir0, vr0, _ = head
-            for t, v in enumerate(values.tolist()):
-                est = vr0[ir0[t]]
-                for ir, vr, _lr in rest:
-                    c = vr[ir[t]]
-                    if c < est:
-                        est = c
-                target = est + v
-                for ir, vr, lr in all_rows:
-                    i = ir[t]
-                    if vr[i] < target:
-                        level = lr[i]
-                        if level:
-                            start = (i >> level) << level
-                            for k in range(start, start + (1 << level)):
-                                vr[k] = target
-                        else:
-                            vr[i] = target
-        else:
-            # Dirty slots are marked with a None sentinel in the value
-            # lists, so the hot loop pays no mask lookups; None routes
-            # the slot through the real engine ops (which may merge).
-            walk = []
-            for row, idx_list, vr, lr, mask in zip(rows, idx_lists, vals,
-                                                   levs, masks):
-                if mask is not None:
-                    for i in np.flatnonzero(np.repeat(mask,
-                                                      sb_slots)).tolist():
-                        vr[i] = None
-                walk.append((idx_list, vr, lr, row.engine.read,
-                             row.set_at_least))
-            (ir0, vr0, _l0, read0, _s0), *tail = walk
-            for t, v in enumerate(values.tolist()):
-                i = ir0[t]
-                est = vr0[i]
-                if est is None:
-                    est = read0(i)
-                for ir, vr, _lr, read, _sal in tail:
-                    i = ir[t]
-                    c = vr[i]
-                    if c is None:
-                        c = read(i)
-                    if c < est:
-                        est = c
-                target = est + v
-                for ir, vr, lr, _read, set_at_least in walk:
-                    i = ir[t]
-                    c = vr[i]
-                    if c is None:
-                        set_at_least(i, target)
-                    elif c < target:
-                        level = lr[i]
-                        if level:
-                            start = (i >> level) << level
-                            for k in range(start, start + (1 << level)):
-                                vr[k] = target
-                        else:
-                            vr[i] = target
-        for row, vr, mask in zip(rows, vals, masks):
-            engine = row.engine
-            if mask is None:
-                engine.values[:] = vr
-            else:
-                clean = ~np.repeat(mask, sb_slots)
-                for i in np.flatnonzero(~clean).tolist():
-                    vr[i] = 0  # drop sentinels before the array store
-                engine.values[clean] = np.asarray(
-                    vr, dtype=engine.values.dtype)[clean]
+        _native.cu_walk(self.rows, self.hashes.index_matrix(items, self.w,
+                                                            self.d), values)
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""

@@ -56,12 +56,33 @@ class BatchFrequencySketch(FrequencySketch, Protocol):
         ...
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def _int64_column(x, what: str) -> np.ndarray:
+    """``x`` as a C-contiguous 1-D int64 array, or ``ValueError``."""
+    arr = np.asarray(x)
+    if arr.ndim != 1:
+        raise ValueError(f"batch {what} must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu" or (arr.dtype == np.uint64
+                                      and int(arr.max()) > _INT64_MAX):
+        raise ValueError(
+            f"batch {what} must be integers within int64, got dtype "
+            f"{arr.dtype}"
+        )
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
     """Normalize an update batch to int64 ``(items, values)`` arrays.
 
     ``values=None`` means unit weights (the paper's Cash Register
     streams).  Accepts lists, tuples, numpy arrays, Traces, and
-    WeightedTraces (whose own values array is consumed).
+    WeightedTraces (whose own values array is consumed).  Keys and
+    values must be 1-D integer sequences within int64 (integer arrays
+    of any width qualify); anything else raises ``ValueError``.
     """
     if hasattr(items, "items") and isinstance(getattr(items, "items"), np.ndarray):
         trace_values = getattr(items, "values", None)
@@ -73,11 +94,11 @@ def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
                 )
             values = trace_values
         items = items.items  # a Trace
-    items = np.ascontiguousarray(items, dtype=np.int64)
+    items = _int64_column(items, "keys")
     if values is None:
         values = np.ones(len(items), dtype=np.int64)
     else:
-        values = np.ascontiguousarray(values, dtype=np.int64)
+        values = _int64_column(values, "values")
         if len(values) != len(items):
             raise ValueError(
                 f"batch length mismatch: {len(items)} items, "

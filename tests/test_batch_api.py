@@ -174,6 +174,56 @@ def test_as_batch_validates_lengths():
         as_batch([1, 2, 3], [1, 2])
 
 
+#: one sketch per batch door the input contract guards
+CONTRACT_SKETCHES = ["salsa-cms-max", "salsa-cus", "salsa-cs", "cms"]
+
+MALFORMED_BATCHES = {
+    "2-D keys": (np.array([[1, 2], [3, 4]]), None),
+    "2-D values": ([1, 2], np.array([[1], [2]])),
+    "scalar keys": (np.int64(3), None),
+    "float keys": ([1.9], None),
+    "float values": ([1], [1.5]),
+    "bool keys": ([True, False], None),
+    "keys past int64 (list)": ([2 ** 63], None),
+    "keys past int64 (big int)": ([2 ** 70], None),
+    "keys past int64 (uint64)": (np.array([2 ** 63 + 5], dtype=np.uint64),
+                                 None),
+    "negative and huge keys": ([-1, 2 ** 63], None),
+    "values past int64": ([1], [2 ** 63]),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_SKETCHES)
+@pytest.mark.parametrize("case", sorted(MALFORMED_BATCHES))
+def test_malformed_batches_raise_value_error(name, case):
+    """Non-1-D, non-integer or out-of-int64 batches raise ValueError
+    before any counter moves (they used to be counted wrongly, or leak
+    a broadcasting or OverflowError)."""
+    items, values = MALFORMED_BATCHES[case]
+    sketch = FACTORIES[name][0]()
+    fresh = FACTORIES[name][0]()
+    with pytest.raises(ValueError):
+        sketch.update_many(items, values)
+    if values is None:
+        with pytest.raises(ValueError):
+            sketch.query_many(items)
+    probe = list(range(64))
+    assert sketch.query_many(probe) == fresh.query_many(probe)
+
+
+@pytest.mark.parametrize("name", CONTRACT_SKETCHES)
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_integer_batches_of_any_width_are_accepted(name, dtype):
+    items = np.array([1, 5, 1, 90, 127], dtype=dtype)
+    values = np.array([3, 1, 2, 7, 1], dtype=dtype)
+    narrow, wide = (FACTORIES[name][0]() for _ in range(2))
+    narrow.update_many(items, values)
+    wide.update_many(items.astype(np.int64), values.astype(np.int64))
+    assert narrow.query_many(items) == wide.query_many(items.tolist())
+    assert narrow.query_many(items) == [wide.query(x) for x in
+                                        items.tolist()]
+
+
 def test_update_many_consumes_weighted_trace_values():
     from repro.streams.weighted import WeightedTrace
 

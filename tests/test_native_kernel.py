@@ -1,0 +1,256 @@
+"""Differential oracle for the native SALSA walks (``core/_native.c``).
+
+The kernels must be indistinguishable from the Python reference walks
+they replace: on any stream, ``SalsaConservativeUpdate.update_many``
+and ``ops.merge``/``ops.subtract`` leave the same counter values,
+merge levels, ``merge_events`` and ``saturations`` with the kernel on,
+with it off, item by item, and on bit-packed rows.  Streams are small
+rows with hot keys, base widths 2/4/8 and weights up to ``2^63 - 1``,
+so overflow merges and 64-bit saturation are common, fed in arbitrary
+batch splits.
+"""
+
+import contextlib
+import copy
+import shutil
+import stat
+import warnings
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.core import (
+    DistributedSketch,
+    SalsaConservativeUpdate,
+    SalsaCountMin,
+    SalsaCountSketch,
+    _native,
+    ops,
+)
+from repro.hashing import HashFamily
+
+W = 32
+INT64_MAX = (1 << 63) - 1
+
+
+@contextlib.contextmanager
+def kernel_off():
+    saved = _native._ENABLED
+    _native._ENABLED = False
+    try:
+        yield
+    finally:
+        _native._ENABLED = saved
+
+
+def state(sketch):
+    """Everything an observer can read off the rows."""
+    return [([row.level_of(j) for j in range(row.w)],
+             [row.read(j) for j in range(row.w)],
+             row.merge_events, row.saturations)
+            for row in sketch.rows]
+
+
+def feed(sketch, stream, cuts):
+    items = np.array([x for x, _ in stream], dtype=np.int64)
+    values = np.array([v for _, v in stream], dtype=np.int64)
+    for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+        sketch.update_many(items[lo:hi], values[lo:hi])
+    return sketch
+
+
+# ----------------------------------------------------------------------
+# strategies
+# ----------------------------------------------------------------------
+KEYS = st.one_of(st.sampled_from([7, 7, 7, 11, 11, 12]),
+                 st.integers(-(1 << 63), INT64_MAX))
+WEIGHTS = st.one_of(st.integers(1, 300), st.integers(1, INT64_MAX),
+                    st.just(INT64_MAX))
+
+
+def streams(signed=False, max_size=60):
+    weights = (st.one_of(WEIGHTS, WEIGHTS.map(lambda v: -v)) if signed
+               else WEIGHTS)
+    return st.lists(st.tuples(KEYS, weights), max_size=max_size)
+
+
+@st.composite
+def split_streams(draw, signed=False):
+    stream = draw(streams(signed))
+    cuts = sorted(set(draw(st.lists(st.integers(0, len(stream)),
+                                    max_size=4))))
+    return stream, cuts
+
+
+# ----------------------------------------------------------------------
+# conservative update
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(split_streams(), st.sampled_from([2, 4, 8]),
+       st.integers(0, 2 ** 32))
+def test_cus_kernel_matches_python_walks(split, s, seed):
+    stream, cuts = split
+    fam = HashFamily(3, seed)
+
+    def make(engine="vector"):
+        return SalsaConservativeUpdate(w=W, d=3, s=s, hash_family=fam,
+                                       engine=engine)
+
+    kernel = feed(make(), stream, cuts)
+    with kernel_off():
+        off = feed(make(), stream, cuts)
+    per_item = make()
+    for x, v in stream:
+        per_item.update(x, v)
+    bitpacked = feed(make("bitpacked"), stream, cuts)
+    assert state(kernel) == state(off) == state(per_item) == state(bitpacked)
+
+
+# ----------------------------------------------------------------------
+# merge / subtract
+# ----------------------------------------------------------------------
+MERGE_CONFIGS = {
+    "cms-sum": (SalsaCountMin, dict(merge="sum"), False),
+    "cms-max": (SalsaCountMin, dict(merge="max"), False),
+    "cs": (SalsaCountSketch, {}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CONFIGS))
+@pytest.mark.parametrize("op", ["merge", "subtract"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.sampled_from([2, 4, 8]))
+def test_absorb_kernel_matches_python_walks(name, op, data, s):
+    cls, kw, signed = MERGE_CONFIGS[name]
+    fam = HashFamily(2, data.draw(st.integers(0, 2 ** 32)))
+    stream_a, cuts_a = data.draw(split_streams(signed))
+    stream_b, cuts_b = data.draw(split_streams(signed))
+
+    def run(engine="vector"):
+        def make(stream, cuts):
+            return feed(cls(w=W, d=2, s=s, hash_family=fam, engine=engine,
+                            **kw), stream, cuts)
+
+        a = make(stream_a, cuts_a)
+        getattr(ops, op)(a, make(stream_b, cuts_b))
+        return state(a)
+
+    kernel = run()
+    with kernel_off():
+        off = run()
+    assert kernel == off == run("bitpacked")
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("cls", [SalsaCountMin, SalsaCountSketch])
+@pytest.mark.parametrize("op", [ops.merge, ops.subtract])
+def test_self_merge_reads_a_snapshot(kernel, cls, op):
+    """``merge(a, a)`` and ``subtract(a, a)`` equal folding in a deep
+    copy of ``a``: the walk must not read ``b`` while writing ``a``."""
+    rng = np.random.default_rng(5)
+    a = cls(w=64, d=2, s=8, seed=3)
+    a.update_many(rng.integers(0, 40, 100), rng.integers(1, 300, 100))
+    twin = copy.deepcopy(a)
+    before = sum(row.merge_events for row in a.rows)
+    with contextlib.nullcontext() if kernel else kernel_off():
+        op(a, a)
+        op(twin, copy.deepcopy(twin))
+    assert state(a) == state(twin)
+    if op is ops.merge:   # the fold itself overflows and merges
+        assert sum(row.merge_events for row in a.rows) > before
+
+
+def test_merge_saturates_at_64_bits_exactly():
+    """Two counters near 2^64 - 1 merge into a saturated counter; the
+    kernel counts the saturation as the Python walk does."""
+    fam = HashFamily(1, 9)
+    results = []
+    for off in (False, True):
+        with kernel_off() if off else contextlib.nullcontext():
+            a = SalsaCountMin(w=8, d=1, s=8, hash_family=fam)
+            b = SalsaCountMin(w=8, d=1, s=8, hash_family=fam)
+            for sk in (a, b):
+                sk.update_many([5, 5, 5], [INT64_MAX] * 3)
+            ops.merge(a, b)
+            results.append(state(a))
+    assert results[0] == results[1]
+    assert max(results[0][0][1]) == (1 << 64) - 1
+    assert results[0][0][3] > 0
+
+
+# ----------------------------------------------------------------------
+# build and load
+# ----------------------------------------------------------------------
+def test_kernel_loads_when_a_compiler_is_present():
+    """CI must not silently test only the fallback."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert _native.library() is not None
+
+
+def test_building_sketches_neither_compiles_nor_loads(monkeypatch):
+    def fail():
+        raise AssertionError("sketch construction reached the loader")
+
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_load", fail)
+    SalsaCountMin.for_memory(64 * 1024, seed=1)
+    SalsaConservativeUpdate.for_memory(64 * 1024, seed=1)
+    SalsaCountSketch(w=256, d=3)
+    DistributedSketch(lambda fam: SalsaCountMin(w=256, d=4, merge="sum",
+                                                hash_family=fam),
+                      workers=4, d=4, seed=1)
+    assert _native._lib is None
+
+
+def test_no_compiler_warns_once_and_falls_back(monkeypatch):
+    def no_cc():
+        raise OSError("no C compiler ('cc') on PATH")
+
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_build", no_cc)
+    items, values = np.arange(200) % 7, np.arange(1, 201)
+    sk = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
+    with pytest.warns(RuntimeWarning, match="no C compiler"):
+        sk.update_many(items, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sk.update_many(items, values)
+    ref = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
+    for x, v in zip(items.tolist() * 2, values.tolist() * 2):
+        ref.update(x, v)
+    assert state(sk) == state(ref)
+
+
+def test_build_writes_a_private_cache(monkeypatch, tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = _native._build()
+    directory = tmp_path / "repro-salsa"
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+    assert [p.name for p in directory.iterdir()] == [path.rsplit("/", 1)[1]]
+    assert _native._build() == path   # cached: keyed by the source hash
+
+
+def test_wrappers_reject_malformed_arrays():
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    sk = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
+    idx = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _native.cu_walk(sk.rows, idx, np.ones(3, dtype=np.int32))
+    with pytest.raises(ValueError):
+        _native.cu_walk(sk.rows, idx[:, ::2], np.ones(2, dtype=np.int64))
+    with pytest.raises(ValueError):
+        _native.cu_walk(sk.rows, idx, np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError):
+        _native.cu_walk(sk.rows, idx + 16, np.ones(3, dtype=np.int64))
+    b = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
+    b.rows[0].engine.levels[1] = 1   # a level-1 counter cannot start at 1
+    with pytest.raises(ValueError):
+        _native.absorb(sk.rows[0], b.rows[0], +1)
+    assert state(sk) == state(SalsaConservativeUpdate(w=16, d=2, s=4,
+                                                      seed=2))

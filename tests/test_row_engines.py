@@ -157,56 +157,6 @@ def test_copy_is_independent_per_engine():
         assert clone.level_of(1) == 1
 
 
-def test_counters_arrays_matches_counters():
-    rng = np.random.default_rng(11)
-    for signed in (False, True):
-        a, b = make_pair(w=32, s=4, merge="sum", signed=signed)
-        lo = -5 if signed else 1
-        for j, v in zip(rng.integers(0, 32, 400).tolist(),
-                        rng.integers(lo, 9, 400).tolist()):
-            a.add(j, v)
-            b.add(j, v)
-        for row in (a, b):
-            starts, levels, values = row.counters_arrays()
-            assert (list(zip(starts.tolist(), levels.tolist(),
-                             values.tolist()))
-                    == list(row.counters()))
-
-
-def test_absorb_bulk_default_reports_everything_dirty():
-    """The bit-packed engine keeps reference semantics: nothing is
-    applied, every superblock is handed back for the policy walk."""
-    row = SalsaRow(w=16, s=8, engine="bitpacked")
-    before = row_state(row)
-    dirty = row.absorb_bulk(np.array([0, 8]), np.array([0, 0]),
-                            np.array([3, 4]), sign=+1)
-    assert dirty.all() and len(dirty) == 16 >> row.max_level
-    assert row_state(row) == before
-
-
-def test_absorb_bulk_vector_applies_clean_superblocks_only():
-    row = SalsaRow(w=16, s=8, engine="vector")
-    row.add(0, 250)     # superblock 0 one small add from overflow
-    # Absorbing (0 -> +100) must merge; (8 -> +7) is clean.
-    dirty = row.absorb_bulk(np.array([0, 8]), np.array([0, 0]),
-                            np.array([100, 7]), sign=+1)
-    assert dirty is not None and dirty.tolist() == [True, False]
-    assert row.read(0) == 250   # dirty superblock untouched
-    assert row.read(8) == 7     # clean superblock applied
-
-
-def test_absorb_bulk_vector_marks_coarser_layouts_dirty():
-    """A counter that would require an ensure_level merge is a policy
-    event: its superblock must come back dirty and untouched."""
-    row = SalsaRow(w=16, s=8, engine="vector")
-    row.add(8, 1)
-    # Absorb a level-1 counter at slot 8 (row only has level 0 there).
-    dirty = row.absorb_bulk(np.array([8]), np.array([1]),
-                            np.array([5]), sign=+1)
-    assert dirty is not None and dirty[8 >> row.max_level]
-    assert row.read(8) == 1 and row.level_of(8) == 0
-
-
 def test_read_many_matches_point_reads():
     rng = np.random.default_rng(9)
     for engine in ENGINES:

@@ -8,6 +8,7 @@ from repro.core import (
     SalsaCountMin,
     SalsaCountSketch,
     SalsaConservativeUpdate,
+    SalsaRow,
     ops,
 )
 from repro.hashing import HashFamily
@@ -33,6 +34,45 @@ class TestCompatibilityChecks:
         b = SalsaCountMin(w=64, d=4, seed=2)
         with pytest.raises(ValueError):
             ops.merge(a, b)
+
+    @staticmethod
+    def _assert_rejected_untouched(a, b):
+        """Both ops raise ValueError and leave ``a`` as it was."""
+        rng = np.random.default_rng(4)
+        for sk in (a, b):
+            sk.update_many(rng.integers(0, 50, 400), rng.integers(1, 90, 400))
+        before = [(row.engine.levels.tolist(), row.engine.values.tolist(),
+                   row.merge_events) for row in a.rows]
+        for op in (ops.merge, ops.subtract):
+            with pytest.raises(ValueError):
+                op(a, b)
+        assert [(row.engine.levels.tolist(), row.engine.values.tolist(),
+                 row.merge_events) for row in a.rows] == before
+
+    def test_type_mismatch(self):
+        fam = _family(4, 1)
+        self._assert_rejected_untouched(
+            SalsaCountMin(w=64, d=4, hash_family=fam),
+            SalsaConservativeUpdate(w=64, d=4, hash_family=fam))
+
+    def test_merge_rule_mismatch(self):
+        fam = _family(4, 1)
+        self._assert_rejected_untouched(
+            SalsaCountMin(w=64, d=4, merge="sum", hash_family=fam),
+            SalsaCountMin(w=64, d=4, merge="max", hash_family=fam))
+
+    def test_signedness_mismatch(self):
+        fam = _family(4, 1)
+        a = SalsaCountSketch(w=64, d=4, hash_family=fam)
+        b = SalsaCountSketch(w=64, d=4, hash_family=fam)
+        b.rows = [SalsaRow(w=64, s=8, merge="sum") for _ in range(4)]
+        self._assert_rejected_untouched(a, b)
+
+    def test_max_bits_mismatch(self):
+        fam = _family(4, 1)
+        self._assert_rejected_untouched(
+            SalsaCountMin(w=64, d=4, hash_family=fam),
+            SalsaCountMin(w=64, d=4, max_bits=16, hash_family=fam))
 
 
 class TestCmsMerge:
