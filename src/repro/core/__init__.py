@@ -3,7 +3,7 @@
 * :class:`SalsaRow` over a :class:`MergeBitLayout` (1 bit/counter) or
   :class:`CompactLayout` (~0.594 bits/counter, Appendix A);
 * row storage behind one :class:`RowEngine` interface:
-  :class:`VectorRowEngine` (NumPy bulk paths, the default) and
+  :class:`VectorRowEngine` (native bulk path, the default) and
   :class:`BitPackedEngine` (the bit-exact reference, whose buffers
   define the wire format);
 * :class:`TangoRow` for fine-grained merging;

@@ -10,11 +10,13 @@
  * zero are exact.  Merge and saturation events are counted per row in
  * counts[2 * r] and counts[2 * r + 1].
  *
- *   salsa_cu_walk  == SalsaConservativeUpdate.update per item
- *   salsa_absorb   == ops._absorb_walk over b's counters in slot order
+ *   salsa_cu_walk      == SalsaConservativeUpdate.update per item
+ *   salsa_absorb       == ops._absorb_walk over b's counters in slot order
+ *   salsa_add_partial  == the merge-free part of a batch of SalsaRow.add
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef __int128 i128;
 
@@ -192,4 +194,74 @@ int salsa_absorb(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
             add(&a, j, sign * v);
     }
     return 0;
+}
+
+/*
+ * Merge-free batch apply on one row.  Counters merge only inside their
+ * 2^max_level-aligned superblock, so superblocks are independent.  The
+ * batch (idx[t], val[t]) is summed per live counter; a superblock is
+ * dirty when one of its touched counters could leave its width under
+ * the batch, i.e. |value| + inflow does not fit (or, on unsigned rows,
+ * any delta is negative, since the per-item walk clamps at zero).
+ * Dirty superblocks are flagged in dirty[] and never written; with
+ * apply set, every other touched counter gets value + net.  Returns
+ * the number of dirty superblocks, -1 (nothing written) on an index
+ * outside [0, w), or -2 when scratch memory cannot be allocated.
+ */
+int64_t salsa_add_partial(int64_t w, int64_t s, int64_t max_level,
+                          int64_t sgn, void *values, const int64_t *levels,
+                          const int64_t *starts, int64_t n,
+                          const int64_t *idx, const int64_t *val,
+                          int64_t apply, uint8_t *dirty)
+{
+    /* One entry per touched counter, in first-touch order; pos[start]
+     * is 1 + its entry, or 0 while untouched. */
+    struct flow { i128 net, mag; int64_t start; } *acc =
+        malloc((size_t)(n ? n : 1) * sizeof *acc);
+    int64_t *pos = calloc((size_t)w, sizeof *pos);
+    int64_t m = 0, ndirty = -1;
+    if (!acc || !pos) {
+        ndirty = -2;
+        goto out;
+    }
+    for (int64_t t = 0; t < n; t++) {
+        if (idx[t] < 0 || idx[t] >= w)
+            goto out;
+        int64_t st = starts[idx[t]];
+        if (!pos[st]) {
+            struct flow fresh = {0, 0, st};
+            acc[m] = fresh;
+            pos[st] = ++m;
+        }
+        struct flow *f = &acc[pos[st] - 1];
+        f->net += val[t];
+        f->mag += val[t] < 0 ? -(i128)val[t] : (i128)val[t];
+    }
+    ndirty = 0;
+    for (int64_t k = 0; k < m; k++) {
+        struct flow *f = &acc[k];
+        i128 cur = get(values, f->start, (int)sgn);
+        /* the largest magnitude any order of the adds can reach */
+        i128 peak = (cur < 0 ? -cur : cur) + f->mag;
+        int ok = fits(peak, s << levels[f->start], (int)sgn)
+                 && (sgn || f->net == f->mag);
+        if (!ok && !dirty[f->start >> max_level]) {
+            dirty[f->start >> max_level] = 1;
+            ndirty++;
+        }
+    }
+    if (apply) {
+        row_t r = {values, (int64_t *)levels, (int64_t *)starts, s,
+                   max_level, (int)sgn, 0, NULL};
+        for (int64_t k = 0; k < m; k++) {
+            struct flow *f = &acc[k];
+            if (f->net && !dirty[f->start >> max_level])
+                write_block(&r, f->start, levels[f->start],
+                            get(values, f->start, (int)sgn) + f->net);
+        }
+    }
+out:
+    free(acc);
+    free(pos);
+    return ndirty;
 }

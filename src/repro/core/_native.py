@@ -1,17 +1,21 @@
-"""Loader and wrappers for the native SALSA walks in ``_native.c``.
+"""Loader and wrappers for the native SALSA kernels in ``_native.c``.
 
-Two sequential walks cannot vectorize in NumPy, so they run in C over
-a :class:`~repro.core.engines.VectorRowEngine`'s arrays:
+They run in C over a :class:`~repro.core.engines.VectorRowEngine`'s
+arrays:
 
 * :func:`cu_walk` -- the stream-order conservative update of SALSA
   CUS, equal to :meth:`SalsaConservativeUpdate.update` per item;
 * :func:`absorb` -- one row of ``ops.merge``/``ops.subtract``, equal to
-  ``ops._absorb_walk`` over ``b``'s counters in slot order.
+  ``ops._absorb_walk`` over ``b``'s counters in slot order;
+* :func:`add_partial` -- the vector engine's merge-free batch door
+  (``add_batch_partial``), the only implementation it has.
 
-Both count merges and saturations into the rows' ``merge_events`` and
-``saturations`` exactly as :class:`SalsaRow` does.  The Python walks
-stay the reference: callers take them whenever :func:`usable` says no
-(bit-packed rows, or no C compiler).
+The walks count merges and saturations into the rows'
+``merge_events`` and ``saturations`` exactly as :class:`SalsaRow`
+does.  The Python walks stay the reference: callers take them
+whenever :func:`usable` says no (bit-packed rows, or no C compiler),
+and without the library the vector batch door reports every
+superblock dirty, so SALSA CMS/CS batches replay per item.
 
 On first use the C file is compiled with the system ``cc`` into the
 per-user cache directory (``$XDG_CACHE_HOME/repro-salsa``, else
@@ -19,7 +23,7 @@ per-user cache directory (``$XDG_CACHE_HOME/repro-salsa``, else
 the source, and written atomically (temp name, then ``os.replace``).
 Nothing is compiled or loaded until a batch needs a kernel.  When the
 build or load fails, one ``RuntimeWarning`` says why and every caller
-keeps the Python walks.
+keeps the Python paths.
 """
 
 from __future__ import annotations
@@ -101,6 +105,9 @@ def _load():
     lib.salsa_cu_walk.restype = ctypes.c_int
     lib.salsa_absorb.argtypes = [i64] * 5 + [ptr] * 5 + [i64, ptr]
     lib.salsa_absorb.restype = ctypes.c_int
+    lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 3 + [i64] + \
+        [ptr] * 2 + [i64, ptr]
+    lib.salsa_add_partial.restype = i64
     return lib
 
 
@@ -210,3 +217,25 @@ def absorb(a_row, b_row, sign: int) -> None:
     merges, sats = counts.tolist()
     a_row.merge_events += merges
     a_row.saturations += sats
+
+
+def add_partial(engine, idxs: np.ndarray, values: np.ndarray,
+                apply: bool):
+    """Merge-free batch door of a vector row engine: sum the int64
+    deltas ``values`` per live counter of slots ``idxs``, flag every
+    superblock where a touched counter might overflow (or, unsigned,
+    take a negative delta), and with ``apply`` write the rest.  Returns
+    ``None`` or the dirty mask over ``w >> max_level`` superblocks."""
+    lib = library()
+    n = len(idxs)
+    mask = np.zeros(engine.w >> engine.max_level, dtype=np.uint8)
+    status = lib.salsa_add_partial(
+        engine.w, engine.s, engine.max_level, int(engine.signed),
+        *_row_ptrs(engine), n, _ptr(idxs, np.int64, n),
+        _ptr(values, np.int64, n), int(apply),
+        _ptr(mask, np.uint8, len(mask), True))
+    if status == -1:
+        raise ValueError(f"batch slots must lie in [0, {engine.w})")
+    if status == -2:
+        raise MemoryError("no scratch memory for the batch check")
+    return mask.view(bool) if status else None

@@ -12,9 +12,10 @@ delegates the *representation* to a :class:`RowEngine`:
   rows) value per *base slot* (the value of a merged counter is
   duplicated across its block, so a point read is a single array
   index) plus a per-slot level array; merge bits are derived, never
-  stored.  Its batch door (``add_batch_partial``) is a vectorized
-  scatter-add with overflow detection, and the native walks of
-  :mod:`repro.core._native` run over its arrays.  It reports the
+  stored.  Its batch door (``add_batch_partial``) and the walks of
+  :mod:`repro.core._native` run natively over its arrays; without a C
+  compiler the door reports every superblock dirty, as the bit-packed
+  engine's does.  It reports the
   *same* ``overhead_bits`` as the bit-packed encoding it emulates, so
   memory accounting -- and every figure -- is engine-independent.
 * :class:`BitPackedEngine` -- the paper-faithful reference: counters
@@ -33,10 +34,6 @@ and the wire codec know about sign-magnitude bit patterns.  The
 contract (enforced by ``tests/test_row_engines.py``): on any stream,
 both engines yield identical counter values, merge levels, estimates,
 and memory bits -- an engine changes speed, never the sketch.
-
-Vectorized bulk paths assume the caller bounds a batch's total
-absolute inflow by ``2^61`` (see ``sketches.base.batch_sum_fits``) so
-int64 scratch arithmetic cannot wrap.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ from repro.core.compact import (
     encoding_bits,
 )
 from repro.core.layout import MergeBitLayout
+from repro.sketches.base import as_batch
 
 #: Layout encodings (accounting identities shared by every engine).
 SIMPLE = "simple"
@@ -72,22 +70,6 @@ def _compact_overhead_bits(w: int, max_level: int) -> int:
     layout (the vector engine charges it while storing no such code)."""
     group_level = default_group_level(w, max_level)
     return (w >> group_level) * encoding_bits(group_level)
-
-
-class BatchPlan:
-    """An aggregated, merge-free-checked batch awaiting application.
-
-    ``dirty_mask`` is ``None`` when every touched superblock passed the
-    merge-free check, else a boolean mask over the ``w >> max_level``
-    superblocks; ``data`` is engine-private.  A plan is valid only
-    until its row is next mutated.
-    """
-
-    __slots__ = ("dirty_mask", "data")
-
-    def __init__(self, dirty_mask, data):
-        self.dirty_mask = dirty_mask
-        self.data = data
 
 
 class RowEngine:
@@ -167,27 +149,15 @@ class RowEngine:
         completely untouched; the caller replays their updates in
         stream order).  Returns ``None`` when everything applied.
         ``apply=False`` computes the mask without writing anything.
-        """
-        plan = self.plan_add_batch(idxs, values)
-        if apply:
-            self.apply_plan(plan)
-        return plan.dirty_mask
 
-    def plan_add_batch(self, idxs, values) -> "BatchPlan":
-        """Aggregate + merge-free-check a batch without writing.
-
-        The returned plan stays valid until the row is next mutated;
-        :meth:`apply_plan` applies it without re-planning (used when a
-        check must pass on several rows before any row may write).
-
-        The default proves nothing -- every superblock is dirty -- so
+        This default proves nothing -- every superblock is dirty -- so
         the caller's replay *is* the reference per-item walk; the
         bit-packed engine keeps exactly those semantics.
         """
-        return BatchPlan(np.ones(self.w >> self.max_level, dtype=bool), None)
-
-    def apply_plan(self, plan: "BatchPlan") -> None:
-        """Write a plan's clean-superblock deltas (dirty untouched)."""
+        idxs, _ = as_batch(idxs, values)
+        if len(idxs) and not 0 <= idxs.min() <= idxs.max() < self.w:
+            raise ValueError(f"batch slots must lie in [0, {self.w})")
+        return np.ones(self.w >> self.max_level, dtype=bool)
 
     # -- accounting / lifecycle ----------------------------------------
     @property
@@ -292,8 +262,8 @@ class VectorRowEngine(RowEngine):
     * ``levels[j]`` is the merge level of the counter containing ``j``;
     * ``starts[j]`` is that counter's block start;
     * ``values[j]`` is that counter's decoded value -- duplicated
-      across every slot of a merged block, so point reads, gathers, and
-      scatter-adds never consult the layout.
+      across every slot of a merged block, so point reads and gathers
+      never consult the layout.
 
     Unsigned rows store ``uint64`` (a saturated 64-bit counter holds
     ``2^64 - 1``); Count-Sketch rows store ``int64``.  Counters wider
@@ -371,83 +341,13 @@ class VectorRowEngine(RowEngine):
         return self.values[idxs].astype(np.int64, copy=False)
 
     # -- bulk -----------------------------------------------------------
-    def _batch_plan(self, idxs, values):
-        """Aggregate a batch per live counter and run the merge-free
-        check; returns ``(ustarts, net, ok)`` arrays (one entry per
-        touched counter)."""
-        idxs = np.ascontiguousarray(idxs, dtype=np.int64)
-        vals = np.ascontiguousarray(values, dtype=np.int64)
-        starts = self.starts[idxs]
-        amag = np.abs(vals)
-        # Path choice via a float64 sum: it cannot wrap, and either
-        # branch is exact -- this only decides which one runs.
-        if float(amag.sum(dtype=np.float64)) < float(1 << 52):
-            # Aggregate deltas per live counter with bincount: float64
-            # sums of integers are exact while every partial sum stays
-            # below 2^53, which the total-magnitude guard ensures.
-            net_f = np.bincount(starts, weights=vals, minlength=self.w)
-            mag_f = np.bincount(starts, weights=amag, minlength=self.w)
-            ustarts = np.flatnonzero(mag_f)
-            net = net_f[ustarts].astype(np.int64)
-            mag = mag_f[ustarts].astype(np.int64)
-        else:
-            # Huge-magnitude batches: sort + segmented sums, an
-            # int64-exact groupby.
-            order = np.argsort(starts, kind="stable")
-            s_sorted = starts[order]
-            v_sorted = vals[order]
-            head = np.empty(s_sorted.size, dtype=bool)
-            head[0] = True
-            np.not_equal(s_sorted[1:], s_sorted[:-1], out=head[1:])
-            first = np.flatnonzero(head)
-            ustarts = s_sorted[first]
-            net = np.add.reduceat(v_sorted, first)
-            mag = np.add.reduceat(np.abs(v_sorted), first)
-        widths = (self.s << self.levels[ustarts]).astype(np.uint64)
-        if self.signed:
-            # |cur +- mag| must stay within the sign-magnitude bound.
-            bound = ((np.uint64(1) << (widths - np.uint64(1)))
-                     - np.uint64(1)).astype(np.int64)
-            cur = self.values[ustarts]
-            ok = (cur <= bound - mag) & (cur >= mag - bound)
-        else:
-            # limit = 2^width - 1 without overflowing uint64 at width 64.
-            half = (np.uint64(1) << (widths - np.uint64(1))) - np.uint64(1)
-            limit = half * np.uint64(2) + np.uint64(1)
-            mag_u = mag.astype(np.uint64)
-            cur = self.values[ustarts]
-            ok = (mag_u <= limit) & (cur <= limit - mag_u)
-            # A negative delta clamps at zero in the per-item path, so
-            # summation would not be equivalent there.
-            ok &= net == mag
-        return ustarts, net, ok
-
-    def _apply_plan(self, ustarts, net) -> None:
-        """Vectorized scatter-add of per-counter deltas, propagated
-        across each merged block (values stay duplicated)."""
-        add_vals = net if self.signed else net.astype(np.uint64)
-        blk_levels = self.levels[ustarts]
-        for lv in np.unique(blk_levels).tolist():
-            sel = blk_levels == lv
-            st = ustarts[sel]
-            dv = add_vals[sel]
-            for off in range(1 << lv):
-                self.values[st + off] += dv
-
-    def plan_add_batch(self, idxs, values) -> BatchPlan:
-        if len(idxs) == 0:
-            return BatchPlan(None, None)
-        ustarts, net, ok = self._batch_plan(idxs, values)
-        if ok.all():
-            return BatchPlan(None, (ustarts, net))
-        mask = np.zeros(self.w >> self.max_level, dtype=bool)
-        mask[(ustarts[~ok] >> self.max_level)] = True
-        keep = ~mask[ustarts >> self.max_level]
-        return BatchPlan(mask, (ustarts[keep], net[keep]))
-
-    def apply_plan(self, plan: BatchPlan) -> None:
-        if plan.data is not None:
-            self._apply_plan(*plan.data)
+    def add_batch_partial(self, idxs, values, apply: bool = True):
+        """Native check and apply (:func:`repro.core._native.add_partial`);
+        without the kernel, the all-dirty default."""
+        from repro.core import _native  # it imports this module
+        if _native.library() is None:
+            return super().add_batch_partial(idxs, values, apply)
+        return _native.add_partial(self, *as_batch(idxs, values), apply)
 
     # -- accounting / lifecycle ----------------------------------------
     @property

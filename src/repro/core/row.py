@@ -13,8 +13,8 @@ symmetric in sign, which is what makes SALSA CS unbiased (Lemma V.4).
 The *physical* storage is pluggable (:mod:`repro.core.engines`):
 ``SalsaRow`` owns the merge policy and overflow decisions, while a
 :class:`~repro.core.engines.RowEngine` holds the counters -- a NumPy
-materialization whose bulk paths vectorize (``engine="vector"``, the
-default), or the paper's bit-packed encoding (``engine="bitpacked"``),
+materialization whose batch door runs natively (``engine="vector"``,
+the default), or the paper's bit-packed encoding (``engine="bitpacked"``),
 kept as the reference tests compare against and as the wire
 format's specification.
 Both are observationally identical on every stream.
@@ -61,7 +61,7 @@ class SalsaRow:
     encoding:
         ``"simple"`` (1 bit/counter) or ``"compact"`` (~0.594).
     engine:
-        ``"vector"`` (NumPy bulk paths, the default) or ``"bitpacked"``
+        ``"vector"`` (native bulk path, the default) or ``"bitpacked"``
         (the bit-exact reference, which has no bulk path).
 
     Examples
@@ -224,8 +224,11 @@ class SalsaRow:
         """Apply the merge-free portion of a batch at superblock
         granularity.
 
-        ``idxs``/``values`` are parallel sequences (lists or numpy
-        arrays) of base-slot indices and deltas (duplicates allowed).
+        ``idxs``/``values`` are parallel 1-D integer sequences (lists or
+        numpy arrays) of base-slot indices in ``[0, w)`` and int64
+        deltas (duplicates allowed), checked as
+        :func:`~repro.sketches.base.as_batch` checks keys and values;
+        anything else raises ``ValueError``.
         A counter is *merge-free* when its current value plus the
         batch's total absolute inflow into it still fits its width:
         every interleaving of its adds then stays in range, so plain
@@ -237,22 +240,13 @@ class SalsaRow:
         is bulk-applied, and a boolean mask over the ``w >> max_level``
         superblocks flags the *dirty* rest (untouched -- the caller
         replays exactly the updates landing there, in stream order).
-        Returns ``None`` when the whole batch applied.  The bit-packed
-        reference engine reports every superblock dirty.
+        Returns ``None`` when the whole batch applied.  The vector
+        engine runs the check natively; the bit-packed reference engine
+        (and the vector engine without the kernel) reports every
+        superblock dirty.
         ``apply=False`` computes the mask without writing anything.
         """
         return self.engine.add_batch_partial(idxs, values, apply=apply)
-
-    def plan_add_batch(self, idxs, values):
-        """Aggregate + merge-free-check a batch without writing; the
-        returned plan applies later via :meth:`apply_batch_plan` (valid
-        until the row mutates).  Lets a check pass on several rows
-        before any row writes, without planning twice."""
-        return self.engine.plan_add_batch(idxs, values)
-
-    def apply_batch_plan(self, plan) -> None:
-        """Write a plan's clean-superblock deltas (dirty untouched)."""
-        self.engine.apply_plan(plan)
 
     def set_at_least(self, j: int, target: int) -> int:
         """Raise the counter containing ``j`` to at least ``target``.

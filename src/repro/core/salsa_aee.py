@@ -209,7 +209,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
         ``top_level`` counter capacity, no counter can ever reach a
         top-level overflow during the batch: no policy, no RNG draw,
         no downsampling.  Then merge-free superblocks collapse to one
-        vectorized scatter-add per row and only the dirty ones replay
+        bulk apply per row and only the dirty ones replay
         in stream order (their sub-top merges are order-local), which
         is bit-identical to the per-item walk.
 
@@ -263,30 +263,30 @@ class SalsaAeeCountMin(BatchOpsMixin):
         overflow at level >= ``top_level`` (every dirty superblock's
         mass plus inflow fits the top-level capacity); sub-top merges
         are then the only side effects, and those are confined to their
-        superblock.  Merge-free superblocks scatter-add; dirty ones
-        replay in stream order.  Returns False (row state untouched)
+        superblock.  Each row is checked first (``apply=False``), then
+        its merge-free superblocks bulk-apply and dirty ones replay in
+        stream order.  Returns False (row state untouched)
         when the proof fails, sending the batch down the ordered walk.
         """
         rows = self.rows
-        plans = [row.plan_add_batch(idxs, values)
-                 for row, idxs in zip(rows, idx_arrays)]
         threshold = (1 << (self.s << self.top_level)) - 1
-        for row, idxs, plan in zip(rows, idx_arrays, plans):
-            if plan.dirty_mask is None:
+        for row, idxs in zip(rows, idx_arrays):
+            dirty = row.add_batch_partial(idxs, values, apply=False)
+            if dirty is None:
                 continue
             sb_ids = idxs >> row.max_level
-            sel = plan.dirty_mask[sb_ids]
+            sel = dirty[sb_ids]
             inflow: dict[int, int] = {}
             for sb, v in zip(sb_ids[sel].tolist(), values[sel].tolist()):
                 inflow[sb] = inflow.get(sb, 0) + v
             for sb, flow in inflow.items():
                 if self._superblock_mass(row, sb) + flow > threshold:
                     return False
-        for row, idxs, plan in zip(rows, idx_arrays, plans):
-            row.apply_batch_plan(plan)  # clean superblocks, no re-plan
-            if plan.dirty_mask is None:
+        for row, idxs in zip(rows, idx_arrays):
+            dirty = row.add_batch_partial(idxs, values)
+            if dirty is None:
                 continue
-            sel = plan.dirty_mask[idxs >> row.max_level]
+            sel = dirty[idxs >> row.max_level]
             add = row.add
             for j, v in zip(idxs[sel].tolist(), values[sel].tolist()):
                 add(j, v)

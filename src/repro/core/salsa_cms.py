@@ -23,6 +23,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     batched_min_query,
     width_for_memory,
@@ -48,7 +49,7 @@ class SalsaCountMin(BatchOpsMixin):
     max_bits:
         Counter growth ceiling (paper: up to 64).
     engine:
-        Row storage backend: ``"vector"`` (NumPy bulk paths, the
+        Row storage backend: ``"vector"`` (native bulk path, the
         default) or ``"bitpacked"`` (the bit-exact reference).
 
     Examples
@@ -99,13 +100,16 @@ class SalsaCountMin(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``value`` to each of the item's counters (merging on
-        overflow)."""
+        overflow).  Max-merge rows take no negative values."""
+        item, value = as_item(item, value)
+        self._check_smallest(value)
         mask = self.w - 1
         for row, seed in zip(self.rows, self.hashes.seeds):
             row.add(mix64(item ^ seed) & mask, value)
 
     def query(self, item: int) -> int:
         """Minimum over rows of the (possibly merged) counter value."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in zip(self.rows, self.hashes.seeds):
@@ -123,18 +127,20 @@ class SalsaCountMin(BatchOpsMixin):
         Duplicate keys are pre-aggregated, each row's indices come from
         one vectorized hash call, and counters are bumped through
         :meth:`SalsaRow.add_batch_partial`: the merge-free superblocks
-        bulk-apply (a vectorized scatter-add on the vector engine), and
+        bulk-apply (one native pass on the vector engine), and
         only updates landing in a superblock where the batch could
         trigger a merge replay in stream order -- so the result is
         bit-identical to the per-item path while the exact fallback
         shrinks to the rare overflowing blocks.  Batches with negative
-        values (Turnstile deletions) take the exact per-item fallback
-        wholesale.
+        values (Strict Turnstile deletions, sum merge only) take the
+        exact per-item fallback wholesale.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if int(values.min()) < 0 or not batch_sum_fits(values):
+        smallest = int(values.min())
+        self._check_smallest(smallest)
+        if smallest < 0 or not batch_sum_fits(values):
             BatchOpsMixin.update_many(self, items, values)
             return
         uniq, sums = aggregate_batch(items, values)
@@ -149,6 +155,15 @@ class SalsaCountMin(BatchOpsMixin):
             add = row.add
             for j, v in zip(full_idxs[sel].tolist(), values[sel].tolist()):
                 add(j, v)
+
+    def _check_smallest(self, value: int) -> None:
+        """Max merge is exact only in the Cash Register model (Thm
+        V.2): no update may be negative."""
+        if value < 0 and self.merge_policy == MAX:
+            raise ValueError(
+                f"max-merge SALSA CMS is a Cash Register sketch; got "
+                f"value {value}"
+            )
 
     def query_many(self, items) -> list:
         """Batched query: one hash call per row, duplicate keys deduped."""

@@ -24,6 +24,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     batched_median_query,
     median,
@@ -73,6 +74,7 @@ class SalsaCountSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``g_i(x) * value`` to the item's counter in each row."""
+        item, value = as_item(item, value)
         mask = self.w - 1
         for row, seed in zip(self.rows, self.hashes.seeds):
             h = mix64(item ^ seed)
@@ -80,6 +82,7 @@ class SalsaCountSketch(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Median over rows of ``counter * g_i(x)``."""
+        item, _ = as_item(item)
         mask = self.w - 1
         votes = []
         for row, seed in zip(self.rows, self.hashes.seeds):

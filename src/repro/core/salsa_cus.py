@@ -17,6 +17,7 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     as_batch,
+    as_item,
     batched_min_query,
     width_for_memory,
 )
@@ -64,6 +65,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Conservative update over self-adjusting counters."""
+        item, value = as_item(item, value)
         if value <= 0:
             raise ValueError(
                 f"SALSA CUS is a Cash Register sketch; got value {value}"
@@ -77,6 +79,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Minimum over rows."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in zip(self.rows, self.hashes.seeds):

@@ -59,6 +59,10 @@ class BatchFrequencySketch(FrequencySketch, Protocol):
 _INT64_MAX = (1 << 63) - 1
 
 
+def _not_int64(what: str, got: str) -> ValueError:
+    return ValueError(f"{what} must be integers within int64, got {got}")
+
+
 def _int64_column(x, what: str) -> np.ndarray:
     """``x`` as a C-contiguous 1-D int64 array, or ``ValueError``."""
     arr = np.asarray(x)
@@ -68,11 +72,22 @@ def _int64_column(x, what: str) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if arr.dtype.kind not in "iu" or (arr.dtype == np.uint64
                                       and int(arr.max()) > _INT64_MAX):
-        raise ValueError(
-            f"batch {what} must be integers within int64, got dtype "
-            f"{arr.dtype}"
-        )
+        raise _not_int64(f"batch {what}", f"dtype {arr.dtype}")
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _int64_scalar(x, what: str) -> int:
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        x = int(x)
+        if -_INT64_MAX - 1 <= x <= _INT64_MAX:
+            return x
+    raise _not_int64(what, repr(x))
+
+
+def as_item(item, value=1) -> tuple[int, int]:
+    """The per-item twin of :func:`as_batch`: ``item`` and ``value`` as
+    Python ints within int64, else the same ``ValueError``."""
+    return _int64_scalar(item, "keys"), _int64_scalar(value, "values")
 
 
 def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:

@@ -211,6 +211,72 @@ def test_malformed_batches_raise_value_error(name, case):
     assert sketch.query_many(probe) == fresh.query_many(probe)
 
 
+#: per-item inputs outside the batch door's contract
+MALFORMED_ITEMS = {
+    "key past int64": (2 ** 70, 1),
+    "key at 2^63": (2 ** 63, 1),
+    "key below int64": (-(2 ** 63) - 1, 1),
+    "value past int64": (3, 2 ** 63),
+    "float key": (1.9, 1),
+    "float value": (3, 1.5),
+    "bool key": (True, 1),
+}
+
+SALSA_DOORS = ["salsa-cms-max", "salsa-cus", "salsa-cs"]
+
+
+@pytest.mark.parametrize("name", SALSA_DOORS)
+@pytest.mark.parametrize("case", sorted(MALFORMED_ITEMS))
+def test_per_item_door_rejects_what_the_batch_door_does(name, case):
+    """``update``/``query`` take the key and value range ``update_many``
+    takes: outside it both doors raise ValueError and move nothing
+    (``update(2**70)`` used to hash the key, ``update(1.9)`` to leak a
+    TypeError)."""
+    item, value = MALFORMED_ITEMS[case]
+    sketch, fresh = (FACTORIES[name][0]() for _ in range(2))
+    with pytest.raises(ValueError):
+        sketch.update_many([item], [value])
+    with pytest.raises(ValueError):
+        sketch.update(item, value)
+    if value == 1:
+        with pytest.raises(ValueError):
+            sketch.query(item)
+    probe = list(range(64))
+    assert sketch.query_many(probe) == fresh.query_many(probe)
+
+
+@pytest.mark.parametrize("name", SALSA_DOORS)
+def test_per_item_door_takes_the_whole_int64_range(name):
+    keys = [-(2 ** 63), 2 ** 63 - 1, np.int64(7), np.uint8(9), -5]
+    per_item, batched = (FACTORIES[name][0]() for _ in range(2))
+    for key in keys:
+        per_item.update(key, np.int32(3))
+    batched.update_many(np.array([int(k) for k in keys]), [3] * len(keys))
+    assert ([per_item.query(k) for k in keys]
+            == batched.query_many([int(k) for k in keys]))
+
+
+def test_max_merge_cms_rejects_negative_values():
+    """Max merge is exact only in the Cash Register model (Thm V.2):
+    both doors raise on a negative value and move nothing (10 then -3
+    used to read 7).  Sum merge keeps Strict Turnstile deletions."""
+    fresh = SalsaCountMin(w=64, d=2, seed=1)
+    fresh.update(5, 10)
+    sk = SalsaCountMin(w=64, d=2, seed=1)
+    sk.update(5, 10)
+    with pytest.raises(ValueError):
+        sk.update(5, -3)
+    with pytest.raises(ValueError):
+        sk.update_many([5, 6], [1, -3])
+    probe = list(range(64))
+    assert sk.query_many(probe) == fresh.query_many(probe)
+    summed = SalsaCountMin(w=64, d=2, merge=SUM, seed=1)
+    summed.update(5, 10)
+    summed.update(5, -3)
+    summed.update_many([5], [-2])
+    assert summed.query(5) == 5
+
+
 @pytest.mark.parametrize("name", CONTRACT_SKETCHES)
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
 def test_integer_batches_of_any_width_are_accepted(name, dtype):

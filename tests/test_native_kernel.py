@@ -1,13 +1,17 @@
-"""Differential oracle for the native SALSA walks (``core/_native.c``).
+"""Differential oracle for the native SALSA kernels (``core/_native.c``).
 
 The kernels must be indistinguishable from the Python reference walks
 they replace: on any stream, ``SalsaConservativeUpdate.update_many``
 and ``ops.merge``/``ops.subtract`` leave the same counter values,
 merge levels, ``merge_events`` and ``saturations`` with the kernel on,
-with it off, item by item, and on bit-packed rows.  Streams are small
-rows with hot keys, base widths 2/4/8 and weights up to ``2^63 - 1``,
-so overflow merges and 64-bit saturation are common, fed in arbitrary
-batch splits.
+with it off, item by item, and on bit-packed rows.  The merge-free
+batch door (``add_batch_partial``) plus the stream-order dirty replay
+must land where the bit-packed reference's per-item walk does, flag
+exactly the superblocks the merge-free predicate names, and leave
+SALSA CMS/CS/AEE ``update_many`` unchanged with the kernel off.
+Streams are small rows with hot keys, base widths 2/4/8 and weights up
+to ``2^63 - 1``, so overflow merges and 64-bit saturation are common,
+fed in arbitrary batch splits.
 """
 
 import contextlib
@@ -23,9 +27,11 @@ from hypothesis import given, settings
 
 from repro.core import (
     DistributedSketch,
+    SalsaAeeCountMin,
     SalsaConservativeUpdate,
     SalsaCountMin,
     SalsaCountSketch,
+    SalsaRow,
     _native,
     ops,
 )
@@ -45,12 +51,15 @@ def kernel_off():
         _native._ENABLED = saved
 
 
+def row_state(row):
+    """Everything an observer can read off a row."""
+    return ([row.level_of(j) for j in range(row.w)],
+            [row.read(j) for j in range(row.w)],
+            row.merge_events, row.saturations)
+
+
 def state(sketch):
-    """Everything an observer can read off the rows."""
-    return [([row.level_of(j) for j in range(row.w)],
-             [row.read(j) for j in range(row.w)],
-             row.merge_events, row.saturations)
-            for row in sketch.rows]
+    return [row_state(row) for row in sketch.rows]
 
 
 def feed(sketch, stream, cuts):
@@ -181,6 +190,172 @@ def test_merge_saturates_at_64_bits_exactly():
 
 
 # ----------------------------------------------------------------------
+# merge-free batch door
+# ----------------------------------------------------------------------
+ROW_W = 64
+ROW_CONFIGS = {
+    "sum": dict(merge="sum"),
+    "max": dict(merge="max"),
+    "signed": dict(merge="sum", signed=True),
+}
+SLOTS = st.one_of(st.sampled_from([3, 3, 3, 4, 40]),
+                  st.integers(0, ROW_W - 1))
+DELTAS = st.one_of(st.integers(0, 3), st.integers(-3, 300),
+                   st.integers(-INT64_MAX - 1, INT64_MAX),
+                   st.sampled_from([1, -1, INT64_MAX]))
+
+
+def row_arrays(row):
+    engine = row.engine
+    return (engine.values.tobytes(), engine.levels.tobytes(),
+            engine.starts.tobytes())
+
+
+def merge_free_dirty(row, idxs, vals) -> set:
+    """The superblocks the batch door must flag (the deleted NumPy
+    planner's predicate): those holding a counter whose ``|value|`` plus
+    the batch's absolute inflow into it does not fit its width or, on
+    an unsigned row, that takes a negative delta (the per-item walk
+    clamps at zero, so summing would not be exact)."""
+    net, inflow = {}, {}
+    for j, v in zip(idxs, vals):
+        start = row.locate(j)[1]
+        net[start] = net.get(start, 0) + v
+        inflow[start] = inflow.get(start, 0) + abs(v)
+    dirty = set()
+    for start, mag in inflow.items():
+        width = row.s << row.level_of(start)
+        cur = row.read(start)
+        if row.signed:
+            fits = abs(cur) + mag <= (1 << (width - 1)) - 1
+        else:
+            fits = net[start] == mag and cur + mag <= (1 << width) - 1
+        if not fits:
+            dirty.add(start >> row.max_level)
+    return dirty
+
+
+def replay(row, idxs, vals, dirty) -> None:
+    """The stream-order replay SALSA CMS/CS run on dirty superblocks."""
+    if dirty is not None:
+        for j, v in zip(idxs, vals):
+            if dirty[j >> row.max_level]:
+                row.add(j, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.sampled_from(sorted(ROW_CONFIGS)),
+       s=st.sampled_from([2, 4, 8]),
+       near=st.lists(st.tuples(SLOTS, st.booleans(), st.integers(0, 8)),
+                     max_size=4),
+       batches=st.lists(st.lists(st.tuples(SLOTS, DELTAS), max_size=24),
+                        min_size=1, max_size=6))
+def test_add_partial_matches_bitpacked_replay(config, s, near, batches):
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    vec, ref = (SalsaRow(w=ROW_W, s=s, engine=engine, **ROW_CONFIGS[config])
+                for engine in ("vector", "bitpacked"))
+    # Park counters a few units below 2^64 - 1 (unsigned) or the
+    # sign-magnitude bound 2^63 - 1 (signed, either sign).
+    for j, negative, gap in near:
+        sign = -1 if negative and vec.signed else 1
+        for row in (vec, ref):
+            row.add(j, sign * INT64_MAX)
+            if not row.signed:
+                row.add(j, INT64_MAX)
+            row.add(j, -sign * gap)
+    assert row_state(vec) == row_state(ref)
+    for batch in batches:
+        idxs = [j for j, _ in batch]
+        vals = [v for _, v in batch]
+        expect = merge_free_dirty(vec, idxs, vals)
+        before = row_arrays(vec)
+        check = vec.add_batch_partial(idxs, vals, apply=False)
+        assert row_arrays(vec) == before
+        dirty = vec.add_batch_partial(idxs, vals)
+        for mask in (check, dirty):
+            assert (mask is None) == (not expect)
+            if mask is not None:
+                assert set(np.flatnonzero(mask).tolist()) == expect
+        replay(vec, idxs, vals, dirty)
+        replay(ref, idxs, vals, ref.add_batch_partial(idxs, vals))
+        assert row_state(vec) == row_state(ref)
+
+
+@pytest.mark.parametrize("config", sorted(ROW_CONFIGS))
+@pytest.mark.parametrize("s", [2, 8])
+def test_add_partial_flags_exactly_past_the_width_bound(config, s):
+    """A counter that the batch fills exactly to its bound stays clean;
+    one unit more makes its superblock dirty (at level 0 and at 64
+    bits, on either sign of a signed row)."""
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    for sign in ((1, -1) if config == "signed" else (1,)):
+        row = SalsaRow(w=ROW_W, s=s, **ROW_CONFIGS[config])
+        for _ in range(1 if row.signed else 2):
+            row.add(ROW_W - 1, sign * INT64_MAX)  # the last superblock
+        row.add(ROW_W - 1, -sign * 5)
+        row.add(0, sign)
+        for j in (0, ROW_W - 1):
+            width = row.s << row.level_of(j)
+            bound = (1 << (width - 1 if row.signed else width)) - 1
+            room = bound - abs(row.read(j))
+            for extra, dirty in ((0, set()), (1, {j >> row.max_level})):
+                vals = [sign * (room + extra)]
+                before = row_arrays(row)
+                mask = row.add_batch_partial([j], vals, apply=False)
+                assert row_arrays(row) == before
+                assert merge_free_dirty(row, [j], vals) == dirty
+                assert (set() if mask is None
+                        else set(np.flatnonzero(mask).tolist())) == dirty
+
+
+BATCH_CONFIGS = {
+    "cms-max": (SalsaCountMin, dict(merge="max"), False),
+    "cms-sum": (SalsaCountMin, dict(merge="sum"), True),
+    "cs": (SalsaCountSketch, {}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+@settings(max_examples=40, deadline=None)
+@given(split=st.data(), s=st.sampled_from([2, 4, 8]),
+       seed=st.integers(0, 2 ** 32))
+def test_update_many_is_the_same_with_the_kernel_off(name, split, s, seed):
+    cls, kw, signed = BATCH_CONFIGS[name]
+    stream, cuts = split.draw(split_streams(signed))
+    fam = HashFamily(3, seed)
+
+    def run(engine="vector"):
+        return state(feed(cls(w=W, d=3, s=s, hash_family=fam,
+                              engine=engine, **kw), stream, cuts))
+
+    kernel = run()
+    with kernel_off():
+        off = run()
+    assert kernel == off == run("bitpacked")
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream=st.lists(st.tuples(KEYS, st.integers(1, 40)), max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=4),
+       max_bits=st.sampled_from([16, 64]), seed=st.integers(0, 2 ** 32))
+def test_aee_update_many_is_the_same_with_the_kernel_off(stream, cuts,
+                                                         max_bits, seed):
+    cuts = sorted({min(c, len(stream)) for c in cuts})
+
+    def run(engine="vector"):
+        sk = feed(SalsaAeeCountMin(w=8, d=2, s=4, max_bits=max_bits,
+                                   seed=seed, engine=engine), stream, cuts)
+        return state(sk), sk.p, sk.top_level, sk.downsample_events
+
+    kernel = run()
+    with kernel_off():
+        off = run()
+    assert kernel == off == run("bitpacked")
+
+
+# ----------------------------------------------------------------------
 # build and load
 # ----------------------------------------------------------------------
 def test_kernel_loads_when_a_compiler_is_present():
@@ -215,13 +390,19 @@ def test_no_compiler_warns_once_and_falls_back(monkeypatch):
     sk = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
     with pytest.warns(RuntimeWarning, match="no C compiler"):
         sk.update_many(items, values)
+    cms = SalsaCountMin(w=16, d=2, s=4, seed=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sk.update_many(items, values)
+        cms.update_many(items, values)   # all-dirty batch door, no warning
     ref = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
+    ref_cms = SalsaCountMin(w=16, d=2, s=4, seed=2)
     for x, v in zip(items.tolist() * 2, values.tolist() * 2):
         ref.update(x, v)
+    for x, v in zip(items.tolist(), values.tolist()):
+        ref_cms.update(x, v)
     assert state(sk) == state(ref)
+    assert state(cms) == state(ref_cms)
 
 
 def test_build_writes_a_private_cache(monkeypatch, tmp_path):

@@ -29,7 +29,7 @@ from repro.core import (
     TangoRow,
     VectorRowEngine,
 )
-from repro.core import ops
+from repro.core import _native, ops
 from repro.core.row import SUM
 from repro.core.serialize import dumps, loads
 
@@ -126,6 +126,36 @@ def test_add_batch_rejects_negative_on_unsigned_vector_rows():
     assert dirty is not None and dirty.tolist() == [True, False]
     assert row.read(3) == 100
     assert row.read(8) == 4
+
+
+#: batches outside the row batch door's contract
+MALFORMED_ROW_BATCHES = {
+    "negative slot": ([-1], [5]),
+    "slot at w": ([16], [5]),
+    "length mismatch": ([1, 2], [5]),
+    "2-D slots": ([[1, 2]], [5, 5]),
+    "float slots": ([1.5], [5]),
+    "deltas past int64": ([1], [2 ** 63]),
+}
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROW_BATCHES))
+def test_add_batch_partial_rejects_malformed_batches(case, engine, kernel,
+                                                      monkeypatch):
+    """On both engines, with the kernel on or off, the door takes 1-D
+    integer slots in [0, w) and deltas of equal length, else raises
+    ValueError and writes nothing (slot -1 used to add to slot 15)."""
+    monkeypatch.setattr(_native, "_ENABLED", kernel)
+    idxs, vals = MALFORMED_ROW_BATCHES[case]
+    row = SalsaRow(w=16, s=8, engine=engine)
+    row.add(15, 3)
+    before = row_state(row)
+    for apply in (True, False):
+        with pytest.raises(ValueError):
+            row.add_batch_partial(idxs, vals, apply=apply)
+    assert row_state(row) == before
 
 
 def test_scale_down_and_split_lockstep():
@@ -393,27 +423,6 @@ def test_for_memory_shape_is_engine_independent(engine):
     assert isinstance(sk.rows[0].engine,
                       VectorRowEngine if engine == "vector"
                       else BitPackedEngine)
-
-
-def test_plan_apply_matches_partial():
-    """A plan checked on one row and applied later must write exactly
-    what add_batch_partial would have."""
-    rng = np.random.default_rng(2)
-    for engine in ENGINES:
-        a = SalsaRow(w=16, s=8, engine=engine)
-        a.add(0, 250)
-        b = a.copy()
-        idxs = rng.integers(0, 16, 30).tolist()
-        vals = rng.integers(1, 9, 30).tolist()
-        plan = a.plan_add_batch(idxs, vals)
-        a.apply_batch_plan(plan)
-        mask = b.add_batch_partial(idxs, vals)
-        assert row_state(a) == row_state(b)
-        if plan.dirty_mask is None:
-            assert mask is None
-        else:
-            assert mask is not None
-            assert plan.dirty_mask.tolist() == mask.tolist()
 
 
 # ----------------------------------------------------------------------
