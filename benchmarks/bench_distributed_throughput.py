@@ -1,23 +1,21 @@
 """Micro-benchmark: per-item vs batched *sharded* ingest throughput.
 
 Section V's scale-out story -- "parallelize the sketching of A and B
-and then merge them" -- ran, until this PR, through a pure per-item
-Python loop in ``DistributedSketch.feed``, so sharded deployment was
-*slower* than single-sketch batched ingest.  This bench measures what
-the batched scale-out layer buys: each (sketch, engine) pair feeds the
-same hash-sharded trace through the reference per-item loop
-(``feed_per_item``) and through the chunked batch door
-(``feed_batched``), and the combine (serialize + engine-aware bulk
-``ops.merge``) is timed separately.  Results land as a text table in
-``results/distributed_throughput.txt`` and as the machine-readable
-perf-trajectory file ``results/BENCH_distributed.json`` (items/sec per
-sketch x engine x path, with the speedup vs the last recorded run
-printed when one exists).
+and then merge them" -- runs through ``DistributedSketch``.  This bench
+measures what its batch door buys: each (sketch, engine) pair feeds the
+same trace, hash-sharded, through the per-item reference
+(``update(worker, x)`` over ``shard``) and through ``feed_stream``
+(chunks of ``batch_size`` items per worker), and the combine
+(serialize + ``ops.merge``) is timed separately.  Results land as a
+text table in ``results/distributed_throughput.txt`` and as the
+machine-readable perf-trajectory file ``results/BENCH_distributed.json``
+(items/sec per sketch x engine x path, with the speedup vs the last
+recorded run printed when one exists).
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_distributed_throughput.py \
-        [--length N] [--batch-size B] [--workers W] [--jobs J] [--quick]
+        [--length N] [--batch-size B] [--workers W] [--quick]
 
 ``--quick`` is the CI smoke mode: a short trace, same code paths.
 """
@@ -33,7 +31,6 @@ from repro.core import (
     SalsaConservativeUpdate,
     SalsaCountMin,
     SalsaCountSketch,
-    shard,
 )
 from repro.core.row import SUM
 from repro.experiments.runner import feed_throughput_mops
@@ -65,17 +62,16 @@ DEPTHS = {"salsa-cms-sum": 4, "salsa-cms": 4, "salsa-cus": 4,
 ENGINES = ("bitpacked", "vector")
 
 
-def run_bench(length: int, batch_size: int, workers: int, jobs: int,
+def run_bench(length: int, batch_size: int, workers: int,
               dataset_name: str) -> tuple[list[str], dict]:
     """Measure every (sketch, engine); return (table lines, payload)."""
     trace = dataset(dataset_name, length, seed=0)
-    shards = shard(trace, workers, policy="hash", seed=1)
     header = (f"{'sketch':<14} {'engine':<10} {'per-item/s':>12} "
               f"{'batched/s':>12} {'speedup':>8} {'combine_s':>10}")
     lines = [
         f"distributed (sharded) ingestion throughput -- {trace.name}, "
         f"{len(trace):,} updates, {workers} workers (hash), "
-        f"batch={batch_size}, jobs={jobs}",
+        f"batch={batch_size} per worker",
         "(merged shard sketches are identical whichever feed door ran)",
         header,
         "-" * len(header),
@@ -90,10 +86,10 @@ def run_bench(length: int, batch_size: int, workers: int, jobs: int,
                 return DistributedSketch(make(engine), workers=workers,
                                          d=DEPTHS[name], seed=1)
 
-            per_item = feed_throughput_mops(dist(), shards) * 1e6
+            per_item = feed_throughput_mops(dist(), trace, seed=1) * 1e6
             fed = dist()
-            batched = feed_throughput_mops(
-                fed, shards, batch_size=batch_size, jobs=jobs) * 1e6
+            batched = feed_throughput_mops(fed, trace, batch_size,
+                                           seed=1) * 1e6
             start = time.perf_counter()
             fed.combined()
             combine_s = time.perf_counter() - start
@@ -116,7 +112,6 @@ def run_bench(length: int, batch_size: int, workers: int, jobs: int,
         "length": length,
         "batch_size": batch_size,
         "workers": workers,
-        "jobs": jobs,
         "policy": "hash",
         "unit": "items_per_sec",
         "rows": rows,
@@ -129,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--length", type=int, default=200_000)
     parser.add_argument("--batch-size", type=int, default=4096)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="fork workers for feed_batched (1 = serial)")
     parser.add_argument("--dataset", default="ny18")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: short trace, same paths")
@@ -139,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
 
     previous = load_bench_json("distributed")
     lines, payload = run_bench(length, args.batch_size, args.workers,
-                               args.jobs, args.dataset)
+                               args.dataset)
     if previous is not None and previous.get("rows"):
         before = {(row["sketch"], row.get("engine")): row["batched"]
                   for row in previous["rows"]}

@@ -8,9 +8,9 @@ Gives the library's main workflows a shell entry point:
 * ``run``      -- stream a trace through a chosen sketch and report
   on-arrival error metrics plus memory actually used (``--batch-size``
   switches to the chunked batch pipeline; ``--shards N`` runs the
-  scale-out path: shard, batched sharded ingest, merge);
+  scale-out path: sharded batched ingest, merge);
 * ``speed``    -- measure per-item vs batched ingest throughput
-  (``--shards N`` measures the distributed feed doors instead);
+  (``--shards N`` measures per-item ``update`` vs ``feed_stream``);
 * ``window``   -- sliding-window sketching via epoch rotation
   (batched ingest split exactly at epoch boundaries);
 * ``scenario`` -- the workload stress lab: ``list``/``describe`` the
@@ -35,7 +35,6 @@ from repro.core import (
     SalsaCountMin,
     SalsaCountSketch,
     WindowedSketch,
-    shard,
 )
 from repro.metrics import OnArrivalCollector
 from repro.sketches import (
@@ -191,20 +190,20 @@ def _dist_factory(args, memory: int, shards: int):
 
 
 def _run_sharded(args, trace, memory: int, shards: int) -> int:
-    """``run --shards N``: shard, batched ingest, merge, final errors.
+    """``run --shards N``: sharded batched ingest, merge, final errors.
 
+    The trace goes through ``feed_stream`` in chunks of ``batch_size``
+    per worker (``--batch-size 1``: the whole trace as one chunk).
     On-arrival collection does not distribute (a worker cannot see the
     global pre-arrival state), so the sharded run reports final-state
     per-flow errors of the *combined* sketch instead.
     """
     from repro.metrics import aae, nrmse
 
-    pieces = shard(trace, shards, policy=args.shard_policy, seed=args.seed)
     dist = _dist_factory(args, memory, shards)
-    if args.batch_size > 1:
-        dist.feed_batched(pieces, batch_size=args.batch_size)
-    else:
-        dist.feed(pieces)
+    chunk = args.batch_size * shards if args.batch_size > 1 else len(trace)
+    dist.feed_stream(trace.chunks(max(chunk, 1)), policy=args.shard_policy,
+                     seed=args.seed)
     combined = dist.combined()
     truth = trace.frequencies()
     flows = list(truth)
@@ -227,30 +226,24 @@ def cmd_speed(args) -> int:
     trace = _load(args.trace)
     memory = _parse_memory(args.memory)
     shards = _check_shards(args)
-    if args.jobs > 1 and shards == 1:
-        raise SystemExit(
-            "error: --jobs only parallelizes the sharded feed; "
-            "combine it with --shards"
-        )
     if shards > 1:
         if args.batch_size < 2:
             raise SystemExit(
-                "error: speed --shards compares feed_per_item vs "
-                "feed_batched; --batch-size must be >= 2"
+                "error: speed --shards compares per-item update vs "
+                "feed_stream; --batch-size must be >= 2"
             )
-        pieces = shard(trace, shards, policy=args.shard_policy,
-                       seed=args.seed)
         per_item = feed_throughput_mops(
-            _dist_factory(args, memory, shards), pieces)
+            _dist_factory(args, memory, shards), trace, None,
+            args.shard_policy, args.seed)
         batched = feed_throughput_mops(
-            _dist_factory(args, memory, shards), pieces,
-            batch_size=args.batch_size, jobs=args.jobs)
+            _dist_factory(args, memory, shards), trace, args.batch_size,
+            args.shard_policy, args.seed)
         print(f"sketch:    {args.sketch} ({memory:,}B)")
         print(f"stream:    {trace.name} ({len(trace):,} updates, "
               f"{shards} shards/{args.shard_policy})")
-        print(f"per-item:  {per_item * 1e6:,.0f} items/s  (feed_per_item)")
+        print(f"per-item:  {per_item * 1e6:,.0f} items/s  (update)")
         print(f"batched:   {batched * 1e6:,.0f} items/s "
-              f"(feed_batched, batch={args.batch_size}, jobs={args.jobs})")
+              f"(feed_stream, batch={args.batch_size} per worker)")
         print(f"speedup:   {batched / per_item:.2f}x")
         return 0
     per_item = throughput_mops(SKETCHES[args.sketch](memory, args.seed),
@@ -565,12 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     speed.add_argument("--seed", type=int, default=0)
     speed.add_argument("--batch-size", type=int, default=4096)
     speed.add_argument("--shards", type=int, default=1,
-                       help="measure sharded ingest: per-item feed vs "
-                            "feed_batched (SALSA only)")
+                       help="measure sharded ingest: per-item update vs "
+                            "feed_stream (SALSA only)")
     speed.add_argument("--shard-policy", choices=("hash", "round_robin"),
                        default="hash")
-    speed.add_argument("--jobs", type=int, default=1,
-                       help="fork workers for feed_batched (with --shards)")
     speed.set_defaults(func=cmd_speed)
 
     win = sub.add_parser(

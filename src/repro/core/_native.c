@@ -4,11 +4,11 @@
  * Each function runs, in C, a Python reference walk of core/row.py on
  * a VectorRowEngine's arrays: values[j] is the decoded value of the
  * counter containing slot j (uint64 for unsigned rows, int64 for
- * sign-magnitude rows, duplicated across a merged block), levels[j]
- * its merge level and starts[j] its block start.  All arithmetic is in
- * __int128, so uint64 saturation, sign-magnitude clamps and clamping at
- * zero are exact.  Merge and saturation events are counted per row in
- * counts[2 * r] and counts[2 * r + 1].
+ * sign-magnitude rows, duplicated across a merged block) and levels[j]
+ * its merge level, so its block starts at start_of(levels, j).  All
+ * arithmetic is in __int128, so uint64 saturation, sign-magnitude
+ * clamps and clamping at zero are exact.  Merges and saturations are
+ * counted per row in counts[2 * r] and counts[2 * r + 1].
  *
  *   salsa_cu_walk      == SalsaConservativeUpdate.update per item
  *   salsa_absorb       == ops._absorb_walk over b's counters in slot order
@@ -23,7 +23,6 @@ typedef __int128 i128;
 typedef struct {
     void *values;
     int64_t *levels;
-    int64_t *starts;
     int64_t s;
     int64_t max_level;
     int sgn;
@@ -35,6 +34,11 @@ static inline i128 get(const void *values, int64_t j, int sgn)
 {
     return sgn ? (i128)((const int64_t *)values)[j]
                : (i128)((const uint64_t *)values)[j];
+}
+
+static inline int64_t start_of(const int64_t *levels, int64_t j)
+{
+    return j & -((int64_t)1 << levels[j]);
 }
 
 /* SalsaRow._fits: does x fit a width-bit field? */
@@ -87,10 +91,8 @@ static void grow(row_t *r, int64_t *start, int64_t *level, i128 *value)
             acc += c;
     }
     int64_t end = ns + ((int64_t)1 << nl);
-    for (int64_t j = ns; j < end; j++) {
+    for (int64_t j = ns; j < end; j++)
         r->levels[j] = nl;
-        r->starts[j] = ns;
-    }
     r->counts[0]++;
     *start = ns;
     *level = nl;
@@ -115,7 +117,7 @@ static void settle(row_t *r, int64_t start, int64_t level, i128 value)
 /* SalsaRow.add */
 static void add(row_t *r, int64_t j, i128 v)
 {
-    int64_t start = r->starts[j];
+    int64_t start = start_of(r->levels, j);
     i128 value = get(r->values, start, r->sgn) + v;
     if (!r->sgn && value < 0)
         value = 0;
@@ -126,13 +128,13 @@ static void add(row_t *r, int64_t j, i128 v)
 static void set_at_least(row_t *r, int64_t j, i128 target)
 {
     if (get(r->values, j, r->sgn) < target)
-        settle(r, r->starts[j], r->levels[j], target);
+        settle(r, start_of(r->levels, j), r->levels[j], target);
 }
 
 /* SalsaRow.ensure_level */
 static void ensure_level(row_t *r, int64_t j, int64_t target_level)
 {
-    int64_t start = r->starts[j], level = r->levels[j];
+    int64_t start = start_of(r->levels, j), level = r->levels[j];
     while (level < target_level) {
         i128 value = get(r->values, start, r->sgn);
         grow(r, &start, &level, &value);
@@ -146,15 +148,14 @@ static void ensure_level(row_t *r, int64_t j, int64_t target_level)
  * min_r(counter) + vals[t].
  */
 int salsa_cu_walk(int64_t d, int64_t n, int64_t s, int64_t max_level,
-                  void **values, int64_t **levels, int64_t **starts,
-                  const int64_t **idx, const int64_t *vals, int64_t *counts)
+                  void **values, int64_t **levels, const int64_t **idx,
+                  const int64_t *vals, int64_t *counts)
 {
     if (d < 1)
         return -1;
     row_t rows[d];
     for (int64_t r = 0; r < d; r++) {
-        row_t row = {values[r], levels[r], starts[r], s, max_level, 0, 1,
-                     counts + 2 * r};
+        row_t row = {values[r], levels[r], s, max_level, 0, 1, counts + 2 * r};
         rows[r] = row;
     }
     for (int64_t t = 0; t < n; t++) {
@@ -178,11 +179,11 @@ int salsa_cu_walk(int64_t d, int64_t n, int64_t s, int64_t max_level,
  */
 int salsa_absorb(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
                  int64_t max_merge, void *a_values, int64_t *a_levels,
-                 int64_t *a_starts, const void *b_values,
-                 const int64_t *b_levels, int64_t sign, int64_t *counts)
+                 const void *b_values, const int64_t *b_levels,
+                 int64_t sign, int64_t *counts)
 {
-    row_t a = {a_values, a_levels, a_starts, s, max_level, (int)sgn,
-               (int)max_merge, counts};
+    row_t a = {a_values, a_levels, s, max_level, (int)sgn, (int)max_merge,
+               counts};
     for (int64_t j = 0; j < w; j += (int64_t)1 << b_levels[j]) {
         int64_t level = b_levels[j];
         if (level < 0 || level > max_level
@@ -210,8 +211,7 @@ int salsa_absorb(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
  */
 int64_t salsa_add_partial(int64_t w, int64_t s, int64_t max_level,
                           int64_t sgn, void *values, const int64_t *levels,
-                          const int64_t *starts, int64_t n,
-                          const int64_t *idx, const int64_t *val,
+                          int64_t n, const int64_t *idx, const int64_t *val,
                           int64_t apply, uint8_t *dirty)
 {
     /* One entry per touched counter, in first-touch order; pos[start]
@@ -227,7 +227,7 @@ int64_t salsa_add_partial(int64_t w, int64_t s, int64_t max_level,
     for (int64_t t = 0; t < n; t++) {
         if (idx[t] < 0 || idx[t] >= w)
             goto out;
-        int64_t st = starts[idx[t]];
+        int64_t st = start_of(levels, idx[t]);
         if (!pos[st]) {
             struct flow fresh = {0, 0, st};
             acc[m] = fresh;
@@ -251,8 +251,8 @@ int64_t salsa_add_partial(int64_t w, int64_t s, int64_t max_level,
         }
     }
     if (apply) {
-        row_t r = {values, (int64_t *)levels, (int64_t *)starts, s,
-                   max_level, (int)sgn, 0, NULL};
+        row_t r = {values, (int64_t *)levels, s, max_level, (int)sgn, 0,
+                   NULL};
         for (int64_t k = 0; k < m; k++) {
             struct flow *f = &acc[k];
             if (f->net && !dirty[f->start >> max_level])

@@ -101,11 +101,11 @@ def _build() -> str:
 def _load():
     lib = ctypes.CDLL(_build())
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.salsa_cu_walk.argtypes = [i64, i64, i64, i64] + [ptr] * 6
+    lib.salsa_cu_walk.argtypes = [i64, i64, i64, i64] + [ptr] * 5
     lib.salsa_cu_walk.restype = ctypes.c_int
-    lib.salsa_absorb.argtypes = [i64] * 5 + [ptr] * 5 + [i64, ptr]
+    lib.salsa_absorb.argtypes = [i64] * 5 + [ptr] * 4 + [i64, ptr]
     lib.salsa_absorb.restype = ctypes.c_int
-    lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 3 + [i64] + \
+    lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 2 + [i64] + \
         [ptr] * 2 + [i64, ptr]
     lib.salsa_add_partial.restype = i64
     return lib
@@ -151,12 +151,11 @@ def _ptr(arr, dtype, n: int, writable: bool = False) -> int:
     return arr.ctypes.data
 
 
-def _row_ptrs(engine) -> tuple[int, int, int]:
+def _row_ptrs(engine) -> tuple[int, int]:
     w = engine.w
     dtype = np.int64 if engine.signed else np.uint64
     return (_ptr(engine.values, dtype, w, True),
-            _ptr(engine.levels, np.int64, w, True),
-            _ptr(engine.starts, np.int64, w, True))
+            _ptr(engine.levels, np.int64, w, True))
 
 
 def cu_walk(rows, idx: np.ndarray, values: np.ndarray) -> None:
@@ -182,7 +181,6 @@ def cu_walk(rows, idx: np.ndarray, values: np.ndarray) -> None:
     lib.salsa_cu_walk(
         d, n, head.s, head.max_level,
         arrays(*(p[0] for p in ptrs)), arrays(*(p[1] for p in ptrs)),
-        arrays(*(p[2] for p in ptrs)),
         arrays(*(_ptr(idx[r], np.int64, n) for r in range(d))),
         _ptr(values, np.int64, n), _ptr(counts, np.int64, 2 * d, True))
     for row, (merges, sats) in zip(rows, counts.reshape(d, 2).tolist()):
@@ -205,11 +203,11 @@ def absorb(a_row, b_row, sign: int) -> None:
         # Self-merge: the walk writes a while it reads b, so read a
         # snapshot of b, as the reference walk does.
         b_values, b_levels = b_values.copy(), b_levels.copy()
-    a_values, a_levels, a_starts = _row_ptrs(a)
+    a_values, a_levels = _row_ptrs(a)
     counts = np.zeros(2, dtype=np.int64)
     status = lib.salsa_absorb(
         a.w, a.s, a.max_level, int(a.signed), int(a_row.merge == MAX),
-        a_values, a_levels, a_starts, _ptr(b_values, a.values.dtype, a.w),
+        a_values, a_levels, _ptr(b_values, a.values.dtype, a.w),
         _ptr(b_levels, np.int64, a.w), sign,
         _ptr(counts, np.int64, 2, True))
     if status:

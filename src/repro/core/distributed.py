@@ -10,32 +10,34 @@ packages that pattern:
   round-robin partitioning), with the hash policy vectorized through
   :func:`repro.hashing.mix64_many` (bit-identical to the per-item
   ``mix64`` walk it replaced);
-* :class:`DistributedSketch` -- builds one local sketch per worker
-  over a shared :class:`~repro.hashing.HashFamily`, feeds shards
-  (:meth:`~DistributedSketch.feed` routes through each local sketch's
-  ``update_many`` batch pipeline; :meth:`~DistributedSketch.feed_batched`
-  adds chunking and an optional fork-pool mode;
-  :meth:`~DistributedSketch.feed_stream` routes a *live* chunk stream
-  -- e.g. a scenario generator -- through the same policies), and
-  merges into a single global sketch via :func:`repro.core.ops.merge`
-  (with :func:`repro.core.serialize.dumps` providing the wire format).
+* :class:`DistributedSketch` -- one local SALSA sketch per worker over
+  a shared :class:`~repro.hashing.HashFamily`.
+  :meth:`~DistributedSketch.feed_stream` is its one batch door: it
+  splits each chunk of a stream (a trace's chunks or a live scenario
+  generator) by the same policies and hands each worker its slice;
+  :meth:`~DistributedSketch.update` is the per-item reference.
+  :meth:`~DistributedSketch.combined` merges the locals into one global
+  sketch via :func:`repro.core.ops.merge`, with
+  :func:`repro.core.serialize.dumps` providing the wire format.
 
 The correctness fact the tests pin down: *merging the shard sketches
-equals sketching the whole stream* (exactly, counter-for-counter,
-under sum-merge -- see the order-invariance tests for why), whichever
-feed door, row engine, or shard policy was used.
+equals sketching the whole stream* (exactly, counter-for-counter, for
+sum-merge SALSA CMS -- see the order-invariance tests for why),
+whatever the chunk split, row engine or shard policy.  A Count-Sketch
+counter's layout depends on the order of its signed deltas, so there
+only each superblock's total is order-free.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable
 
 import numpy as np
 
 from repro.core import ops
-from repro.core.serialize import dumps, loads, serializable
+from repro.core.serialize import dumps, loads
 from repro.hashing import HashFamily, mix64, mix64_many
+from repro.sketches.base import as_batch
 from repro.streams.model import Trace
 
 HASH = "hash"
@@ -80,48 +82,16 @@ def shard(trace: Trace, workers: int, policy: str = HASH,
     ]
 
 
-def _ingest(sketch, piece: Trace, batch_size: int | None) -> None:
-    """Feed one shard through a sketch's best available door.
-
-    ``batch_size=None`` hands the whole shard to ``update_many`` in one
-    call; a positive size chunks it (bounded scratch arrays).  Sketches
-    without a batch door take the per-item loop.
-    """
-    if hasattr(sketch, "update_many"):
-        if batch_size is None:
-            sketch.update_many(piece.items)
-        else:
-            update_many = sketch.update_many
-            for chunk in piece.chunks(batch_size):
-                update_many(chunk)
-    else:
-        update = sketch.update
-        for x in piece:
-            update(x)
-
-
-#: Closure state inherited by fork()ed feed workers; never pickled
-#: (mirrors ``experiments.runner._SWEEP_STATE``).
-_FEED_STATE: tuple | None = None
-
-
-def _feed_cell(worker: int) -> bytes:
-    """Feed one worker's shard in a forked process; return the local
-    sketch over the wire format."""
-    locals_, shards, batch_size = _FEED_STATE
-    sketch = locals_[worker]
-    _ingest(sketch, shards[worker], batch_size)
-    return dumps(sketch)
-
-
 class DistributedSketch:
     """One sketch per worker plus a merge step.
 
     Parameters
     ----------
     factory:
-        Callable ``(hash_family) -> sketch`` building one local sketch.
-        All workers share the family (required for merging).
+        Callable ``(hash_family) -> sketch`` building one local sketch
+        with an ``update_many`` door (a SALSA sketch, for
+        :meth:`combined`).  All workers share the family (required for
+        merging).
     workers:
         Number of local sketches.
     d:
@@ -147,7 +117,6 @@ class DistributedSketch:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.family = HashFamily(d, seed)
-        self.factory = factory
         self.locals = [factory(self.family) for _ in range(workers)]
 
     @property
@@ -155,116 +124,49 @@ class DistributedSketch:
         return len(self.locals)
 
     def update(self, worker: int, item: int, value: int = 1) -> None:
-        """Route one update to a worker's local sketch."""
+        """Route one update to a worker's local sketch: the per-item
+        reference :meth:`feed_stream` is checked against."""
+        if not (isinstance(worker, (int, np.integer))
+                and not isinstance(worker, bool)
+                and 0 <= worker < len(self.locals)):
+            raise ValueError(
+                f"worker must be an integer in [0, {len(self.locals)}), "
+                f"got {worker!r}"
+            )
         self.locals[worker].update(item, value)
 
-    def update_many(self, worker: int, items, values=None) -> None:
-        """Route a batch of updates to one worker's local sketch.
-
-        Goes through the sketch's own ``update_many`` (bit-identical to
-        per-item by the batch contract); sketches without a batch door
-        take the per-item loop.
-        """
-        sketch = self.locals[worker]
-        if hasattr(sketch, "update_many"):
-            sketch.update_many(items, values)
-            return
-        from repro.sketches.base import as_batch
-
-        items, values = as_batch(items, values)
-        for x, v in zip(items.tolist(), values.tolist()):
-            sketch.update(x, v)
-
-    def _check_shards(self, shards: list[Trace]) -> None:
-        if len(shards) != len(self.locals):
-            raise ValueError(
-                f"{len(shards)} shards for {len(self.locals)} workers")
-
-    def feed(self, shards: list[Trace]) -> None:
-        """Feed one shard per worker (lengths must match).
-
-        Each shard goes through its sketch's ``update_many`` batch
-        pipeline when the sketch has one -- same final state as the
-        per-item loop (the batch contract), a large multiple faster.
-        """
-        self._check_shards(shards)
-        for sketch, piece in zip(self.locals, shards):
-            _ingest(sketch, piece, batch_size=None)
-
-    def feed_per_item(self, shards: list[Trace]) -> None:
-        """The reference per-item feed loop.
-
-        Kept as the explicit baseline the benchmarks (and equivalence
-        tests) measure the batch doors against.
-        """
-        self._check_shards(shards)
-        for sketch, piece in zip(self.locals, shards):
-            update = sketch.update
-            for x in piece:
-                update(x)
-
     def feed_stream(self, chunks, policy: str = HASH, seed: int = 0) -> None:
-        """Route a live stream of update batches to the workers.
+        """Route a stream of update batches to the workers.
 
-        The scale-out door for workloads that are *generated* rather
-        than pre-sharded (``repro.streams.scenarios``): each incoming
-        chunk is split by the same policies :func:`shard` applies to a
-        whole trace -- ``hash`` keys every item through one
-        ``mix64_many`` call, ``round_robin`` continues a global arrival
-        counter across chunks -- and each worker's slice goes through
-        its local sketch's ``update_many``.  Because both policies are
-        pure functions of (item, arrival index), feeding chunk by chunk
-        delivers every worker exactly the subsequence (in order) that
-        ``shard(whole_trace)`` + :meth:`feed` would, so the merged
-        result is identical whichever door ran (pinned by
-        ``tests/test_scenarios.py``).
+        Each chunk is a batch as :func:`~repro.sketches.base.as_batch`
+        takes it: 1-D integer keys with unit weights, or a
+        :class:`~repro.streams.WeightedTrace` whose values travel with
+        its keys.  Anything else raises ``ValueError`` before a worker
+        sees the chunk.  The chunk is split by the policies
+        :func:`shard` applies to a whole trace -- ``hash`` keys every
+        item through one ``mix64_many`` call, ``round_robin`` continues
+        a global arrival counter across chunks -- and each worker's
+        slice goes through its local sketch's ``update_many``.  Both
+        policies are pure functions of (item, arrival index), so every
+        worker gets exactly the subsequence, in order, that
+        ``shard(whole_trace)`` gives it, whatever the chunk split.
+        Chunks of about ``batch_size * workers`` items hand each
+        worker's ``update_many`` about ``batch_size``.
         """
         workers = len(self.locals)
         offset = 0
         for chunk in chunks:
-            items = np.ascontiguousarray(chunk, dtype=np.int64)
+            items, values = as_batch(chunk)
+            if not isinstance(getattr(chunk, "values", None), np.ndarray):
+                values = None   # unit weights: each local makes its own
             keys = _worker_keys(items, workers, policy, seed, offset)
             offset += len(items)
-            for worker in range(workers):
-                part = items[keys == worker]
+            for worker, sketch in enumerate(self.locals):
+                mine = keys == worker
+                part = items[mine]
                 if len(part):
-                    self.update_many(worker, part)
-
-    def feed_batched(self, shards: list[Trace], batch_size: int = 4096,
-                     jobs: int = 1) -> None:
-        """Chunked batched ingest, optionally fanned over processes.
-
-        Serial mode feeds each worker's shard in ``batch_size`` chunks
-        through ``update_many``.  With ``jobs > 1`` (and the ``fork``
-        start method available, several workers, and serializable local
-        sketches) each worker ingests its shard in a forked process and
-        returns the sketch over the :mod:`repro.core.serialize` wire
-        format -- exactly how a real deployment's collection points
-        would ship state, and the same fork-pool pattern as
-        ``repro experiments --jobs``; shipped locals come back on vector
-        rows.  Either mode lands every local sketch in the same state as
-        :meth:`feed_per_item`.
-        """
-        self._check_shards(shards)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if (jobs > 1 and len(self.locals) > 1
-                and "fork" in multiprocessing.get_all_start_methods()
-                and all(serializable(s) for s in self.locals)):
-            global _FEED_STATE
-            _FEED_STATE = (self.locals, shards, batch_size)
-            try:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(min(jobs, len(self.locals))) as pool:
-                    blobs = pool.map(_feed_cell, range(len(self.locals)))
-            finally:
-                _FEED_STATE = None
-            self.locals = [loads(blob) for blob in blobs]
-            return
-        for sketch, piece in zip(self.locals, shards):
-            _ingest(sketch, piece, batch_size)
+                    sketch.update_many(
+                        part, None if values is None else values[mine])
 
     def combined(self):
         """Merge all local sketches into a fresh global sketch.

@@ -259,8 +259,8 @@ class VectorRowEngine(RowEngine):
 
     Representation invariants:
 
-    * ``levels[j]`` is the merge level of the counter containing ``j``;
-    * ``starts[j]`` is that counter's block start;
+    * ``levels[j]`` is the merge level of the counter containing ``j``,
+      whose block therefore starts at ``j & -(1 << levels[j])``;
     * ``values[j]`` is that counter's decoded value -- duplicated
       across every slot of a merged block, so point reads and gathers
       never consult the layout.
@@ -283,12 +283,12 @@ class VectorRowEngine(RowEngine):
             )
         super().__init__(w, s, max_level, signed, encoding)
         self.levels = np.zeros(w, dtype=np.int64)
-        self.starts = np.arange(w, dtype=np.int64)
         self.values = np.zeros(w, dtype=np.int64 if signed else np.uint64)
 
     # -- layout queries -------------------------------------------------
     def locate(self, j: int) -> tuple[int, int]:
-        return int(self.levels[j]), int(self.starts[j])
+        level = int(self.levels[j])
+        return level, j & -(1 << level)
 
     def level_of(self, j: int) -> int:
         return int(self.levels[j])
@@ -313,17 +313,13 @@ class VectorRowEngine(RowEngine):
         new_start = (start >> new_level) << new_level
         end = new_start + (1 << new_level)
         self.levels[new_start:end] = new_level
-        self.starts[new_start:end] = new_start
         return new_level, new_start
 
     def split(self, start: int, level: int) -> int:
         if level < 1:
             raise ValueError("cannot split an unmerged counter")
         new_level = level - 1
-        half = 1 << new_level
-        self.levels[start:start + 2 * half] = new_level
-        self.starts[start:start + half] = start
-        self.starts[start + half:start + 2 * half] = start + half
+        self.levels[start:start + (1 << level)] = new_level
         return new_level
 
     # -- values ---------------------------------------------------------
@@ -362,7 +358,6 @@ class VectorRowEngine(RowEngine):
         out = VectorRowEngine(self.w, self.s, self.max_level,
                               self.signed, self.encoding)
         out.levels[:] = self.levels
-        out.starts[:] = self.starts
         out.values[:] = self.values
         return out
 

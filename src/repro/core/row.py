@@ -211,6 +211,12 @@ class SalsaRow:
             # Strict Turnstile counters never go negative; clamp so a
             # (mis-ordered) deletion cannot trigger runaway merging.
             value = 0
+        return self._settle(start, level, value)
+
+    def _settle(self, start: int, level: int, value: int) -> int:
+        """Merge (start, level) until ``value`` fits, saturating at
+        ``max_level``, then store it: the shared tail of :meth:`add`
+        and :meth:`set_at_least`.  Returns the stored value."""
         while not self._fits(value, self.s << level):
             if level >= self.max_level:
                 value = self._clamp(value, self.s << level)
@@ -261,15 +267,7 @@ class SalsaRow:
         value = self.engine.read_block(start, level)
         if value >= target:
             return value
-        value = target
-        while not self._fits(value, self.s << level):
-            if level >= self.max_level:
-                value = self._clamp(value, self.s << level)
-                self.saturations += 1
-                break
-            start, level, value = self._grow(start, level, value)
-        self.engine.write_block(start, level, value)
-        return value
+        return self._settle(start, level, target)
 
     # ------------------------------------------------------------------
     # bulk operations (sketch algebra, AEE, Linear Counting)

@@ -12,7 +12,7 @@ payload is exactly the two buffers a
 (one merge bit per slot, or one Appendix-A group number per ``2^m``
 slots) followed by the ``w * s``-bit counter store, with Count-Sketch
 fields in sign-magnitude.  Bit-packed rows write those buffers as they
-are; vector rows encode their ``levels``/``starts``/``values`` arrays
+are; vector rows encode their ``levels``/``values`` arrays
 to the same bytes with array operations, so a blob never records which
 engine wrote it.  :func:`loads` decodes a payload straight into vector
 arrays and accepts only bytes :func:`dumps` could have written: every
@@ -141,7 +141,8 @@ def _encode_store(engine: VectorRowEngine, off: np.ndarray) -> np.ndarray:
 def _vector_payload(engine: VectorRowEngine) -> bytes:
     """Encode a vector row's arrays to the reference engine's bytes."""
     levels = engine.levels
-    off = np.arange(engine.w, dtype=np.int64) - engine.starts
+    # Offset of each slot inside its counter's aligned block.
+    off = np.arange(engine.w, dtype=np.int64) & ((1 << levels) - 1)
     if engine.encoding == SIMPLE:
         # A level-L block sets the merge bits of all but its last slot.
         layout = np.packbits(off < (1 << levels) - 1, bitorder="little")
@@ -229,9 +230,7 @@ def _restore_row(engine: VectorRowEngine, payload: bytes) -> None:
                                     engine.max_level)
     else:
         levels = _decode_groups(raw_bytes[:n_layout], w, engine.max_level)
-    slots = np.arange(w, dtype=np.int64)
-    starts = slots & -(1 << levels)
-    off = slots - starts
+    off = np.arange(w, dtype=np.int64) & ((1 << levels) - 1)
     chunks = _decode_store(raw_bytes[n_layout:], w, s)
     heads = np.flatnonzero(off == 0)
     head_levels = levels[heads]
@@ -244,20 +243,10 @@ def _restore_row(engine: VectorRowEngine, payload: bytes) -> None:
                      ).astype(np.int64)
         raw = np.where((raw >> top).astype(bool), -magnitude, magnitude)
     engine.levels[:] = levels
-    engine.starts[:] = starts
     engine.values[:] = np.repeat(raw, 1 << head_levels)
     if _vector_payload(engine) != payload:
         raise ValueError(
             "non-canonical SALSA row payload (no dumps writes these bytes)")
-
-
-def serializable(sketch) -> bool:
-    """True when :func:`dumps` supports ``sketch``'s exact type.
-
-    The distributed fork-pool ships worker sketches back over this
-    codec, so it gates that mode on this predicate.
-    """
-    return type(sketch) in _TYPES
 
 
 def dumps(sketch) -> bytes:

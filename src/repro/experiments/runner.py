@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.core.distributed import shard
 from repro.metrics import OnArrivalCollector, Summary, mean_ci
 
 
@@ -119,25 +120,30 @@ def throughput_mops(sketch, trace, batch_size: int | None = None) -> float:
     return len(items) / elapsed / 1e6
 
 
-def feed_throughput_mops(dist, shards, batch_size: int | None = None,
-                         jobs: int = 1) -> float:
+def feed_throughput_mops(dist, trace, batch_size: int | None = None,
+                         policy: str = "hash", seed: int = 0) -> float:
     """Sharded ingest throughput in million updates per second.
 
-    Times one full feed of ``shards`` into a fresh
-    :class:`~repro.core.distributed.DistributedSketch`:
-    the reference per-item loop (``batch_size`` None/<=1) or the
-    batched door (``feed_batched``), optionally fanned over ``jobs``
-    fork workers.  Merging is excluded -- this measures the ingest
-    path, as the paper's speed plots measure updates only.
+    Times one full feed of ``trace``, sharding included, into a fresh
+    :class:`~repro.core.distributed.DistributedSketch`: the per-item
+    reference (``batch_size`` None/<=1: ``update(worker, x)`` over
+    :func:`~repro.core.distributed.shard`) or ``feed_stream`` over
+    chunks of ``batch_size`` items per worker.  Merging is excluded --
+    this measures the ingest path, as the paper's speed plots measure
+    updates only.
     """
-    total = sum(len(piece) for piece in shards)
     start = time.perf_counter()
     if batch_size is not None and batch_size > 1:
-        dist.feed_batched(shards, batch_size=batch_size, jobs=jobs)
+        dist.feed_stream(trace.chunks(batch_size * dist.workers),
+                         policy=policy, seed=seed)
     else:
-        dist.feed_per_item(shards)
+        update = dist.update
+        for worker, piece in enumerate(shard(trace, dist.workers, policy,
+                                             seed)):
+            for x in piece:
+                update(worker, x)
     elapsed = time.perf_counter() - start
-    return total / elapsed / 1e6
+    return len(trace) / elapsed / 1e6
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ class TestSharded:
                      "--memory", "16K", "--shards", "2",
                      "--batch-size", "512"]) == 0
         out = capsys.readouterr().out
-        assert "feed_batched" in out
+        assert "feed_stream" in out
         assert "speedup" in out
 
 

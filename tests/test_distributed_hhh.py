@@ -12,10 +12,11 @@ from repro.core import (
     VectorRowEngine,
     shard,
 )
+from repro.core.distributed import _worker_keys
 from repro.core.serialize import dumps, loads
 from repro.hashing import mix64
 from repro.tasks import HierarchicalHeavyHitters, dotted
-from repro.streams import zipf_trace
+from repro.streams import Trace, WeightedTrace, zipf_trace
 
 
 class TestShard:
@@ -88,12 +89,6 @@ class TestDistributedSketch:
         with pytest.raises(ValueError):
             DistributedSketch(self._factory(), workers=0)
 
-    def test_feed_length_mismatch(self):
-        dist = DistributedSketch(self._factory(), workers=2, seed=5)
-        trace = zipf_trace(100, 1.0, universe=50, seed=5)
-        with pytest.raises(ValueError):
-            dist.feed(shard(trace, 3))
-
     def _engine_factory(self, engine):
         return lambda fam: SalsaCountMin(w=512, d=4, s=8, merge="sum",
                                          hash_family=fam, engine=engine)
@@ -109,20 +104,22 @@ class TestDistributedSketch:
     @pytest.mark.parametrize("engine", ["bitpacked", "vector"])
     def test_merge_equals_single_sketch(self, policy, engine):
         """Counter-for-counter: distributed == centralized (sum-merge),
-        whichever feed door, shard policy, and row engine ran."""
+        whichever door (per-item ``update`` or ``feed_stream`` at any
+        chunk size), shard policy, and row engine ran."""
         trace = zipf_trace(20_000, 1.1, universe=2_000, seed=6)
-        shards = shard(trace, 4, policy=policy, seed=6)
-
         single = None
-        for door in ("feed", "feed_per_item", "feed_batched"):
+        for chunk in (None, 512 * 4, len(trace)):
             dist = DistributedSketch(self._engine_factory(engine),
                                      workers=4, d=4, seed=6)
-            if door == "feed_batched":
-                # A batch size below the shard length exercises chunk
-                # boundaries inside each worker.
-                dist.feed_batched(shards, batch_size=512)
+            if chunk is None:
+                for worker, piece in enumerate(
+                        shard(trace, 4, policy=policy, seed=6)):
+                    for x in piece:
+                        dist.update(worker, x)
             else:
-                getattr(dist, door)(shards)
+                # A chunk below the trace length exercises chunk
+                # boundaries inside each worker.
+                dist.feed_stream(trace.chunks(chunk), policy=policy, seed=6)
             combined = dist.combined()
             if single is None:
                 single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
@@ -131,33 +128,12 @@ class TestDistributedSketch:
                 single.update_many(trace)
             self._assert_counters_equal(combined, single)
 
-    def test_feed_batched_fork_pool_equals_serial(self):
-        """jobs > 1 ships worker sketches back over the wire format;
-        the final state is identical to the serial batched feed."""
-        trace = zipf_trace(8_000, 1.1, universe=1_000, seed=11)
-        shards = shard(trace, 3, seed=11)
-        serial = DistributedSketch(self._factory(), workers=3, d=4,
-                                   seed=11)
-        serial.feed_batched(shards, batch_size=1024)
-        forked = DistributedSketch(self._factory(), workers=3, d=4,
-                                   seed=11)
-        forked.feed_batched(shards, batch_size=1024, jobs=2)
-        self._assert_counters_equal(forked.combined(), serial.combined())
-
-    def test_update_many_routes_to_one_worker(self):
-        dist = DistributedSketch(self._factory(), workers=3, d=4, seed=12)
-        dist.update_many(1, [5, 5, 9], [2, 3, 1])
-        assert dist.locals[1].query(5) >= 5
-        assert dist.locals[1].query(9) >= 1
-        assert dist.locals[0].query(5) == 0
-        assert dist.locals[2].query(5) == 0
-
     def test_single_worker_combined_skips_the_wire(self):
         """Regression: one worker is the coordinator -- ``combined``
         returns its sketch directly, no dumps/loads round-trip."""
         dist = DistributedSketch(self._factory(), workers=1, d=4, seed=13)
         trace = zipf_trace(2_000, 1.0, universe=300, seed=13)
-        dist.feed(shard(trace, 1))
+        dist.feed_stream([trace.items])
         combined = dist.combined()
         assert combined is dist.locals[0]
         single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
@@ -208,12 +184,32 @@ class TestDistributedSketch:
         dist = DistributedSketch(
             lambda fam: SalsaCountSketch(w=512, d=5, hash_family=fam),
             workers=3, d=5, seed=7)
-        dist.feed(shard(trace, 3, seed=7))
+        dist.feed_stream(trace.chunks(1024), seed=7)
         combined = dist.combined()
         truth = trace.frequencies()
         heavy = max(truth, key=truth.get)
         assert combined.query(heavy) == pytest.approx(
             truth[heavy], rel=0.25)
+
+    @pytest.mark.parametrize("chunk", [
+        [1.9, 1.9],            # floats are not keys (not key 1 twice)
+        [[1, 2], [3, 4]],      # 2-D is not flattened
+        [True],                # bools are not key 1
+        [2 ** 70],             # beyond int64: no OverflowError leak
+    ], ids=["float", "2d", "bool", "huge"])
+    def test_feed_stream_rejects_what_update_many_rejects(self, chunk):
+        dist = DistributedSketch(self._factory(), workers=3, d=4, seed=16)
+        with pytest.raises(ValueError):
+            dist.feed_stream([chunk])
+        assert all(dumps(local) == dumps(self._factory()(dist.family))
+                   for local in dist.locals)
+
+    @pytest.mark.parametrize("worker", [-1, 3, 1.0, True])
+    def test_update_rejects_a_worker_out_of_range(self, worker):
+        dist = DistributedSketch(self._factory(), workers=3, d=4, seed=17)
+        with pytest.raises(ValueError, match="worker"):
+            dist.update(worker, 7)
+        assert all(local.query(7) == 0 for local in dist.locals)
 
 
 class TestHierarchicalHeavyHitters:
@@ -301,3 +297,81 @@ def test_shard_partition_property(items, workers):
     trace = Trace(np.array(items, dtype=np.int64))
     shards = shard(trace, workers, policy="hash", seed=1)
     assert sum(len(s) for s in shards) == len(items)
+
+
+#: Small rows with 4-bit base counters, so weights force merges.
+PROPERTY_SKETCHES = {
+    "salsa-cms-sum": lambda fam: SalsaCountMin(w=32, d=2, s=4, merge="sum",
+                                               hash_family=fam),
+    "salsa-cs": lambda fam: SalsaCountSketch(w=32, d=2, s=4,
+                                             hash_family=fam),
+}
+
+
+def _superblock_totals(sketch) -> list[dict[int, int]]:
+    """Per row, the sum of live counter values in each superblock."""
+    totals = []
+    for row in sketch.rows:
+        sums: dict[int, int] = {}
+        for start, _, value in row.counters():
+            key = start >> row.max_level
+            sums[key] = sums.get(key, 0) + value
+        totals.append(sums)
+    return totals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_feed_stream_equals_sharded_references(data):
+    """``feed_stream`` under any chunk split lands each worker exactly
+    where ``update_many`` over its ``shard`` lands it, and
+    ``combined()`` equals the whole-stream sketch: counter for counter
+    under sum-merge CMS.  A Count-Sketch counter's layout depends on
+    the order of its signed deltas, so there the whole-stream check is
+    the total of every superblock, which no layout changes."""
+    kind = data.draw(st.sampled_from(sorted(PROPERTY_SKETCHES)), "kind")
+    factory = PROPERTY_SKETCHES[kind]
+    policy = data.draw(st.sampled_from(["hash", "round_robin"]), "policy")
+    workers = data.draw(st.integers(1, 5), "workers")
+    seed = data.draw(st.integers(0, 2 ** 16), "seed")
+    items = np.array(data.draw(st.lists(
+        st.one_of(st.integers(0, 7),
+                  st.integers(-2 ** 63, 2 ** 63 - 1)),
+        max_size=200), "items"), dtype=np.int64)
+    values = None
+    if data.draw(st.booleans(), "weighted"):
+        low = -2 ** 20 if kind == "salsa-cs" else 1
+        values = np.array(data.draw(st.lists(
+            st.integers(low, 2 ** 20), min_size=len(items),
+            max_size=len(items)), "values"), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)),
+                                     max_size=6), "cuts"))
+    bounds = list(zip([0] + cuts, cuts + [len(items)]))
+    if values is None:
+        chunks = [items[lo:hi] for lo, hi in bounds]
+    else:
+        chunks = [WeightedTrace(items[lo:hi], values[lo:hi])
+                  for lo, hi in bounds]
+
+    dist = DistributedSketch(factory, workers, d=2, seed=seed)
+    dist.feed_stream(chunks, policy=policy, seed=seed)
+
+    keys = _worker_keys(items, workers, policy, seed)
+    refs = []
+    for worker, piece in enumerate(shard(Trace(items), workers, policy,
+                                         seed)):
+        mine = keys == worker
+        assert np.array_equal(piece.items, items[mine])
+        ref = factory(dist.family)
+        ref.update_many(piece.items,
+                        None if values is None else values[mine])
+        assert dumps(dist.locals[worker]) == dumps(ref)
+        refs.append(ref)
+
+    combined = dist.combined()
+    single = factory(dist.family)
+    single.update_many(items, values)
+    if kind == "salsa-cms-sum":
+        assert dumps(combined) == dumps(single)
+    else:
+        assert _superblock_totals(combined) == _superblock_totals(single)

@@ -207,8 +207,7 @@ DELTAS = st.one_of(st.integers(0, 3), st.integers(-3, 300),
 
 def row_arrays(row):
     engine = row.engine
-    return (engine.values.tobytes(), engine.levels.tobytes(),
-            engine.starts.tobytes())
+    return engine.values.tobytes(), engine.levels.tobytes()
 
 
 def merge_free_dirty(row, idxs, vals) -> set:

@@ -236,23 +236,21 @@ class TestShardEquivalence:
     @pytest.mark.parametrize("policy", ["hash", "round_robin"])
     def test_feed_stream_matches_shard_plus_feed(self, policy, traces):
         """Chunk-by-chunk routing delivers each worker exactly the
-        subsequence whole-trace ``shard`` + ``feed`` would (the
-        round-robin arrival counter continues across chunks)."""
+        subsequence whole-trace ``shard`` gives it (the round-robin
+        arrival counter continues across chunks)."""
         trace = traces["churn"]
-
-        def dist():
-            return DistributedSketch(
-                lambda fam: SalsaCountMin(w=512, d=4, merge="sum",
-                                          hash_family=fam),
-                workers=3, d=4, seed=2)
-
-        streamed = dist()
+        streamed = DistributedSketch(
+            lambda fam: SalsaCountMin(w=512, d=4, merge="sum",
+                                      hash_family=fam),
+            workers=3, d=4, seed=2)
         streamed.feed_stream(trace.chunks(1_777), policy=policy, seed=2)
-        pre_sharded = dist()
-        pre_sharded.feed(shard(trace, 3, policy=policy, seed=2))
         flows = sorted(trace.frequencies())
-        for a, b in zip(streamed.locals, pre_sharded.locals):
-            assert a.query_many(flows) == b.query_many(flows)
+        for local, piece in zip(streamed.locals,
+                                shard(trace, 3, policy=policy, seed=2)):
+            ref = SalsaCountMin(w=512, d=4, merge="sum",
+                                hash_family=streamed.family)
+            ref.update_many(piece)
+            assert local.query_many(flows) == ref.query_many(flows)
 
     def test_feed_stream_unknown_policy(self):
         dist = DistributedSketch(
