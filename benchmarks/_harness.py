@@ -13,7 +13,6 @@ import json
 import os
 
 from repro.experiments import emit, run
-from repro.experiments.runner import throughput_mops
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
@@ -27,18 +26,6 @@ def regenerate(figure: str):
 def bench_figure(benchmark, figure: str) -> None:
     """Benchmark wrapper: one timed regeneration of ``figure``."""
     benchmark.pedantic(regenerate, args=(figure,), rounds=1, iterations=1)
-
-
-def ingest_rates(factory, trace, batch_size: int = 4096
-                 ) -> tuple[float, float]:
-    """items/sec through the per-item and batched paths of one sketch.
-
-    Two fresh sketches from ``factory`` (same seed) so neither run
-    warms the other's counters; the speedup is measured, not assumed.
-    """
-    per_item = throughput_mops(factory(), trace) * 1e6
-    batched = throughput_mops(factory(), trace, batch_size=batch_size) * 1e6
-    return per_item, batched
 
 
 def emit_table(name: str, lines: list[str]) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 
-from _harness import emit_bench_json, emit_table, ingest_rates
+from _harness import emit_bench_json, emit_table
 from repro import (
     SalsaAeeCountMin,
     SalsaConservativeUpdate,
@@ -28,6 +28,7 @@ from repro import (
     SalsaCountSketch,
 )
 from repro.core.row import SUM
+from repro.experiments.runner import ingest_seconds, per_item_seconds
 from repro.sketches import (
     AbcSketch,
     ConservativeUpdateSketch,
@@ -91,8 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     print("-" * len(header))
     rows = []
     for name, factory in FACTORIES.items():
-        per_item, batched = ingest_rates(factory, trace,
-                                         batch_size=args.batch_size)
+        # A fresh sketch per path, so neither run warms the other's
+        # counters.
+        per_item = len(trace) / per_item_seconds(factory(), trace)
+        batched = len(trace) / ingest_seconds(
+            factory(), trace.chunks(args.batch_size))
         line = (f"{name:<14} {per_item:>12,.0f} {batched:>12,.0f} "
                 f"{batched / per_item:>7.2f}x")
         print(line)
@@ -124,8 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     erows = []
     for name, factory in ENGINE_FACTORIES.items():
         for engine in ENGINES:
-            per_item, batched = ingest_rates(
-                lambda: factory(engine), trace, batch_size=args.batch_size)
+            per_item = len(trace) / per_item_seconds(factory(engine), trace)
+            batched = len(trace) / ingest_seconds(
+                factory(engine), trace.chunks(args.batch_size))
             line = (f"{name:<14} {engine:<10} {per_item:>12,.0f} "
                     f"{batched:>12,.0f} {batched / per_item:>7.2f}x")
             print(line)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import argparse
 
-from _harness import emit_bench_json, emit_table, ingest_rates, load_bench_json
+from _harness import emit_bench_json, emit_table, load_bench_json
+from repro.experiments.runner import ingest_seconds, per_item_seconds
 from repro.sketches import (
     ColdFilter,
     ConservativeUpdateSketch,
@@ -72,8 +73,11 @@ def run_bench(length: int, batch_size: int, dataset_name: str
     print(header)
     print("-" * len(header))
     for name, factory in FACTORIES.items():
-        per_item, batched = ingest_rates(factory, trace,
-                                         batch_size=batch_size)
+        # A fresh sketch per path, so neither run warms the other's
+        # counters.
+        per_item = len(trace) / per_item_seconds(factory(), trace)
+        batched = len(trace) / ingest_seconds(factory(),
+                                              trace.chunks(batch_size))
         line = (f"{name:<15} {per_item:>12,.0f} {batched:>12,.0f} "
                 f"{batched / per_item:>7.2f}x")
         print(line)

@@ -33,7 +33,7 @@ from repro.core import (
     SalsaCountSketch,
 )
 from repro.core.row import SUM
-from repro.experiments.runner import feed_throughput_mops
+from repro.experiments.runner import ingest_seconds, per_item_seconds
 from repro.streams import dataset
 
 #: name -> (engine -> local-sketch factory).  Sum-merge CMS is the
@@ -86,10 +86,10 @@ def run_bench(length: int, batch_size: int, workers: int,
                 return DistributedSketch(make(engine), workers=workers,
                                          d=DEPTHS[name], seed=1)
 
-            per_item = feed_throughput_mops(dist(), trace, seed=1) * 1e6
+            per_item = len(trace) / per_item_seconds(dist(), trace, seed=1)
             fed = dist()
-            batched = feed_throughput_mops(fed, trace, batch_size,
-                                           seed=1) * 1e6
+            batched = len(trace) / ingest_seconds(
+                fed, trace.chunks(batch_size * workers), seed=1)
             start = time.perf_counter()
             fed.combined()
             combine_s = time.perf_counter() - start

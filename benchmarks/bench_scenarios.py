@@ -6,9 +6,9 @@ universe, replay concentrates it -- so both ingest throughput *and*
 accuracy are scenario-dependent at fixed memory.  This bench runs
 every tuned :data:`~repro.experiments.scenarios.SCENARIO_SPECS` preset
 through a 64KB SALSA CMS on both row engines, timing the per-item loop
-against chunked ``update_many`` ingest and scoring the final state
-against the scenario's *streaming* exact truth (maintained chunk by
-chunk -- no whole-stream recount).
+against chunked ``update_many`` ingest (``runner.per_item_seconds`` /
+``runner.ingest_seconds``) and scoring the final state against the
+exact counts (``runner.score``).
 
 Results land as a text table in ``results/scenario_throughput.txt``
 and as the machine-readable perf-trajectory file
@@ -27,12 +27,13 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import time
+
+import numpy as np
 
 from _harness import emit_bench_json, emit_table, load_bench_json
 from repro.core import SalsaCountMin
+from repro.experiments.runner import ingest_seconds, per_item_seconds, score
 from repro.experiments.scenarios import SCENARIO_SPECS
-from repro.metrics import aae
 
 ENGINES = ("bitpacked", "vector")
 
@@ -46,7 +47,7 @@ def run_bench(length: int, chunk: int, memory: int
     lines = [
         f"scenario workload throughput + accuracy -- SALSA CMS "
         f"{memory:,}B, {length:,} updates/scenario, chunk={chunk}",
-        "(truth is streamed per chunk; AAE is final state vs exact)",
+        "(AAE is final state vs exact)",
         header,
         "-" * len(header),
     ]
@@ -55,35 +56,19 @@ def run_bench(length: int, chunk: int, memory: int
     print(header)
     print("-" * len(header))
     for name in sorted(SCENARIO_SPECS):
-        scenario = SCENARIO_SPECS[name].build()
-        chunks = []
-        truth = None
-        for piece, truth in scenario.stream(length, chunk, seed=0):
-            chunks.append(piece)
-        items = [x for piece in chunks for x in piece.tolist()]
+        chunks = list(SCENARIO_SPECS[name].build().chunks(length, chunk,
+                                                          seed=0))
+        items = np.concatenate(chunks)
         for engine in ENGINES:
             def fresh():
                 return SalsaCountMin.for_memory(memory, d=4, s=8,
                                                 seed=0, engine=engine)
 
+            per_item = len(items) / per_item_seconds(fresh(), items)
             sketch = fresh()
-            start = time.perf_counter()
-            update = sketch.update
-            for x in items:
-                update(x)
-            per_item = len(items) / (time.perf_counter() - start)
-
-            sketch = fresh()
-            start = time.perf_counter()
-            update_many = sketch.update_many
-            for piece in chunks:
-                update_many(piece)
-            batched = len(items) / (time.perf_counter() - start)
-
-            flows = list(truth.counts)
-            estimates = dict(zip(flows, sketch.query_many(flows)))
-            err = aae(estimates, truth.counts)
-            line = (f"{name:<12} {engine:<10} {truth.distinct:>9,} "
+            batched = len(items) / ingest_seconds(sketch, chunks)
+            distinct, err, _ = score(sketch, items)
+            line = (f"{name:<12} {engine:<10} {distinct:>9,} "
                     f"{per_item:>12,.0f} {batched:>12,.0f} "
                     f"{batched / per_item:>7.2f}x {err:>9.4f}")
             print(line)
@@ -91,7 +76,7 @@ def run_bench(length: int, chunk: int, memory: int
             rows.append({
                 "scenario": name,
                 "engine": engine,
-                "distinct": truth.distinct,
+                "distinct": distinct,
                 "per_item": round(per_item, 1),
                 "batched": round(batched, 1),
                 "speedup": round(batched / per_item, 2),

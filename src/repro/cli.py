@@ -16,7 +16,8 @@ Gives the library's main workflows a shell entry point:
 * ``scenario`` -- the workload stress lab: ``list``/``describe`` the
   scenario generators, or ``run`` them through a sketch (optionally
   sharded or windowed) and print per-scenario error + throughput;
-* ``topk``     -- report the top-k flows of a trace via a sketch+heap;
+* ``topk``     -- report the top-k flows of a trace via a sketch+heap,
+  with Fig 15's top-k accuracy;
 * ``figure``   -- regenerate paper figures (thin alias for
   ``python -m repro.experiments``).
 
@@ -57,7 +58,6 @@ from repro.streams import (
     write_flows,
     zipf_trace,
 )
-from repro.tasks.heavy_hitters import HeavyHitterTracker
 
 #: name -> memory-budgeted sketch factory.
 SKETCHES = {
@@ -89,9 +89,7 @@ MERGEABLE_SKETCHES = frozenset({"salsa-cms", "salsa-cus", "salsa-cs"})
 
 def _check_shards(args) -> int:
     """Validated ``--shards`` value for the selected sketch."""
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
-        raise SystemExit(f"error: --shards must be >= 1, got {shards}")
+    shards = _at_least(getattr(args, "shards", 1), "--shards", 1)
     if shards > 1 and args.sketch not in MERGEABLE_SKETCHES:
         raise SystemExit(
             f"error: --shards applies to {sorted(MERGEABLE_SKETCHES)}; "
@@ -112,14 +110,50 @@ def _load(path: str):
 
 
 def _parse_memory(text: str) -> int:
-    """``64K``/``2M``/plain-bytes memory sizes."""
-    text = text.strip().upper()
-    factor = 1
-    if text.endswith("K"):
-        factor, text = 1024, text[:-1]
-    elif text.endswith("M"):
-        factor, text = 1024 * 1024, text[:-1]
-    return int(float(text) * factor)
+    """``64K``/``2M``/plain-bytes memory sizes; anything else, or a
+    size below one byte, exits with an error."""
+    size = text.strip().upper()
+    factor = {"K": 1024, "M": 1024 * 1024}.get(size[-1:], 1)
+    try:
+        memory = int(float(size[:-1] if factor > 1 else size) * factor)
+    except (ValueError, OverflowError):
+        memory = 0
+    if memory < 1:
+        raise SystemExit(f"error: --memory expects a size such as 64K, "
+                         f"2M or 4096, got {text!r}")
+    return memory
+
+
+def _at_least(value: int, flag: str, low: int) -> int:
+    """``value``, or exit with an error when it is below ``low``."""
+    if value < low:
+        raise SystemExit(f"error: {flag} must be >= {low}, got {value}")
+    return value
+
+
+def _target(args):
+    """``(memory, build)`` for the selected sketch.
+
+    ``build()`` makes a fresh ingest target: the sketch itself, or with
+    ``--shards N`` a :class:`DistributedSketch` whose locals all come
+    from the same seed, so all workers share hash functions -- the
+    merge precondition.  A budget the sketch cannot be built in exits
+    with an error here, before any ingest.
+    """
+    memory = _parse_memory(args.memory)
+    shards = _check_shards(args)
+
+    def sketch(_family=None):
+        return SKETCHES[args.sketch](memory, args.seed)
+
+    try:
+        sketch()
+    except ValueError as exc:
+        raise SystemExit(f"error: --memory {args.memory}: {exc}") from None
+    if shards > 1:
+        return memory, lambda: DistributedSketch(sketch, workers=shards,
+                                                 seed=args.seed)
+    return memory, sketch
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +180,11 @@ def cmd_profile(args) -> int:
 
 def cmd_run(args) -> int:
     trace = _load(args.trace)
-    memory = _parse_memory(args.memory)
-    shards = _check_shards(args)
-    if shards > 1:
-        return _run_sharded(args, trace, memory, shards)
-    sketch = SKETCHES[args.sketch](memory, args.seed)
+    memory, build = _target(args)
+    _at_least(args.batch_size, "--batch-size", 1)
+    sketch = build()
+    if isinstance(sketch, DistributedSketch):
+        return _run_sharded(args, trace, memory, sketch)
     collector = OnArrivalCollector()
     if args.batch_size > 1:
         # Batched ingest: each chunk is queried before it is applied,
@@ -177,19 +211,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _dist_factory(args, memory: int, shards: int):
-    """Fresh DistributedSketch over the selected (mergeable) sketch.
-
-    Every local is built from the same seed, so all workers share hash
-    functions -- the merge precondition -- without threading the shared
-    family through the memory-budgeted factories.
-    """
-    return DistributedSketch(
-        lambda fam: SKETCHES[args.sketch](memory, args.seed),
-        workers=shards, seed=args.seed)
-
-
-def _run_sharded(args, trace, memory: int, shards: int) -> int:
+def _run_sharded(args, trace, memory: int, dist) -> int:
     """``run --shards N``: sharded batched ingest, merge, final errors.
 
     The trace goes through ``feed_stream`` in chunks of ``batch_size``
@@ -198,98 +220,74 @@ def _run_sharded(args, trace, memory: int, shards: int) -> int:
     global pre-arrival state), so the sharded run reports final-state
     per-flow errors of the *combined* sketch instead.
     """
-    from repro.metrics import aae, nrmse
+    from repro.experiments.runner import ingest_seconds, score
 
-    dist = _dist_factory(args, memory, shards)
-    chunk = args.batch_size * shards if args.batch_size > 1 else len(trace)
-    dist.feed_stream(trace.chunks(max(chunk, 1)), policy=args.shard_policy,
-                     seed=args.seed)
-    combined = dist.combined()
-    truth = trace.frequencies()
-    flows = list(truth)
-    estimates = dict(zip(flows, combined.query_many(flows)))
-    errors = [estimates[x] - truth[x] for x in flows]
+    chunk = (args.batch_size * dist.workers if args.batch_size > 1
+             else max(len(trace), 1))
+    ingest_seconds(dist, trace.chunks(chunk), args.shard_policy, args.seed)
+    flows, mean_abs, nrmse = score(dist, trace.items)
     print(f"sketch:   {args.sketch} ({memory:,}B requested, "
-          f"{combined.memory_bytes:,}B used per worker)")
+          f"{dist.locals[0].memory_bytes:,}B used per worker)")
     print(f"stream:   {trace.name} ({len(trace):,} updates)")
-    print(f"sharding: {shards} workers ({args.shard_policy}), "
+    print(f"sharding: {dist.workers} workers ({args.shard_policy}), "
           f"merged via ops.merge")
-    print(f"flows:    {len(flows):,} distinct")
-    print(f"NRMSE:    {nrmse(errors, n=len(trace)):.3e}  (final state)")
-    print(f"mean |e|: {aae(estimates, truth):.4f}")
+    print(f"flows:    {flows:,} distinct")
+    print(f"NRMSE:    {nrmse:.3e}  (final state)")
+    print(f"mean |e|: {mean_abs:.4f}")
     return 0
 
 
 def cmd_speed(args) -> int:
-    from repro.experiments.runner import feed_throughput_mops, throughput_mops
+    from repro.experiments.runner import ingest_seconds, per_item_seconds
 
     trace = _load(args.trace)
-    memory = _parse_memory(args.memory)
-    shards = _check_shards(args)
-    if shards > 1:
-        if args.batch_size < 2:
-            raise SystemExit(
-                "error: speed --shards compares per-item update vs "
-                "feed_stream; --batch-size must be >= 2"
-            )
-        per_item = feed_throughput_mops(
-            _dist_factory(args, memory, shards), trace, None,
-            args.shard_policy, args.seed)
-        batched = feed_throughput_mops(
-            _dist_factory(args, memory, shards), trace, args.batch_size,
-            args.shard_policy, args.seed)
-        print(f"sketch:    {args.sketch} ({memory:,}B)")
-        print(f"stream:    {trace.name} ({len(trace):,} updates, "
-              f"{shards} shards/{args.shard_policy})")
-        print(f"per-item:  {per_item * 1e6:,.0f} items/s  (update)")
-        print(f"batched:   {batched * 1e6:,.0f} items/s "
-              f"(feed_stream, batch={args.batch_size} per worker)")
-        print(f"speedup:   {batched / per_item:.2f}x")
-        return 0
-    per_item = throughput_mops(SKETCHES[args.sketch](memory, args.seed),
-                               trace)
-    batched = throughput_mops(SKETCHES[args.sketch](memory, args.seed),
-                              trace, batch_size=args.batch_size)
+    memory, build = _target(args)
+    _at_least(args.batch_size, "--batch-size", 2)
+    per_item = len(trace) / per_item_seconds(
+        build(), trace, args.shard_policy, args.seed)
+    batched = len(trace) / ingest_seconds(
+        build(), trace.chunks(args.batch_size * args.shards),
+        args.shard_policy, args.seed)
     print(f"sketch:    {args.sketch} ({memory:,}B)")
-    print(f"stream:    {trace.name} ({len(trace):,} updates)")
-    print(f"per-item:  {per_item * 1e6:,.0f} items/s")
-    print(f"batched:   {batched * 1e6:,.0f} items/s "
-          f"(batch={args.batch_size})")
+    if args.shards > 1:
+        print(f"stream:    {trace.name} ({len(trace):,} updates, "
+              f"{args.shards} shards/{args.shard_policy})")
+        print(f"per-item:  {per_item:,.0f} items/s  (update)")
+        print(f"batched:   {batched:,.0f} items/s "
+              f"(feed_stream, batch={args.batch_size} per worker)")
+    else:
+        print(f"stream:    {trace.name} ({len(trace):,} updates)")
+        print(f"per-item:  {per_item:,.0f} items/s")
+        print(f"batched:   {batched:,.0f} items/s "
+              f"(batch={args.batch_size})")
     print(f"speedup:   {batched / per_item:.2f}x")
     return 0
 
 
 def cmd_window(args) -> int:
     """Sliding-window ingest: epoch rotation over the chosen sketch."""
-    import numpy as np
+    from repro.experiments.runner import (
+        ingest_seconds,
+        per_item_seconds,
+        score,
+    )
 
     trace = _load(args.trace)
-    memory = _parse_memory(args.memory)
-    if args.epoch < 1:
-        raise SystemExit(f"error: --epoch must be >= 1, got {args.epoch}")
-    win = WindowedSketch(lambda: SKETCHES[args.sketch](memory, args.seed),
-                         epoch=args.epoch)
-    if args.batch_size > 1:
-        for chunk in trace.chunks(args.batch_size):
-            win.update_many(chunk)
+    memory, build = _target(args)
+    win = WindowedSketch(build, epoch=_at_least(args.epoch, "--epoch", 1))
+    if _at_least(args.batch_size, "--batch-size", 1) > 1:
+        ingest_seconds(win, trace.chunks(args.batch_size))
     else:
-        for x in trace:
-            win.update(x)
-    # Exact window truth: the span the rotating pair currently covers
-    # is the trailing (in-epoch + one retired epoch) updates.
+        per_item_seconds(win, trace)
+    flows, mean_abs, _ = score(win, trace.items)
     lo, hi = win.window_span
-    tail = trace.items[len(trace) - hi:] if hi else trace.items[:0]
     print(f"sketch:    {args.sketch} ({memory:,}B/epoch, "
           f"{win.memory_bytes:,}B resident)")
     print(f"stream:    {trace.name} ({len(trace):,} updates)")
     print(f"epoch:     {args.epoch:,} updates "
           f"({win.rotations} rotations, window covers {lo:,}..{hi:,})")
-    if len(tail):
-        flows, counts = np.unique(tail, return_counts=True)
-        estimates = win.query_many(flows)
-        mean_abs = float(np.mean(np.abs(
-            np.asarray(estimates, dtype=np.float64) - counts)))
-        print(f"window:    {len(flows):,} distinct flows, "
+    if flows:
+        print(f"window:    {flows:,} distinct flows, "
               f"mean |est - true| = {mean_abs:.4f}")
     return 0
 
@@ -379,33 +377,28 @@ def cmd_scenario_run(args) -> int:
     """Run each scenario through a sketch; print error + throughput.
 
     Plain mode feeds the chunk stream through ``update_many`` and
-    reports final-state errors against the streaming exact truth.
+    reports final-state errors against the exact truth.
     ``--shards N`` routes chunks through ``DistributedSketch.feed_stream``
     and measures the merged sketch; ``--epoch N`` feeds a
     ``WindowedSketch`` and reports the trailing-window error instead
     (the two modes are mutually exclusive).
     """
-    import time
-
     import numpy as np
 
-    from repro.metrics import aae, nrmse
+    from repro.experiments.runner import ingest_seconds, score
 
-    memory = _parse_memory(args.memory)
-    shards = _check_shards(args)
-    if shards > 1 and args.epoch:
+    memory, build = _target(args)
+    if args.shards > 1 and args.epoch:
         raise SystemExit(
             "error: --shards and --epoch are mutually exclusive")
-    if args.chunk < 1:
-        raise SystemExit(f"error: --chunk must be >= 1, got {args.chunk}")
-    if args.length < 1:
-        raise SystemExit(f"error: --length must be >= 1, got {args.length}")
+    _at_least(args.chunk, "--chunk", 1)
+    _at_least(args.length, "--length", 1)
     if args.epoch < 0:
         raise SystemExit(
             f"error: --epoch must be >= 1 (0 = off), got {args.epoch}")
     scenarios = _scenario_specs(args, _parse_overrides(args.set))
 
-    mode = (f"{shards} shards ({args.shard_policy})" if shards > 1
+    mode = (f"{args.shards} shards ({args.shard_policy})" if args.shards > 1
             else f"windowed, epoch={args.epoch:,}" if args.epoch
             else "single sketch")
     print(f"sketch:   {args.sketch} ({memory:,}B), {mode}")
@@ -421,76 +414,43 @@ def cmd_scenario_run(args) -> int:
     print("-" * len(header))
 
     for name, scenario in scenarios:
-        # Stream once: collect the chunks for a timed ingest while the
-        # exact truth accumulates incrementally alongside.
+        # Generate once (outside the clock); the streamed truth gives
+        # the whole-stream update and distinct counts.
         chunks = []
         truth = None
         for chunk, truth in scenario.stream(args.length, args.chunk,
                                             args.seed):
             chunks.append(chunk)
-
-        if args.epoch:
-            win = WindowedSketch(
-                lambda: SKETCHES[args.sketch](memory, args.seed),
-                epoch=args.epoch)
-            start = time.perf_counter()
-            for chunk in chunks:
-                win.update_many(chunk)
-            elapsed = time.perf_counter() - start
-            lo, hi = win.window_span
-            tail = (np.concatenate(chunks)[-hi:] if hi
-                    else np.empty(0, dtype=np.int64))
-            if len(tail):
-                flows, counts = np.unique(tail, return_counts=True)
-                estimates = np.asarray(win.query_many(flows),
-                                       dtype=np.float64)
-                window_err = float(np.mean(np.abs(estimates - counts)))
-            else:
-                window_err = 0.0
-            print(f"{name:<12} {truth.n:>10,} {truth.distinct:>9,} "
-                  f"{truth.n / elapsed:>12,.0f} {win.rotations:>9,} "
-                  f"{window_err:>10.4f}")
-            continue
-
-        if shards > 1:
-            sketch = _dist_factory(args, memory, shards)
-            start = time.perf_counter()
-            sketch.feed_stream(chunks, policy=args.shard_policy,
-                               seed=args.seed)
-            elapsed = time.perf_counter() - start
-            queryable = sketch.combined()
-        else:
-            queryable = sketch = SKETCHES[args.sketch](memory, args.seed)
-            start = time.perf_counter()
-            for chunk in chunks:
-                sketch.update_many(chunk)
-            elapsed = time.perf_counter() - start
-
-        flows = list(truth.counts)
-        estimates = dict(zip(flows, queryable.query_many(flows)))
-        errors = [estimates[x] - truth.counts[x] for x in flows]
+        target = (WindowedSketch(build, epoch=args.epoch) if args.epoch
+                  else build())
+        rate = truth.n / ingest_seconds(target, chunks, args.shard_policy,
+                                        args.seed)
+        _, mean_abs, nrmse = score(target, np.concatenate(chunks))
+        last = (f"{target.rotations:>9,} {mean_abs:>10.4f}" if args.epoch
+                else f"{mean_abs:>10.4f} {nrmse:>10.3e}")
         print(f"{name:<12} {truth.n:>10,} {truth.distinct:>9,} "
-              f"{truth.n / elapsed:>12,.0f} "
-              f"{aae(estimates, truth.counts):>10.4f} "
-              f"{nrmse(errors, n=truth.n):>10.3e}")
+              f"{rate:>12,.0f} {last}")
     return 0
 
 
 def cmd_topk(args) -> int:
+    from repro.tasks.topk import topk_accuracy, track_topk
+
     trace = _load(args.trace)
-    memory = _parse_memory(args.memory)
-    sketch = SKETCHES[args.sketch](memory, args.seed)
-    tracker = HeavyHitterTracker(2 * args.k)
-    truth: dict[int, int] = {}
-    for x in trace:
-        sketch.update(x)
-        tracker.offer(x, sketch.query(x))
-        truth[x] = truth.get(x, 0) + 1
+    memory, build = _target(args)
+    _at_least(args.k, "-k", 1)
+    tracker, truth = track_topk(build(), trace, args.k)
+    if len(truth) < args.k:
+        raise SystemExit(f"error: -k {args.k} exceeds the {len(truth):,} "
+                         f"distinct flows in {args.trace}")
+    top = tracker.top(args.k)
     print(f"top-{args.k} by {args.sketch} ({memory:,}B):")
     print(f"{'rank':>4} {'item':>20} {'estimate':>10} {'true':>10}")
-    for rank, item in enumerate(tracker.top(args.k), 1):
+    for rank, item in enumerate(top, 1):
         print(f"{rank:>4} {item:>20} {tracker.estimate(item):>10.0f} "
               f"{truth.get(item, 0):>10}")
+    print(f"accuracy: {topk_accuracy(top, truth, args.k):.3f} "
+          f"(Fig 15, ties at the k'th count included)")
     return 0
 
 

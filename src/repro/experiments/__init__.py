@@ -12,10 +12,12 @@ which runs all of them and writes tables under ``results/``.
 from repro.experiments.runner import (
     ExperimentResult,
     Series,
+    ingest_seconds,
     nrmse_of,
+    per_item_seconds,
     run_on_arrival,
     run_updates,
-    run_updates_batched,
+    score,
     sweep,
     throughput_mops,
     using_jobs,
@@ -33,7 +35,9 @@ __all__ = [
     "Series",
     "run_on_arrival",
     "run_updates",
-    "run_updates_batched",
+    "ingest_seconds",
+    "per_item_seconds",
+    "score",
     "throughput_mops",
     "sweep",
     "using_jobs",

@@ -21,21 +21,24 @@ always run serial).
 
 from __future__ import annotations
 
-import time
-
 from repro.core import (
     DistributedSketch,
     SalsaConservativeUpdate,
     SalsaCountMin,
 )
 from repro.experiments import config
-from repro.experiments.runner import ExperimentResult, sweep
+from repro.experiments.runner import (
+    ExperimentResult,
+    ingest_seconds,
+    score,
+    sweep,
+    throughput_mops,
+)
 from repro.experiments.scenarios import (
     ScenarioSpec,
     get_scenario_grid,
     get_scenario_shards,
 )
-from repro.metrics import aae
 from repro.sketches import ConservativeUpdateSketch, CountMinSketch
 from repro.streams.model import Trace
 
@@ -53,14 +56,6 @@ def _scenario_trace(spec: ScenarioSpec, length: int, trial: int) -> Trace:
     if key not in _traces:
         _traces[key] = spec.build().trace(length, seed=trial)
     return _traces[key]
-
-
-def _final_aae(sketch, trace: Trace) -> float:
-    """AAE of the (already fed) sketch against the exact counts."""
-    truth = trace.frequencies()
-    flows = list(truth)
-    estimates = dict(zip(flows, sketch.query_many(flows)))
-    return aae(estimates, truth)
 
 
 def scenario_error(length: int | None = None,
@@ -117,12 +112,8 @@ def scenario_error(length: int | None = None,
 
         def measure(sketch, mem, trial, spec=spec):
             trace = _scenario_trace(spec, length, trial)
-            if isinstance(sketch, DistributedSketch):
-                sketch.feed_stream(trace.chunks(CHUNK), seed=trial)
-                return _final_aae(sketch.combined(), trace)
-            for chunk in trace.chunks(CHUNK):
-                sketch.update_many(chunk)
-            return _final_aae(sketch, trace)
+            ingest_seconds(sketch, trace.chunks(CHUNK), seed=trial)
+            return score(sketch, trace.items)[1]
 
         sweep(result, memories, factories, measure, trials)
         results.append(result)
@@ -159,13 +150,8 @@ def scenario_speed(length: int | None = None,
 
     def measure(cell, batch, trial):
         spec, sketch = cell
-        trace = _scenario_trace(spec, length, trial)
-        chunks = list(trace.chunks(int(batch)))
-        update_many = sketch.update_many
-        start = time.perf_counter()
-        for chunk in chunks:
-            update_many(chunk)
-        return len(trace) / (time.perf_counter() - start) / 1e6
+        return throughput_mops(sketch, _scenario_trace(spec, length, trial),
+                               int(batch))
 
     return sweep(result, (1024.0, 4096.0, 16384.0), factories, measure,
                  trials, jobs=1)

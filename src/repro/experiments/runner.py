@@ -14,8 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.distributed import shard
+import numpy as np
+
+from repro.core.distributed import DistributedSketch, shard
+from repro.core.windowed import WindowedSketch
 from repro.metrics import OnArrivalCollector, Summary, mean_ci
+from repro.streams.model import Trace
 
 
 @dataclass
@@ -77,73 +81,82 @@ def run_updates(sketch, trace) -> dict[int, int]:
     return trace.frequencies()
 
 
-def run_updates_batched(sketch, trace, batch_size: int = 4096) -> dict[int, int]:
-    """Feed the whole trace through ``update_many`` in chunks.
-
-    Lands the sketch in a state bit-identical to :func:`run_updates`
-    (the batch API's contract); sketches without ``update_many`` fall
-    back to the per-item loop.
+def ingest_seconds(target, chunks, policy: str = "hash",
+                   seed: int = 0) -> float:
+    """Seconds to feed ``chunks`` through ``target``'s batch door:
+    ``feed_stream(chunks, policy, seed)`` for a
+    :class:`~repro.core.distributed.DistributedSketch`, else
+    ``update_many`` per chunk (a sketch or a :class:`WindowedSketch`).
+    What the clock covers: "The ingest clock" in docs/architecture.md.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not hasattr(sketch, "update_many"):
-        return run_updates(sketch, trace)
-    update_many = sketch.update_many
-    for chunk in trace.chunks(batch_size):
-        update_many(chunk)
-    return trace.frequencies()
+    chunks = list(chunks)
+    start = time.perf_counter()
+    if isinstance(target, DistributedSketch):
+        target.feed_stream(chunks, policy=policy, seed=seed)
+    else:
+        for chunk in chunks:
+            target.update_many(chunk)
+    return time.perf_counter() - start
+
+
+def per_item_seconds(target, items, policy: str = "hash",
+                     seed: int = 0) -> float:
+    """Seconds for the per-item reference ingest of ``items`` (a
+    :class:`Trace` or any iterable of keys): ``update(x)``, or
+    ``update(worker, x)`` over :func:`shard` for a
+    :class:`~repro.core.distributed.DistributedSketch`.  Same clock as
+    :func:`ingest_seconds`.
+    """
+    if not isinstance(items, Trace):
+        items = Trace(np.fromiter(items, dtype=np.int64))
+    update = target.update
+    if isinstance(target, DistributedSketch):
+        start = time.perf_counter()
+        for worker, piece in enumerate(shard(items, target.workers, policy,
+                                             seed)):
+            for x in piece:
+                update(worker, x)
+    else:
+        keys = items.items.tolist()
+        start = time.perf_counter()
+        for x in keys:
+            update(x)
+    return time.perf_counter() - start
 
 
 def throughput_mops(sketch, trace, batch_size: int | None = None) -> float:
     """Update throughput in million updates per second (Figs 8a/b,
-    10e-h, 16c/d).  Updates only, as in the paper's speed plots.
-
-    ``batch_size`` > 1 times the batched pipeline (``update_many`` over
-    pre-chunked arrays) instead of the per-item loop; chunking cost is
-    excluded from the timed region, mirroring how the per-item variant
-    excludes ``list(trace)``.
+    10e-h, 16c/d): :func:`ingest_seconds` over chunks of ``batch_size``
+    > 1 if the sketch has ``update_many``, else :func:`per_item_seconds`.
     """
     if batch_size is not None and batch_size > 1 and hasattr(sketch, "update_many"):
-        chunks = list(trace.chunks(batch_size))
-        update_many = sketch.update_many
-        start = time.perf_counter()
-        for chunk in chunks:
-            update_many(chunk)
-        elapsed = time.perf_counter() - start
-        return len(trace) / elapsed / 1e6
-    update = sketch.update
-    items = list(trace)
-    start = time.perf_counter()
-    for x in items:
-        update(x)
-    elapsed = time.perf_counter() - start
-    return len(items) / elapsed / 1e6
-
-
-def feed_throughput_mops(dist, trace, batch_size: int | None = None,
-                         policy: str = "hash", seed: int = 0) -> float:
-    """Sharded ingest throughput in million updates per second.
-
-    Times one full feed of ``trace``, sharding included, into a fresh
-    :class:`~repro.core.distributed.DistributedSketch`: the per-item
-    reference (``batch_size`` None/<=1: ``update(worker, x)`` over
-    :func:`~repro.core.distributed.shard`) or ``feed_stream`` over
-    chunks of ``batch_size`` items per worker.  Merging is excluded --
-    this measures the ingest path, as the paper's speed plots measure
-    updates only.
-    """
-    start = time.perf_counter()
-    if batch_size is not None and batch_size > 1:
-        dist.feed_stream(trace.chunks(batch_size * dist.workers),
-                         policy=policy, seed=seed)
+        seconds = ingest_seconds(sketch, trace.chunks(batch_size))
     else:
-        update = dist.update
-        for worker, piece in enumerate(shard(trace, dist.workers, policy,
-                                             seed)):
-            for x in piece:
-                update(worker, x)
-    elapsed = time.perf_counter() - start
-    return len(trace) / elapsed / 1e6
+        seconds = per_item_seconds(sketch, trace)
+    return len(trace) / seconds / 1e6
+
+
+def score(target, items) -> tuple[int, float, float]:
+    """Final-state ``(distinct flows, AAE, NRMSE)`` of a fed ``target``.
+
+    Truth is the exact count map of the stream ``items``, or of its
+    trailing ``window_span`` for a :class:`WindowedSketch`.  One
+    ``query_many`` answers every flow (on ``combined()`` when sharded).
+    AAE is the mean |e| over flows, NRMSE their RMSE over the updates
+    scored; an empty stream scores ``(0, 0.0, 0.0)``.
+    """
+    items = np.asarray(items, dtype=np.int64)
+    if isinstance(target, DistributedSketch):
+        target = target.combined()
+    elif isinstance(target, WindowedSketch):
+        hi = target.window_span[1]
+        items = items[len(items) - hi:] if hi else items[:0]
+    flows, counts = np.unique(items, return_counts=True)
+    if not len(flows):
+        return 0, 0.0, 0.0
+    errors = np.asarray(target.query_many(flows), dtype=np.float64) - counts
+    return (len(flows), float(np.mean(np.abs(errors))),
+            float(np.sqrt(np.mean(errors * errors)) / len(items)))
 
 
 # ----------------------------------------------------------------------
@@ -172,29 +185,21 @@ def using_jobs(jobs: int | None):
     sweeps stay serial regardless of the setting.
     """
     global _JOBS
-    if jobs is None:
-        yield
-        return
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     previous = _JOBS
-    _JOBS = jobs
+    _JOBS = previous if jobs is None else jobs
     try:
         yield
     finally:
         _JOBS = previous
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _eval_cell(cell: tuple[str, float, int]) -> float:
     """Evaluate one (algorithm, x, trial) grid cell in a worker."""
     name, x, trial = cell
     factories, measure = _SWEEP_STATE
-    sketch = factories[name](x, trial)
-    return measure(sketch, x, trial)
+    return measure(factories[name](x, trial), x, trial)
 
 
 def sweep(
@@ -214,16 +219,16 @@ def sweep(
     independent (algorithm, x, trial) grid cells out over that many
     ``fork`` worker processes.  Accuracy cells are deterministic
     functions of ``(x, trial)`` and results are reassembled in grid
-    order, so those tables are identical to a serial run.  Sweeps that
-    *time wall-clock* inside a cell (``throughput_mops``) must pass
-    ``jobs=1`` -- concurrent cells share cores and would distort the
-    measurement -- and every speed figure does.
+    order, so those tables are identical to a serial run.  Every
+    speed figure passes ``jobs=1``: concurrent cells share cores and
+    would distort a timed cell (``throughput_mops``).
     """
     xs = list(xs)
     jobs = get_jobs() if jobs is None else jobs
     cells = [(name, x, trial)
              for name in factories for x in xs for trial in range(trials)]
-    if jobs > 1 and _fork_available() and len(cells) > 1:
+    if (jobs > 1 and len(cells) > 1
+            and "fork" in multiprocessing.get_all_start_methods()):
         global _SWEEP_STATE
         _SWEEP_STATE = (factories, measure)
         try:
@@ -233,20 +238,14 @@ def sweep(
         finally:
             _SWEEP_STATE = None
     else:
-        samples = [_eval_cell_serial(factories, measure, cell)
-                   for cell in cells]
+        samples = [measure(factories[name](x, trial), x, trial)
+                   for name, x, trial in cells]
     it = iter(samples)
     for name in factories:
         series = result.series_named(name)
         for x in xs:
             series.add(x, [next(it) for _ in range(trials)])
     return result
-
-
-def _eval_cell_serial(factories, measure, cell) -> float:
-    name, x, trial = cell
-    sketch = factories[name](x, trial)
-    return measure(sketch, x, trial)
 
 
 def nrmse_of(sketch, trace) -> float:

@@ -25,7 +25,6 @@ from repro.metrics.stats import mean_ci, Summary
 from repro.metrics.setquality import (
     SetQuality,
     heavy_hitter_quality,
-    recall_at_k,
     set_quality,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "SetQuality",
     "set_quality",
     "heavy_hitter_quality",
-    "recall_at_k",
     "OnArrivalCollector",
     "mse",
     "rmse",

@@ -4,8 +4,9 @@ The phi-heavy-hitter problem (section III) asks for *all* items above
 ``theta * Lp`` and *none* below ``(theta - eps) * Lp`` -- a set
 recovery problem, so beyond the size-estimation errors (ARE/AAE, Figs
 14 d-f) the natural scores are precision/recall/F1 over the reported
-set.  Fig 15's "accuracy" is recall@k; these helpers generalize it and
-are used by the extension benches and the task tests.
+set.  No figure or bench reports these scores; Fig 15's top-k accuracy
+is :func:`repro.tasks.topk.topk_accuracy`, which counts ties at the
+k'th frequency as hits.
 """
 
 from __future__ import annotations
@@ -70,16 +71,3 @@ def heavy_hitter_quality(reported: Iterable[int],
     recall = hit / len(must_report) if must_report else 1.0
     return SetQuality(precision=precision, recall=recall)
 
-
-def recall_at_k(reported_topk: list[int], truth: Mapping[int, int],
-                k: int) -> float:
-    """Fraction of the true top-k present in the reported top-k.
-
-    Fig 15's "accuracy" metric (ties broken by item id for
-    determinism, matching :func:`repro.tasks.topk.true_topk`).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    true_top = set(sorted(truth, key=lambda item: (-truth[item], item))[:k])
-    return len(set(reported_topk[:k]) & true_top) / min(k, len(true_top)) \
-        if true_top else 1.0

@@ -33,11 +33,11 @@ def topk_accuracy(reported: list[int], truth: Mapping[int, int], k: int) -> floa
     return hits / k
 
 
-def run_topk(sketch, trace, k: int, heap_capacity: int | None = None
-             ) -> tuple[float, dict[int, int]]:
+def track_topk(sketch, trace, k: int, heap_capacity: int | None = None
+               ) -> tuple[HeavyHitterTracker, dict[int, int]]:
     """Stream ``trace`` through ``sketch`` with a tracking heap.
 
-    Returns ``(accuracy, truth)``.  The heap holds ``heap_capacity``
+    Returns ``(tracker, truth)``.  The heap holds ``heap_capacity``
     candidates (default ``2k``, giving the sketch slack to correct
     early mistakes, as real deployments do).
     """
@@ -47,4 +47,11 @@ def run_topk(sketch, trace, k: int, heap_capacity: int | None = None
         sketch.update(x)
         tracker.offer(x, sketch.query(x))
         truth[x] = truth.get(x, 0) + 1
+    return tracker, truth
+
+
+def run_topk(sketch, trace, k: int, heap_capacity: int | None = None
+             ) -> tuple[float, dict[int, int]]:
+    """:func:`track_topk`, scored: ``(accuracy, truth)``."""
+    tracker, truth = track_topk(sketch, trace, k, heap_capacity)
     return topk_accuracy(tracker.top(k), truth, k), truth

@@ -429,20 +429,6 @@ def test_dataset_chunks_equal_dataset():
     assert chunked == whole
 
 
-def test_run_updates_batched_matches_run_updates():
-    from repro.experiments import run_updates, run_updates_batched
-    from repro.streams import zipf_trace
-
-    trace = zipf_trace(2000, skew=1.2, universe=1 << 10, seed=6)
-    a = SalsaCountMin(w=128, d=4, s=8, seed=2)
-    b = SalsaCountMin(w=128, d=4, s=8, seed=2)
-    freqs_a = run_updates(a, trace)
-    freqs_b = run_updates_batched(b, trace, batch_size=300)
-    assert freqs_a == freqs_b
-    probe = sorted(freqs_a)
-    assert [a.query(x) for x in probe] == [b.query(x) for x in probe]
-
-
 def test_throughput_mops_batched_path_runs():
     from repro.experiments import throughput_mops
     from repro.streams import zipf_trace

@@ -241,6 +241,32 @@ class TestFigureAlias:
         assert "drift" not in out                 # grid was scoped
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "TRACE", "--memory", "abc"],
+    ["run", "TRACE", "--memory", "1X"],
+    ["run", "TRACE", "--memory", "0"],
+    ["speed", "TRACE", "--memory", "1"],      # too small for the sketch
+    ["scenario", "run", "drift", "--memory=-2K", "--length", "1000"],
+    ["topk", "TRACE", "-k", "0"],
+    ["topk", "TRACE", "-k", "5000"],          # more than the distinct flows
+    ["speed", "TRACE", "--batch-size", "0"],
+    ["speed", "TRACE", "--batch-size", "1"],
+    ["run", "TRACE", "--batch-size", "-5"],
+    ["window", "TRACE", "--batch-size", "0"],
+], ids=" ".join)
+def test_bad_numeric_argument_is_a_clean_error(npz_trace, argv):
+    with pytest.raises(SystemExit) as info:
+        main([npz_trace if arg == "TRACE" else arg for arg in argv])
+    assert str(info.value).startswith("error: ")
+
+
+def test_topk_prints_fig15_accuracy(npz_trace, capsys):
+    assert main(["topk", npz_trace, "-k", "5", "--memory", "64K"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("accuracy: ")
+    assert 0.0 <= float(line.split()[1]) <= 1.0
+
+
 @pytest.mark.parametrize("command", ["run", "topk"])
 @pytest.mark.parametrize("name", ["missing.npz", "missing.flows"])
 def test_missing_trace_is_a_clean_error(tmp_path, command, name):

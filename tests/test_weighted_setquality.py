@@ -9,7 +9,6 @@ from repro.core import SalsaCountMin, SalsaCountSketch
 from repro.metrics import (
     SetQuality,
     heavy_hitter_quality,
-    recall_at_k,
     set_quality,
 )
 from repro.streams import (
@@ -129,16 +128,6 @@ class TestSetQuality:
             heavy_hitter_quality([], {}, phi=2.0)
         with pytest.raises(ValueError):
             heavy_hitter_quality([], {}, phi=0.1, epsilon=0.2)
-
-    def test_recall_at_k(self):
-        truth = {1: 10, 2: 9, 3: 8, 4: 7}
-        assert recall_at_k([1, 2], truth, k=2) == 1.0
-        assert recall_at_k([1, 4], truth, k=2) == 0.5
-        with pytest.raises(ValueError):
-            recall_at_k([1], truth, k=0)
-
-    def test_recall_at_k_small_universe(self):
-        assert recall_at_k([1], {1: 5}, k=10) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
