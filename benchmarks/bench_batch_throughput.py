@@ -1,9 +1,10 @@
 """Micro-benchmark: per-item vs batched ingestion throughput.
 
 The SALSA paper's pitch is throughput-per-bit; this bench checks that
-the batch pipeline (vectorized hashing + duplicate pre-aggregation +
-merge-free bulk counter updates) actually buys throughput over the
-per-item loop, per sketch, on a skewed trace.  Results land in
+the batch pipeline (vectorized hashing + merge-free bulk counter
+updates; duplicate pre-aggregation for the fixed-width sketches, the
+raw stream through ``SalsaRow.add_many`` for SALSA CMS/CS/AEE) actually
+buys throughput over the per-item loop, per sketch, on a skewed trace.  Results land in
 ``results/batch_throughput.txt`` as items/sec for both paths, and the
 SALSA sketches are additionally measured under **both row engines**
 (``bitpacked`` reference vs ``vector`` NumPy) in

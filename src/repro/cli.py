@@ -109,6 +109,12 @@ def _load(path: str):
             f"error: cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _need_updates(trace, path: str, what: str) -> None:
+    """Exit with an error when ``trace`` holds no updates to ``what``."""
+    if len(trace) == 0:
+        raise SystemExit(f"error: {path} holds no updates to {what}")
+
+
 def _parse_memory(text: str) -> int:
     """``64K``/``2M``/plain-bytes memory sizes; anything else, or a
     size below one byte, exits with an error."""
@@ -185,6 +191,7 @@ def cmd_run(args) -> int:
     sketch = build()
     if isinstance(sketch, DistributedSketch):
         return _run_sharded(args, trace, memory, sketch)
+    _need_updates(trace, args.trace, "score on arrival")
     collector = OnArrivalCollector()
     if args.batch_size > 1:
         # Batched ingest: each chunk is queried before it is applied,
@@ -243,6 +250,7 @@ def cmd_speed(args) -> int:
     trace = _load(args.trace)
     memory, build = _target(args)
     _at_least(args.batch_size, "--batch-size", 2)
+    _need_updates(trace, args.trace, "time")
     per_item = len(trace) / per_item_seconds(
         build(), trace, args.shard_policy, args.seed)
     batched = len(trace) / ingest_seconds(

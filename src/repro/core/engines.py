@@ -134,7 +134,9 @@ class RowEngine:
         raise NotImplementedError
 
     def read_many(self, idxs) -> np.ndarray:
-        """Decoded values of the counters containing each slot, int64."""
+        """Decoded values of the counters containing each slot: int64
+        on signed rows, uint64 on unsigned ones (a 64-bit counter can
+        exceed ``2^63 - 1``)."""
         raise NotImplementedError
 
     # -- bulk -----------------------------------------------------------
@@ -146,12 +148,13 @@ class RowEngine:
         the batch is applied to every superblock whose touched counters
         all pass the merge-free check, and a boolean mask over the
         ``w >> max_level`` superblocks marks the *dirty* ones (left
-        completely untouched; the caller replays their updates in
-        stream order).  Returns ``None`` when everything applied.
-        ``apply=False`` computes the mask without writing anything.
+        completely untouched; ``SalsaRow.add_many`` replays their
+        updates in stream order).  Returns ``None`` when everything
+        applied.  ``apply=False`` computes the mask without writing
+        anything.
 
         This default proves nothing -- every superblock is dirty -- so
-        the caller's replay *is* the reference per-item walk; the
+        ``add_many``'s replay *is* the reference per-item walk; the
         bit-packed engine keeps exactly those semantics.
         """
         idxs, _ = as_batch(idxs, values)
@@ -238,7 +241,8 @@ class BitPackedEngine(RowEngine):
         if isinstance(idxs, np.ndarray):
             idxs = idxs.tolist()
         read = self.read
-        return np.fromiter((read(j) for j in idxs), dtype=np.int64,
+        return np.fromiter((read(j) for j in idxs),
+                           dtype=np.int64 if self.signed else np.uint64,
                            count=len(idxs))
 
     # -- accounting / lifecycle ----------------------------------------
@@ -333,8 +337,7 @@ class VectorRowEngine(RowEngine):
         self.values[start:start + (1 << level)] = value
 
     def read_many(self, idxs) -> np.ndarray:
-        idxs = np.ascontiguousarray(idxs, dtype=np.int64)
-        return self.values[idxs].astype(np.int64, copy=False)
+        return self.values[np.ascontiguousarray(idxs, dtype=np.int64)]
 
     # -- bulk -----------------------------------------------------------
     def add_batch_partial(self, idxs, values, apply: bool = True):

@@ -31,6 +31,7 @@ from repro.core.engines import (
     field_fits,
     make_engine,
 )
+from repro.sketches.base import as_batch
 
 #: Merge policies.
 SUM = "sum"
@@ -109,14 +110,6 @@ class SalsaRow:
         self.saturations = 0
 
     # ------------------------------------------------------------------
-    # storage passthrough (bit-packed engine only; kept for serializers
-    # and tests that inspect the reference representation)
-    # ------------------------------------------------------------------
-    @property
-    def store(self):
-        """The bit-packed payload buffer (reference engine only)."""
-        return self.engine.store
-
     @property
     def layout(self):
         """The merge layout.  For the vector engine this is the engine
@@ -159,11 +152,9 @@ class SalsaRow:
         return self.engine.read_block(start, level)
 
     def read_many(self, idxs):
-        """int64 array of values of the counters containing each slot."""
+        """Values of the counters containing each slot (uint64 on
+        unsigned rows, int64 on signed ones)."""
         return self.engine.read_many(idxs)
-
-    def _write_block(self, start: int, level: int, value: int) -> None:
-        self.engine.write_block(start, level, value)
 
     def _block_values(self, start: int, level: int) -> list[int]:
         """Values of all live counters inside ``[start, start + 2^level)``."""
@@ -244,15 +235,39 @@ class SalsaRow:
         superblock, so superblocks are independent streams: every
         superblock whose touched counters all pass the merge-free check
         is bulk-applied, and a boolean mask over the ``w >> max_level``
-        superblocks flags the *dirty* rest (untouched -- the caller
-        replays exactly the updates landing there, in stream order).
-        Returns ``None`` when the whole batch applied.  The vector
-        engine runs the check natively; the bit-packed reference engine
-        (and the vector engine without the kernel) reports every
-        superblock dirty.
+        superblocks flags the *dirty* rest (untouched --
+        :meth:`add_many` replays exactly the updates landing there, in
+        stream order).  Returns ``None`` when the whole batch applied.
+        The vector engine runs the check natively; the bit-packed
+        reference engine (and the vector engine without the kernel)
+        reports every superblock dirty.
         ``apply=False`` computes the mask without writing anything.
         """
         return self.engine.add_batch_partial(idxs, values, apply=apply)
+
+    def add_many(self, idxs, values) -> None:
+        """:meth:`add` of each ``(idxs[t], values[t])`` in stream order.
+
+        The raw stream goes in as it arrived: duplicate slots, negative
+        deltas and any int64 value.  :meth:`add_batch_partial` applies
+        every merge-free superblock in one pass, then the updates
+        landing in a dirty superblock replay through :meth:`add` in
+        stream order, so the row ends bit-identical to the per-item
+        loop (values, levels, ``merge_events``, ``saturations``).
+
+        >>> row = SalsaRow(w=8, s=8)
+        >>> row.add_many([6, 1, 6], [200, 3, 100])
+        >>> row.read(6), row.level_of(7), row.read(1)
+        (300, 1, 3)
+        """
+        idxs, values = as_batch(idxs, values)
+        dirty = self.add_batch_partial(idxs, values)
+        if dirty is None:
+            return
+        sel = dirty[idxs >> self.max_level]
+        add = self.add
+        for j, v in zip(idxs[sel].tolist(), values[sel].tolist()):
+            add(j, v)
 
     def set_at_least(self, j: int, target: int) -> int:
         """Raise the counter containing ``j`` to at least ``target``.

@@ -37,7 +37,6 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     as_batch,
-    batch_sum_fits,
     batched_min_query,
     width_for_memory,
 )
@@ -232,9 +231,8 @@ class SalsaAeeCountMin(BatchOpsMixin):
             return
         idx_arrays = [self.hashes.index_many(items, row_id, self.w)
                       for row_id in range(self.d)]
-        if (batch_sum_fits(values)
-                and self._try_batch_apply(idx_arrays, values)):
-            self.volume += int(values.sum())
+        if self._try_batch_apply(idx_arrays, values):
+            self.volume += sum(values.tolist())  # exact past int64
             return
         idx_rows = [idxs.tolist() for idxs in idx_arrays]
         for t, (item, v) in enumerate(zip(items.tolist(), values.tolist())):
@@ -264,8 +262,9 @@ class SalsaAeeCountMin(BatchOpsMixin):
         mass plus inflow fits the top-level capacity); sub-top merges
         are then the only side effects, and those are confined to their
         superblock.  Each row is checked first (``apply=False``), then
-        its merge-free superblocks bulk-apply and dirty ones replay in
-        stream order.  Returns False (row state untouched)
+        its batch goes through :meth:`SalsaRow.add_many`, which
+        bulk-applies the merge-free superblocks and replays the dirty
+        ones in stream order.  Returns False (row state untouched)
         when the proof fails, sending the batch down the ordered walk.
         """
         rows = self.rows
@@ -283,13 +282,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
                 if self._superblock_mass(row, sb) + flow > threshold:
                     return False
         for row, idxs in zip(rows, idx_arrays):
-            dirty = row.add_batch_partial(idxs, values)
-            if dirty is None:
-                continue
-            sel = dirty[idxs >> row.max_level]
-            add = row.add
-            for j, v in zip(idxs[sel].tolist(), values[sel].tolist()):
-                add(j, v)
+            row.add_many(idxs, values)
         return True
 
     def query_many(self, items) -> list:

@@ -21,10 +21,9 @@ from repro.core.tango import TangoRow
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
-    aggregate_batch,
+    aggregate_batch,  # unused here; perfbench/tracing.py wraps it by name
     as_batch,
     as_item,
-    batch_sum_fits,
     batched_min_query,
     width_for_memory,
 )
@@ -122,39 +121,24 @@ class SalsaCountMin(BatchOpsMixin):
     # batch pipeline
     # ------------------------------------------------------------------
     def update_many(self, items, values=None) -> None:
-        """Batched update: hash whole rows at once, merge duplicates.
+        """Batched update: one hash call and one :meth:`SalsaRow.add_many`
+        per row, over the raw stream.
 
-        Duplicate keys are pre-aggregated, each row's indices come from
-        one vectorized hash call, and counters are bumped through
-        :meth:`SalsaRow.add_batch_partial`: the merge-free superblocks
-        bulk-apply (one native pass on the vector engine), and
-        only updates landing in a superblock where the batch could
-        trigger a merge replay in stream order -- so the result is
-        bit-identical to the per-item path while the exact fallback
-        shrinks to the rare overflowing blocks.  Batches with negative
-        values (Strict Turnstile deletions, sum merge only) take the
-        exact per-item fallback wholesale.
+        Nothing is pre-aggregated and no batch forks: duplicates,
+        Strict Turnstile deletions (sum merge) and weights up to
+        ``2^63 - 1`` all go through each row's one batch door, which
+        bulk-applies the merge-free superblocks (one native pass on the
+        vector engine) and replays, in stream order, only the updates
+        landing where a merge, saturation or clamp at zero could fire,
+        so the result is bit-identical to the per-item path.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        smallest = int(values.min())
-        self._check_smallest(smallest)
-        if smallest < 0 or not batch_sum_fits(values):
-            BatchOpsMixin.update_many(self, items, values)
-            return
-        uniq, sums = aggregate_batch(items, values)
+        self._check_smallest(int(values.min()))
         for row_id, row in enumerate(self.rows):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
-            dirty = row.add_batch_partial(idxs, sums)
-            if dirty is None:
-                continue
-            # Exact replay, original stream order, dirty superblocks only.
-            full_idxs = self.hashes.index_many(items, row_id, self.w)
-            sel = dirty[full_idxs >> row.max_level]
-            add = row.add
-            for j, v in zip(full_idxs[sel].tolist(), values[sel].tolist()):
-                add(j, v)
+            row.add_many(self.hashes.index_many(items, row_id, self.w),
+                         values)
 
     def _check_smallest(self, value: int) -> None:
         """Max merge is exact only in the Cash Register model (Thm

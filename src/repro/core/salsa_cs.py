@@ -22,14 +22,14 @@ from repro.core.row import SIMPLE, SUM, SalsaRow
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
-    aggregate_batch,
     as_batch,
     as_item,
-    batch_sum_fits,
     batched_median_query,
     median,
     width_for_memory,
 )
+
+_INT64_MIN = -(1 << 63)
 
 
 class SalsaCountSketch(BatchOpsMixin):
@@ -97,38 +97,25 @@ class SalsaCountSketch(BatchOpsMixin):
     def update_many(self, items, values=None) -> None:
         """Batched signed update over sign-magnitude SALSA rows.
 
-        Keys are pre-aggregated (a key keeps one sign per row, so its
-        updates sum), then each row bulk-applies its merge-free
-        superblocks through :meth:`SalsaRow.add_batch_partial` and
-        replays, in stream order, only the updates landing in a
-        superblock that could merge.  Batches containing negative
-        update values fall back to the per-item path: cancellation
-        hides the intermediate peaks that decide merges, so only the
-        ordered walk is exact.
+        Each row hashes the raw stream once, signs every value by its
+        hash bit and hands the signed stream, deletions included, to
+        :meth:`SalsaRow.add_many`: merge-free superblocks bulk-apply
+        and only the updates landing where a merge or saturation could
+        fire replay in stream order, bit-identical to the per-item
+        path.  A value of ``-2^63`` has no int64 negation, so a batch
+        holding one takes the per-item loop.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if int(values.min()) < 0 or not batch_sum_fits(values):
+        if int(values.min()) == _INT64_MIN:
             BatchOpsMixin.update_many(self, items, values)
             return
-        uniq, sums = aggregate_batch(items, values)
+        mask = np.uint64(self.w - 1)
         for row_id, row in enumerate(self.rows):
-            raw = self.hashes.raw_many(uniq, row_id)
-            idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
-            signed = np.where(raw >> np.uint64(63), sums, -sums)
-            dirty = row.add_batch_partial(idxs, signed)
-            if dirty is None:
-                continue
             raw = self.hashes.raw_many(items, row_id)
-            full_idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
-            sel = dirty[full_idxs >> row.max_level]
-            top = (raw >> np.uint64(63)).astype(bool)
-            add = row.add
-            for j, positive, v in zip(full_idxs[sel].tolist(),
-                                      top[sel].tolist(),
-                                      values[sel].tolist()):
-                add(j, v if positive else -v)
+            row.add_many((raw & mask).astype(np.int64),
+                         np.where(raw >> np.uint64(63), values, -values))
 
     def query_many(self, items) -> list:
         """Batched query: per-row votes gathered once, exact median."""

@@ -69,7 +69,7 @@ class TangoBitPackedEngine:
         if isinstance(idxs, np.ndarray):
             idxs = idxs.tolist()
         read = self.read
-        return np.fromiter((read(j) for j in idxs), dtype=np.int64,
+        return np.fromiter((read(j) for j in idxs), dtype=np.uint64,
                            count=len(idxs))
 
 
@@ -111,8 +111,7 @@ class TangoVectorEngine:
         return int(self.values[j])
 
     def read_many(self, idxs) -> np.ndarray:
-        idxs = np.ascontiguousarray(idxs, dtype=np.int64)
-        return self.values[idxs].astype(np.int64, copy=False)
+        return self.values[np.ascontiguousarray(idxs, dtype=np.int64)]
 
 
 _TANGO_ENGINES = {
@@ -189,17 +188,6 @@ class TangoRow:
         self.saturations = 0
 
     # ------------------------------------------------------------------
-    # storage passthrough (reference engine buffers, kept for tests)
-    # ------------------------------------------------------------------
-    @property
-    def store(self):
-        return self.engine.store
-
-    @property
-    def bits(self):
-        return self.engine.bits
-
-    # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
     def span_of(self, j: int) -> tuple[int, int]:
@@ -232,18 +220,12 @@ class TangoRow:
     # ------------------------------------------------------------------
     # field access
     # ------------------------------------------------------------------
-    def _read_span(self, left: int, right: int) -> int:
-        return self.engine.read_span(left, right)
-
-    def _write_span(self, left: int, right: int, value: int) -> None:
-        self.engine.write_span(left, right, value)
-
     def read(self, j: int) -> int:
         """Value of the counter containing slot ``j``."""
         return self.engine.read(j)
 
     def read_many(self, idxs) -> np.ndarray:
-        """int64 values of the counters containing each slot."""
+        """uint64 values of the counters containing each slot."""
         return self.engine.read_many(idxs)
 
     # ------------------------------------------------------------------
@@ -271,18 +253,20 @@ class TangoRow:
     def add(self, j: int, v: int) -> int:
         """Add ``v`` to the counter containing ``j``, growing as needed."""
         left, right = self.engine.span_of(j)
-        value = self.engine.read_span(left, right) + v
-        if value < 0:
-            # Tango rows are unsigned (Cash Register / Strict Turnstile).
-            value = 0
+        # Tango rows are unsigned (Cash Register / Strict Turnstile).
+        value = max(0, self.engine.read_span(left, right) + v)
+        return self._settle(left, right, value)
+
+    def _settle(self, left: int, right: int, value: int) -> int:
+        """Grow (left, right) until ``value`` fits, saturating at
+        ``max_slots``, then store it: the shared tail of :meth:`add`
+        and :meth:`set_at_least`.  Returns the stored value."""
         while value >> ((right - left + 1) * self.s):
             if right - left + 1 >= self.max_slots:
                 value = (1 << ((right - left + 1) * self.s)) - 1
                 self.saturations += 1
                 break
             left, right, value = self._grow(left, right, value)
-        if value < 0:
-            value = 0
         self.engine.write_span(left, right, value)
         return value
 
@@ -294,15 +278,7 @@ class TangoRow:
         value = self.engine.read_span(left, right)
         if value >= target:
             return value
-        value = target
-        while value >> ((right - left + 1) * self.s):
-            if right - left + 1 >= self.max_slots:
-                value = (1 << ((right - left + 1) * self.s)) - 1
-                self.saturations += 1
-                break
-            left, right, value = self._grow(left, right, value)
-        self.engine.write_span(left, right, value)
-        return value
+        return self._settle(left, right, target)
 
     # ------------------------------------------------------------------
     def counters(self):

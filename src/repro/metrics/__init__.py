@@ -22,16 +22,8 @@ from repro.metrics.errors import (
     relative_error,
 )
 from repro.metrics.stats import mean_ci, Summary
-from repro.metrics.setquality import (
-    SetQuality,
-    heavy_hitter_quality,
-    set_quality,
-)
 
 __all__ = [
-    "SetQuality",
-    "set_quality",
-    "heavy_hitter_quality",
     "OnArrivalCollector",
     "mse",
     "rmse",

@@ -260,6 +260,22 @@ def test_bad_numeric_argument_is_a_clean_error(npz_trace, argv):
     assert str(info.value).startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "TRACE"],
+    ["run", "TRACE", "--batch-size", "8"],
+    ["speed", "TRACE"],
+    ["speed", "TRACE", "--sketch", "salsa-cms", "--shards", "2"],
+], ids=" ".join)
+def test_empty_trace_is_a_clean_error(tmp_path, argv):
+    path = str(tmp_path / "empty.npz")
+    assert main(["generate", "zipf", path, "--length", "0"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main([path if arg == "TRACE" else arg for arg in argv])
+    assert str(info.value) == (
+        f"error: {path} holds no updates to "
+        f"{'time' if argv[0] == 'speed' else 'score on arrival'}")
+
+
 def test_topk_prints_fig15_accuracy(npz_trace, capsys):
     assert main(["topk", npz_trace, "-k", "5", "--memory", "64K"]) == 0
     line = capsys.readouterr().out.splitlines()[-1]

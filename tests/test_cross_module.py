@@ -17,7 +17,6 @@ from repro.core import (
 )
 from repro.core.serialize import dumps, loads
 from repro.hashing import HashFamily
-from repro.metrics import heavy_hitter_quality
 from repro.sketches import AugmentedSketch, SpaceSaving
 from repro.streams import (
     Trace,
@@ -133,18 +132,25 @@ class TestHybridPipelines:
                        if aug.query(item) >= phi * len(trace)]
         from_ss = [item for item, _est in ss.heavy_hitters(phi)]
 
-        q_sketch = heavy_hitter_quality(from_sketch, truth, phi,
-                                        epsilon=phi / 2)
-        q_ss = heavy_hitter_quality(from_ss, truth, phi, epsilon=phi / 2)
+        # Recall counts the phi-heavy items; precision forgives reports
+        # in the (phi - eps, phi] tolerance band, eps = phi / 2.
+        volume = sum(truth.values())
+        heavy = {x for x, f in truth.items() if f >= phi * volume}
+        tolerated = {x for x, f in truth.items() if f >= phi / 2 * volume}
+        assert heavy
         # Both pipelines guarantee no false negatives (over-estimation).
-        assert q_sketch.recall == 1.0
-        assert q_ss.recall == 1.0
+        assert heavy <= set(from_sketch)
+        assert heavy <= set(from_ss)
         # Precision is each algorithm's own promise: the sketch's noise
         # at 8KB is far below phi*N, while Space-Saving's k=64 entries
         # over-count by up to N/k ~ 1.6% of N >> phi, so only the
-        # sketch pipeline is held to a high F1.
-        assert q_sketch.f1 > 0.8
-        assert q_ss.f1 > 0.3
+        # sketch pipeline is held to a high precision (at recall 1,
+        # F1 > 0.8 and F1 > 0.3).
+        def precision(reported):
+            return len(set(reported) & tolerated) / len(set(reported))
+
+        assert precision(from_sketch) > 2 / 3
+        assert precision(from_ss) > 3 / 17
 
     def test_trace_persistence_feeds_sketch_identically(self, tmp_path):
         """npz round-trip changes nothing downstream."""

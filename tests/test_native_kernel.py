@@ -6,9 +6,12 @@ and ``ops.merge``/``ops.subtract`` leave the same counter values,
 merge levels, ``merge_events`` and ``saturations`` with the kernel on,
 with it off, item by item, and on bit-packed rows.  The merge-free
 batch door (``add_batch_partial``) plus the stream-order dirty replay
-must land where the bit-packed reference's per-item walk does, flag
-exactly the superblocks the merge-free predicate names, and leave
-SALSA CMS/CS/AEE ``update_many`` unchanged with the kernel off.
+(``SalsaRow.add_many``) must land where the bit-packed reference's
+per-item walk does and flag exactly the superblocks the merge-free
+predicate names; SALSA CMS/CS ``update_many`` over the raw stream
+(deletions, ``-2^63`` on CS) must equal the per-item loop with the
+kernel on, off and on bit-packed rows, and AEE's must be unchanged
+with the kernel off.
 Streams are small rows with hot keys, base widths 2/4/8 and weights up
 to ``2^63 - 1``, so overflow merges and 64-bit saturation are common,
 fed in arbitrary batch splits.
@@ -234,14 +237,6 @@ def merge_free_dirty(row, idxs, vals) -> set:
     return dirty
 
 
-def replay(row, idxs, vals, dirty) -> None:
-    """The stream-order replay SALSA CMS/CS run on dirty superblocks."""
-    if dirty is not None:
-        for j, v in zip(idxs, vals):
-            if dirty[j >> row.max_level]:
-                row.add(j, v)
-
-
 @settings(max_examples=150, deadline=None)
 @given(config=st.sampled_from(sorted(ROW_CONFIGS)),
        s=st.sampled_from([2, 4, 8]),
@@ -271,13 +266,13 @@ def test_add_partial_matches_bitpacked_replay(config, s, near, batches):
         before = row_arrays(vec)
         check = vec.add_batch_partial(idxs, vals, apply=False)
         assert row_arrays(vec) == before
-        dirty = vec.add_batch_partial(idxs, vals)
+        dirty = vec.copy().add_batch_partial(idxs, vals)
         for mask in (check, dirty):
             assert (mask is None) == (not expect)
             if mask is not None:
                 assert set(np.flatnonzero(mask).tolist()) == expect
-        replay(vec, idxs, vals, dirty)
-        replay(ref, idxs, vals, ref.add_batch_partial(idxs, vals))
+        vec.add_many(idxs, vals)
+        ref.add_many(idxs, vals)
         assert row_state(vec) == row_state(ref)
 
 
@@ -333,6 +328,49 @@ def test_update_many_is_the_same_with_the_kernel_off(name, split, s, seed):
     with kernel_off():
         off = run()
     assert kernel == off == run("bitpacked")
+
+
+def door_weights(name):
+    """Weights up to ``2^63 - 1`` and ``2^62``; deletions where the
+    sketch takes them; ``-2^63`` (no int64 negation) on CS."""
+    weights = st.one_of(WEIGHTS, st.just(1 << 62))
+    if BATCH_CONFIGS[name][2]:
+        weights = st.one_of(weights, weights.map(lambda v: -v))
+    if name == "cs":
+        weights = st.one_of(weights, st.just(-(1 << 63)))
+    return weights
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), s=st.sampled_from([2, 4, 8]),
+       seed=st.integers(0, 2 ** 32))
+def test_update_many_equals_the_per_item_loop(name, data, s, seed):
+    """The one SALSA batch door: ``update_many`` over the raw stream,
+    in any batch split, on vector rows with the kernel on and off and
+    on bit-packed rows, leaves what the per-item loop leaves -- values,
+    levels, ``merge_events``, ``saturations`` -- and ``query_many``
+    answers what per-item ``query`` does."""
+    cls, kw, _ = BATCH_CONFIGS[name]
+    stream = data.draw(st.lists(st.tuples(KEYS, door_weights(name)),
+                                max_size=60))
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(stream)),
+                                         max_size=4))))
+    fam = HashFamily(3, seed)
+
+    def make(engine="vector"):
+        return cls(w=W, d=3, s=s, hash_family=fam, engine=engine, **kw)
+
+    probe = [x for x, _ in stream] + [0]
+    per_item = make()
+    for x, v in stream:
+        per_item.update(x, v)
+    expect = (state(per_item), [per_item.query(x) for x in probe])
+    kernel = feed(make(), stream, cuts)
+    with kernel_off():
+        off = feed(make(), stream, cuts)
+    for sketch in (kernel, off, feed(make("bitpacked"), stream, cuts)):
+        assert (state(sketch), sketch.query_many(probe)) == expect
 
 
 @settings(max_examples=25, deadline=None)

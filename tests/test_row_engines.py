@@ -79,8 +79,8 @@ def test_row_add_lockstep(stream, merge, signed):
 
 
 def test_row_add_batch_lockstep():
-    """Batches through add_batch_partial plus the dirty replay a sketch
-    runs: the vector bulk path and the bit-packed reference (which
+    """Batches through add_many, the batch door every SALSA sketch
+    uses: the vector bulk path and the bit-packed reference (which
     replays everything) stay in lockstep."""
     rng = np.random.default_rng(3)
     a, b = make_pair(w=32, s=4)
@@ -88,12 +88,7 @@ def test_row_add_batch_lockstep():
         idxs = rng.integers(0, 32, 40).tolist()
         vals = rng.integers(1, 5, 40).tolist()
         for row in (a, b):
-            dirty = row.add_batch_partial(idxs, vals)
-            if dirty is None:
-                continue
-            for j, v in zip(idxs, vals):  # replay, as a sketch would
-                if dirty[j >> row.max_level]:
-                    row.add(j, v)
+            row.add_many(idxs, vals)
         assert row_state(a) == row_state(b)
 
 

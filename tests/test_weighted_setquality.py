@@ -1,4 +1,4 @@
-"""Tests for weighted streams and heavy-hitter set-quality metrics."""
+"""Tests for weighted streams."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SalsaCountMin, SalsaCountSketch
-from repro.metrics import (
-    SetQuality,
-    heavy_hitter_quality,
-    set_quality,
-)
 from repro.streams import (
     WeightedTrace,
     from_unit_trace,
@@ -91,55 +86,6 @@ class TestWeightedTrace:
         close = sum(1 for item, f in truth.items()
                     if abs(sketch.query(item) - f) <= max(5, 0.5 * abs(f)))
         assert close / len(truth) > 0.8
-
-
-class TestSetQuality:
-    def test_perfect_report(self):
-        q = set_quality([1, 2, 3], [1, 2, 3])
-        assert q.precision == 1.0 and q.recall == 1.0 and q.f1 == 1.0
-
-    def test_partial_report(self):
-        q = set_quality([1, 2], [1, 3])
-        assert q.precision == 0.5
-        assert q.recall == 0.5
-        assert q.f1 == 0.5
-
-    def test_empty_edges(self):
-        assert set_quality([], [1]).precision == 1.0
-        assert set_quality([], [1]).recall == 0.0
-        assert set_quality([1], []).recall == 1.0
-        assert set_quality([], []).f1 == 1.0
-
-    def test_f1_zero_when_disjoint(self):
-        assert set_quality([1], [2]).f1 == 0.0
-
-    def test_heavy_hitter_quality_band(self):
-        truth = {1: 50, 2: 30, 3: 19, 4: 1}   # N = 100
-        # phi=0.2: must report {1, 2}; eps=0.01 tolerates 3 (f=19 >= 19).
-        q = heavy_hitter_quality([1, 2, 3], truth, phi=0.2, epsilon=0.01)
-        assert q.recall == 1.0
-        assert q.precision == 1.0
-        # Without tolerance, 3 is a false positive.
-        q2 = heavy_hitter_quality([1, 2, 3], truth, phi=0.2)
-        assert q2.precision == pytest.approx(2 / 3)
-
-    def test_heavy_hitter_quality_validation(self):
-        with pytest.raises(ValueError):
-            heavy_hitter_quality([], {}, phi=2.0)
-        with pytest.raises(ValueError):
-            heavy_hitter_quality([], {}, phi=0.1, epsilon=0.2)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.sets(st.integers(0, 30)), st.sets(st.integers(0, 30)))
-def test_set_quality_bounds_property(reported, relevant):
-    q = set_quality(reported, relevant)
-    assert 0.0 <= q.precision <= 1.0
-    assert 0.0 <= q.recall <= 1.0
-    assert 0.0 <= q.f1 <= 1.0
-    eps = 1e-12  # harmonic-mean arithmetic rounds (2*0.8*0.8/1.6 < 0.8)
-    assert min(q.precision, q.recall) - eps <= q.f1
-    assert q.f1 <= max(q.precision, q.recall) + eps
 
 
 @settings(max_examples=25, deadline=None)
