@@ -1,15 +1,16 @@
-"""Micro-benchmark: per-item vs batched ingestion throughput.
+"""Micro-benchmark: per-item vs batched ingestion and query throughput.
 
 The SALSA paper's pitch is throughput-per-bit; this bench checks that
 the batch pipeline (vectorized hashing + merge-free bulk counter
 updates; duplicate pre-aggregation for the fixed-width sketches, the
 raw stream through ``SalsaRow.add_many`` for SALSA CMS/CS/AEE) actually
-buys throughput over the per-item loop, per sketch, on a skewed trace.  Results land in
-``results/batch_throughput.txt`` as items/sec for both paths, and the
-SALSA sketches are additionally measured under **both row engines**
-(``bitpacked`` reference vs ``vector`` NumPy) in
-``results/engine_throughput.txt`` -- same estimates by contract, very
-different speed.
+buys throughput over the per-item loop, per sketch, on a skewed trace.
+Results land in ``results/batch_throughput.txt`` as items/sec for both
+ingest paths, next to the query side on the fed sketch: per-item
+``query`` and ``query_many`` per chunk.  The SALSA sketches are
+additionally measured under **both row engines** (``bitpacked``
+reference vs ``vector`` NumPy) in ``results/engine_throughput.txt`` --
+same estimates by contract, very different speed.
 
 Run standalone::
 
@@ -20,6 +21,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import time
 
 from _harness import emit_bench_json, emit_table
 from repro import (
@@ -71,6 +73,24 @@ ENGINE_FACTORIES = {
 ENGINES = ("bitpacked", "vector")
 
 
+def query_rates(sketch, trace, batch_size: int) -> tuple[float, float]:
+    """Items/s of per-item ``query`` and of ``query_many`` per chunk
+    over ``trace`` on a fed ``sketch``.  The keys and chunks are built
+    before each clock starts, as for the ingest clock."""
+    keys = trace.items.tolist()
+    chunks = list(trace.chunks(batch_size))
+    query = sketch.query
+    start = time.perf_counter()
+    for x in keys:
+        query(x)
+    per_item = time.perf_counter() - start
+    start = time.perf_counter()
+    for chunk in chunks:
+        sketch.query_many(chunk)
+    batched = time.perf_counter() - start
+    return len(keys) / per_item, len(keys) / batched
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--length", type=int, default=200_000)
@@ -81,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     trace = dataset(args.dataset, args.length, seed=0)
 
     header = (f"{'sketch':<14} {'per-item/s':>12} {'batched/s':>12} "
-              f"{'speedup':>8}")
+              f"{'speedup':>8} {'query/s':>12} {'query_many/s':>13}")
     lines = [
         f"batch ingestion throughput -- {trace.name}, "
         f"{len(trace):,} updates, batch={args.batch_size}",
@@ -96,15 +116,20 @@ def main(argv: list[str] | None = None) -> int:
         # A fresh sketch per path, so neither run warms the other's
         # counters.
         per_item = len(trace) / per_item_seconds(factory(), trace)
+        fed = factory()
         batched = len(trace) / ingest_seconds(
-            factory(), trace.chunks(args.batch_size))
+            fed, trace.chunks(args.batch_size))
+        query, query_many = query_rates(fed, trace, args.batch_size)
         line = (f"{name:<14} {per_item:>12,.0f} {batched:>12,.0f} "
-                f"{batched / per_item:>7.2f}x")
+                f"{batched / per_item:>7.2f}x {query:>12,.0f} "
+                f"{query_many:>13,.0f}")
         print(line)
         lines.append(line)
         rows.append({"sketch": name, "per_item": round(per_item, 1),
                      "batched": round(batched, 1),
-                     "speedup": round(batched / per_item, 2)})
+                     "speedup": round(batched / per_item, 2),
+                     "query_per_item": round(query, 1),
+                     "query_many": round(query_many, 1)})
     path = emit_table("batch_throughput.txt", lines)
     print(f"wrote {path}")
     path = emit_bench_json("sketches", {

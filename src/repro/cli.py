@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
         # on-arrival loop (the sketch's final state is identical).
         for chunk in trace.chunks(args.batch_size):
             estimates = sketch.query_many(chunk)
-            for x, est in zip(chunk.tolist(), estimates):
+            for x, est in zip(chunk.tolist(), estimates.tolist()):
                 collector.observe(x, est)
             sketch.update_many(chunk)
     else:

@@ -63,6 +63,17 @@ def _worker_keys(items: np.ndarray, workers: int, policy: str, seed: int,
     raise ValueError(f"unknown policy {policy!r}")
 
 
+def _split(keys: np.ndarray, workers: int) -> list[np.ndarray]:
+    """Each worker's positions in ``keys``, in arrival order: one
+    stable sort of the worker ids, cut where each worker's run ends.
+    The ids sort at their smallest unsigned width, so up to 65,536
+    workers NumPy radix-sorts them."""
+    order = np.argsort(keys.astype(np.min_scalar_type(workers - 1)),
+                       kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys,
+                                                 minlength=workers))[:-1])
+
+
 def shard(trace: Trace, workers: int, policy: str = HASH,
           seed: int = 0) -> list[Trace]:
     """Split a trace into ``workers`` shards.
@@ -76,9 +87,8 @@ def shard(trace: Trace, workers: int, policy: str = HASH,
         raise ValueError(f"workers must be >= 1, got {workers}")
     keys = _worker_keys(trace.items, workers, policy, seed)
     return [
-        Trace(trace.items[keys == worker],
-              name=f"{trace.name}/shard{worker}")
-        for worker in range(workers)
+        Trace(trace.items[pos], name=f"{trace.name}/shard{worker}")
+        for worker, pos in enumerate(_split(keys, workers))
     ]
 
 
@@ -161,12 +171,10 @@ class DistributedSketch:
                 values = None   # unit weights: each local makes its own
             keys = _worker_keys(items, workers, policy, seed, offset)
             offset += len(items)
-            for worker, sketch in enumerate(self.locals):
-                mine = keys == worker
-                part = items[mine]
-                if len(part):
+            for sketch, pos in zip(self.locals, _split(keys, workers)):
+                if len(pos):
                     sketch.update_many(
-                        part, None if values is None else values[mine])
+                        items[pos], None if values is None else values[pos])
 
     def combined(self):
         """Merge all local sketches into a fresh global sketch.

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from repro.hashing import HashFamily, mix64
 from repro.core.row import MAX, SIMPLE, SalsaRow
 from repro.sketches.base import (
@@ -62,6 +64,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
     """
 
     model = StreamModel.CASH_REGISTER
+    query_dtype = np.dtype(np.float64)  # scaled by 1 / p
 
     def __init__(self, w: int, d: int = 4, s: int = 8, max_bits: int = 64,
                  delta: float = 0.001, downsample_first: int = 0,
@@ -285,14 +288,14 @@ class SalsaAeeCountMin(BatchOpsMixin):
             row.add_many(idxs, values)
         return True
 
-    def query_many(self, items) -> list:
-        """Batched query: deduped, one hash call per row, scaled by p."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Batched query: one hash call per row over the raw batch,
+        scaled by p."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             return self.rows[row_id].read_many(idxs)
 
-        p = self.p
-        return [e / p for e in batched_min_query(items, self.d, row_values)]
+        return batched_min_query(items, self.d, row_values) / self.p
 
     # ------------------------------------------------------------------
     @property

@@ -15,6 +15,8 @@ verify on random streams.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hashing import HashFamily, mix64
 from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow
 from repro.core.tango import TangoRow
@@ -27,6 +29,16 @@ from repro.sketches.base import (
     batched_min_query,
     width_for_memory,
 )
+
+
+def _check_smallest(sketch, value: int) -> None:
+    """Max merge is exact only in the Cash Register model (Thm V.2):
+    no update may be negative."""
+    if value < 0 and sketch.merge_policy == MAX:
+        raise ValueError(
+            f"max-merge {type(sketch).__name__} is a Cash Register "
+            f"sketch; got value {value}"
+        )
 
 
 class SalsaCountMin(BatchOpsMixin):
@@ -61,6 +73,7 @@ class SalsaCountMin(BatchOpsMixin):
     """
 
     model = StreamModel.CASH_REGISTER
+    query_dtype = np.dtype(np.uint64)  # unsigned rows
 
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
@@ -101,7 +114,7 @@ class SalsaCountMin(BatchOpsMixin):
         """Add ``value`` to each of the item's counters (merging on
         overflow).  Max-merge rows take no negative values."""
         item, value = as_item(item, value)
-        self._check_smallest(value)
+        _check_smallest(self, value)
         mask = self.w - 1
         for row, seed in zip(self.rows, self.hashes.seeds):
             row.add(mix64(item ^ seed) & mask, value)
@@ -135,24 +148,16 @@ class SalsaCountMin(BatchOpsMixin):
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        self._check_smallest(int(values.min()))
+        _check_smallest(self, int(values.min()))
         for row_id, row in enumerate(self.rows):
             row.add_many(self.hashes.index_many(items, row_id, self.w),
                          values)
 
-    def _check_smallest(self, value: int) -> None:
-        """Max merge is exact only in the Cash Register model (Thm
-        V.2): no update may be negative."""
-        if value < 0 and self.merge_policy == MAX:
-            raise ValueError(
-                f"max-merge SALSA CMS is a Cash Register sketch; got "
-                f"value {value}"
-            )
-
-    def query_many(self, items) -> list:
-        """Batched query: one hash call per row, duplicate keys deduped."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Batched query: one hash call and one gather per row over the
+        raw batch, answered as uint64."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             return self.rows[row_id].read_many(idxs)
 
         return batched_min_query(items, self.d, row_values)
@@ -200,6 +205,7 @@ class TangoCountMin(BatchOpsMixin):
     """
 
     model = StreamModel.CASH_REGISTER
+    query_dtype = np.dtype(np.uint64)  # unsigned rows
 
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  max_bits: int = 64, seed: int = 0,
@@ -228,13 +234,25 @@ class TangoCountMin(BatchOpsMixin):
         return cls(w=w, d=d, s=s, merge=merge, seed=seed, engine=engine)
 
     def update(self, item: int, value: int = 1) -> None:
-        """Add ``value`` to each of the item's counters."""
+        """Add ``value`` to each of the item's counters.  Max-merge
+        rows take no negative values."""
+        item, value = as_item(item, value)
+        _check_smallest(self, value)
         mask = self.w - 1
         for row, seed in zip(self.rows, self.hashes.seeds):
             row.add(mix64(item ^ seed) & mask, value)
 
+    def update_many(self, items, values=None) -> None:
+        """The per-item loop, once the whole batch has passed the
+        input checks (so a rejected batch moves no counter)."""
+        items, values = as_batch(items, values)
+        if len(items):
+            _check_smallest(self, int(values.min()))
+        BatchOpsMixin.update_many(self, items, values)
+
     def query(self, item: int) -> int:
         """Minimum over rows."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in zip(self.rows, self.hashes.seeds):
@@ -243,10 +261,11 @@ class TangoCountMin(BatchOpsMixin):
                 est = v
         return est
 
-    def query_many(self, items) -> list:
-        """Batched query: one hash call per row, engine gathers."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Batched query: one hash call per row, engine gathers,
+        answered as uint64."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             return self.rows[row_id].read_many(idxs)
 
         return batched_min_query(items, self.d, row_values)

@@ -26,6 +26,7 @@ from repro.sketches.base import (
     as_item,
     batched_median_query,
     median,
+    median_dtype,
     width_for_memory,
 )
 
@@ -117,10 +118,16 @@ class SalsaCountSketch(BatchOpsMixin):
             row.add_many((raw & mask).astype(np.int64),
                          np.where(raw >> np.uint64(63), values, -values))
 
-    def query_many(self, items) -> list:
-        """Batched query: per-row votes gathered once, exact median."""
-        def row_votes(row_id, uniq):
-            raw = self.hashes.raw_many(uniq, row_id)
+    @property
+    def query_dtype(self) -> np.dtype:
+        """int64 for odd ``d``, float64 (a mean of two votes) for even."""
+        return median_dtype(self.d)
+
+    def query_many(self, items) -> np.ndarray:
+        """Batched query: per-row votes gathered once over the raw
+        batch, exact median."""
+        def row_votes(row_id, keys):
+            raw = self.hashes.raw_many(keys, row_id)
             idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
             vals = self.rows[row_id].read_many(idxs)
             return np.where(raw >> np.uint64(63), vals, -vals)

@@ -10,6 +10,8 @@ corresponding counter of the underlying coarse CUS, so
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hashing import HashFamily, mix64
 from repro.core import _native
 from repro.core.row import MAX, SIMPLE, SalsaRow
@@ -36,6 +38,7 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     """
 
     model = StreamModel.CASH_REGISTER
+    query_dtype = np.dtype(np.uint64)  # unsigned rows
 
     def __init__(self, w: int, d: int = 4, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
@@ -115,10 +118,11 @@ class SalsaConservativeUpdate(BatchOpsMixin):
         _native.cu_walk(self.rows, self.hashes.index_matrix(items, self.w,
                                                             self.d), values)
 
-    def query_many(self, items) -> list:
-        """Batched query: one hash call per row, duplicate keys deduped."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Batched query: one hash call and one gather per row over the
+        raw batch, answered as uint64."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             return self.rows[row_id].read_many(idxs)
 
         return batched_min_query(items, self.d, row_values)

@@ -21,7 +21,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sketches.base import as_batch
+import numpy as np
+
+from repro.sketches.base import (
+    add_exact,
+    answer_dtype,
+    as_batch,
+    batch_answers,
+)
 
 
 class WindowedSketch:
@@ -129,19 +136,19 @@ class WindowedSketch:
             total += self.previous.query(item)
         return total
 
-    def query_many(self, items) -> list:
+    @property
+    def query_dtype(self) -> np.dtype:
+        """The epoch sketches' answer dtype."""
+        return answer_dtype(self.current)
+
+    def query_many(self, items) -> np.ndarray:
         """Window estimates for a batch: current plus previous epoch,
-        through each resident sketch's ``query_many`` when available."""
+        through each resident sketch's ``query_many`` when available.
+        A sum past the answer dtype raises ``ValueError``."""
         items, _ = as_batch(items)
-
-        def _query(sketch):
-            if hasattr(sketch, "query_many"):
-                return list(sketch.query_many(items))
-            return [sketch.query(x) for x in items.tolist()]
-
-        totals = _query(self.current)
+        totals = batch_answers(self.current, items)
         if self.previous is not None:
-            totals = [a + b for a, b in zip(totals, _query(self.previous))]
+            totals = add_exact(totals, batch_answers(self.previous, items))
         return totals
 
     def query_current_epoch(self, item: int) -> float:

@@ -154,7 +154,7 @@ def score(target, items) -> tuple[int, float, float]:
     flows, counts = np.unique(items, return_counts=True)
     if not len(flows):
         return 0, 0.0, 0.0
-    errors = np.asarray(target.query_many(flows), dtype=np.float64) - counts
+    errors = target.query_many(flows).astype(np.float64) - counts
     return (len(flows), float(np.mean(np.abs(errors))),
             float(np.sqrt(np.mean(errors * errors)) / len(items)))
 

@@ -56,14 +56,31 @@ def median_over_rows(votes2d: np.ndarray) -> np.ndarray:
     """Count-Sketch query aggregation, replicating
     :func:`repro.sketches.base.median` exactly: the middle row for odd
     ``d`` (same dtype as the votes), the mean of the two middle rows
-    for even ``d`` (float).  Sorts a copy; the input is not modified.
+    for even ``d`` (float).  The input is not modified.
+
+    Columns are sorted by an odd-even transposition network: ``d``
+    rounds of neighbour compare-exchanges, each one vectorized
+    ``np.minimum``/``np.maximum`` over the whole batch, where
+    ``np.sort(axis=0)`` would run one tiny strided sort per column.
     """
-    votes = np.sort(votes2d, axis=0)
-    d = votes.shape[0]
+    votes = [row.copy() for row in votes2d]
+    d = len(votes)
+    for rnd in range(d):
+        for i in range(rnd % 2, d - 1, 2):
+            a, b = votes[i], votes[i + 1]
+            votes[i], votes[i + 1] = np.minimum(a, b), np.maximum(a, b)
     mid = d // 2
     if d % 2:
         return votes[mid]
-    return (votes[mid - 1] + votes[mid]) / 2
+    lo, hi = votes[mid - 1], votes[mid]
+    total = lo + hi
+    est = total / 2
+    if votes2d.dtype.kind == "i":
+        # Two int64 votes whose sum wraps: average them in Python ints,
+        # as median() does (a SALSA CS counter reaches 2^63 - 1).
+        for i in np.flatnonzero(((lo ^ total) & (hi ^ total)) < 0).tolist():
+            est[i] = (int(lo[i]) + int(hi[i])) / 2
+    return est
 
 
 def _aggregate_flat(flat: np.ndarray, deltas: np.ndarray

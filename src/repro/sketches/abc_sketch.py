@@ -155,13 +155,14 @@ class AbcSketch(BatchOpsMixin):
             for j, v in zip(idxs.tolist(), agg):
                 add(row_id, j, v)
 
-    def query_many(self, items) -> list:
-        """Batched query: deduped keys, one hash call per row."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Batched query over the raw batch: one hash call per row,
+        answered as int64."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             read = self._read
             return np.fromiter((read(row_id, j) for j in idxs.tolist()),
-                               dtype=np.int64, count=len(uniq))
+                               dtype=np.int64, count=len(keys))
 
         return batched_min_query(items, self.d, row_values)
 

@@ -16,6 +16,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.sketches import _kernels
+
 
 class StreamModel(enum.Enum):
     """The three stream models of section III."""
@@ -51,8 +53,9 @@ class BatchFrequencySketch(FrequencySketch, Protocol):
         """Process a batch of updates, equivalent to per-item ``update``."""
         ...
 
-    def query_many(self, items) -> list:
-        """Estimates for a batch, equivalent to per-item ``query``."""
+    def query_many(self, items) -> np.ndarray:
+        """Estimates for a batch, equivalent to per-item ``query``: one
+        array of the sketch's ``query_dtype``."""
         ...
 
 
@@ -172,46 +175,88 @@ def batch_sum_fits(values: np.ndarray) -> bool:
     return float(np.abs(values).sum(dtype=np.float64)) <= _BATCH_SUM_BOUND
 
 
-def batched_min_query(items, d: int, row_values) -> list:
+def median_dtype(d: int) -> np.dtype:
+    """Answer dtype of a median over ``d`` int64 rows: the middle row
+    (int64) for odd ``d``, the mean of the two middle rows (float64)
+    for even ``d`` -- as :func:`median` answers."""
+    return np.dtype(np.int64 if d % 2 else np.float64)
+
+
+def batched_min_query(items, d: int, row_values) -> np.ndarray:
     """Shared min-over-rows batch query.
 
-    ``row_values(row_id, uniq)`` returns the int64 counter values of
-    the deduplicated keys in one row; the minimum across rows is mapped
-    back onto the original (duplicated) order.  Bit-identical to
-    per-item min queries because reads are pure.
+    ``row_values(row_id, items)`` returns one row's counter values for
+    the raw batch (duplicates included, in order); the answer is their
+    minimum across rows, in the rows' dtype.  Bit-identical to per-item
+    min queries because reads are pure.
     """
     items, _ = as_batch(items)
-    if len(items) == 0:
-        return []
-    uniq, inverse = np.unique(items, return_inverse=True)
-    est = None
-    for row_id in range(d):
-        vals = row_values(row_id, uniq)
-        est = vals if est is None else np.minimum(est, vals)
-    return est[inverse].tolist()
+    est = row_values(0, items)
+    for row_id in range(1, d):
+        est = np.minimum(est, row_values(row_id, items))
+    return est
 
 
-def batched_median_query(items, d: int, row_votes) -> list:
+def batched_median_query(items, d: int, row_votes) -> np.ndarray:
     """Shared median-over-rows batch query (Count Sketch aggregation).
 
-    ``row_votes(row_id, uniq)`` returns one row's signed estimates for
-    the deduplicated keys.  Replicates :func:`median` exactly: the
-    middle row for odd ``d`` (an int), the mean of the two middle rows
-    for even ``d`` (a float).
+    ``row_votes(row_id, items)`` returns one row's signed int64
+    estimates for the raw batch.  Replicates :func:`median` exactly, in
+    :func:`median_dtype` ``(d)``
+    (:func:`~repro.sketches._kernels.median_over_rows`).
     """
     items, _ = as_batch(items)
-    if len(items) == 0:
-        return []
-    uniq, inverse = np.unique(items, return_inverse=True)
-    votes = np.empty((d, len(uniq)), dtype=np.int64)
+    votes = np.empty((d, len(items)), dtype=np.int64)
     for row_id in range(d):
-        votes[row_id] = row_votes(row_id, uniq)
-    votes.sort(axis=0)
-    mid = d // 2
-    if d % 2:
-        return votes[mid][inverse].tolist()
-    est = (votes[mid - 1] + votes[mid]) / 2
-    return est[inverse].tolist()
+        votes[row_id] = row_votes(row_id, items)
+    return _kernels.median_over_rows(votes)
+
+
+def answer_dtype(sketch) -> np.dtype:
+    """The dtype ``sketch`` answers batches in: its declared
+    ``query_dtype``, else float64 (what :class:`FrequencySketch`'s
+    ``query`` promises)."""
+    return np.dtype(getattr(sketch, "query_dtype", np.float64))
+
+
+def query_loop(sketch, items: np.ndarray) -> np.ndarray:
+    """Per-item ``sketch.query`` over int64 ``items``, as one
+    :func:`answer_dtype` array; ``ValueError`` for an answer outside
+    that dtype's range."""
+    dtype = answer_dtype(sketch)
+    try:
+        return np.fromiter(map(sketch.query, items.tolist()), dtype=dtype,
+                           count=len(items))
+    except OverflowError:
+        raise _out_of_range(dtype) from None
+
+
+def batch_answers(sketch, items: np.ndarray) -> np.ndarray:
+    """``sketch.query_many(items)``, or :func:`query_loop` for a sketch
+    without a batch door."""
+    if hasattr(sketch, "query_many"):
+        return sketch.query_many(items)
+    return query_loop(sketch, items)
+
+
+def _out_of_range(dtype) -> ValueError:
+    return ValueError(f"an estimate exceeds the {dtype} answer range")
+
+
+def add_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` for two answer arrays of one dtype; ``ValueError``
+    where an integer sum would wrap (the per-item answer, a Python
+    int, lies outside the dtype)."""
+    total = a + b
+    if a.dtype.kind == "u":
+        wrapped = total < a
+    elif a.dtype.kind == "i":
+        wrapped = ((a ^ total) & (b ^ total)) < 0
+    else:
+        return total
+    if wrapped.any():
+        raise _out_of_range(a.dtype)
+    return total
 
 
 class BatchOpsMixin:
@@ -235,6 +280,10 @@ class BatchOpsMixin:
     #: Row-engine name for engine-backed sketches, else None.
     engine_name: str | None = None
 
+    #: dtype of every ``query_many`` answer, fixed by the sketch's
+    #: configuration (never inferred from the values).
+    query_dtype = np.dtype(np.int64)
+
     def update_many(self, items, values=None) -> None:
         """Process a batch of updates in order, one ``update`` each."""
         items, values = as_batch(items, values)
@@ -242,16 +291,16 @@ class BatchOpsMixin:
         for x, v in zip(items.tolist(), values.tolist()):
             update(x, v)
 
-    def query_many(self, items) -> list:
-        """Per-item ``query`` over a batch, preserving order.
+    def query_many(self, items) -> np.ndarray:
+        """Per-item ``query`` over a batch, preserving order, as one
+        :attr:`query_dtype` array.
 
         Normalizes through :func:`as_batch` so lists, tuples, NumPy
         arrays, Traces, and WeightedTraces are all accepted uniformly
-        (the same front door ``update_many`` uses).
+        (the same front door ``update_many`` uses).  An answer outside
+        the dtype's range raises ``ValueError``.
         """
-        items, _ = as_batch(items)
-        query = self.query
-        return [query(x) for x in items.tolist()]
+        return query_loop(self, as_batch(items)[0])
 
 
 def width_for_memory(memory_bytes: int, d: int, counter_bits: int,

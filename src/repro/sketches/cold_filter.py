@@ -20,7 +20,14 @@ from array import array
 import numpy as np
 
 from repro.hashing import HashFamily, mix64
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import (
+    BatchOpsMixin,
+    StreamModel,
+    add_exact,
+    answer_dtype,
+    as_batch,
+    batch_answers,
+)
 
 
 class ColdFilter(BatchOpsMixin):
@@ -180,28 +187,23 @@ class ColdFilter(BatchOpsMixin):
         for x, v in zip(items.tolist(), values.tolist()):
             update(x, v)
 
-    def query_many(self, items) -> list:
-        """Batched query: stage-1 gather + stage-2 batch query."""
+    @property
+    def query_dtype(self) -> np.dtype:
+        """Stage 2's answer dtype (stage-1 counts fit in any of them)."""
+        return answer_dtype(self.stage2)
+
+    def query_many(self, items) -> np.ndarray:
+        """Batched query over the raw batch: stage-1 gather, then one
+        stage-2 batch query for the hot items."""
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        idx2d = self.hashes.index_matrix(uniq, self.w1, self.d1)
+        idx2d = self.hashes.index_matrix(items, self.w1, self.d1)
         est = np.frombuffer(self.stage1, dtype=np.int64)[idx2d].min(axis=0)
+        out = est.astype(self.query_dtype)
         hot = est >= self.threshold
-        out = est.astype(object)
         if hot.any():
-            hot_items = uniq[hot]
-            query_many = getattr(self.stage2, "query_many", None)
-            if query_many is not None:
-                stage2_est = query_many(hot_items)
-            else:
-                stage2_est = [self.stage2.query(x)
-                              for x in hot_items.tolist()]
-            out[hot] = [self.threshold + e for e in stage2_est]
-        else:
-            out = est
-        return out[inverse].tolist()
+            deep = batch_answers(self.stage2, items[hot])
+            out[hot] = add_exact(deep, np.full_like(deep, self.threshold))
+        return out
 
     # ------------------------------------------------------------------
     @property

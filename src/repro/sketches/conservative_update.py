@@ -127,10 +127,11 @@ class ConservativeUpdateSketch(BatchOpsMixin):
                 if row[j] < target:
                     row[j] = target
 
-    def query_many(self, items) -> list:
-        """Fully vectorized batch query (min over row gathers)."""
-        def row_values(row_id, uniq):
-            idxs = self.hashes.index_many(uniq, row_id, self.w)
+    def query_many(self, items) -> np.ndarray:
+        """Fully vectorized batch query over the raw batch (min over row
+        gathers), answered as int64."""
+        def row_values(row_id, keys):
+            idxs = self.hashes.index_many(keys, row_id, self.w)
             return np.frombuffer(self.rows[row_id], dtype=np.int64)[idxs]
 
         return batched_min_query(items, self.d, row_values)

@@ -131,15 +131,12 @@ class CountMinSketch(BatchOpsMixin):
         idx2d = self.hashes.index_matrix(uniq, self.w, self.d)
         _kernels.scatter_add_capped(self.mat, idx2d, sums, self.cap)
 
-    def query_many(self, items) -> list:
-        """Fully vectorized batch query: one gather + min over rows."""
+    def query_many(self, items) -> np.ndarray:
+        """Fully vectorized batch query over the raw batch: one gather +
+        min over rows, answered as int64."""
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        idx2d = self.hashes.index_matrix(uniq, self.w, self.d)
-        est = _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
-        return est[inverse].tolist()
+        idx2d = self.hashes.index_matrix(items, self.w, self.d)
+        return _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
 
     # ------------------------------------------------------------------
     @property

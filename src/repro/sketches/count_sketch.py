@@ -30,6 +30,7 @@ from repro.sketches.base import (
     as_batch,
     batch_sum_fits,
     median,
+    median_dtype,
     width_for_memory,
 )
 
@@ -191,17 +192,20 @@ class CountSketch(BatchOpsMixin):
         running = _kernels.scatter_add_running(self.mat, idx2d, signed2d)
         return _kernels.median_over_rows(np.where(positive, running, -running))
 
-    def query_many(self, items) -> list:
-        """Vectorized batch query: exact median over one 2D gather."""
+    @property
+    def query_dtype(self) -> np.dtype:
+        """int64 for odd ``d``, float64 (a mean of two votes) for even."""
+        return median_dtype(self.d)
+
+    def query_many(self, items) -> np.ndarray:
+        """Vectorized batch query over the raw batch: exact median over
+        one 2D gather."""
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        raw2d = self.hashes.raw_matrix(uniq, self.d)
+        raw2d = self.hashes.raw_matrix(items, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
         vals = _kernels.gather_2d(self.mat, idx2d)
         votes = np.where(raw2d >> np.uint64(63), vals, -vals)
-        return _kernels.median_over_rows(votes)[inverse].tolist()
+        return _kernels.median_over_rows(votes)
 
     # ------------------------------------------------------------------
     @property

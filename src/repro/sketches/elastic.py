@@ -198,27 +198,30 @@ class ElasticSketch(BatchOpsMixin):
                 np.asarray(light_items, dtype=np.int64),
                 np.asarray(light_values, dtype=np.int64))
 
-    def query_many(self, items) -> list:
-        """Batched query: one light-part gather + a heavy lookup pass."""
+    def query_many(self, items) -> np.ndarray:
+        """Batched query over the raw batch, answered as int64: one
+        light-part gather, then the heavy part read once per bucket the
+        batch touches (a Python pass over at most ``heavy_buckets``
+        buckets, not over the keys)."""
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        light_est = self.light.query_many(uniq)
-        bidx = (mix64_many(uniq.view(np.uint64)
+        est = self.light.query_many(items)
+        bidx = (mix64_many(items.view(np.uint64)
                            ^ np.uint64(mix64(self.seed)))
                 & np.uint64(self.heavy_buckets - 1)).astype(np.int64)
-        buckets = self._buckets
-        out = []
-        for item, i, light in zip(uniq.tolist(), bidx.tolist(), light_est):
-            bucket = buckets[i]
-            if bucket.key == item:
-                out.append(bucket.positive + light if bucket.flag
-                           else bucket.positive)
-            else:
-                out.append(light)
-        est = np.asarray(out)
-        return est[inverse].tolist()
+        width = self.heavy_buckets
+        key = np.zeros(width, dtype=np.int64)
+        resident = np.zeros(width, dtype=bool)
+        positive = np.zeros(width, dtype=np.int64)
+        flagged = np.zeros(width, dtype=bool)
+        for i in np.flatnonzero(np.bincount(bidx, minlength=width)).tolist():
+            bucket = self._buckets[i]
+            if bucket.key is not None:
+                key[i], positive[i] = bucket.key, bucket.positive
+                resident[i], flagged[i] = True, bucket.flag
+        hit = resident[bidx] & (key[bidx] == items)
+        est[hit] = (positive[bidx[hit]]
+                    + np.where(flagged[bidx[hit]], est[hit], 0))
+        return est
 
     def heavy_entries(self) -> list[tuple[int, int]]:
         """Resident ``(item, count)`` pairs, largest first."""

@@ -60,6 +60,7 @@ class NitroSketch(BatchOpsMixin):
     """
 
     model = StreamModel.TURNSTILE
+    query_dtype = np.dtype(np.float64)  # float rows
 
     def __init__(self, w: int, d: int = 5, p: float = 0.1, seed: int = 0,
                  hash_family: HashFamily | None = None):
@@ -178,17 +179,15 @@ class NitroSketch(BatchOpsMixin):
             np.add.at(self._rows[row], cols, inv_signed)
             self.touches += len(ts)
 
-    def query_many(self, items) -> list:
-        """Vectorized batch query: exact float median over row gathers."""
+    def query_many(self, items) -> np.ndarray:
+        """Vectorized batch query over the raw batch: exact float median
+        over row gathers."""
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        raw2d = self.hashes.raw_matrix(uniq, self.d)
+        raw2d = self.hashes.raw_matrix(items, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
         vals = _kernels.gather_2d(self._rows, idx2d)
         votes = np.where(raw2d >> np.uint64(63), vals, -vals)
-        return _kernels.median_over_rows(votes)[inverse].tolist()
+        return _kernels.median_over_rows(votes)
 
     @property
     def memory_bytes(self) -> int:

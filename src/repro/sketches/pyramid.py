@@ -31,6 +31,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
 )
 
@@ -121,6 +122,8 @@ class PyramidSketch(BatchOpsMixin):
             self.values[layer + 1][parent] = new
 
     def _increment(self, idx: int) -> None:
+        """One unit into layer-1 counter ``idx``: the reference that
+        :meth:`_add` computes in closed form."""
         vals = self.values[0]
         new = vals[idx] + 1
         if new > self._layer1_cap:
@@ -129,15 +132,37 @@ class PyramidSketch(BatchOpsMixin):
         else:
             vals[idx] = new
 
+    def _add(self, idx: int, k: int) -> None:
+        """``k`` unit increments into layer-1 counter ``idx`` at once.
+
+        The carry arithmetic of :meth:`update_many` for one counter, in
+        Python ints: each layer keeps ``(old + k) mod (cap + 1)`` and
+        passes ``(old + k) // (cap + 1)`` carries up, flagging the
+        child in its parent; the top layer saturates at its cap.
+        """
+        for layer in range(self.n_layers):
+            vals = self.values[layer]
+            cap = self._layer1_cap if layer == 0 else self._upper_cap
+            total = vals[idx] + k
+            if layer == self.n_layers - 1:
+                vals[idx] = min(total, cap)
+                return
+            vals[idx] = total & cap               # total mod (cap + 1)
+            k = total >> cap.bit_length()         # total // (cap + 1)
+            if not k:
+                return
+            self.flags[layer + 1][idx >> 1] |= 1 << (idx & 1)
+            idx >>= 1
+
     def update(self, item: int, value: int = 1) -> None:
-        """Unit-increment each of the item's layer-1 counters."""
+        """Add ``value`` units to each of the item's layer-1 counters,
+        in O(layers) per row."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("Pyramid is a Cash Register sketch")
         mask = self.w1 - 1
         for seed in self.hashes.seeds:
-            idx = mix64(item ^ seed) & mask
-            for _ in range(value):
-                self._increment(idx)
+            self._add(mix64(item ^ seed) & mask, value)
 
     def _reconstruct(self, idx: int) -> int:
         """Read the full value rooted at layer-1 counter ``idx``."""
@@ -210,26 +235,24 @@ class PyramidSketch(BatchOpsMixin):
                 (np.uint8(1) << (child & 1).astype(np.uint8)))
             idxs, carries = _kernels._aggregate_flat(parents, emitted[fired])
 
-    def query_many(self, items) -> list:
-        """Vectorized batch query: masked carry-chain walk + row min."""
-        # The vectorized walk shifts int64; reconstructed values only
-        # exceed that horizon when carries reached absurdly deep layers,
-        # where the exact Python walk (arbitrary precision) takes over.
-        shift_guard = self.delta
+    def query_many(self, items) -> np.ndarray:
+        """Vectorized batch query over the raw batch: masked carry-chain
+        walk + row min, answered as int64."""
+        # The vectorized walk sums int64, and a layer whose carry bits
+        # reach past bit 62 could make a reconstructed value wrap: when
+        # such a layer holds a carry, the exact per-item walk (Python
+        # ints) answers, and raises ValueError for a value past int64.
+        top_bit = self.delta
         for layer in range(1, self.n_layers):
-            if shift_guard > 62 and any(self.flags[layer]):
+            top_bit += self.delta - 2
+            if top_bit > 63 and any(self.flags[layer]):
                 return BatchOpsMixin.query_many(self, items)
-            shift_guard += self.delta - 2
         items, _ = as_batch(items)
-        if len(items) == 0:
-            return []
-        uniq, inverse = np.unique(items, return_inverse=True)
-        idx2d = self.hashes.index_matrix(uniq, self.w1, self.d)
-        ridx, rinv = np.unique(idx2d.ravel(), return_inverse=True)
-        totals = np.frombuffer(self.values[0], dtype=np.int64)[ridx].copy()
+        idx2d = self.hashes.index_matrix(items, self.w1, self.d)
+        child = idx2d.ravel()
+        totals = np.frombuffer(self.values[0], dtype=np.int64)[child]
         shift = self.delta
-        child = ridx
-        active = np.ones(len(ridx), dtype=bool)
+        active = np.ones(len(child), dtype=bool)
         for layer in range(1, self.n_layers):
             parents = child >> 1
             flag_view = np.frombuffer(self.flags[layer], dtype=np.uint8)
@@ -242,8 +265,7 @@ class PyramidSketch(BatchOpsMixin):
             totals[active] += vals[parents[active]] << shift
             shift += self.delta - 2
             child = parents
-        est = totals[rinv].reshape(idx2d.shape).min(axis=0)
-        return est[inverse].tolist()
+        return totals.reshape(idx2d.shape).min(axis=0)
 
     # ------------------------------------------------------------------
     @property

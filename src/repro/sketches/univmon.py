@@ -20,7 +20,13 @@ from typing import Callable
 import numpy as np
 
 from repro.hashing import HashFamily, mix64, mix64_many
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import (
+    BatchOpsMixin,
+    StreamModel,
+    answer_dtype,
+    as_batch,
+    batch_answers,
+)
 from repro.sketches.count_sketch import CountSketch
 
 
@@ -185,11 +191,14 @@ class UnivMon(BatchOpsMixin):
                 for x, est in zip(sub_items.tolist(), estimates.tolist()):
                     offer(x, est)
 
-    def query_many(self, items) -> list:
+    @property
+    def query_dtype(self) -> np.dtype:
+        """The level-0 sketch's answer dtype."""
+        return answer_dtype(self.sketches[0])
+
+    def query_many(self, items) -> np.ndarray:
         """Batched frequency estimates from the level-0 sketch."""
-        if not hasattr(self.sketches[0], "query_many"):
-            return BatchOpsMixin.query_many(self, items)
-        return self.sketches[0].query_many(items)
+        return batch_answers(self.sketches[0], as_batch(items)[0])
 
     # ------------------------------------------------------------------
     def gsum(self, g: Callable[[float], float]) -> float:

@@ -14,6 +14,8 @@ unsaturated filters).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sketches import (
     ColdFilter,
@@ -26,6 +28,8 @@ from repro.sketches import (
     UnivMon,
 )
 from repro.sketches.base import BatchFrequencySketch
+
+from answers import assert_answers
 
 # ----------------------------------------------------------------------
 # the sketch matrix
@@ -106,8 +110,8 @@ def test_update_many_matches_per_item(name, stream):
     probe = _probe(items)
     expected = [reference.query(x) for x in probe]
     assert [batched.query(x) for x in probe] == expected
-    assert batched.query_many(probe) == expected
-    assert batched.query_many(np.array(probe, dtype=np.int64)) == expected
+    assert_answers(batched, probe, expected)
+    assert_answers(batched, np.array(probe, dtype=np.int64), expected)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -115,8 +119,8 @@ def test_batch_protocol_and_empty_batches(name):
     sketch = FACTORIES[name]()
     assert isinstance(sketch, BatchFrequencySketch)
     sketch.update_many([])
-    assert sketch.query_many([]) == []
-    assert sketch.query_many(np.array([], dtype=np.int64)) == []
+    assert_answers(sketch, [], [])
+    assert_answers(sketch, np.array([], dtype=np.int64), [])
 
 
 @pytest.mark.parametrize("name", CASH_REGISTER)
@@ -137,7 +141,7 @@ def test_nitro_turnstile_deletions_match():
         _feed_batched(b, items, values, chunk=271)
         assert np.array_equal(a._rows, b._rows)
         probe = list(range(80))
-        assert b.query_many(probe) == [a.query(x) for x in probe]
+        assert_answers(b, probe, [a.query(x) for x in probe])
 
 
 def test_nitro_sampler_state_continues_exactly():
@@ -188,7 +192,7 @@ def test_univmon_salsa_levels_take_per_item_walk():
     _feed_per_item(a, items, None)
     _feed_batched(b, items, None, chunk=173)
     probe = sorted(set(items.tolist()))
-    assert b.query_many(probe) == [a.query(x) for x in probe]
+    assert_answers(b, probe, [a.query(x) for x in probe])
     for j in range(a.levels):
         assert a.heaps[j].entries == b.heaps[j].entries
 
@@ -277,6 +281,23 @@ def test_elastic_evictions_and_heavy_entries_match():
     assert a.n == b.n
 
 
+def test_elastic_empty_bucket_answers_the_light_part():
+    """Key 0 never arrived and its heavy bucket is empty, but another
+    key's light-part mass shares its light counter: the batch reads
+    the light part, as ``query`` does, not the empty bucket's zeros."""
+    sk = ElasticSketch(heavy_buckets=2, light_memory=8, seed=1)
+    home = sk._bucket_of(0)
+    resident = next(x for x in range(1, 100) if sk._bucket_of(x) is not home)
+    sk.update(resident, 100)
+    light_slot = sk.light.hashes.index(0, 0, sk.light.w)
+    spill = next(x for x in range(1, 1000)
+                 if x != resident and sk._bucket_of(x) is not home
+                 and sk.light.hashes.index(x, 0, sk.light.w) == light_slot)
+    sk.update(spill, 3)                 # loses the vote: goes light
+    assert home.key is None and sk.query(0) == 3
+    assert_answers(sk, [0, 0, resident], [3, 3, 100])
+
+
 def test_pyramid_layers_flags_and_saturation_match():
     """Deep carries, shared-sibling bits, and top-layer saturation."""
     items = np.concatenate([
@@ -291,7 +312,82 @@ def test_pyramid_layers_flags_and_saturation_match():
         assert list(a.values[layer]) == list(b.values[layer])
         assert a.flags[layer] == b.flags[layer]
     probe = sorted(set(items.tolist()))
-    assert b.query_many(probe) == [a.query(x) for x in probe]
+    assert_answers(b, probe, [a.query(x) for x in probe])
+
+
+def _pyramid_state(p):
+    return ([list(v) for v in p.values], [bytes(f) for f in p.flags])
+
+
+PYRAMID_SHAPES = st.sampled_from([(8, 2, 4, 2), (16, 3, 4, None),
+                                  (8, 1, 5, 4), (64, 2, 8, None)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=PYRAMID_SHAPES,
+       stream=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 300)),
+                       max_size=12))
+def test_pyramid_weighted_update_equals_the_unit_loop(shape, stream):
+    """``update(x, v)`` adds ``v`` units in closed form per row; it
+    leaves exactly the layers and flags of ``v`` unit increments."""
+    w1, d, delta, layers = shape
+    fast, unit = (PyramidSketch(w1=w1, d=d, delta=delta, layers=layers,
+                                seed=5) for _ in range(2))
+    for x, v in stream:
+        fast.update(x, v)
+        for row in range(d):
+            idx = unit.hashes.index(x, row, w1)
+            for _ in range(v):
+                unit._increment(idx)
+    assert _pyramid_state(fast) == _pyramid_state(unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=PYRAMID_SHAPES,
+       stream=st.lists(st.tuples(st.integers(0, 40),
+                                 st.integers(1, (1 << 61) // 16)),
+                       max_size=16))
+def test_pyramid_weighted_update_equals_update_many(shape, stream):
+    """Huge weights within the batch bound (total inflow <= 2^61): the
+    per-item door and the batch door leave the same layers, in O(layers)
+    per row (the unit loop never returns on these weights)."""
+    w1, d, delta, layers = shape
+    a, b = (PyramidSketch(w1=w1, d=d, delta=delta, layers=layers, seed=6)
+            for _ in range(2))
+    for x, v in stream:
+        a.update(x, v)
+    b.update_many([x for x, _ in stream], [v for _, v in stream])
+    assert _pyramid_state(a) == _pyramid_state(b)
+    probe = sorted({x for x, _ in stream})
+    assert_answers(b, probe, [a.query(x) for x in probe])
+
+
+def test_pyramid_update_takes_the_int64_range_at_once():
+    p = PyramidSketch(w1=64, d=1, delta=8, layers=11, seed=1)
+    p.update(3, 2 ** 63 - 1)            # the unit loop never returned
+    assert p.query(3) == 2 ** 63 - 1
+    top = PyramidSketch(w1=64, d=4, seed=1)  # 5 layers: the top saturates
+    top.update(3, 2 ** 63 - 1)
+    assert top.query(3) == top.query_many([3])[0] < 2 ** 63 - 1
+    assert_answers(p, [3, 3], [2 ** 63 - 1] * 2)
+    with pytest.raises(ValueError):
+        p.update(3, 2 ** 63)
+    with pytest.raises(ValueError):
+        p.update(1.5)
+
+
+def test_pyramid_answer_past_int64_raises():
+    """Two siblings' carries share their parents: the exact per-item
+    answer passes int64, so the batch answer raises, not wraps."""
+    p = PyramidSketch(w1=4, d=1, delta=8, layers=12, seed=0)
+    slots = {}
+    for x in range(64):
+        slots.setdefault(p.hashes.index(x, 0, 4), x)
+    p.update(slots[0], 2 ** 63 - 1)
+    p.update(slots[1], 2 ** 63 - 1)
+    assert p.query(slots[0]) > 2 ** 63 - 1
+    with pytest.raises(ValueError):
+        p.query_many([slots[0]])
 
 
 # ----------------------------------------------------------------------

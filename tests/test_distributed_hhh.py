@@ -12,11 +12,28 @@ from repro.core import (
     VectorRowEngine,
     shard,
 )
-from repro.core.distributed import _worker_keys
+from repro.core.distributed import _split, _worker_keys
 from repro.core.serialize import dumps, loads
 from repro.hashing import mix64
 from repro.tasks import HierarchicalHeavyHitters, dotted
 from repro.streams import Trace, WeightedTrace, zipf_trace
+
+from answers import assert_answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       workers=st.sampled_from([1, 2, 3, 4, 255, 256, 257, 70_000]))
+def test_split_keeps_each_workers_arrival_order(data, workers):
+    """One stable sort of the worker ids, cut at their counts, hands
+    every worker exactly the positions one mask per worker picks, in
+    arrival order, whatever the id width."""
+    keys = np.array(data.draw(st.lists(st.integers(0, workers - 1),
+                                       max_size=80)), dtype=np.int64)
+    parts = _split(keys, workers)
+    assert len(parts) == workers
+    for worker, pos in enumerate(parts):
+        assert np.array_equal(pos, np.flatnonzero(keys == worker))
 
 
 class TestShard:
@@ -159,7 +176,7 @@ class TestDistributedSketch:
                                hash_family=dist.family)
         single.update_many(trace)
         flows = sorted(set(trace.items.tolist()))
-        assert combined.query_many(flows) == single.query_many(flows)
+        assert_answers(combined, flows, single.query_many(flows))
         self._assert_counters_equal(combined, single)
 
     def test_loads_rebuilds_bitpacked_state_on_vector_rows(self):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.hashing import TabulationFamily, TabulationHash
 
+from answers import assert_answers
+
 
 class TestTabulation:
     def test_deterministic(self):
@@ -84,8 +86,8 @@ class TestTabulation:
             batched.update_many(items[start:start + 128])
         assert np.array_equal(per_item._rows, batched._rows)
         probe = np.unique(items)
-        assert batched.query_many(probe) == [per_item.query(x)
-                                             for x in probe.tolist()]
+        assert_answers(batched, probe,
+                       [per_item.query(x) for x in probe.tolist()])
 
 
 @settings(max_examples=100, deadline=None)

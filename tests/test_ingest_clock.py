@@ -16,6 +16,8 @@ from repro.experiments.runner import ingest_seconds, per_item_seconds, score
 from repro.metrics import aae, nrmse
 from repro.streams import zipf_trace
 
+from answers import assert_answers
+
 NAP = 0.04
 
 
@@ -30,10 +32,11 @@ TARGETS = {
 }
 
 
-def _answers(target, flows):
+def _queryable(target):
+    """The sketch answering for ``target``: its merge when sharded."""
     if isinstance(target, DistributedSketch):
-        target = target.combined()
-    return list(target.query_many(flows))
+        return target.combined()
+    return target
 
 
 def _slow(source, every=1):
@@ -54,7 +57,8 @@ def test_batch_timer_excludes_building_the_chunks(kind):
     reference = TARGETS[kind]()
     per_item_seconds(reference, trace, seed=3)
     flows = sorted(trace.frequencies())
-    assert _answers(timed, flows) == _answers(reference, flows)
+    assert_answers(_queryable(timed), flows,
+                   _queryable(reference).query_many(flows))
 
 
 @pytest.mark.parametrize("kind", sorted(TARGETS))
@@ -66,7 +70,8 @@ def test_per_item_timer_excludes_building_the_items(kind):
     reference = TARGETS[kind]()
     ingest_seconds(reference, trace.chunks(64), seed=2)
     flows = sorted(trace.frequencies())
-    assert _answers(timed, flows) == _answers(reference, flows)
+    assert_answers(_queryable(timed), flows,
+                   _queryable(reference).query_many(flows))
 
 
 def test_score_matches_the_metrics_module():
@@ -74,7 +79,7 @@ def test_score_matches_the_metrics_module():
     sketch = SalsaCountMin(w=64, d=3, s=8, seed=1)
     ingest_seconds(sketch, trace.chunks(500))
     truth = trace.frequencies()
-    estimates = dict(zip(truth, sketch.query_many(list(truth))))
+    estimates = dict(zip(truth, sketch.query_many(list(truth)).tolist()))
     errors = [estimates[x] - f for x, f in truth.items()]
     distinct, mean_abs, nrmse_ = score(sketch, trace.items)
     assert distinct == len(truth)
@@ -91,7 +96,7 @@ def test_score_of_a_window_uses_its_trailing_span():
     assert 0 < hi < len(trace)
     tail = trace.items[len(trace) - hi:]
     flows, counts = np.unique(tail, return_counts=True)
-    errors = np.asarray(win.query_many(flows), dtype=np.float64) - counts
+    errors = win.query_many(flows).astype(np.float64) - counts
     assert score(win, trace.items) == (
         len(flows), float(np.mean(np.abs(errors))),
         float(np.sqrt(np.mean(errors ** 2)) / hi))

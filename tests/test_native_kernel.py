@@ -40,6 +40,8 @@ from repro.core import (
 )
 from repro.hashing import HashFamily
 
+from answers import assert_answers
+
 W = 32
 INT64_MAX = (1 << 63) - 1
 
@@ -365,12 +367,13 @@ def test_update_many_equals_the_per_item_loop(name, data, s, seed):
     per_item = make()
     for x, v in stream:
         per_item.update(x, v)
-    expect = (state(per_item), [per_item.query(x) for x in probe])
+    expect = [per_item.query(x) for x in probe]
     kernel = feed(make(), stream, cuts)
     with kernel_off():
         off = feed(make(), stream, cuts)
     for sketch in (kernel, off, feed(make("bitpacked"), stream, cuts)):
-        assert (state(sketch), sketch.query_many(probe)) == expect
+        assert state(sketch) == state(per_item)
+        assert_answers(sketch, probe, expect)
 
 
 @settings(max_examples=25, deadline=None)

@@ -33,6 +33,8 @@ from repro.core import _native, ops
 from repro.core.row import SUM
 from repro.core.serialize import dumps, loads
 
+from answers import assert_answers
+
 
 def row_state(row):
     """Observable state: (levels per slot, live counters, memory)."""
@@ -282,7 +284,7 @@ def test_sketch_engines_agree(name, stream):
         a.update_many(chunk_i, chunk_v)
         b.update_many(chunk_i, chunk_v)
     probe = sorted(set(items.tolist()))[:400] + [10**9]
-    assert a.query_many(probe) == b.query_many(probe)
+    assert_answers(a, probe, b.query_many(probe))
     assert a.memory_bytes == b.memory_bytes
     for ra, rb in zip(a.rows, b.rows):
         assert [ra.level_of(j) for j in range(ra.w)] == \
@@ -303,7 +305,7 @@ def test_aee_downsampling_stays_in_lockstep():
         b.update_many(items[start:start + 500])
     assert a.p == b.p and a.top_level == b.top_level
     probe = list(range(40))
-    assert a.query_many(probe) == b.query_many(probe)
+    assert_answers(a, probe, b.query_many(probe))
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +336,7 @@ def test_serialize_roundtrip_across_engines(src, dst):
     ops.merge(target, clone)
     probe = sorted(set(items.tolist()))
     for other in (clone, target):
-        assert other.query_many(probe) == sk.query_many(probe)
+        assert_answers(other, probe, sk.query_many(probe))
         assert other.memory_bytes == sk.memory_bytes
         assert dumps(other) == dumps(sk)
 
@@ -375,7 +377,7 @@ def test_tango_sketch_engines_agree():
     a.update_many(items)
     b.update_many(items)
     probe = sorted(set(items.tolist()))
-    assert a.query_many(probe) == b.query_many(probe)
+    assert_answers(a, probe, b.query_many(probe))
 
 
 def test_tango_vector_engine_rejects_over_64_bit_counters():

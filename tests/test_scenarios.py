@@ -20,6 +20,8 @@ from repro.core import (
 from repro.streams import SCENARIO_NAMES, StreamingTruth, make_scenario
 from repro.streams.scenarios import SCENARIOS
 
+from answers import assert_answers
+
 LENGTH = 20_000
 
 
@@ -211,8 +213,8 @@ class TestEngineEquivalence:
                 sketch.update_many(chunk)
             sketches[engine] = sketch
         flows = sorted(trace.frequencies())
-        assert (sketches["bitpacked"].query_many(flows)
-                == sketches["vector"].query_many(flows))
+        assert_answers(sketches["bitpacked"], flows,
+                       sketches["vector"].query_many(flows))
 
 
 class TestShardEquivalence:
@@ -231,7 +233,7 @@ class TestShardEquivalence:
                                hash_family=dist.family)
         single.update_many(trace)
         flows = sorted(trace.frequencies())
-        assert combined.query_many(flows) == single.query_many(flows)
+        assert_answers(combined, flows, single.query_many(flows))
 
     @pytest.mark.parametrize("policy", ["hash", "round_robin"])
     def test_feed_stream_matches_shard_plus_feed(self, policy, traces):
@@ -250,7 +252,7 @@ class TestShardEquivalence:
             ref = SalsaCountMin(w=512, d=4, merge="sum",
                                 hash_family=streamed.family)
             ref.update_many(piece)
-            assert local.query_many(flows) == ref.query_many(flows)
+            assert_answers(local, flows, ref.query_many(flows))
 
     def test_feed_stream_unknown_policy(self):
         dist = DistributedSketch(
@@ -279,7 +281,7 @@ class TestWindowedUnderScenarios:
         assert win.rotations == ref.rotations
         assert win.window_span == ref.window_span
         flows = sorted(set(trace.items[-6_000:].tolist()))
-        assert win.query_many(flows) == [ref.query(x) for x in flows]
+        assert_answers(win, flows, [ref.query(x) for x in flows])
 
 
 def test_cross_process_determinism():

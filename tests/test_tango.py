@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import SalsaRow, TangoRow
 from repro.core.salsa_cms import TangoCountMin
 
+from answers import assert_answers
+
 
 class TestConstruction:
     def test_rejects_bad_w(self):
@@ -178,3 +180,35 @@ class TestTangoCountMin:
     def test_for_memory_within_budget(self):
         sk = TangoCountMin.for_memory(16 * 1024, d=4, s=8)
         assert sk.memory_bytes <= 16 * 1024
+
+    @pytest.mark.parametrize("item,value", [(2 ** 70, 1), (1.9, 1),
+                                            (3, 2 ** 63), (3, -1)])
+    def test_both_doors_reject_what_max_merge_cannot_take(self, item,
+                                                         value):
+        """Tango checks its inputs as SALSA CMS does: keys and values
+        within int64, and no negative value under max merge.  Both
+        doors raise ValueError before any row changes."""
+        sk, fresh = (TangoCountMin(w=64, d=3, s=8, seed=1)
+                     for _ in range(2))
+        for sketch in (sk, fresh):
+            sketch.update(5, 300)
+        with pytest.raises(ValueError):
+            sk.update(item, value)
+        with pytest.raises(ValueError):
+            sk.update_many([5, item], [1, value])
+        if value == 1:
+            with pytest.raises(ValueError):
+                sk.query(item)
+        for a, b in zip(sk.rows, fresh.rows):
+            assert list(a.counters()) == list(b.counters())
+        probe = list(range(64))
+        assert_answers(sk, probe, fresh.query_many(probe))
+
+    def test_sum_merge_takes_deletions_on_both_doors(self):
+        per_item, batched = (TangoCountMin(w=64, d=3, s=8, merge="sum",
+                                           seed=1) for _ in range(2))
+        for x, v in [(5, 300), (5, -120), (6, 2)]:
+            per_item.update(x, v)
+        batched.update_many([5, 5, 6], [300, -120, 2])
+        assert per_item.query(5) == 180
+        assert_answers(batched, [5, 6, 5], [180, per_item.query(6), 180])

@@ -14,6 +14,8 @@ from repro.core import SalsaCountMin, WindowedSketch
 from repro.sketches import CountMinSketch
 from repro.streams import zipf_trace
 
+from answers import assert_answers
+
 
 def _pair(epoch, factory=None):
     factory = factory or (lambda: SalsaCountMin(w=256, d=4, s=8, seed=1))
@@ -32,7 +34,7 @@ def _assert_equivalent(batched, reference, items):
         assert batched.query(x) == reference.query(x)
         assert (batched.query_current_epoch(x)
                 == reference.query_current_epoch(x))
-    assert batched.query_many(flows) == [reference.query(x) for x in flows]
+    assert_answers(batched, flows, [reference.query(x) for x in flows])
 
 
 class TestEpochBoundaries:
