@@ -33,18 +33,13 @@ import random
 
 import numpy as np
 
-from repro.hashing import HashFamily, mix64
+from repro.hashing import HashFamily
 from repro.core.row import MAX, SIMPLE, SalsaRow
-from repro.sketches.base import (
-    BatchOpsMixin,
-    StreamModel,
-    as_batch,
-    batched_min_query,
-    width_for_memory,
-)
+from repro.core.sketch import RowSketch
+from repro.sketches.base import BatchOpsMixin, as_batch, as_item
 
 
-class SalsaAeeCountMin(BatchOpsMixin):
+class SalsaAeeCountMin(RowSketch):
     """SALSA CMS with interleaved estimator downsampling.
 
     Parameters
@@ -63,7 +58,6 @@ class SalsaAeeCountMin(BatchOpsMixin):
         Binomial vs deterministic counter halving.
     """
 
-    model = StreamModel.CASH_REGISTER
     query_dtype = np.dtype(np.float64)  # scaled by 1 / p
 
     def __init__(self, w: int, d: int = 4, s: int = 8, max_bits: int = 64,
@@ -73,34 +67,22 @@ class SalsaAeeCountMin(BatchOpsMixin):
                  engine: str = "vector"):
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
-        self.w = w
-        self.d = d
-        self.s = s
+        super().__init__([
+            SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
+                     encoding=SIMPLE, engine=engine)
+            for _ in range(d)
+        ], seed, hash_family)
         self.delta = delta
         self.delta_est = delta / 4
         self.split_enabled = split
         self.probabilistic = probabilistic
         self._forced_downsamples = downsample_first
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        self.rows = [
-            SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
-                     encoding=SIMPLE, engine=engine)
-            for _ in range(d)
-        ]
-        self.engine_name = self.rows[0].engine_name
         self.p = 1.0
         self.volume = 0
         self.top_level = 0
         self.max_level = self.rows[0].max_level
         self.downsample_events = 0
         self._rng = random.Random(seed ^ 0x5A15AEE)
-
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
-                   seed: int = 0, **kwargs) -> "SalsaAeeCountMin":
-        """Largest SALSA AEE fitting in ``memory_bytes``."""
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=1.0)
-        return cls(w=w, d=d, s=s, seed=seed, **kwargs)
 
     # ------------------------------------------------------------------
     # the overflow policy
@@ -148,6 +130,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Process ``value`` unit arrivals of ``item``."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("SALSA AEE is a Cash Register sketch")
         self.volume += value
@@ -160,8 +143,7 @@ class SalsaAeeCountMin(BatchOpsMixin):
         if self.p < 1.0 and self._rng.random() >= self.p:
             return
         if idxs is None:
-            mask = self.w - 1
-            idxs = [mix64(item ^ seed) & mask for seed in self.hashes.seeds]
+            idxs = self._slots(item)
         while True:
             # Would this increment overflow a largest-size counter?
             top_overflow = False
@@ -188,13 +170,11 @@ class SalsaAeeCountMin(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Minimum over rows, scaled back by the sampling rate."""
-        mask = self.w - 1
-        est = None
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            v = row.read(mix64(item ^ seed) & mask)
-            if est is None or v < est:
-                est = v
-        return est / self.p
+        return super().query(item) / self.p
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"{super().__repr__()[:-1]}, p={self.p}, "
+                f"split={self.split_enabled})")
 
     # ------------------------------------------------------------------
     # batch pipeline
@@ -291,18 +271,4 @@ class SalsaAeeCountMin(BatchOpsMixin):
     def query_many(self, items) -> np.ndarray:
         """Batched query: one hash call per row over the raw batch,
         scaled by p."""
-        def row_values(row_id, keys):
-            idxs = self.hashes.index_many(keys, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values) / self.p
-
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Rows plus encoding overhead (p and N are O(1) scalars)."""
-        return sum((row.memory_bits + 7) // 8 for row in self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"SalsaAeeCountMin(w={self.w}, d={self.d}, s={self.s}, "
-                f"p={self.p}, split={self.split_enabled})")
+        return super().query_many(items) / self.p

@@ -15,33 +15,18 @@ verify on random streams.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.hashing import HashFamily, mix64
-from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow
+from repro.hashing import HashFamily
+from repro.core.row import MAX, SIMPLE, SalsaRow
+from repro.core.sketch import RowSketch, _check_smallest
 from repro.core.tango import TangoRow
 from repro.sketches.base import (
     BatchOpsMixin,
-    StreamModel,
     aggregate_batch,  # unused here; perfbench/tracing.py wraps it by name
     as_batch,
-    as_item,
-    batched_min_query,
-    width_for_memory,
 )
 
 
-def _check_smallest(sketch, value: int) -> None:
-    """Max merge is exact only in the Cash Register model (Thm V.2):
-    no update may be negative."""
-    if value < 0 and sketch.merge_policy == MAX:
-        raise ValueError(
-            f"max-merge {type(sketch).__name__} is a Cash Register "
-            f"sketch; got value {value}"
-        )
-
-
-class SalsaCountMin(BatchOpsMixin):
+class SalsaCountMin(RowSketch):
     """SALSA CMS.
 
     Parameters
@@ -72,63 +57,15 @@ class SalsaCountMin(BatchOpsMixin):
     True
     """
 
-    model = StreamModel.CASH_REGISTER
-    query_dtype = np.dtype(np.uint64)  # unsigned rows
-
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
                  engine: str = "vector"):
-        self.w = w
-        self.d = d
-        self.s = s
-        self.merge_policy = merge
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        self.rows = [
+        super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=merge,
                      encoding=encoding, engine=engine)
             for _ in range(d)
-        ]
-        self.engine_name = self.rows[0].engine_name
-        if merge == SUM:
-            self.model = StreamModel.STRICT_TURNSTILE
-
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
-                   merge: str = MAX, encoding: str = SIMPLE,
-                   seed: int = 0, engine: str = "vector"
-                   ) -> "SalsaCountMin":
-        """Largest SALSA CMS fitting in ``memory_bytes`` with overheads.
-
-        The simple encoding charges 1 overhead bit per counter, the
-        compact one ~0.594 (Appendix A).  Both engines charge the same
-        bits, so the engine never changes the configured shape.
-        """
-        overhead = 1.0 if encoding == SIMPLE else 0.594
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
-        return cls(w=w, d=d, s=s, merge=merge, encoding=encoding, seed=seed,
-                   engine=engine)
-
-    # ------------------------------------------------------------------
-    def update(self, item: int, value: int = 1) -> None:
-        """Add ``value`` to each of the item's counters (merging on
-        overflow).  Max-merge rows take no negative values."""
-        item, value = as_item(item, value)
-        _check_smallest(self, value)
-        mask = self.w - 1
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            row.add(mix64(item ^ seed) & mask, value)
-
-    def query(self, item: int) -> int:
-        """Minimum over rows of the (possibly merged) counter value."""
-        item, _ = as_item(item)
-        mask = self.w - 1
-        est = None
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            v = row.read(mix64(item ^ seed) & mask)
-            if est is None or v < est:
-                est = v
-        return est
+        ], seed, hash_family)
 
     # ------------------------------------------------------------------
     # batch pipeline
@@ -153,21 +90,10 @@ class SalsaCountMin(BatchOpsMixin):
             row.add_many(self.hashes.index_many(items, row_id, self.w),
                          values)
 
-    def query_many(self, items) -> np.ndarray:
-        """Batched query: one hash call and one gather per row over the
-        raw batch, answered as uint64."""
-        def row_values(row_id, keys):
-            idxs = self.hashes.index_many(keys, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
+    # In the class dict, where perfbench's tracer wraps it by name.
+    query_many = RowSketch.query_many
 
     # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Payload plus merge-encoding overhead, as charged in figures."""
-        return sum((row.memory_bits + 7) // 8 for row in self.rows)
-
     @property
     def max_level(self) -> int:
         """Largest merge level currently present in any row."""
@@ -192,55 +118,24 @@ class SalsaCountMin(BatchOpsMixin):
         f = zeros / unmerged
         return zeros + f * r.merged_subcounter_slack()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"SalsaCountMin(w={self.w}, d={self.d}, s={self.s}, "
-                f"merge={self.merge_policy!r})")
 
-
-class TangoCountMin(BatchOpsMixin):
+class TangoCountMin(RowSketch):
     """Tango CMS: the fine-grained-merging variant of Fig 7.
 
     Same interface as :class:`SalsaCountMin`; rows grow one slot at a
-    time instead of doubling.
+    time instead of doubling, and charge one overhead bit per counter
+    (Tango cannot use the compact encoding).
     """
-
-    model = StreamModel.CASH_REGISTER
-    query_dtype = np.dtype(np.uint64)  # unsigned rows
 
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
-                 engine: str | None = None):
-        self.w = w
-        self.d = d
-        self.s = s
-        self.merge_policy = merge
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        max_slots = max(1, max_bits // s)
-        self.rows = [
-            TangoRow(w=w, s=s, max_slots=max_slots, merge=merge,
+                 engine: str = "vector"):
+        super().__init__([
+            TangoRow(w=w, s=s, max_slots=max(1, max_bits // s), merge=merge,
                      engine=engine)
             for _ in range(d)
-        ]
-        self.engine_name = self.rows[0].engine_name
-
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
-                   merge: str = MAX, seed: int = 0,
-                   engine: str | None = None) -> "TangoCountMin":
-        """Largest Tango CMS fitting in ``memory_bytes`` (1 overhead
-        bit per counter; Tango cannot use the compact encoding)."""
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=1.0)
-        return cls(w=w, d=d, s=s, merge=merge, seed=seed, engine=engine)
-
-    def update(self, item: int, value: int = 1) -> None:
-        """Add ``value`` to each of the item's counters.  Max-merge
-        rows take no negative values."""
-        item, value = as_item(item, value)
-        _check_smallest(self, value)
-        mask = self.w - 1
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            row.add(mix64(item ^ seed) & mask, value)
+        ], seed, hash_family)
 
     def update_many(self, items, values=None) -> None:
         """The per-item loop, once the whole batch has passed the
@@ -249,32 +144,3 @@ class TangoCountMin(BatchOpsMixin):
         if len(items):
             _check_smallest(self, int(values.min()))
         BatchOpsMixin.update_many(self, items, values)
-
-    def query(self, item: int) -> int:
-        """Minimum over rows."""
-        item, _ = as_item(item)
-        mask = self.w - 1
-        est = None
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            v = row.read(mix64(item ^ seed) & mask)
-            if est is None or v < est:
-                est = v
-        return est
-
-    def query_many(self, items) -> np.ndarray:
-        """Batched query: one hash call per row, engine gathers,
-        answered as uint64."""
-        def row_values(row_id, keys):
-            idxs = self.hashes.index_many(keys, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Payload plus one merge bit per counter."""
-        return sum((row.memory_bits + 7) // 8 for row in self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"TangoCountMin(w={self.w}, d={self.d}, s={self.s}, "
-                f"merge={self.merge_policy!r})")

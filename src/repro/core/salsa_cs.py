@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing import HashFamily, mix64
+from repro.hashing import HashFamily
 from repro.core.row import SIMPLE, SUM, SalsaRow
+from repro.core.sketch import RowSketch
 from repro.sketches.base import (
     BatchOpsMixin,
-    StreamModel,
     as_batch,
     as_item,
     batched_median_query,
     median,
     median_dtype,
-    width_for_memory,
 )
 
 _INT64_MIN = -(1 << 63)
 
 
-class SalsaCountSketch(BatchOpsMixin):
+class SalsaCountSketch(RowSketch):
     """SALSA CS (Turnstile, sign-magnitude, sum-merge).
 
     Examples
@@ -45,40 +44,27 @@ class SalsaCountSketch(BatchOpsMixin):
     300
     """
 
-    model = StreamModel.TURNSTILE
-
     def __init__(self, w: int, d: int = 5, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
                  engine: str = "vector"):
-        self.w = w
-        self.d = d
-        self.s = s
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        self.rows = [
+        super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=SUM, signed=True,
                      encoding=encoding, engine=engine)
             for _ in range(d)
-        ]
-        self.engine_name = self.rows[0].engine_name
+        ], seed, hash_family)
 
     @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 5, s: int = 8,
-                   encoding: str = SIMPLE, seed: int = 0,
-                   engine: str = "vector") -> "SalsaCountSketch":
-        """Largest SALSA CS fitting in ``memory_bytes``."""
-        overhead = 1.0 if encoding == SIMPLE else 0.594
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
-        return cls(w=w, d=d, s=s, encoding=encoding, seed=seed,
-                   engine=engine)
+    def for_memory(cls, memory_bytes: int, d: int = 5, **kwargs):
+        """Largest SALSA CS in ``memory_bytes``; 5 rows by default."""
+        return super().for_memory(memory_bytes, d=d, **kwargs)
 
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``g_i(x) * value`` to the item's counter in each row."""
         item, value = as_item(item, value)
         mask = self.w - 1
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            h = mix64(item ^ seed)
+        for row, h in zip(self.rows, self._hashes(item)):
             row.add(h & mask, value if h >> 63 else -value)
 
     def query(self, item: int) -> float:
@@ -86,8 +72,7 @@ class SalsaCountSketch(BatchOpsMixin):
         item, _ = as_item(item)
         mask = self.w - 1
         votes = []
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            h = mix64(item ^ seed)
+        for row, h in zip(self.rows, self._hashes(item)):
             c = row.read(h & mask)
             votes.append(c if h >> 63 else -c)
         return median(votes)
@@ -136,15 +121,6 @@ class SalsaCountSketch(BatchOpsMixin):
 
     def row_estimate(self, item: int, row: int) -> int:
         """Single-row unbiased estimate (used by SALSA UnivMon)."""
-        h = mix64(item ^ self.hashes.seeds[row])
+        h = self.hashes.raw(item, row)
         c = self.rows[row].read(h & (self.w - 1))
         return c if h >> 63 else -c
-
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Payload plus merge-encoding overhead."""
-        return sum((row.memory_bits + 7) // 8 for row in self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SalsaCountSketch(w={self.w}, d={self.d}, s={self.s})"

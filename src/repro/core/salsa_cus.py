@@ -10,22 +10,14 @@ corresponding counter of the underlying coarse CUS, so
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.hashing import HashFamily, mix64
+from repro.hashing import HashFamily
 from repro.core import _native
 from repro.core.row import MAX, SIMPLE, SalsaRow
-from repro.sketches.base import (
-    BatchOpsMixin,
-    StreamModel,
-    as_batch,
-    as_item,
-    batched_min_query,
-    width_for_memory,
-)
+from repro.core.sketch import RowSketch
+from repro.sketches.base import BatchOpsMixin, as_batch, as_item
 
 
-class SalsaConservativeUpdate(BatchOpsMixin):
+class SalsaConservativeUpdate(RowSketch):
     """SALSA CUS (Cash Register, max-merge by necessity).
 
     Examples
@@ -37,33 +29,15 @@ class SalsaConservativeUpdate(BatchOpsMixin):
     True
     """
 
-    model = StreamModel.CASH_REGISTER
-    query_dtype = np.dtype(np.uint64)  # unsigned rows
-
     def __init__(self, w: int, d: int = 4, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
                  engine: str = "vector"):
-        self.w = w
-        self.d = d
-        self.s = s
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        self.rows = [
+        super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
                      encoding=encoding, engine=engine)
             for _ in range(d)
-        ]
-        self.engine_name = self.rows[0].engine_name
-
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
-                   encoding: str = SIMPLE, seed: int = 0,
-                   engine: str = "vector") -> "SalsaConservativeUpdate":
-        """Largest SALSA CUS fitting in ``memory_bytes``."""
-        overhead = 1.0 if encoding == SIMPLE else 0.594
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
-        return cls(w=w, d=d, s=s, encoding=encoding, seed=seed,
-                   engine=engine)
+        ], seed, hash_family)
 
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
@@ -73,23 +47,10 @@ class SalsaConservativeUpdate(BatchOpsMixin):
             raise ValueError(
                 f"SALSA CUS is a Cash Register sketch; got value {value}"
             )
-        mask = self.w - 1
-        idxs = [mix64(item ^ seed) & mask for seed in self.hashes.seeds]
-        est = min(row.read(idx) for row, idx in zip(self.rows, idxs))
-        target = est + value
-        for row, idx in zip(self.rows, idxs):
-            row.set_at_least(idx, target)
-
-    def query(self, item: int) -> int:
-        """Minimum over rows."""
-        item, _ = as_item(item)
-        mask = self.w - 1
-        est = None
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            v = row.read(mix64(item ^ seed) & mask)
-            if est is None or v < est:
-                est = v
-        return est
+        idxs = self._slots(item)
+        target = min(row.read(j) for row, j in zip(self.rows, idxs)) + value
+        for row, j in zip(self.rows, idxs):
+            row.set_at_least(j, target)
 
     # ------------------------------------------------------------------
     # batch pipeline
@@ -118,20 +79,5 @@ class SalsaConservativeUpdate(BatchOpsMixin):
         _native.cu_walk(self.rows, self.hashes.index_matrix(items, self.w,
                                                             self.d), values)
 
-    def query_many(self, items) -> np.ndarray:
-        """Batched query: one hash call and one gather per row over the
-        raw batch, answered as uint64."""
-        def row_values(row_id, keys):
-            idxs = self.hashes.index_many(keys, row_id, self.w)
-            return self.rows[row_id].read_many(idxs)
-
-        return batched_min_query(items, self.d, row_values)
-
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Payload plus merge-encoding overhead."""
-        return sum((row.memory_bits + 7) // 8 for row in self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SalsaConservativeUpdate(w={self.w}, d={self.d}, s={self.s})"
+    # In the class dict, where perfbench's tracer wraps it by name.
+    query_many = RowSketch.query_many

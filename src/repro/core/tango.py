@@ -16,9 +16,10 @@ into ``<8,9>``, then ``<8..10>``, ``<8..11>``, ..., ``<8..15>``, then
 ``<7..15>`` and onward.
 
 Like :class:`~repro.core.row.SalsaRow`, the physical storage is a
-pluggable engine: ``"bitpacked"`` (the reference ``BitArray`` +
-``Bitmap``) or ``"vector"`` (NumPy span/value arrays with vectorized
-gathers).  Both report identical spans, values, and ``memory_bits``.
+pluggable engine: ``"vector"`` (NumPy span/value arrays with vectorized
+gathers, the default) or ``"bitpacked"`` (the reference ``BitArray`` +
+``Bitmap`` the tests compare against).  Both report identical spans,
+values, and ``memory_bits``.
 """
 
 from __future__ import annotations
@@ -133,12 +134,12 @@ class TangoRow:
         handled by the generic BitArray paths).
     max_slots:
         Widest counter allowed, in slots (default: grows to 64 bits).
+        The vector engine holds at most 64 bits; wider needs
+        ``"bitpacked"``.
     merge:
         ``"sum"`` or ``"max"`` -- same semantics as SALSA.
     engine:
-        ``"vector"`` or ``"bitpacked"`` storage.  ``None`` picks
-        ``"vector"`` whenever its uint64 cells can hold the widest
-        counter (``max_slots * s <= 64``), else ``"bitpacked"``.
+        ``"vector"`` (the default) or ``"bitpacked"`` (the reference).
 
     Examples
     --------
@@ -153,25 +154,21 @@ class TangoRow:
     """
 
     overhead_bits_per_counter = 1.0
+    #: Tango rows are unsigned (Cash Register / Strict Turnstile).
+    signed = False
 
     def __init__(self, w: int, s: int = 8, max_slots: int | None = None,
-                 merge: str = MAX, engine: str | None = None):
+                 merge: str = MAX, engine: str = "vector"):
         if w < 2 or w & (w - 1):
             raise ValueError(f"w must be a power of two >= 2, got {w}")
         if s < 1 or s > 64:
             raise ValueError(f"s must be in [1, 64], got {s}")
         if merge not in (SUM, MAX):
             raise ValueError(f"merge must be 'sum' or 'max', got {merge!r}")
-        if max_slots is None:
-            max_slots = max(1, min(w, 64 // s if s <= 64 else 1))
-            if max_slots < 1:
-                max_slots = 1
         self.w = w
         self.s = s
-        self.max_slots = min(max_slots, w)
+        self.max_slots = min(64 // s if max_slots is None else max_slots, w)
         self.merge = merge
-        if engine is None:
-            engine = "vector" if self.max_slots * s <= 64 else "bitpacked"
         if engine not in _TANGO_ENGINES:
             raise ValueError(
                 f"unknown Tango engine {engine!r}; "
@@ -253,7 +250,6 @@ class TangoRow:
     def add(self, j: int, v: int) -> int:
         """Add ``v`` to the counter containing ``j``, growing as needed."""
         left, right = self.engine.span_of(j)
-        # Tango rows are unsigned (Cash Register / Strict Turnstile).
         value = max(0, self.engine.read_span(left, right) + v)
         return self._settle(left, right, value)
 

@@ -76,10 +76,19 @@ def _int64_column(x, what: str) -> np.ndarray:
     if arr.dtype.kind not in "iu" or (arr.dtype == np.uint64
                                       and int(arr.max()) > _INT64_MAX):
         raise _not_int64(f"batch {what}", f"dtype {arr.dtype}")
+    if not isinstance(x, np.ndarray):
+        # NumPy reads [5, True] and [5, np.array(True)] as int64 [5, 1];
+        # as_item refuses a bool, so the batch door does too.
+        kinds = set(map(type, x))  # one C-level pass over the list
+        if bool in kinds or np.bool_ in kinds or (np.ndarray in kinds and any(
+                getattr(v, "dtype", None) == bool for v in x)):
+            raise _not_int64(f"batch {what}", "a bool")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _int64_scalar(x, what: str) -> int:
+    if type(x) is int and -_INT64_MAX - 1 <= x <= _INT64_MAX:
+        return x  # the per-item doors' usual key, at a third the cost
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         x = int(x)
         if -_INT64_MAX - 1 <= x <= _INT64_MAX:

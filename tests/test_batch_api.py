@@ -186,6 +186,9 @@ MALFORMED_BATCHES = {
     "float keys": ([1.9], None),
     "float values": ([1], [1.5]),
     "bool keys": ([True, False], None),
+    "bool inside a key list": ([5, True], None),
+    "bool inside a value list": ([5, 6], [1, np.True_]),
+    "0-d bool array inside a key list": ([5, np.array(True)], None),
     "keys past int64 (list)": ([2 ** 63], None),
     "keys past int64 (big int)": ([2 ** 70], None),
     "keys past int64 (uint64)": (np.array([2 ** 63 + 5], dtype=np.uint64),
@@ -224,7 +227,7 @@ MALFORMED_ITEMS = {
     "bool key": (True, 1),
 }
 
-SALSA_DOORS = ["salsa-cms-max", "salsa-cus", "salsa-cs"]
+SALSA_DOORS = ["salsa-cms-max", "salsa-cus", "salsa-cs", "salsa-aee", "tango"]
 
 
 @pytest.mark.parametrize("name", SALSA_DOORS)

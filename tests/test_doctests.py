@@ -15,6 +15,10 @@ import repro.core.layout
 import repro.core.compact
 import repro.core.row
 import repro.core.tango
+import repro.core.sketch
+import repro.core.salsa_cms
+import repro.core.salsa_cus
+import repro.core.salsa_cs
 import repro.core.serialize
 import repro.metrics.errors
 import repro.sketches.count_min
@@ -44,6 +48,10 @@ _MODULES = [
     repro.core.compact,
     repro.core.row,
     repro.core.tango,
+    repro.core.sketch,
+    repro.core.salsa_cms,
+    repro.core.salsa_cus,
+    repro.core.salsa_cs,
     repro.core.serialize,
     repro.metrics.errors,
     repro.sketches.count_min,

@@ -77,9 +77,30 @@ class TestSalsaCountMin:
         assert sk.max_level == 2
 
     def test_sum_merge_is_strict_turnstile(self):
+        """The model follows the rows: sum merge takes deletions, on
+        Tango rows too (which used to report Cash Register)."""
+        from repro.core import SalsaAeeCountMin, TangoCountMin
         from repro.sketches import StreamModel
         assert SalsaCountMin(w=8, merge="sum").model is StreamModel.STRICT_TURNSTILE
         assert SalsaCountMin(w=8, merge="max").model is StreamModel.CASH_REGISTER
+        assert TangoCountMin(w=8, merge="sum").model is StreamModel.STRICT_TURNSTILE
+        assert TangoCountMin(w=8, merge="max").model is StreamModel.CASH_REGISTER
+        assert SalsaCountSketch(w=8).model is StreamModel.TURNSTILE
+        assert SalsaConservativeUpdate(w=8).model is StreamModel.CASH_REGISTER
+        assert SalsaAeeCountMin(w=8).model is StreamModel.CASH_REGISTER
+
+    def test_hash_family_must_match_the_rows(self):
+        """A family with fewer functions than rows used to leave the
+        extra rows unhashed on ``update`` and raise IndexError on
+        ``query_many``; a TabulationFamily (no ``seeds``, no
+        ``index_many``) used to fail at the first update."""
+        from repro.core import SalsaAeeCountMin, TangoCountMin
+        from repro.hashing.tabulation import TabulationFamily
+        for cls in (SalsaCountMin, SalsaConservativeUpdate,
+                    SalsaCountSketch, SalsaAeeCountMin, TangoCountMin):
+            for fam in (HashFamily(2, seed=1), TabulationFamily(4, seed=1)):
+                with pytest.raises(ValueError, match="HashFamily"):
+                    cls(w=64, d=4, hash_family=fam)
 
     def test_estimate_zero_counters_unmerged(self):
         sk = SalsaCountMin(w=256, d=1, seed=7)
