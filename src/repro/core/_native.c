@@ -13,6 +13,8 @@
  *   salsa_cu_walk      == SalsaConservativeUpdate.update per item
  *   salsa_absorb       == ops._absorb_walk over b's counters in slot order
  *   salsa_add_partial  == the merge-free part of a batch of SalsaRow.add
+ *   salsa_replay       == SalsaRow.add over a batch's dirty-superblock
+ *                         updates, up to the first one that would merge
  */
 
 #include <stdint.h>
@@ -114,14 +116,19 @@ static void settle(row_t *r, int64_t start, int64_t level, i128 value)
     write_block(r, start, level, value);
 }
 
+/* The value SalsaRow.add stores before any merge: the counter at
+ * start plus v, clamped at zero on an unsigned row. */
+static inline i128 plus(const row_t *r, int64_t start, i128 v)
+{
+    i128 value = get(r->values, start, r->sgn) + v;
+    return !r->sgn && value < 0 ? 0 : value;
+}
+
 /* SalsaRow.add */
 static void add(row_t *r, int64_t j, i128 v)
 {
     int64_t start = start_of(r->levels, j);
-    i128 value = get(r->values, start, r->sgn) + v;
-    if (!r->sgn && value < 0)
-        value = 0;
-    settle(r, start, r->levels[j], value);
+    settle(r, start, r->levels[j], plus(r, start, v));
 }
 
 /* SalsaRow.set_at_least */
@@ -264,4 +271,33 @@ out:
     free(acc);
     free(pos);
     return ndirty;
+}
+
+/*
+ * Dirty-superblock replay on one row, in stream order from update
+ * `from`: updates whose superblock is clean in dirty[] (salsa_add_partial
+ * applied them) are skipped, and every other update that needs no
+ * merge -- it fits its counter, clamps at zero on an unsigned row, or
+ * saturates at max_level -- is added in place as SalsaRow.add would.
+ * Returns the position of the first update that would merge, for the
+ * caller to run through SalsaRow.add and resume after, or n when the
+ * batch is done.  Slots must lie in [0, w) (the caller checks).
+ */
+int64_t salsa_replay(int64_t s, int64_t max_level, int64_t sgn,
+                     void *values, int64_t *levels, int64_t n,
+                     const int64_t *idx, const int64_t *val,
+                     const uint8_t *dirty, int64_t from, int64_t *counts)
+{
+    row_t r = {values, levels, s, max_level, (int)sgn, 0, counts};
+    for (int64_t t = from; t < n; t++) {
+        int64_t j = idx[t];
+        if (!dirty[j >> max_level])
+            continue;
+        int64_t start = start_of(levels, j), level = levels[j];
+        i128 value = plus(&r, start, val[t]);
+        if (level < max_level && !fits(value, s << level, r.sgn))
+            return t;
+        settle(&r, start, level, value);
+    }
+    return n;
 }

@@ -8,14 +8,19 @@ arrays:
 * :func:`absorb` -- one row of ``ops.merge``/``ops.subtract``, equal to
   ``ops._absorb_walk`` over ``b``'s counters in slot order;
 * :func:`add_partial` -- the vector engine's merge-free batch door
-  (``add_batch_partial``), the only implementation it has.
+  (``add_batch_partial``), the only implementation it has;
+* :func:`replay` -- ``SalsaRow.add_many``'s stream-order replay of the
+  updates landing in the superblocks that door flagged dirty: C adds
+  every one that needs no merge and hands each one that would merge
+  back to :meth:`SalsaRow.add`, so Python runs once per merge.
 
 The walks count merges and saturations into the rows'
 ``merge_events`` and ``saturations`` exactly as :class:`SalsaRow`
 does.  The Python walks stay the reference: callers take them
 whenever :func:`usable` says no (bit-packed rows, or no C compiler),
 and without the library the vector batch door reports every
-superblock dirty, so SALSA CMS/CS batches replay per item.
+superblock dirty, so SALSA CMS/CS batches replay per item through
+:meth:`SalsaRow.add`.
 
 On first use the C file is compiled with the system ``cc`` into the
 per-user cache directory (``$XDG_CACHE_HOME/repro-salsa``, else
@@ -108,6 +113,9 @@ def _load():
     lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 2 + [i64] + \
         [ptr] * 2 + [i64, ptr]
     lib.salsa_add_partial.restype = i64
+    lib.salsa_replay.argtypes = [i64] * 3 + [ptr] * 2 + [i64] + \
+        [ptr] * 3 + [i64, ptr]
+    lib.salsa_replay.restype = i64
     return lib
 
 
@@ -237,3 +245,31 @@ def add_partial(engine, idxs: np.ndarray, values: np.ndarray,
     if status == -2:
         raise MemoryError("no scratch memory for the batch check")
     return mask.view(bool) if status else None
+
+
+def replay(row, idxs: np.ndarray, values: np.ndarray,
+           dirty: np.ndarray) -> None:
+    """:meth:`SalsaRow.add` of every update of the int64 batch
+    ``idxs``/``values`` that lands in a superblock flagged in ``dirty``
+    (the mask :func:`add_partial` returned), in stream order.  C adds
+    each one that needs no merge; each one that would merge goes
+    through ``row.add`` itself, so the Python calls number the merges
+    and the merge logic stays in the reference.  Raises ``ValueError``
+    before writing anything on a malformed array or a slot outside
+    ``[0, w)``."""
+    lib = library()
+    engine = row.engine
+    w, n = engine.w, len(idxs)
+    args = (engine.s, engine.max_level, int(engine.signed),
+            *_row_ptrs(engine), n, _ptr(idxs, np.int64, n),
+            _ptr(values, np.int64, n),
+            _ptr(dirty, np.bool_, w >> engine.max_level))
+    if n and not 0 <= idxs.min() <= idxs.max() < w:
+        raise ValueError(f"batch slots must lie in [0, {w})")
+    counts = np.zeros(2, dtype=np.int64)
+    counts_ptr = counts.ctypes.data
+    t = lib.salsa_replay(*args, 0, counts_ptr)
+    while t < n:
+        row.add(int(idxs[t]), int(values[t]))
+        t = lib.salsa_replay(*args, t + 1, counts_ptr)
+    row.saturations += int(counts[1])

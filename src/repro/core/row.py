@@ -251,9 +251,13 @@ class SalsaRow:
         The raw stream goes in as it arrived: duplicate slots, negative
         deltas and any int64 value.  :meth:`add_batch_partial` applies
         every merge-free superblock in one pass, then the updates
-        landing in a dirty superblock replay through :meth:`add` in
-        stream order, so the row ends bit-identical to the per-item
-        loop (values, levels, ``merge_events``, ``saturations``).
+        landing in a dirty superblock replay in stream order, so the
+        row ends bit-identical to the per-item loop (values, levels,
+        ``merge_events``, ``saturations``).  On vector rows with the
+        native kernel, :func:`repro.core._native.replay` adds every
+        replayed update that needs no merge in C and calls :meth:`add`
+        only on those that merge; elsewhere (bit-packed rows, no C
+        compiler) each replayed update goes through :meth:`add`.
 
         >>> row = SalsaRow(w=8, s=8)
         >>> row.add_many([6, 1, 6], [200, 3, 100])
@@ -263,6 +267,10 @@ class SalsaRow:
         idxs, values = as_batch(idxs, values)
         dirty = self.add_batch_partial(idxs, values)
         if dirty is None:
+            return
+        from repro.core import _native  # it imports this module
+        if _native.usable([self]):
+            _native.replay(self, idxs, values, dirty)
             return
         sel = dirty[idxs >> self.max_level]
         add = self.add

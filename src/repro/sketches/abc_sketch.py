@@ -27,6 +27,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     batched_min_query,
     width_for_memory,
@@ -106,6 +107,7 @@ class AbcSketch(BatchOpsMixin):
 
     def update(self, item: int, value: int = 1) -> None:
         """Add ``value`` to the item's counter in every row."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("ABC is a Cash Register sketch")
         mask = self.w - 1
@@ -119,6 +121,7 @@ class AbcSketch(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Minimum over rows of the item's (possibly combined) counter."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in enumerate(self.hashes.seeds):

@@ -26,6 +26,7 @@ from repro.sketches.base import (
     add_exact,
     answer_dtype,
     as_batch,
+    as_item,
     batch_answers,
 )
 
@@ -64,6 +65,7 @@ class ColdFilter(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Absorb into stage 1 up to the threshold; spill the rest."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("Cold Filter is a Cash Register framework")
         mask = self.w1 - 1
@@ -86,6 +88,7 @@ class ColdFilter(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Stage-1 estimate if cold, else threshold + stage-2 estimate."""
+        item, _ = as_item(item)
         mask = self.w1 - 1
         est = min(
             self.stage1[mix64(item ^ seed) & mask]

@@ -18,6 +18,7 @@ from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     as_batch,
+    as_item,
     batch_sum_fits,
     collapse_runs,
     batched_min_query,
@@ -65,6 +66,7 @@ class ConservativeUpdateSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Conservative increment: raise only counters below v + f̂_x."""
+        item, value = as_item(item, value)
         if value <= 0:
             raise ValueError(
                 f"CUS is a Cash Register sketch; got update value {value}"
@@ -82,6 +84,7 @@ class ConservativeUpdateSketch(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Minimum of the item's counters."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in zip(self.rows, self.hashes.seeds):

@@ -25,6 +25,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     width_for_memory,
 )
@@ -88,6 +89,7 @@ class CountMinSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``value`` to each of the item's counters (saturating)."""
+        item, value = as_item(item, value)
         mask = self.w - 1
         cap = self.cap
         for row, seed in zip(self.mat, self.hashes.seeds):
@@ -97,6 +99,7 @@ class CountMinSketch(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Minimum of the item's counters (an over-estimate of f_x)."""
+        item, _ = as_item(item)
         mask = self.w - 1
         est = None
         for row, seed in zip(self.mat, self.hashes.seeds):

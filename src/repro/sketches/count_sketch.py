@@ -28,6 +28,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     median,
     median_dtype,
@@ -88,6 +89,7 @@ class CountSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``g_i(x) * value`` to the item's counter in each row."""
+        item, value = as_item(item, value)
         mask = self.w - 1
         lo, hi = self.min_val, self.max_val
         for row, seed in zip(self.mat, self.hashes.seeds):
@@ -99,6 +101,7 @@ class CountSketch(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Median over rows of ``counter * g_i(x)``."""
+        item, _ = as_item(item)
         mask = self.w - 1
         votes = []
         for row, seed in zip(self.mat, self.hashes.seeds):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import HashFamily, mix64, mix64_many
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch
+from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, as_item
 from repro.sketches.count_min import CountMinSketch
 
 #: Eviction threshold: evict when negative_votes / positive_votes
@@ -92,6 +92,7 @@ class ElasticSketch(BatchOpsMixin):
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Elastic's insertion with ostracism."""
+        item, value = as_item(item, value)
         if value <= 0:
             raise ValueError("Elastic Sketch is Cash-Register-only")
         self.n += value
@@ -120,6 +121,7 @@ class ElasticSketch(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Heavy count plus (when flagged or absent) the light estimate."""
+        item, _ = as_item(item)
         bucket = self._bucket_of(item)
         if bucket.key == item:
             if bucket.flag:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.hashing import HashFamily
 from repro.sketches import _kernels
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, median
+from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, as_item, median
 
 
 class NitroSketch(BatchOpsMixin):
@@ -104,6 +104,7 @@ class NitroSketch(BatchOpsMixin):
 
     def update(self, item: int, value: int = 1) -> None:
         """Process ``<item, value>``; each row fires independently."""
+        item, value = as_item(item, value)
         self.n += value
         for row in range(self.d):
             self._skip[row] -= 1
@@ -117,6 +118,7 @@ class NitroSketch(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Median of the signed row counters (unbiased per row)."""
+        item, _ = as_item(item)
         return median([
             float(self._rows[row][self.hashes.index(item, row, self.w)])
             * self.hashes.sign(item, row)

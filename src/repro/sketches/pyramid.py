@@ -180,6 +180,7 @@ class PyramidSketch(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Minimum of the d reconstructed counter values."""
+        item, _ = as_item(item)
         mask = self.w1 - 1
         est = None
         for seed in self.hashes.seeds:

@@ -28,6 +28,7 @@ from repro.sketches.base import (
     StreamModel,
     aggregate_batch,
     as_batch,
+    as_item,
     batch_sum_fits,
     collapse_runs,
 )
@@ -128,6 +129,7 @@ class SpaceSaving(BatchOpsMixin):
 
     def update(self, item: int, value: int = 1) -> None:
         """Process ``<item, value>`` (value must be positive)."""
+        item, value = as_item(item, value)
         if value <= 0:
             raise ValueError("Space-Saving is Cash-Register-only")
         self.n += value
@@ -143,6 +145,7 @@ class SpaceSaving(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Over-estimate of ``item``'s frequency (0 if unmonitored)."""
+        item, _ = as_item(item)
         entry = self._table.get(item)
         return entry[0] if entry is not None else 0
 
@@ -265,6 +268,7 @@ class MisraGries(BatchOpsMixin):
 
     def update(self, item: int, value: int = 1) -> None:
         """Process ``<item, value>`` (value must be positive)."""
+        item, value = as_item(item, value)
         if value <= 0:
             raise ValueError("Misra-Gries is Cash-Register-only")
         self.n += value
@@ -286,6 +290,7 @@ class MisraGries(BatchOpsMixin):
 
     def query(self, item: int) -> int:
         """Under-estimate of ``item``'s frequency (0 if unmonitored)."""
+        item, _ = as_item(item)
         return self._table.get(item, 0)
 
     def entries(self) -> list[tuple[int, int]]:

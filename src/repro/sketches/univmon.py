@@ -25,6 +25,7 @@ from repro.sketches.base import (
     StreamModel,
     answer_dtype,
     as_batch,
+    as_item,
     batch_answers,
 )
 from repro.sketches.count_sketch import CountSketch
@@ -110,6 +111,7 @@ class UnivMon(BatchOpsMixin):
 
     def update(self, item: int, value: int = 1) -> None:
         """Feed ``item`` to every level that samples it."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("UnivMon is used on Cash Register streams")
         self.volume += value
@@ -121,6 +123,7 @@ class UnivMon(BatchOpsMixin):
 
     def query(self, item: int) -> float:
         """Frequency estimate from the level-0 sketch."""
+        item, _ = as_item(item)
         return self.sketches[0].query(item)
 
     # ------------------------------------------------------------------

@@ -19,15 +19,21 @@ from repro import (
     SalsaCountSketch,
     TangoCountMin,
 )
+from repro.core import _native
 from repro.core.row import COMPACT, SUM, SalsaRow
 from repro.hashing import HashFamily, mix64, mix64_many
 from repro.sketches import (
     AbcSketch,
+    ColdFilter,
     ConservativeUpdateSketch,
     CountMinSketch,
     CountSketch,
+    ElasticSketch,
     MisraGries,
+    NitroSketch,
+    PyramidSketch,
     SpaceSaving,
+    UnivMon,
 )
 from repro.sketches.base import (
     BatchFrequencySketch,
@@ -227,10 +233,20 @@ MALFORMED_ITEMS = {
     "bool key": (True, 1),
 }
 
-SALSA_DOORS = ["salsa-cms-max", "salsa-cus", "salsa-cs", "salsa-aee", "tango"]
+#: every frequency sketch's per-item doors: the matrix above plus the
+#: competitors whose batch equivalence test_competitor_batch.py checks
+DOORS = {name: factory for name, (factory, _) in FACTORIES.items()} | {
+    "pyramid": lambda: PyramidSketch(w1=64, d=4, delta=8, seed=3),
+    "nitro": lambda: NitroSketch(w=256, d=5, p=0.1, seed=3),
+    "elastic": lambda: ElasticSketch(heavy_buckets=1 << 5,
+                                     light_memory=2048, seed=3),
+    "univmon": lambda: UnivMon(w=128, d=5, levels=8, heap_size=16, seed=3),
+    "coldfilter": lambda: ColdFilter(
+        w1=128, stage2=CountMinSketch(w=256, d=4, seed=5), d1=3, seed=3),
+}
 
 
-@pytest.mark.parametrize("name", SALSA_DOORS)
+@pytest.mark.parametrize("name", sorted(DOORS))
 @pytest.mark.parametrize("case", sorted(MALFORMED_ITEMS))
 def test_per_item_door_rejects_what_the_batch_door_does(name, case):
     """``update``/``query`` take the key and value range ``update_many``
@@ -238,7 +254,7 @@ def test_per_item_door_rejects_what_the_batch_door_does(name, case):
     (``update(2**70)`` used to hash the key, ``update(1.9)`` to leak a
     TypeError)."""
     item, value = MALFORMED_ITEMS[case]
-    sketch, fresh = (FACTORIES[name][0]() for _ in range(2))
+    sketch, fresh = (DOORS[name]() for _ in range(2))
     with pytest.raises(ValueError):
         sketch.update_many([item], [value])
     with pytest.raises(ValueError):
@@ -250,10 +266,10 @@ def test_per_item_door_rejects_what_the_batch_door_does(name, case):
     assert_answers(sketch, probe, fresh.query_many(probe))
 
 
-@pytest.mark.parametrize("name", SALSA_DOORS)
+@pytest.mark.parametrize("name", sorted(DOORS))
 def test_per_item_door_takes_the_whole_int64_range(name):
     keys = [-(2 ** 63), 2 ** 63 - 1, np.int64(7), np.uint8(9), -5]
-    per_item, batched = (FACTORIES[name][0]() for _ in range(2))
+    per_item, batched = (DOORS[name]() for _ in range(2))
     for key in keys:
         per_item.update(key, np.int32(3))
     batched.update_many(np.array([int(k) for k in keys]), [3] * len(keys))
@@ -377,10 +393,17 @@ def test_collapse_runs_preserves_order():
 # ----------------------------------------------------------------------
 def test_add_batch_is_all_or_nothing():
     """Within one superblock (here the whole 8-slot row) the batch door
-    applies everything or nothing."""
+    applies everything or nothing.  Without the native kernel it is the
+    documented all-dirty door: every superblock dirty, nothing written."""
     row = SalsaRow(w=8, s=8)
     assert row.max_level == 3
-    assert row.add_batch_partial([0, 1, 2], [10, 20, 30]) is None
+    first = row.add_batch_partial([0, 1, 2], [10, 20, 30])
+    if _native.library() is None:
+        assert first.tolist() == [True]
+        assert [row.read(j) for j in (0, 1, 2)] == [0, 0, 0]
+        row.add_many([0, 1, 2], [10, 20, 30])
+    else:
+        assert first is None
     assert [row.read(j) for j in (0, 1, 2)] == [10, 20, 30]
     # 0 could absorb 200 but 2 would overflow: nothing may change.
     dirty = row.add_batch_partial([0, 2], [200, 250])

@@ -8,7 +8,9 @@ with it off, item by item, and on bit-packed rows.  The merge-free
 batch door (``add_batch_partial``) plus the stream-order dirty replay
 (``SalsaRow.add_many``) must land where the bit-packed reference's
 per-item walk does and flag exactly the superblocks the merge-free
-predicate names; SALSA CMS/CS ``update_many`` over the raw stream
+predicate names; the native replay must hand ``SalsaRow.add`` only
+the updates that merge, and saturate and clamp at zero as it does;
+SALSA CMS/CS ``update_many`` over the raw stream
 (deletions, ``-2^63`` on CS) must equal the per-item loop with the
 kernel on, off and on bit-packed rows, and AEE's must be unchanged
 with the kernel off.
@@ -376,6 +378,100 @@ def test_update_many_equals_the_per_item_loop(name, data, s, seed):
         assert_answers(sketch, probe, expect)
 
 
+# ----------------------------------------------------------------------
+# dirty replay
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def counting_adds():
+    """Records the slot of every ``SalsaRow.add`` call while open."""
+    calls = []
+    add = SalsaRow.__dict__["add"]
+
+    def counted(self, j, v):
+        calls.append(j)
+        return add(self, j, v)
+
+    SalsaRow.add = counted
+    try:
+        yield calls
+    finally:
+        SalsaRow.add = add
+
+
+@pytest.mark.parametrize("config", sorted(ROW_CONFIGS))
+def test_replay_calls_add_only_where_a_merge_fires(config):
+    """With the kernel loaded, ``add_many`` hands ``SalsaRow.add`` only
+    the updates that merge: a dirty hot-key batch that merges nothing
+    makes no call, and a merging one makes no more calls than merges.
+    A silent fall back to the per-item replay fails here."""
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    kw = ROW_CONFIGS[config]
+    row, ref = (SalsaRow(w=ROW_W, s=8, engine=engine, **kw)
+                for engine in ("vector", "bitpacked"))
+    # +-100 on a signed row, +-1 on an unsigned one: the batch door
+    # flags the superblock (inflow past the width, or a deletion that
+    # may clamp), but no counter ever leaves its 8 bits.
+    step = 100 if row.signed else 1
+    idxs = [5] * 400 + [6] * 3
+    vals = [step, -step] * 200 + [7, 7, 7]
+    for r in (row, ref):
+        r.add(5, 2)
+    assert row.add_batch_partial(idxs, vals, apply=False) is not None
+    with counting_adds() as calls:
+        row.add_many(idxs, vals)
+    assert calls == [] and row.merge_events == 0
+    ref.add_many(idxs, vals)
+    assert row_state(row) == row_state(ref)
+    rng = np.random.default_rng(11)
+    idxs = rng.choice([3, 4, 5, 40], 500).tolist()
+    vals = rng.integers(1, 60, 500).tolist()
+    with counting_adds() as calls:
+        row.add_many(idxs, vals)
+    assert 0 < len(calls) <= row.merge_events
+    ref.add_many(idxs, vals)
+    assert row_state(row) == row_state(ref)
+
+
+SAT_DELTAS = st.one_of(st.integers(-6, 6), st.integers(-40, 40),
+                       st.sampled_from([15, -15, INT64_MAX]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=st.sampled_from(sorted(ROW_CONFIGS)),
+       batches=st.lists(st.lists(st.tuples(SLOTS, SAT_DELTAS), max_size=40),
+                        min_size=1, max_size=5))
+def test_replay_saturates_and_clamps_like_the_reference(config, batches):
+    """4-bit counters (``s=2``, one merge): the replay's in-place adds
+    saturate at ``max_level`` and clamp deletions at zero exactly as
+    bit-packed ``add_many`` does, with the kernel on and off."""
+    def make(engine="vector"):
+        return SalsaRow(w=ROW_W, s=2, max_bits=4, engine=engine,
+                        **ROW_CONFIGS[config])
+
+    def run(engine="vector"):
+        row = make(engine)
+        for batch in batches:
+            row.add_many([j for j, _ in batch], [v for _, v in batch])
+        return row_state(row)
+
+    kernel = run()
+    with kernel_off():
+        off = run()
+    assert kernel == off == run("bitpacked")
+
+
+def test_replay_oracle_reaches_saturation_and_clamping():
+    """The 4-bit rows above do saturate, merge and clamp at zero."""
+    rng = np.random.default_rng(2)
+    row = SalsaRow(w=ROW_W, s=2, max_bits=4, merge="sum")
+    idxs = rng.choice([3, 4, 40], 300)
+    row.add_many(idxs, rng.integers(1, 9, 300))
+    assert row.merge_events > 0 and row.saturations > 0
+    row.add_many([3, 3], [-INT64_MAX, 1])
+    assert row.read(3) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(stream=st.lists(st.tuples(KEYS, st.integers(1, 40)), max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=4),
@@ -475,3 +571,16 @@ def test_wrappers_reject_malformed_arrays():
         _native.absorb(sk.rows[0], b.rows[0], +1)
     assert state(sk) == state(SalsaConservativeUpdate(w=16, d=2, s=4,
                                                       seed=2))
+    row = SalsaRow(w=16, s=4)
+    idxs = np.array([1, 2, 1], dtype=np.int64)
+    vals = np.full(3, 9, dtype=np.int64)
+    dirty = np.ones(16 >> row.max_level, dtype=bool)
+    for bad in (dict(dirty=np.ones(len(dirty) + 1, dtype=bool)),
+                dict(dirty=dirty.view(np.uint8)),
+                dict(idxs=np.array([1, 2, 16], dtype=np.int64)),
+                dict(idxs=np.array([1, -1, 1], dtype=np.int64)),
+                dict(vals=vals.astype(np.int32))):
+        args = dict(idxs=idxs, vals=vals, dirty=dirty) | bad
+        with pytest.raises(ValueError):
+            _native.replay(row, args["idxs"], args["vals"], args["dirty"])
+        assert row_state(row) == row_state(SalsaRow(w=16, s=4))

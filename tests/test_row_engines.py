@@ -95,13 +95,16 @@ def test_row_add_batch_lockstep():
 
 
 def test_add_batch_partial_applies_clean_superblocks_only():
+    kernel = _native.library() is not None
     row = SalsaRow(w=16, s=8, engine="vector")
     row.add(0, 250)     # superblock 0 close to overflow
     # slots 0 and 8 live in different superblocks (max_level=3).
     dirty = row.add_batch_partial([0, 8], [100, 7])
-    assert dirty is not None and dirty.tolist() == [True, False]
+    # Without the kernel the door is the documented all-dirty one:
+    # every superblock dirty, nothing written.
+    assert dirty is not None and dirty.tolist() == [True, not kernel]
     assert row.read(0) == 250   # dirty superblock untouched
-    assert row.read(8) == 7     # clean superblock applied
+    assert row.read(8) == (7 if kernel else 0)  # clean superblock applied
     # check-only mode must not write.
     before = row_state(row)
     mask = row.add_batch_partial([0], [100], apply=False)
@@ -117,12 +120,14 @@ def test_add_batch_partial_applies_clean_superblocks_only():
 def test_add_batch_rejects_negative_on_unsigned_vector_rows():
     """A negative delta clamps at zero per item, so summation is not
     equivalent: its superblock is dirty and left untouched."""
+    kernel = _native.library() is not None
     row = SalsaRow(w=16, s=8, engine="vector")
     row.add(3, 100)
     dirty = row.add_batch_partial([3, 8], [-5, 4])
-    assert dirty is not None and dirty.tolist() == [True, False]
+    # Without the kernel: every superblock dirty, nothing written.
+    assert dirty is not None and dirty.tolist() == [True, not kernel]
     assert row.read(3) == 100
-    assert row.read(8) == 4
+    assert row.read(8) == (4 if kernel else 0)
 
 
 #: batches outside the row batch door's contract
