@@ -7,7 +7,10 @@ raw stream through ``SalsaRow.add_many`` for SALSA CMS/CS/AEE) actually
 buys throughput over the per-item loop, per sketch, on a skewed trace.
 Results land in ``results/batch_throughput.txt`` as items/sec for both
 ingest paths, next to the query side on the fed sketch: per-item
-``query`` and ``query_many`` per chunk.  The SALSA sketches are
+``query`` and ``query_many`` per chunk.  Each cell of that table is timed
+:data:`REPEATS` times on fresh sketches and reports the median with
+its quartile spread ((q3 - q1) / median), so a diff of two runs can
+tell a change from host noise.  The SALSA sketches are
 additionally measured under **both row engines** (``bitpacked``
 reference vs ``vector`` NumPy) in ``results/engine_throughput.txt`` --
 same estimates by contract, very different speed.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import time
+
+import numpy as np
 
 from _harness import emit_bench_json, emit_table
 from repro import (
@@ -72,6 +77,13 @@ ENGINE_FACTORIES = {
 
 ENGINES = ("bitpacked", "vector")
 
+#: timings per cell of the sketch table; the median and quartiles are
+#: reported
+REPEATS = 5
+
+#: the sketch table's measures, in column order
+MEASURES = ("per_item", "batched", "query_per_item", "query_many")
+
 
 def query_rates(sketch, trace, batch_size: int) -> tuple[float, float]:
     """Items/s of per-item ``query`` and of ``query_many`` per chunk
@@ -91,6 +103,28 @@ def query_rates(sketch, trace, batch_size: int) -> tuple[float, float]:
     return len(keys) / per_item, len(keys) / batched
 
 
+def measure(factory, trace, batch_size: int) -> dict[str, float]:
+    """One timing of each measure, in items/s.  A fresh sketch per
+    ingest path, so neither run warms the other's counters; the query
+    side runs on the batch-fed one."""
+    per_item = len(trace) / per_item_seconds(factory(), trace)
+    fed = factory()
+    batched = len(trace) / ingest_seconds(fed, trace.chunks(batch_size))
+    query, query_many = query_rates(fed, trace, batch_size)
+    return dict(zip(MEASURES, (per_item, batched, query, query_many)))
+
+
+def summarize(runs: list[float]) -> tuple[float, float, float]:
+    """``(median, q1, q3)`` of repeated items/s readings."""
+    q1, median, q3 = np.percentile(runs, [25, 50, 75])
+    return float(median), float(q1), float(q3)
+
+
+def cell(median: float, q1: float, q3: float) -> str:
+    """A table cell: the median and its quartile spread in percent."""
+    return f"{median:>12,.0f} ±{100 * (q3 - q1) / median:>3.0f}%"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--length", type=int, default=200_000)
@@ -100,42 +134,39 @@ def main(argv: list[str] | None = None) -> int:
 
     trace = dataset(args.dataset, args.length, seed=0)
 
-    header = (f"{'sketch':<14} {'per-item/s':>12} {'batched/s':>12} "
-              f"{'speedup':>8} {'query/s':>12} {'query_many/s':>13}")
+    header = (f"{'sketch':<14} {'per-item/s':>18} {'batched/s':>18} "
+              f"{'speedup':>8} {'query/s':>18} {'query_many/s':>18}")
     lines = [
         f"batch ingestion throughput -- {trace.name}, "
         f"{len(trace):,} updates, batch={args.batch_size}",
+        f"(median of {REPEATS} runs ± quartile spread (q3 - q1) / median)",
         header,
         "-" * len(header),
     ]
-    print(lines[0])
-    print(header)
-    print("-" * len(header))
+    for line in lines:
+        print(line)
     rows = []
     for name, factory in FACTORIES.items():
-        # A fresh sketch per path, so neither run warms the other's
-        # counters.
-        per_item = len(trace) / per_item_seconds(factory(), trace)
-        fed = factory()
-        batched = len(trace) / ingest_seconds(
-            fed, trace.chunks(args.batch_size))
-        query, query_many = query_rates(fed, trace, args.batch_size)
-        line = (f"{name:<14} {per_item:>12,.0f} {batched:>12,.0f} "
-                f"{batched / per_item:>7.2f}x {query:>12,.0f} "
-                f"{query_many:>13,.0f}")
+        runs = [measure(factory, trace, args.batch_size)
+                for _ in range(REPEATS)]
+        stats = {m: summarize([run[m] for run in runs]) for m in MEASURES}
+        speedup = stats["batched"][0] / stats["per_item"][0]
+        line = (f"{name:<14} {cell(*stats['per_item'])} "
+                f"{cell(*stats['batched'])} {speedup:>7.2f}x "
+                f"{cell(*stats['query_per_item'])} "
+                f"{cell(*stats['query_many'])}")
         print(line)
         lines.append(line)
-        rows.append({"sketch": name, "per_item": round(per_item, 1),
-                     "batched": round(batched, 1),
-                     "speedup": round(batched / per_item, 2),
-                     "query_per_item": round(query, 1),
-                     "query_many": round(query_many, 1)})
+        rows.append({"sketch": name, "speedup": round(speedup, 2)}
+                    | {m: round(stats[m][0], 1) for m in MEASURES}
+                    | {"quartiles": {m: [round(q, 1) for q in stats[m][1:]]
+                                     for m in MEASURES}})
     path = emit_table("batch_throughput.txt", lines)
     print(f"wrote {path}")
     path = emit_bench_json("sketches", {
         "bench": "sketches", "dataset": args.dataset,
         "length": args.length, "batch_size": args.batch_size,
-        "unit": "items_per_sec", "rows": rows,
+        "repeats": REPEATS, "unit": "items_per_sec", "rows": rows,
     })
     print(f"wrote {path}")
 

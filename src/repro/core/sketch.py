@@ -34,6 +34,7 @@ from repro.sketches.base import (
     StreamModel,
     as_item,
     batched_min_query,
+    row_hashes,
     width_for_memory,
 )
 
@@ -64,12 +65,7 @@ class RowSketch(BatchOpsMixin):
 
     def __init__(self, rows: list, seed: int = 0,
                  hash_family: HashFamily | None = None):
-        self.hashes = (hash_family if hash_family is not None
-                       else HashFamily(len(rows), seed))
-        if (not isinstance(self.hashes, HashFamily)
-                or self.hashes.d != len(rows)):
-            raise ValueError(f"{len(rows)} rows need a HashFamily of "
-                             f"d={len(rows)}, got {self.hashes!r}")
+        self.hashes = row_hashes(len(rows), seed, hash_family)
         self.rows = rows
         row = rows[0]
         self.w, self.d, self.s = row.w, len(rows), row.s

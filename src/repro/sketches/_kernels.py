@@ -21,11 +21,12 @@ performs the whole batch in a constant number of NumPy operations:
 * :func:`gather_2d` / :func:`min_over_rows` / :func:`median_over_rows`
   -- the query-side gathers and row aggregations.
 
-The duplicate pre-aggregation front door is shared with the rest of
-the batch pipeline: callers dedup keys with
-:func:`repro.sketches.base.aggregate_batch` *before* building the
-index matrix, so the kernels only ever see unique keys per batch.
-Everything here preserves the batch contract (bit-identity with the
+Which batch a kernel sees is the caller's choice.  The order-free
+update doors (Count-Min's capped scatter, Count Sketch's signed one)
+collapse duplicate keys with :func:`repro.sketches.base.aggregate_batch`
+before building the index matrix; the query gathers and
+:func:`scatter_add_running` take the raw batch, duplicates included,
+in stream order.  Everything here preserves the batch contract (bit-identity with the
 per-item walk); the guard-then-fallback decisions stay in the sketches.
 """
 

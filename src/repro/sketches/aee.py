@@ -20,13 +20,20 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 
-from repro.hashing import HashFamily, mix64
-from repro.sketches.base import StreamModel, width_for_memory
+import numpy as np
+
+from repro.hashing import mix64
+from repro.sketches.base import (
+    BatchOpsMixin,
+    MatrixSketch,
+    StreamModel,
+    as_batch,
+    as_item,
+)
 
 
-class AeeSketch:
+class AeeSketch(MatrixSketch):
     """AEE-augmented Count-Min sketch with small fixed counters.
 
     Parameters
@@ -34,8 +41,8 @@ class AeeSketch:
     w, d:
         Sketch shape.
     counter_bits:
-        Physical counter width (AEE's point is this can be small;
-        default 16).
+        Physical counter width in ``[1, 63]`` (AEE's point is this can
+        be small; default 16).
     mode:
         ``"accuracy"`` (MaxAccuracy) or ``"speed"`` (MaxSpeed).
     probabilistic:
@@ -45,56 +52,42 @@ class AeeSketch:
     """
 
     model = StreamModel.CASH_REGISTER
+    query_dtype = np.dtype(np.float64)  # the minimum scaled by 1 / p
 
     def __init__(self, w: int, d: int = 4, counter_bits: int = 16,
                  mode: str = "accuracy", probabilistic: bool = True,
                  speed_interval: int | None = None, seed: int = 0):
-        if w < 1 or w & (w - 1):
-            raise ValueError(f"w must be a positive power of two, got {w}")
         if mode not in ("accuracy", "speed"):
             raise ValueError(f"mode must be 'accuracy' or 'speed', got {mode!r}")
-        self.w = w
-        self.d = d
-        self.counter_bits = counter_bits
-        self.cap = (1 << counter_bits) - 1
+        super().__init__(w, d, counter_bits, seed)
         self.mode = mode
         self.probabilistic = probabilistic
         # MaxSpeed default: keep roughly half the counter range in play
         # between proactive downsamplings.
         self.speed_interval = speed_interval or (self.cap + 1) * w // 4
-        self.hashes = HashFamily(d, seed)
-        self.rows = [array("q", [0]) * w for _ in range(d)]
         self.p = 1.0
         self.volume = 0          # total stream volume N seen
         self._sampled = 0        # sampled updates since last downsample
         self._rng = random.Random(seed ^ 0xAEE)
 
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 4, counter_bits: int = 16,
-                   mode: str = "accuracy", seed: int = 0) -> "AeeSketch":
-        """Largest AEE sketch fitting in ``memory_bytes``."""
-        w = width_for_memory(memory_bytes, d, counter_bits)
-        return cls(w=w, d=d, counter_bits=counter_bits, mode=mode, seed=seed)
-
     # ------------------------------------------------------------------
     def _halve_counters(self) -> None:
+        if not self.probabilistic:
+            self.mat >>= 1
+            return
         rng = self._rng
-        if self.probabilistic:
-            for row in self.rows:
-                for i in range(self.w):
-                    c = row[i]
-                    if c:
-                        # Binomial(c, 1/2) via half-width normal approx
-                        # for large c, exact bit-sampling for small c.
-                        if c > 64:
-                            half = int(rng.gauss(c / 2, math.sqrt(c) / 2) + 0.5)
-                            row[i] = min(c, max(0, half))
-                        else:
-                            row[i] = sum(1 for _ in range(c) if rng.random() < 0.5)
-        else:
-            for row in self.rows:
-                for i in range(self.w):
-                    row[i] >>= 1
+        cells = memoryview(self.mat)
+        # Row-major over the nonzero counters: the order, and so the
+        # RNG draws, of a walk over every counter.
+        for cell in zip(*(axis.tolist() for axis in np.nonzero(self.mat))):
+            c = cells[cell]
+            # Binomial(c, 1/2) via half-width normal approx for large
+            # c, exact bit-sampling for small c.
+            if c > 64:
+                half = int(rng.gauss(c / 2, math.sqrt(c) / 2) + 0.5)
+                cells[cell] = min(c, max(0, half))
+            else:
+                cells[cell] = sum(1 for _ in range(c) if rng.random() < 0.5)
 
     def downsample(self) -> None:
         """Halve the sampling probability and all counters."""
@@ -104,11 +97,20 @@ class AeeSketch:
 
     def update(self, item: int, value: int = 1) -> None:
         """Record the update with probability p (unit updates)."""
+        item, value = as_item(item, value)
         if value < 1:
             raise ValueError("AEE is a Cash Register sketch")
         self.volume += value
         for _ in range(value):
             self._update_one(item)
+
+    def update_many(self, items, values=None) -> None:
+        """The per-item walk, after checking the whole batch: a
+        non-positive value raises before any counter moves."""
+        items, values = as_batch(items, values)
+        if len(values) and int(values.min()) < 1:
+            raise ValueError("AEE is a Cash Register sketch")
+        BatchOpsMixin.update_many(self, items, values)
 
     def _update_one(self, item: int) -> None:
         # The sampling test happens *before* any hashing -- this is
@@ -124,26 +126,25 @@ class AeeSketch:
                 if self._rng.random() >= 0.5:
                     return
         mask = self.w - 1
+        cells = memoryview(self.mat)
         overflowed = False
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            idx = mix64(item ^ seed) & mask
-            new = row[idx] + 1
+        for row, seed in enumerate(self.hashes.seeds):
+            cell = row, mix64(item ^ seed) & mask
+            new = cells[cell] + 1
             if new > self.cap:
                 overflowed = True
             else:
-                row[idx] = new
+                cells[cell] = new
         if overflowed:
             self.downsample()
 
     def query(self, item: int) -> float:
         """Estimate: min over rows, scaled back by 1/p."""
-        mask = self.w - 1
-        est = None
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            c = row[mix64(item ^ seed) & mask]
-            if est is None or c < est:
-                est = c
-        return est / self.p
+        return super().query(item) / self.p
+
+    def query_many(self, items) -> np.ndarray:
+        """The batched minimum, scaled back by 1/p."""
+        return super().query_many(items) / self.p
 
     # ------------------------------------------------------------------
     def error_bound(self, delta_est: float) -> float:
@@ -157,12 +158,3 @@ class AeeSketch:
         if self.volume == 0:
             return 0.0
         return math.sqrt(2 * self.volume / self.p * math.log(2 / delta_est))
-
-    @property
-    def memory_bytes(self) -> int:
-        """Counter storage (p and N are O(1) scalars)."""
-        return self.d * self.w * self.counter_bits // 8
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"AeeSketch(w={self.w}, d={self.d}, "
-                f"counter_bits={self.counter_bits}, mode={self.mode!r})")

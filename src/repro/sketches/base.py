@@ -12,10 +12,12 @@ the encoding overheads").
 from __future__ import annotations
 
 import enum
+import inspect
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.hashing import HashFamily, mix64
 from repro.sketches import _kernels
 
 
@@ -313,6 +315,121 @@ class BatchOpsMixin:
         the dtype's range raises ``ValueError``.
         """
         return query_loop(self, as_batch(items)[0])
+
+
+def row_hashes(d: int, seed: int = 0,
+               hash_family: HashFamily | None = None) -> HashFamily:
+    """The hash functions of a sketch's ``d`` rows: ``hash_family`` if
+    given (sketches that merge must share one), else
+    ``HashFamily(d, seed)``.
+
+    Raises ``ValueError`` unless it is a :class:`HashFamily` of exactly
+    ``d`` functions: the per-item doors read its ``seeds``, one per row.
+    """
+    hashes = hash_family if hash_family is not None else HashFamily(d, seed)
+    if not isinstance(hashes, HashFamily) or hashes.d != d:
+        raise ValueError(f"{d} rows need a HashFamily of d={d}, "
+                         f"got {hashes!r}")
+    return hashes
+
+
+class MatrixSketch(BatchOpsMixin):
+    """``d`` rows of ``w`` fixed-width counters under one hash family:
+    the base of the fixed-width CMS, CUS, CS and AEE.
+
+    It holds the shape and ``counter_bits`` checks, the hashes
+    (:func:`row_hashes`), the counters as one ``(d, w)`` int64 matrix
+    ``mat``, the per-item hashing, the min-over-rows query on both
+    doors and memory sizing.  A subclass defines its ``update`` rule,
+    an ``update_many`` when it has an exact vectorized path, and its
+    own query when rows do not combine by minimum.  Per-item doors and
+    Python walks read and write ``mat`` through a memoryview made inside
+    each call (a Python int per cell, cheaper than NumPy scalar
+    indexing); nothing stores one, so sketches stay deep-copyable.
+
+    Parameters
+    ----------
+    w:
+        Row width (a power of two).
+    d:
+        Number of rows.
+    counter_bits:
+        Unsigned counters hold ``[0, 2^b - 1]``, ``b`` in ``[1, 63]``
+        so every value fits an int64 cell; signed (two's-complement)
+        ones ``[-2^(b-1), 2^(b-1) - 1]``, ``b`` in ``[2, 64]``.
+    seed, hash_family:
+        The rows' hash functions, as :func:`row_hashes` takes them.
+    """
+
+    #: Two's-complement counters (Count Sketch) rather than unsigned.
+    signed = False
+
+    def __init__(self, w: int, d: int = 4, counter_bits: int = 32,
+                 seed: int = 0, hash_family: HashFamily | None = None):
+        if w < 1 or w & (w - 1):
+            raise ValueError(f"w must be a positive power of two, got {w}")
+        low, high = (2, 64) if self.signed else (1, 63)
+        if not low <= counter_bits <= high:
+            raise ValueError(f"counter_bits must be in [{low}, {high}], "
+                             f"got {counter_bits}")
+        self.w, self.d, self.counter_bits = w, d, counter_bits
+        #: the largest value a counter holds
+        self.cap = (1 << (counter_bits - self.signed)) - 1
+        self.hashes = row_hashes(d, seed, hash_family)
+        self.mat = np.zeros((d, w), dtype=np.int64)
+
+    @classmethod
+    def for_memory(cls, memory_bytes: int, **kwargs):
+        """The largest sketch fitting in ``memory_bytes``.  ``d`` and
+        ``counter_bits`` (the constructor's defaults unless given) fix
+        the cost of a row; keyword arguments go to the constructor."""
+        params = inspect.signature(cls).parameters
+        d = kwargs.get("d", params["d"].default)
+        bits = kwargs.get("counter_bits", params["counter_bits"].default)
+        return cls(w=width_for_memory(memory_bytes, d, bits), **kwargs)
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """Per-row views of ``mat``."""
+        return list(self.mat)
+
+    def query(self, item: int) -> int:
+        """Minimum of the item's counters."""
+        item, _ = as_item(item)
+        mask = self.w - 1
+        cells = memoryview(self.mat)
+        est = None
+        for row, seed in enumerate(self.hashes.seeds):
+            c = cells[row, mix64(item ^ seed) & mask]
+            if est is None or c < est:
+                est = c
+        return est
+
+    def query_many(self, items) -> np.ndarray:
+        """Batched query over the raw batch: one ``index_matrix`` hash
+        call, one gather, the minimum over rows."""
+        items, _ = as_batch(items)
+        idx2d = self.hashes.index_matrix(items, self.w)
+        return _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
+
+    @property
+    def memory_bytes(self) -> int:
+        """Counter storage only: fixed-width sketches have no overhead."""
+        return self.d * self.w * self.counter_bits // 8
+
+    def zero_counters(self, row: int = 0) -> int:
+        """Number of zero-valued counters in ``row`` (Linear Counting)."""
+        return int((self.mat[row] == 0).sum())
+
+    def _check_compatible(self, other: "MatrixSketch") -> None:
+        if (self.w, self.d) != (other.w, other.d):
+            raise ValueError("sketch shapes differ")
+        if not self.hashes.same_functions(other.hashes):
+            raise ValueError("sketches do not share hash functions")
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"{type(self).__name__}(w={self.w}, d={self.d}, "
+                f"counter_bits={self.counter_bits})")
 
 
 def width_for_memory(memory_bytes: int, d: int, counter_bits: int,

@@ -9,9 +9,9 @@ The baseline uses 32-bit two's-complement counters (sign-magnitude is
 a SALSA-specific change, see :mod:`repro.core.salsa_cs`); values are
 clamped to the representable range, which never binds in practice.
 
-Storage is one contiguous ``(d, w)`` int64 matrix; batch updates and
-queries go through the matrix kernels
-(:mod:`repro.sketches._kernels`), and
+The counters are :class:`~repro.sketches.base.MatrixSketch`'s
+``(d, w)`` int64 matrix; batch updates and queries go through the
+matrix kernels (:mod:`repro.sketches._kernels`), and
 :meth:`CountSketch.update_many_with_estimates` additionally exposes
 the *on-arrival* batch door (post-update estimates per arrival) that
 UnivMon's heap maintenance needs.
@@ -25,6 +25,7 @@ from repro.hashing import HashFamily, mix64
 from repro.sketches import _kernels
 from repro.sketches.base import (
     BatchOpsMixin,
+    MatrixSketch,
     StreamModel,
     aggregate_batch,
     as_batch,
@@ -32,22 +33,15 @@ from repro.sketches.base import (
     batch_sum_fits,
     median,
     median_dtype,
-    width_for_memory,
 )
 
 
-class CountSketch(BatchOpsMixin):
+class CountSketch(MatrixSketch):
     """Fixed-width Count Sketch (Turnstile).
 
-    Parameters
-    ----------
-    w:
-        Row width (power of two).
-    d:
-        Number of rows (paper default for CS: 5, to take a clean
-        median).
-    counter_bits:
-        Two's-complement width; range is ``[-2^(b-1), 2^(b-1) - 1]``.
+    Parameters are :class:`~repro.sketches.base.MatrixSketch`'s, with
+    ``d=5`` (the paper's default for CS, to take a clean median) and
+    two's-complement counters of ``[-2^(b-1), 2^(b-1) - 1]``.
 
     Examples
     --------
@@ -59,61 +53,41 @@ class CountSketch(BatchOpsMixin):
     """
 
     model = StreamModel.TURNSTILE
+    signed = True
 
     def __init__(self, w: int, d: int = 5, counter_bits: int = 32,
                  seed: int = 0, hash_family: HashFamily | None = None):
-        if w < 1 or w & (w - 1):
-            raise ValueError(f"w must be a positive power of two, got {w}")
-        if counter_bits < 2 or counter_bits > 64:
-            raise ValueError(f"counter_bits must be in [2, 64], got {counter_bits}")
-        self.w = w
-        self.d = d
-        self.counter_bits = counter_bits
-        self.max_val = (1 << (counter_bits - 1)) - 1
-        self.min_val = -(1 << (counter_bits - 1))
-        self.hashes = hash_family if hash_family is not None else HashFamily(d, seed)
-        self.mat = np.zeros((d, w), dtype=np.int64)
+        super().__init__(w, d, counter_bits, seed, hash_family)
+        self.max_val, self.min_val = self.cap, -self.cap - 1
 
-    @property
-    def rows(self) -> list[np.ndarray]:
-        """Per-row counter views (back-compat with the list-of-rows API)."""
-        return list(self.mat)
-
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 5, counter_bits: int = 32,
-                   seed: int = 0) -> "CountSketch":
-        """Build the largest sketch fitting in ``memory_bytes``."""
-        w = width_for_memory(memory_bytes, d, counter_bits)
-        return cls(w=w, d=d, counter_bits=counter_bits, seed=seed)
-
-    # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
         """Add ``g_i(x) * value`` to the item's counter in each row."""
         item, value = as_item(item, value)
         mask = self.w - 1
         lo, hi = self.min_val, self.max_val
-        for row, seed in zip(self.mat, self.hashes.seeds):
+        cells = memoryview(self.mat)
+        for row, seed in enumerate(self.hashes.seeds):
             h = mix64(item ^ seed)
-            idx = h & mask
-            signed = value if h >> 63 else -value
-            new = int(row[idx]) + signed
-            row[idx] = hi if new > hi else (lo if new < lo else new)
+            cell = row, h & mask
+            new = cells[cell] + (value if h >> 63 else -value)
+            cells[cell] = hi if new > hi else (lo if new < lo else new)
 
     def query(self, item: int) -> float:
         """Median over rows of ``counter * g_i(x)``."""
         item, _ = as_item(item)
         mask = self.w - 1
+        cells = memoryview(self.mat)
         votes = []
-        for row, seed in zip(self.mat, self.hashes.seeds):
+        for row, seed in enumerate(self.hashes.seeds):
             h = mix64(item ^ seed)
-            c = int(row[h & mask])
+            c = cells[row, h & mask]
             votes.append(c if h >> 63 else -c)
         return median(votes)
 
     def row_estimate(self, item: int, row: int) -> int:
         """Single-row unbiased estimate (used by UnivMon internals)."""
         h = mix64(item ^ self.hashes.seeds[row])
-        c = int(self.mat[row][h & (self.w - 1)])
+        c = int(self.mat[row, h & (self.w - 1)])
         return c if h >> 63 else -c
 
     # ------------------------------------------------------------------
@@ -155,12 +129,12 @@ class CountSketch(BatchOpsMixin):
         lo, hi = self.min_val, self.max_val
         vals = values.tolist()
         for row_id in row_ids:
-            row = self.mat[row_id]
+            row = memoryview(self.mat[row_id])
             raw = self.hashes.raw_many(items, row_id)
             idxs = (raw & np.uint64(self.w - 1)).astype(np.int64)
             top = (raw >> np.uint64(63)).astype(bool)
             for j, positive, v in zip(idxs.tolist(), top.tolist(), vals):
-                new = int(row[j]) + (v if positive else -v)
+                new = row[j] + (v if positive else -v)
                 row[j] = hi if new > hi else (lo if new < lo else new)
 
     def update_many_with_estimates(self, items, values=None):
@@ -211,11 +185,6 @@ class CountSketch(BatchOpsMixin):
         return _kernels.median_over_rows(votes)
 
     # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Counter storage only."""
-        return self.d * self.w * self.counter_bits // 8
-
     def merge(self, other: "CountSketch") -> None:
         """Counter-wise sum: self becomes s(A u B)."""
         self._check_compatible(other)
@@ -228,13 +197,3 @@ class CountSketch(BatchOpsMixin):
         """
         self._check_compatible(other)
         self.mat -= other.mat
-
-    def _check_compatible(self, other: "CountSketch") -> None:
-        if (self.w, self.d) != (other.w, other.d):
-            raise ValueError("sketch shapes differ")
-        if not self.hashes.same_functions(other.hashes):
-            raise ValueError("sketches do not share hash functions")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CountSketch(w={self.w}, d={self.d}, "
-                f"counter_bits={self.counter_bits})")

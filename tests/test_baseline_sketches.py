@@ -1,10 +1,14 @@
 """Tests for the baseline CMS / CUS / CS sketches."""
 
+import copy
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hashing import HashFamily
 from repro.sketches import (
+    AeeSketch,
     ConservativeUpdateSketch,
     CountMinSketch,
     CountSketch,
@@ -59,10 +63,12 @@ class TestCountMin:
             CountMinSketch(w=100)
 
     def test_rejects_bad_counter_bits(self):
-        with pytest.raises(ValueError):
-            CountMinSketch(w=64, counter_bits=0)
-        with pytest.raises(ValueError):
-            CountMinSketch(w=64, counter_bits=65)
+        """Unsigned counters stop at 63 bits: a 64-bit cap does not fit
+        the int64 cells (past 2^63 - 1 both doors raised OverflowError)."""
+        for cls in (CountMinSketch, ConservativeUpdateSketch):
+            for bits in (0, 64, 65):
+                with pytest.raises(ValueError, match="counter_bits"):
+                    cls(w=64, counter_bits=bits)
 
     def test_never_underestimates(self):
         cms = CountMinSketch(w=64, d=4, seed=1)
@@ -131,6 +137,16 @@ class TestCountMin:
         b.update(1, 4)  # B subset of A
         a.subtract(b)
         assert a.query(1) >= 6
+
+    def test_merge_saturates_63_bit_counters(self):
+        """Two counters near 2^63 - 1 merge to the cap (their int64
+        sum used to wrap negative)."""
+        a, b = (CountMinSketch(w=64, d=2, counter_bits=63, seed=1)
+                for _ in range(2))
+        a.update(5, a.cap - 3)
+        b.update(5, b.cap - 3)
+        a.merge(b)
+        assert a.query(5) == a.cap == (1 << 63) - 1
 
     def test_merge_requires_shared_hashes(self):
         a = CountMinSketch(w=64, d=4, seed=1)
@@ -203,6 +219,50 @@ class TestConservativeUpdate:
     def test_for_memory(self):
         cus = ConservativeUpdateSketch.for_memory(64 * 1024)
         assert cus.memory_bytes <= 64 * 1024
+
+
+@pytest.mark.parametrize("cls", [CountMinSketch, ConservativeUpdateSketch])
+def test_63_bit_counters_saturate_on_both_doors(cls):
+    """The widest unsigned counter saturates at 2^63 - 1, per item and
+    in a batch alike."""
+    top = (1 << 63) - 1
+    per_item, batched = (cls(w=64, d=3, counter_bits=63, seed=2)
+                         for _ in range(2))
+    for _ in range(3):
+        per_item.update(9, top)
+    batched.update_many([9, 9, 9], [top, top, top])
+    assert per_item.query(9) == batched.query(9) == top
+    assert np.array_equal(per_item.mat, batched.mat)
+    assert per_item.query_many([9, 10]).tolist() == [top, 0]
+
+
+DEEPCOPIED = {
+    "cms": lambda: CountMinSketch(w=128, d=4, seed=1),
+    "cus": lambda: ConservativeUpdateSketch(w=128, d=4, seed=1),
+    "cs": lambda: CountSketch(w=128, d=5, seed=1),
+    "aee": lambda: AeeSketch(w=64, d=4, counter_bits=6, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEPCOPIED))
+def test_deepcopy_is_an_independent_sketch(name):
+    """A deep copy answers as the original and then moves on its own:
+    no state (counters, AEE's sampling and RNG) is shared."""
+    items = zipf_trace(3000, 1.1, universe=300, seed=4).items
+    original = DEEPCOPIED[name]()
+    original.update_many(items[:2000])
+    clone = copy.deepcopy(original)
+    probe = list(range(300))
+    assert clone.query_many(probe).tolist() == original.query_many(
+        probe).tolist()
+    before = original.query_many(probe)
+    clone.update_many(items[2000:])
+    assert np.array_equal(original.query_many(probe), before)
+    original.update_many(items[2000:])
+    assert clone.query_many(probe).tolist() == original.query_many(
+        probe).tolist()
+    assert [clone.query(x) for x in probe] == [original.query(x)
+                                                for x in probe]
 
 
 class TestCountSketch:

@@ -24,6 +24,7 @@ from repro.core.row import COMPACT, SUM, SalsaRow
 from repro.hashing import HashFamily, mix64, mix64_many
 from repro.sketches import (
     AbcSketch,
+    AeeSketch,
     ColdFilter,
     ConservativeUpdateSketch,
     CountMinSketch,
@@ -59,6 +60,10 @@ FACTORIES = {
     "cs-8bit": (lambda: CountSketch(w=64, d=5, counter_bits=8, seed=3), True),
     "cs-even-d": (lambda: CountSketch(w=128, d=4, seed=3), True),
     "abc": (lambda: AbcSketch(w=256, d=4, s=8, seed=3), True),
+    "aee-accuracy": (lambda: AeeSketch(w=64, d=4, counter_bits=8, seed=3),
+                     True),
+    "aee-speed": (lambda: AeeSketch(w=64, d=4, counter_bits=8, mode="speed",
+                                    speed_interval=400, seed=3), True),
     "spacesaving": (lambda: SpaceSaving(k=40), True),
     "misra-gries": (lambda: MisraGries(k=40), True),
     "salsa-cms-max": (lambda: SalsaCountMin(w=256, d=4, s=8, seed=3), True),
@@ -156,7 +161,7 @@ def test_turnstile_batches_match(name):
 
 
 @pytest.mark.parametrize("name", ["cus", "salsa-cus", "abc", "spacesaving",
-                                  "salsa-aee"])
+                                  "salsa-aee", "aee-accuracy"])
 def test_cash_register_batches_reject_nonpositive(name):
     factory, _ = FACTORIES[name]
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from repro.core import (
     _native,
 )
 from repro.core.row import SUM
-from repro.sketches import CountSketch, NitroSketch
+from repro.sketches import AeeSketch, CountSketch, NitroSketch
 from repro.streams import WeightedTrace
 
 from answers import assert_answers
@@ -56,12 +56,20 @@ SALSA = {
                                           engine=engine),
 }
 
+#: AEE in both modes (the CLI's list holds no AEE)
+AEE = {
+    "aee-accuracy": lambda: AeeSketch(w=64, d=4, counter_bits=8, seed=1),
+    "aee-speed": lambda: AeeSketch(w=64, d=4, counter_bits=8, mode="speed",
+                                   speed_interval=50, seed=1),
+}
+
 #: the declared answer dtype of each configuration
 DTYPES = {
     "salsa-cms-max": np.uint64, "salsa-cms-sum": np.uint64,
     "salsa-cus": np.uint64, "tango": np.uint64,
     "salsa-cs-odd-d": np.int64, "salsa-cs-even-d": np.float64,
-    "salsa-aee": np.float64,
+    "salsa-aee": np.float64, "aee-accuracy": np.float64,
+    "aee-speed": np.float64,
     "cms": np.int64, "cus": np.int64, "cs": np.int64, "pyramid": np.int64,
     "elastic": np.int64, "univmon": np.int64, "coldfilter": np.int64,
     "nitro": np.float64, "salsa-cms": np.uint64, "salsa-cs": np.int64,
@@ -130,6 +138,17 @@ def test_salsa_answers_like_the_per_item_query_on_every_engine(name, kind,
         sketch = feed(SALSA[name](engine_name), stream)
         assert sketch.query_dtype == DTYPES[name]
         check_contract(sketch, probe)
+
+
+@pytest.mark.parametrize("name", sorted(AEE))
+@settings(max_examples=25, deadline=None)
+@given(work=workloads(max_weight=8))
+def test_aee_answers_like_the_per_item_query(name, work):
+    # AEE ingests a weight as that many unit arrivals: keep them small.
+    stream, probe = work
+    sketch = feed(AEE[name](), stream)
+    assert sketch.query_dtype == DTYPES[name]
+    check_contract(sketch, probe)
 
 
 WINDOWED = {

@@ -93,12 +93,23 @@ class TestSalsaCountMin:
         """A family with fewer functions than rows used to leave the
         extra rows unhashed on ``update`` and raise IndexError on
         ``query_many``; a TabulationFamily (no ``seeds``, no
-        ``index_many``) used to fail at the first update."""
+        ``index_many``) used to fail at the first update.  The
+        fixed-width CMS, CUS and CS take the same rule: they took a
+        TabulationFamily and raised AttributeError at the first update,
+        a 2-function family sent CUS's batch to IndexError and CS to a
+        2-vote median, and CMS took a family with spare functions."""
         from repro.core import SalsaAeeCountMin, TangoCountMin
         from repro.hashing.tabulation import TabulationFamily
+        from repro.sketches import (
+            ConservativeUpdateSketch,
+            CountMinSketch,
+            CountSketch,
+        )
         for cls in (SalsaCountMin, SalsaConservativeUpdate,
-                    SalsaCountSketch, SalsaAeeCountMin, TangoCountMin):
-            for fam in (HashFamily(2, seed=1), TabulationFamily(4, seed=1)):
+                    SalsaCountSketch, SalsaAeeCountMin, TangoCountMin,
+                    CountMinSketch, ConservativeUpdateSketch, CountSketch):
+            for fam in (HashFamily(2, seed=1), TabulationFamily(4, seed=1),
+                        HashFamily(5, seed=1)):
                 with pytest.raises(ValueError, match="HashFamily"):
                     cls(w=64, d=4, hash_family=fam)
 
