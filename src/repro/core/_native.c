@@ -15,6 +15,7 @@
  *   salsa_add_partial  == the merge-free part of a batch of SalsaRow.add
  *   salsa_replay       == SalsaRow.add over a batch's dirty-superblock
  *                         updates, up to the first one that would merge
+ *   salsa_hash         == mix64(items[t] ^ seed) & mask (hashing/family.py)
  */
 
 #include <stdint.h>
@@ -152,14 +153,19 @@ static void ensure_level(row_t *r, int64_t j, int64_t target_level)
 /*
  * Stream-order conservative update over d unsigned max-merge rows:
  * item t raises each of its counters idx[r][t] to at least
- * min_r(counter) + vals[t].
+ * min_r(counter) + vals[t].  Returns -1, writing nothing, when d < 1
+ * or a slot lies outside [0, w).
  */
-int salsa_cu_walk(int64_t d, int64_t n, int64_t s, int64_t max_level,
-                  void **values, int64_t **levels, const int64_t **idx,
-                  const int64_t *vals, int64_t *counts)
+int salsa_cu_walk(int64_t d, int64_t n, int64_t w, int64_t s,
+                  int64_t max_level, void **values, int64_t **levels,
+                  const int64_t **idx, const int64_t *vals, int64_t *counts)
 {
     if (d < 1)
         return -1;
+    for (int64_t r = 0; r < d; r++)
+        for (int64_t t = 0; t < n; t++)
+            if (idx[r][t] < 0 || idx[r][t] >= w)
+                return -1;
     row_t rows[d];
     for (int64_t r = 0; r < d; r++) {
         row_t row = {values[r], levels[r], s, max_level, 0, 1, counts + 2 * r};
@@ -281,14 +287,19 @@ out:
  * saturates at max_level -- is added in place as SalsaRow.add would.
  * Returns the position of the first update that would merge, for the
  * caller to run through SalsaRow.add and resume after, or n when the
- * batch is done.  Slots must lie in [0, w) (the caller checks).
+ * batch is done.  The first call (from == 0) returns -1, writing
+ * nothing, when a slot lies outside [0, w).
  */
-int64_t salsa_replay(int64_t s, int64_t max_level, int64_t sgn,
+int64_t salsa_replay(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
                      void *values, int64_t *levels, int64_t n,
                      const int64_t *idx, const int64_t *val,
                      const uint8_t *dirty, int64_t from, int64_t *counts)
 {
     row_t r = {values, levels, s, max_level, (int)sgn, 0, counts};
+    if (from == 0)
+        for (int64_t t = 0; t < n; t++)
+            if (idx[t] < 0 || idx[t] >= w)
+                return -1;
     for (int64_t t = from; t < n; t++) {
         int64_t j = idx[t];
         if (!dirty[j >> max_level])
@@ -300,4 +311,20 @@ int64_t salsa_replay(int64_t s, int64_t max_level, int64_t sgn,
         settle(&r, start, level, value);
     }
     return n;
+}
+
+/*
+ * The splitmix64 finalizer of hashing.family.mix64 over a batch of
+ * 64-bit keys: out[t] = mix64(items[t] ^ seed) & mask (a row index
+ * when mask is w - 1, the raw hash when it is all ones).
+ */
+void salsa_hash(int64_t n, const uint64_t *items, uint64_t seed,
+                uint64_t mask, uint64_t *out)
+{
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t x = items[t] ^ seed;
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        out[t] = (x ^ (x >> 31)) & mask;
+    }
 }

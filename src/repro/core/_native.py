@@ -1,26 +1,42 @@
-"""Loader and wrappers for the native SALSA kernels in ``_native.c``.
+"""Loader and wrappers for the native kernels in ``_native.c``.
 
-They run in C over a :class:`~repro.core.engines.VectorRowEngine`'s
-arrays:
+The SALSA walks run in C over a
+:class:`~repro.core.engines.VectorRowEngine`'s arrays:
 
 * :func:`cu_walk` -- the stream-order conservative update of SALSA
   CUS, equal to :meth:`SalsaConservativeUpdate.update` per item;
 * :func:`absorb` -- one row of ``ops.merge``/``ops.subtract``, equal to
   ``ops._absorb_walk`` over ``b``'s counters in slot order;
 * :func:`add_partial` -- the vector engine's merge-free batch door
-  (``add_batch_partial``), the only implementation it has;
+  (``SalsaRow.add_batch_partial``), the only implementation it has;
 * :func:`replay` -- ``SalsaRow.add_many``'s stream-order replay of the
   updates landing in the superblocks that door flagged dirty: C adds
   every one that needs no merge and hands each one that would merge
   back to :meth:`SalsaRow.add`, so Python runs once per merge.
 
+One more kernel serves the hashing layer:
+
+* :func:`mix` -- :func:`repro.hashing.mix64` keyed by each of a list
+  of seeds, over a batch of 64-bit keys, masked to a row width: the
+  batch methods of :class:`~repro.hashing.HashFamily` and the worker
+  keys of :mod:`repro.core.distributed`.
+
 The walks count merges and saturations into the rows'
 ``merge_events`` and ``saturations`` exactly as :class:`SalsaRow`
-does.  The Python walks stay the reference: callers take them
-whenever :func:`usable` says no (bit-packed rows, or no C compiler),
-and without the library the vector batch door reports every
-superblock dirty, so SALSA CMS/CS batches replay per item through
+does.  The Python walks and :func:`repro.hashing.mix64_many` stay the
+reference: callers take them whenever :func:`usable` or
+:func:`library` says no (bit-packed rows, or no C compiler), and
+without the library the vector batch door reports every superblock
+dirty, so SALSA CMS/CS batches replay per item through
 :meth:`SalsaRow.add`.
+
+Every wrapper checks what it hands C (dtype, shape, contiguity,
+writability), and every kernel that takes slots checks them against
+the row width before it writes anything.  A vector engine's two arrays are checked
+once per pair of arrays: their addresses are cached by engine in a
+:class:`weakref.WeakKeyDictionary` and reused while both arrays are
+still the engine's own (``is``), so a copy, a pickle round trip or a
+replaced array never reuses another array's address.
 
 On first use the C file is compiled with the system ``cc`` into the
 per-user cache directory (``$XDG_CACHE_HOME/repro-salsa``, else
@@ -36,11 +52,11 @@ from __future__ import annotations
 import ctypes
 import os
 import warnings
+import weakref
 
 import numpy as np
 
-from repro.core.engines import VectorRowEngine
-from repro.core.row import MAX
+from repro.core.engines import MAX, VectorRowEngine
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_native.c")
@@ -105,17 +121,19 @@ def _build() -> str:
 
 def _load():
     lib = ctypes.CDLL(_build())
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.salsa_cu_walk.argtypes = [i64, i64, i64, i64] + [ptr] * 5
+    i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+    lib.salsa_cu_walk.argtypes = [i64] * 5 + [ptr] * 5
     lib.salsa_cu_walk.restype = ctypes.c_int
     lib.salsa_absorb.argtypes = [i64] * 5 + [ptr] * 4 + [i64, ptr]
     lib.salsa_absorb.restype = ctypes.c_int
     lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 2 + [i64] + \
         [ptr] * 2 + [i64, ptr]
     lib.salsa_add_partial.restype = i64
-    lib.salsa_replay.argtypes = [i64] * 3 + [ptr] * 2 + [i64] + \
+    lib.salsa_replay.argtypes = [i64] * 4 + [ptr] * 2 + [i64] + \
         [ptr] * 3 + [i64, ptr]
     lib.salsa_replay.restype = i64
+    lib.salsa_hash.argtypes = [i64, ptr, u64, u64, ptr]
+    lib.salsa_hash.restype = None
     return lib
 
 
@@ -131,7 +149,8 @@ def library():
         except (OSError, AttributeError) as exc:
             warnings.warn(
                 f"SALSA native kernel unavailable ({exc}); using the "
-                f"Python reference walks", RuntimeWarning, stacklevel=3)
+                f"Python reference walks and NumPy hashing", RuntimeWarning,
+                stacklevel=3)
             _lib = False
     return _lib or None
 
@@ -144,32 +163,71 @@ def usable(rows) -> bool:
 
 
 # ----------------------------------------------------------------------
-# argument checks: C sees only C-contiguous 1-D int64/uint64 arrays of
-# the length it is told
+# argument checks: C sees only C-contiguous int64/uint64 arrays of the
+# shape it is told
 # ----------------------------------------------------------------------
-def _ptr(arr, dtype, n: int, writable: bool = False) -> int:
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-            and arr.ndim == 1 and arr.shape[0] == n
-            and arr.flags.c_contiguous
-            and (arr.flags.writeable or not writable)):
-        raise ValueError(
-            f"native kernel needs a C-contiguous 1-D {np.dtype(dtype)} "
-            f"array of length {n}"
-        )
-    return arr.ctypes.data
+_I64, _U64 = np.dtype(np.int64), np.dtype(np.uint64)
+_WORDS = (_I64, _U64)
+_BOOL = np.dtype(np.bool_)
+_addressof, _view = ctypes.addressof, ctypes.c_char.from_buffer
+
+
+def _ptr(arr, dtype: np.dtype, shape: tuple, writable: bool = False) -> int:
+    if isinstance(arr, np.ndarray):
+        flags = arr.flags
+        if (arr.dtype == dtype and arr.shape == shape and flags.c_contiguous
+                and (flags.writeable or not writable)):
+            if flags.writeable and arr.size:
+                # A ctypes view of the buffer costs a third of
+                # arr.ctypes.data (it refuses read-only and empty ones).
+                return _addressof(_view(arr))
+            return arr.ctypes.data
+    raise ValueError(
+        f"native kernel needs a C-contiguous {dtype} array of shape {shape}"
+    )
+
+
+#: engine -> (values, levels, their addresses); see _row_ptrs.
+_ROW_PTRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _row_ptrs(engine) -> tuple[int, int]:
+    """Addresses of a vector engine's ``values`` and ``levels``,
+    checked once per pair of arrays.  The cache lives here, keyed by
+    the engine, never on it (a deep copy would carry the original's
+    addresses along), and holds both arrays, so an address is reused
+    only while it is still the engine's array's own."""
+    values, levels = engine.values, engine.levels
+    hit = _ROW_PTRS.get(engine)
+    if hit is not None and hit[0] is values and hit[1] is levels:
+        return hit[2]
     w = engine.w
-    dtype = np.int64 if engine.signed else np.uint64
-    return (_ptr(engine.values, dtype, w, True),
-            _ptr(engine.levels, np.int64, w, True))
+    ptrs = (_ptr(values, _I64 if engine.signed else _U64, (w,), True),
+            _ptr(levels, _I64, (w,), True))
+    _ROW_PTRS[engine] = (values, levels, ptrs)
+    return ptrs
+
+
+def mix(items: np.ndarray, seeds, mask: int, out: np.ndarray) -> None:
+    """Row ``r`` of ``out`` gets ``mix64(items[t] ^ seeds[r]) & mask``
+    (:func:`repro.hashing.mix64`, bit for bit).  ``items`` is a 1-D and
+    ``out`` a writable ``(len(seeds), len(items))`` array, both
+    C-contiguous int64 or uint64."""
+    lib = library()
+    n = len(items)
+    if items.dtype not in _WORDS or out.dtype not in _WORDS:
+        raise ValueError("mix needs int64 or uint64 arrays")
+    src = _ptr(items, items.dtype, (n,))
+    dst = _ptr(out, out.dtype, (len(seeds), n), True)
+    for seed in seeds:
+        lib.salsa_hash(n, src, seed, mask, dst)
+        dst += 8 * n
 
 
 def cu_walk(rows, idx: np.ndarray, values: np.ndarray) -> None:
     """Conservative-update ``values`` (positive int64) into unsigned
     max-merge vector ``rows``; ``idx`` is the ``(d, n)`` int64 matrix
-    of :meth:`HashFamily.index_matrix`."""
+    of :meth:`HashFamily.index_matrix`, every entry in ``[0, w)``."""
     lib = library()
     d, n = len(rows), len(values)
     head = rows[0]
@@ -177,20 +235,17 @@ def cu_walk(rows, idx: np.ndarray, values: np.ndarray) -> None:
            != (head.w, head.s, head.max_level, MAX, False)
            for row in rows):
         raise ValueError("cu_walk needs alike unsigned max-merge rows")
-    if not (isinstance(idx, np.ndarray) and idx.shape == (d, n)
-            and (n == 0 or 0 <= idx.min() <= idx.max() < head.w)):
-        raise ValueError(
-            f"cu_walk needs a ({d}, {n}) index matrix with entries in "
-            f"[0, {head.w})"
-        )
     ptrs = [_row_ptrs(row.engine) for row in rows]
-    arrays = (ctypes.c_void_p * d)
+    idx_ptr = _ptr(idx, _I64, (d, n))
+    arrays = ctypes.c_void_p * d
     counts = np.zeros(2 * d, dtype=np.int64)
-    lib.salsa_cu_walk(
-        d, n, head.s, head.max_level,
+    status = lib.salsa_cu_walk(
+        d, n, head.w, head.s, head.max_level,
         arrays(*(p[0] for p in ptrs)), arrays(*(p[1] for p in ptrs)),
-        arrays(*(_ptr(idx[r], np.int64, n) for r in range(d))),
-        _ptr(values, np.int64, n), _ptr(counts, np.int64, 2 * d, True))
+        arrays(*(idx_ptr + 8 * n * r for r in range(d))),
+        _ptr(values, _I64, (n,)), _ptr(counts, _I64, (2 * d,), True))
+    if status:
+        raise ValueError(f"cu_walk slots must lie in [0, {head.w})")
     for row, (merges, sats) in zip(rows, counts.reshape(d, 2).tolist()):
         row.merge_events += merges
         row.saturations += sats
@@ -215,9 +270,9 @@ def absorb(a_row, b_row, sign: int) -> None:
     counts = np.zeros(2, dtype=np.int64)
     status = lib.salsa_absorb(
         a.w, a.s, a.max_level, int(a.signed), int(a_row.merge == MAX),
-        a_values, a_levels, _ptr(b_values, a.values.dtype, a.w),
-        _ptr(b_levels, np.int64, a.w), sign,
-        _ptr(counts, np.int64, 2, True))
+        a_values, a_levels, _ptr(b_values, a.values.dtype, (a.w,)),
+        _ptr(b_levels, _I64, (a.w,)), sign,
+        _ptr(counts, _I64, (2,), True))
     if status:
         raise ValueError("absorbed row has a malformed layout")
     merges, sats = counts.tolist()
@@ -237,9 +292,9 @@ def add_partial(engine, idxs: np.ndarray, values: np.ndarray,
     mask = np.zeros(engine.w >> engine.max_level, dtype=np.uint8)
     status = lib.salsa_add_partial(
         engine.w, engine.s, engine.max_level, int(engine.signed),
-        *_row_ptrs(engine), n, _ptr(idxs, np.int64, n),
-        _ptr(values, np.int64, n), int(apply),
-        _ptr(mask, np.uint8, len(mask), True))
+        *_row_ptrs(engine), n, _ptr(idxs, _I64, (n,)),
+        _ptr(values, _I64, (n,)), int(apply),
+        _ptr(mask, mask.dtype, mask.shape, True))
     if status == -1:
         raise ValueError(f"batch slots must lie in [0, {engine.w})")
     if status == -2:
@@ -260,15 +315,15 @@ def replay(row, idxs: np.ndarray, values: np.ndarray,
     lib = library()
     engine = row.engine
     w, n = engine.w, len(idxs)
-    args = (engine.s, engine.max_level, int(engine.signed),
-            *_row_ptrs(engine), n, _ptr(idxs, np.int64, n),
-            _ptr(values, np.int64, n),
-            _ptr(dirty, np.bool_, w >> engine.max_level))
-    if n and not 0 <= idxs.min() <= idxs.max() < w:
-        raise ValueError(f"batch slots must lie in [0, {w})")
+    args = (w, engine.s, engine.max_level, int(engine.signed),
+            *_row_ptrs(engine), n, _ptr(idxs, _I64, (n,)),
+            _ptr(values, _I64, (n,)),
+            _ptr(dirty, _BOOL, (w >> engine.max_level,)))
     counts = np.zeros(2, dtype=np.int64)
-    counts_ptr = counts.ctypes.data
+    counts_ptr = _ptr(counts, _I64, (2,), True)
     t = lib.salsa_replay(*args, 0, counts_ptr)
+    if t < 0:
+        raise ValueError(f"batch slots must lie in [0, {w})")
     while t < n:
         row.add(int(idxs[t]), int(values[t]))
         t = lib.salsa_replay(*args, t + 1, counts_ptr)

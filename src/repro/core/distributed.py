@@ -8,7 +8,7 @@ packages that pattern:
 
 * :func:`shard` -- split a trace into per-worker shards (hash or
   round-robin partitioning), with the hash policy vectorized through
-  :func:`repro.hashing.mix64_many` (bit-identical to the per-item
+  :func:`repro.hashing.mix64_keyed` (bit-identical to the per-item
   ``mix64`` walk it replaced);
 * :class:`DistributedSketch` -- one local SALSA sketch per worker over
   a shared :class:`~repro.hashing.HashFamily`.
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core import ops
 from repro.core.serialize import dumps, loads
-from repro.hashing import HashFamily, mix64, mix64_many
+from repro.hashing import HashFamily, mix64, mix64_keyed
 from repro.sketches.base import as_batch
 from repro.streams.model import Trace
 
@@ -49,14 +49,13 @@ def _worker_keys(items: np.ndarray, workers: int, policy: str, seed: int,
     """Worker index of each item under a partition ``policy``.
 
     ``hash`` keys on the item: ``mix64(x ^ mix64(seed)) % workers`` for
-    the whole batch in one :func:`~repro.hashing.mix64_many` call (uint64
-    arithmetic wraps exactly like the masked per-item mixer).
+    the whole batch in one :func:`~repro.hashing.mix64_keyed` call
+    (bit-identical to the per-item mixer).
     ``round_robin`` keys on the arrival index; ``offset`` counts the
     arrivals before ``items``.
     """
     if policy == HASH:
-        salt = np.uint64(mix64(seed))
-        return (mix64_many(items.view(np.uint64) ^ salt)
+        return (mix64_keyed(items, mix64(seed))
                 % np.uint64(workers)).astype(np.int64)
     if policy == ROUND_ROBIN:
         return (offset + np.arange(len(items))) % workers
@@ -154,7 +153,7 @@ class DistributedSketch:
         its keys.  Anything else raises ``ValueError`` before a worker
         sees the chunk.  The chunk is split by the policies
         :func:`shard` applies to a whole trace -- ``hash`` keys every
-        item through one ``mix64_many`` call, ``round_robin`` continues
+        item through one ``mix64_keyed`` call, ``round_robin`` continues
         a global arrival counter across chunks -- and each worker's
         slice goes through its local sketch's ``update_many``.  Both
         policies are pure functions of (item, arrival index), so every

@@ -12,10 +12,11 @@ delegates the *representation* to a :class:`RowEngine`:
   rows) value per *base slot* (the value of a merged counter is
   duplicated across its block, so a point read is a single array
   index) plus a per-slot level array; merge bits are derived, never
-  stored.  Its batch door (``add_batch_partial``) and the walks of
-  :mod:`repro.core._native` run natively over its arrays; without a C
-  compiler the door reports every superblock dirty, as the bit-packed
-  engine's does.  It reports the
+  stored.  :class:`SalsaRow`'s batch door (``add_batch_partial``) and
+  the walks of :mod:`repro.core._native` run natively over its arrays;
+  without a C compiler the door falls back to this module's default,
+  which reports every superblock dirty, as on the bit-packed engine.
+  It reports the
   *same* ``overhead_bits`` as the bit-packed encoding it emulates, so
   memory accounting -- and every figure -- is engine-independent.
 * :class:`BitPackedEngine` -- the paper-faithful reference: counters
@@ -52,6 +53,11 @@ from repro.sketches.base import as_batch
 #: Layout encodings (accounting identities shared by every engine).
 SIMPLE = "simple"
 COMPACT = "compact"
+
+#: Merge policies (:class:`~repro.core.row.SalsaRow` applies them; they
+#: live here, below the row, so :mod:`repro.core._native` can name them).
+SUM = "sum"
+MAX = "max"
 
 
 def field_fits(value: int, width: int, signed: bool) -> bool:
@@ -338,15 +344,6 @@ class VectorRowEngine(RowEngine):
 
     def read_many(self, idxs) -> np.ndarray:
         return self.values[np.ascontiguousarray(idxs, dtype=np.int64)]
-
-    # -- bulk -----------------------------------------------------------
-    def add_batch_partial(self, idxs, values, apply: bool = True):
-        """Native check and apply (:func:`repro.core._native.add_partial`);
-        without the kernel, the all-dirty default."""
-        from repro.core import _native  # it imports this module
-        if _native.library() is None:
-            return super().add_batch_partial(idxs, values, apply)
-        return _native.add_partial(self, *as_batch(idxs, values), apply)
 
     # -- accounting / lifecycle ----------------------------------------
     @property

@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 
+from repro.core import _native
 from repro.core.engines import (
     COMPACT,
+    MAX,
     SIMPLE,
+    SUM,
     BitPackedEngine,
     field_fits,
     make_engine,
 )
 from repro.sketches.base import as_batch
-
-#: Merge policies.
-SUM = "sum"
-MAX = "max"
 
 __all__ = ["SUM", "MAX", "SIMPLE", "COMPACT", "SalsaRow"]
 
@@ -238,11 +237,15 @@ class SalsaRow:
         superblocks flags the *dirty* rest (untouched --
         :meth:`add_many` replays exactly the updates landing there, in
         stream order).  Returns ``None`` when the whole batch applied.
-        The vector engine runs the check natively; the bit-packed
+        Vector rows run the check natively
+        (:func:`repro.core._native.add_partial`); the bit-packed
         reference engine (and the vector engine without the kernel)
         reports every superblock dirty.
         ``apply=False`` computes the mask without writing anything.
         """
+        if _native.usable((self,)):
+            return _native.add_partial(self.engine, *as_batch(idxs, values),
+                                       apply)
         return self.engine.add_batch_partial(idxs, values, apply=apply)
 
     def add_many(self, idxs, values) -> None:
@@ -268,8 +271,7 @@ class SalsaRow:
         dirty = self.add_batch_partial(idxs, values)
         if dirty is None:
             return
-        from repro.core import _native  # it imports this module
-        if _native.usable([self]):
+        if _native.usable((self,)):
             _native.replay(self, idxs, values, dirty)
             return
         sel = dirty[idxs >> self.max_level]

@@ -18,6 +18,15 @@ Sketches may therefore inline ``mix64(item ^ seeds[row])`` on their
 per-item integer path and call the batch methods on their vectorized
 path without any per-family check.
 
+The batch methods (``raw_many``, ``index_many``, ``raw_matrix``,
+``index_matrix``) and :func:`mix64_keyed` run the mixer in C, fused
+with the row mask, whenever the native kernel library of
+:mod:`repro.core._native` loads and the keys are a 1-D array of 64-bit
+integers.  :func:`mix64_many` stays the reference they equal bit for
+bit, and the path taken without a C compiler or for any other input
+(whose errors are therefore unchanged).  That module is imported at the
+first batch, never with this one, so hashing stays below the core layer.
+
 Row widths are powers of two throughout the library (as in the paper's
 implementation: "For implementation efficiency, all row widths w are
 powers of two"), so index extraction is a mask.
@@ -62,6 +71,42 @@ def mix64_many(x: np.ndarray) -> np.ndarray:
     x *= _MUL2
     x ^= x >> _SH31
     return x
+
+
+#: :mod:`repro.core._native`, bound at the first batch (see _native_takes).
+_native = None
+
+_WORDS = (np.dtype(np.int64), np.dtype(np.uint64))
+
+
+def _native_takes(items) -> bool:
+    """True when the native mixer takes ``items``: an exact 1-D ndarray
+    of native-order 64-bit integers, and the kernel library loads."""
+    global _native
+    if not (type(items) is np.ndarray and items.ndim == 1
+            and items.dtype in _WORDS):
+        return False
+    if _native is None:
+        from repro.core import _native as module  # repro.core imports us
+        _native = module
+    return _native.library() is not None
+
+
+def _mix(items: np.ndarray, seeds, mask: int, dtype) -> np.ndarray:
+    """``mix64(items ^ seed) & mask`` for each of ``seeds``, natively:
+    a ``(len(seeds), n)`` array of ``dtype`` (the bits of the uint64
+    result, as ``.astype`` would give them)."""
+    out = np.empty((len(seeds), len(items)), dtype=dtype)
+    _native.mix(np.ascontiguousarray(items), seeds, mask, out)
+    return out
+
+
+def mix64_keyed(items: np.ndarray, key: int) -> np.ndarray:
+    """``mix64(items[t] ^ key)`` over a 64-bit integer batch, as uint64:
+    element-wise equal to :func:`mix64`, natively when it can be."""
+    if _native_takes(items):
+        return _mix(items, (key,), _MASK64, np.uint64)[0]
+    return mix64_many(items.view(np.uint64) ^ np.uint64(key))
 
 
 class HashFamily:
@@ -126,27 +171,35 @@ class HashFamily:
 
         Element-wise identical to :meth:`raw`.
         """
-        return mix64_many(items.view(np.uint64) ^ np.uint64(self.seeds[row]))
+        return mix64_keyed(items, self.seeds[row])
 
     def index_many(self, items: np.ndarray, row: int, w: int) -> np.ndarray:
         """Row indices of a batch in a width-``w`` row (int64 array)."""
+        if _native_takes(items):
+            seed = self.seeds[row]
+            return _mix(items, (seed,), int(np.uint64(w - 1)), np.int64)[0]
         return (self.raw_many(items, row) & np.uint64(w - 1)).astype(np.int64)
 
     def raw_matrix(self, items: np.ndarray,
                    rows: int | None = None) -> np.ndarray:
         """Raw hashes of a batch for *all* rows: a ``(rows, n)`` uint64
-        matrix from a single vectorized :func:`mix64_many` call (the
-        matrix-kernel door; see :mod:`repro.sketches._kernels`).
+        matrix in one call (the matrix-kernel door; see
+        :mod:`repro.sketches._kernels`).
 
         Row ``r`` equals :meth:`raw_many` ``(items, r)`` exactly.
         """
-        d = self.d if rows is None else rows
-        seeds = np.array(self.seeds[:d], dtype=np.uint64)
+        seeds = self.seeds[:self.d if rows is None else rows]
+        if _native_takes(items):
+            return _mix(items, seeds, _MASK64, np.uint64)
+        seeds = np.array(seeds, dtype=np.uint64)
         return mix64_many(items.view(np.uint64)[None, :] ^ seeds[:, None])
 
     def index_matrix(self, items: np.ndarray, w: int,
                      rows: int | None = None) -> np.ndarray:
         """All rows' indices at once: a ``(rows, n)`` int64 matrix."""
+        if _native_takes(items):
+            seeds = self.seeds[:self.d if rows is None else rows]
+            return _mix(items, seeds, int(np.uint64(w - 1)), np.int64)
         return (self.raw_matrix(items, rows)
                 & np.uint64(w - 1)).astype(np.int64)
 

@@ -61,6 +61,7 @@ class BatchFrequencySketch(FrequencySketch, Protocol):
         ...
 
 
+_INT64 = np.dtype(np.int64)
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -_INT64_MAX - 1
 
@@ -116,6 +117,11 @@ def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
     values must be 1-D integer sequences within int64 (integer arrays
     of any width qualify); anything else raises ``ValueError``.
     """
+    if (type(items) is np.ndarray and type(values) is np.ndarray
+            and items.dtype == _INT64 and values.dtype == _INT64
+            and items.ndim == 1 and items.shape == values.shape
+            and items.flags.c_contiguous and values.flags.c_contiguous):
+        return items, values  # every internal caller's shape, as is
     if hasattr(items, "items") and isinstance(getattr(items, "items"), np.ndarray):
         trace_values = getattr(items, "values", None)
         if isinstance(trace_values, np.ndarray):  # a WeightedTrace

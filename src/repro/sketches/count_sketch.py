@@ -186,14 +186,34 @@ class CountSketch(MatrixSketch):
 
     # ------------------------------------------------------------------
     def merge(self, other: "CountSketch") -> None:
-        """Counter-wise sum: self becomes s(A u B)."""
+        """Counter-wise sum: self becomes s(A u B), each counter clamped
+        to ``[min_val, max_val]`` as the per-item door clamps it."""
         self._check_compatible(other)
-        self.mat += other.mat
+        self._fold(other.mat, +1)
 
     def subtract(self, other: "CountSketch") -> None:
-        """Counter-wise difference: self becomes s(A \\ B).
+        """Counter-wise difference: self becomes s(A \\ B), clamped as
+        :meth:`merge` is.
 
         CS is a Turnstile sketch, so general subtraction is valid.
         """
         self._check_compatible(other)
-        self.mat -= other.mat
+        self._fold(other.mat, -1)
+
+    def _fold(self, b: np.ndarray, sign: int) -> None:
+        """``mat += sign * b``, saturating at ``[min_val, max_val]``
+        with no int64 wrap: each counter moves by ``b``'s positive part,
+        then by its negative part, and ``min(a, hi - up) + up`` (or its
+        mirror) never leaves int64 for operands within the range."""
+        a, lo, hi = self.mat, self.min_val, self.max_val
+        up, down = np.maximum(b, 0), np.minimum(b, 0)
+        if sign < 0:
+            np.maximum(a, lo + up, out=a)
+            a -= up
+            np.minimum(a, hi + down, out=a)
+            a -= down
+        else:
+            np.minimum(a, hi - up, out=a)
+            a += up
+            np.maximum(a, lo - down, out=a)
+            a += down

@@ -309,6 +309,58 @@ class TestCountSketch:
         assert a.query(1) == 4
         assert a.query(2) == -9
 
+    def test_merge_and_subtract_clamp_like_the_update_door(self):
+        """Two 8-bit counters at the clamp stay at the clamp when merged
+        or subtracted (they used to read 256 and -255), as one sketch
+        fed both streams per item does."""
+        def sketch(*updates):
+            cs = CountSketch(w=8, d=1, counter_bits=8, seed=1)
+            for value in updates:
+                cs.update(3, value)
+            return cs
+
+        a, b = sketch(500), sketch(500)
+        a.merge(b)
+        assert a.query(3) == sketch(1000).query(3) == 128
+        assert np.array_equal(a.mat, sketch(1000).mat)
+        a, b = sketch(500), sketch(-500)
+        a.subtract(b)
+        assert np.array_equal(a.mat, sketch(1000).mat)
+        assert a.mat.min() >= a.min_val == -128
+
+    @pytest.mark.parametrize("op", ["merge", "subtract"])
+    def test_64_bit_merge_and_subtract_saturate_without_wrapping(self, op):
+        """Counters at 2^63 - 1 merge to 2^63 - 1, not -2 (an int64
+        wrap), and counters at -2^63 subtract to within range too."""
+        hi, lo = (1 << 63) - 1, -(1 << 63)
+        a, b = (CountSketch(w=8, d=1, counter_bits=64, seed=1)
+                for _ in range(2))
+        a.mat[0] = [hi, lo, hi, lo, 0, 5, hi, lo]
+        b.mat[0] = ([hi, lo, lo, hi, lo, -5, 1, -1] if op == "merge"
+                    else [lo, hi, hi, lo, hi, 5, -1, 1])
+        want = [max(lo, min(hi, x + (y if op == "merge" else -y)))
+                for x, y in zip(a.mat[0].tolist(), b.mat[0].tolist())]
+        getattr(a, op)(b)
+        assert a.mat[0].tolist() == want
+        assert want[:2] == [hi, lo]   # both saturate, one at each end
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 8, 32, 64]), st.data())
+    def test_merge_and_subtract_equal_the_clamped_sum(self, bits, data):
+        hi, lo = (1 << (bits - 1)) - 1, -(1 << (bits - 1))
+        cells = st.lists(st.one_of(st.integers(lo, hi),
+                                   st.sampled_from([lo, hi, 0, -1, 1])),
+                         min_size=8, max_size=8)
+        x, y = data.draw(cells), data.draw(cells)
+        for op, sign in (("merge", 1), ("subtract", -1)):
+            a, b = (CountSketch(w=8, d=1, counter_bits=bits, seed=1)
+                    for _ in range(2))
+            a.mat[0], b.mat[0] = x, y
+            getattr(a, op)(b)
+            assert a.mat[0].tolist() == [max(lo, min(hi, p + sign * q))
+                                         for p, q in zip(x, y)]
+            assert b.mat[0].tolist() == y
+
     def test_row_estimate(self):
         cs = CountSketch(w=1 << 12, d=5, seed=6)
         cs.update(77, 13)
