@@ -2,8 +2,9 @@
 
 The SALSA paper's pitch is throughput-per-bit; this bench checks that
 the batch pipeline (vectorized hashing + merge-free bulk counter
-updates; duplicate pre-aggregation for the fixed-width sketches, the
-raw stream through ``SalsaRow.add_many`` for SALSA CMS/CS/AEE) actually
+updates; the raw stream through ``SalsaRow.add_many`` for the
+fixed-width and SALSA CMS and SALSA CS/AEE, the native walk for both
+CUS, duplicate pre-aggregation for the order-free competitors) actually
 buys throughput over the per-item loop, per sketch, on a skewed trace.
 Results land in ``results/batch_throughput.txt`` as items/sec for both
 ingest paths, next to the query side on the fed sketch: per-item

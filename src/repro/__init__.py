@@ -17,14 +17,9 @@ distinct, entropy, moments, change detection) in :mod:`repro.tasks`;
 the figure-regeneration harness in :mod:`repro.experiments`.
 """
 
-from repro.core import (
-    SalsaAeeCountMin,
-    SalsaConservativeUpdate,
-    SalsaCountMin,
-    SalsaCountSketch,
-    TangoCountMin,
-    ops,
-)
+# repro.sketches first: its fixed-width CMS and CUS import repro.core,
+# whose modules import repro.sketches.base, and that order is the one
+# without a cycle.
 from repro.sketches import (
     AbcSketch,
     AeeSketch,
@@ -35,6 +30,14 @@ from repro.sketches import (
     PyramidSketch,
     UnivMon,
     ZeroSketch,
+)
+from repro.core import (
+    SalsaAeeCountMin,
+    SalsaConservativeUpdate,
+    SalsaCountMin,
+    SalsaCountSketch,
+    TangoCountMin,
+    ops,
 )
 from repro.streams import Trace, dataset, zipf_trace
 

@@ -296,12 +296,14 @@ class VectorRowEngine(RowEngine):
         self.values = np.zeros(w, dtype=np.int64 if signed else np.uint64)
 
     # -- layout queries -------------------------------------------------
+    # Point access goes through ndarray.item, which hands back a Python
+    # int without building a NumPy scalar first.
     def locate(self, j: int) -> tuple[int, int]:
-        level = int(self.levels[j])
+        level = self.levels.item(j)
         return level, j & -(1 << level)
 
     def level_of(self, j: int) -> int:
-        return int(self.levels[j])
+        return self.levels.item(j)
 
     def counters(self):
         j = 0
@@ -334,13 +336,16 @@ class VectorRowEngine(RowEngine):
 
     # -- values ---------------------------------------------------------
     def read(self, j: int) -> int:
-        return int(self.values[j])
+        return self.values.item(j)
 
     def read_block(self, start: int, level: int) -> int:
-        return int(self.values[start])
+        return self.values.item(start)
 
     def write_block(self, start: int, level: int, value: int) -> None:
-        self.values[start:start + (1 << level)] = value
+        if level:
+            self.values[start:start + (1 << level)] = value
+        else:
+            self.values[start] = value
 
     def read_many(self, idxs) -> np.ndarray:
         return self.values[np.ascontiguousarray(idxs, dtype=np.int64)]

@@ -47,7 +47,9 @@ class SalsaRow:
     w:
         Number of base slots (power of two).
     s:
-        Base counter width in bits (paper default 8).
+        Base counter width in bits (paper default 8): a power of two in
+        ``[2, 64]``, or any width in ``[1, 64]`` when ``max_bits == s``
+        (a row that never merges, as the fixed-width CMS and CUS use).
     max_bits:
         Widest counter allowed; merging stops there and the counter
         saturates (the paper lets counters grow to 64 bits).  The
@@ -80,7 +82,10 @@ class SalsaRow:
                  encoding: str = SIMPLE, engine: str = "vector"):
         if w < 2 or w & (w - 1):
             raise ValueError(f"w must be a power of two >= 2, got {w}")
-        if s < 2 or s & (s - 1) or s > 64:
+        if max_bits == s:  # a row that never merges: any width
+            if not 1 <= s <= 64:
+                raise ValueError(f"s must be in [1, 64], got {s}")
+        elif s < 2 or s & (s - 1) or s > 64:
             raise ValueError(f"s must be a power of two in [2, 64], got {s}")
         if max_bits < s:
             raise ValueError(f"max_bits {max_bits} smaller than s {s}")
@@ -195,8 +200,10 @@ class SalsaRow:
         Merges as many times as needed for the result to fit; saturates
         at ``max_bits``.  Returns the counter's new value.
         """
-        level, start = self.engine.locate(j)
-        value = self.engine.read_block(start, level) + v
+        engine = self.engine
+        # A row that never merges keeps every counter at level 0.
+        level, start = engine.locate(j) if self.max_level else (0, j)
+        value = engine.read_block(start, level) + v
         if not self.signed and value < 0:
             # Strict Turnstile counters never go negative; clamp so a
             # (mis-ordered) deletion cannot trigger runaway merging.
@@ -207,7 +214,7 @@ class SalsaRow:
         """Merge (start, level) until ``value`` fits, saturating at
         ``max_level``, then store it: the shared tail of :meth:`add`
         and :meth:`set_at_least`.  Returns the stored value."""
-        while not self._fits(value, self.s << level):
+        while not field_fits(value, self.s << level, self.signed):
             if level >= self.max_level:
                 value = self._clamp(value, self.s << level)
                 self.saturations += 1
@@ -288,8 +295,9 @@ class SalsaRow:
         """
         if self.merge != MAX:
             raise ValueError("set_at_least requires a max-merge row")
-        level, start = self.engine.locate(j)
-        value = self.engine.read_block(start, level)
+        engine = self.engine
+        level, start = engine.locate(j) if self.max_level else (0, j)
+        value = engine.read_block(start, level)
         if value >= target:
             return value
         return self._settle(start, level, target)

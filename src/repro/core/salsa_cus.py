@@ -10,7 +10,7 @@ corresponding counter of the underlying coarse CUS, so
 
 from __future__ import annotations
 
-from repro.hashing import HashFamily
+from repro.hashing import HashFamily, mix64
 from repro.core import _native
 from repro.core.row import MAX, SIMPLE, SalsaRow
 from repro.core.sketch import RowSketch
@@ -44,13 +44,16 @@ class SalsaConservativeUpdate(RowSketch):
         """Conservative update over self-adjusting counters."""
         item, value = as_item(item, value)
         if value <= 0:
-            raise ValueError(
-                f"SALSA CUS is a Cash Register sketch; got value {value}"
-            )
-        idxs = self._slots(item)
-        target = min(row.read(j) for row, j in zip(self.rows, idxs)) + value
-        for row, j in zip(self.rows, idxs):
-            row.set_at_least(j, target)
+            raise ValueError(f"{type(self).__name__} is a Cash Register "
+                             f"sketch; got value {value}")
+        mask = self.w - 1
+        cells = [(row, mix64(item ^ seed) & mask)
+                 for row, seed in zip(self.rows, self.hashes.seeds)]
+        counts = [row.read(j) for row, j in cells]
+        target = min(counts) + value
+        for (row, j), count in zip(cells, counts):
+            if count < target:  # set_at_least leaves the others alone
+                row.set_at_least(j, target)
 
     # ------------------------------------------------------------------
     # batch pipeline
@@ -69,10 +72,8 @@ class SalsaConservativeUpdate(RowSketch):
         if len(items) == 0:
             return
         if int(values.min()) <= 0:
-            raise ValueError(
-                "SALSA CUS is a Cash Register sketch; batch contains a "
-                "non-positive value"
-            )
+            raise ValueError(f"{type(self).__name__} is a Cash Register "
+                             f"sketch; batch contains a non-positive value")
         if not _native.usable(self.rows):
             BatchOpsMixin.update_many(self, items, values)
             return

@@ -69,6 +69,10 @@ _ENCODING_NAMES = {v: k for k, v in _ENCODINGS.items()}
 # header: magic, version, type, w, d, s, max_bits, merge, encoding, seed
 _HEADER = struct.Struct("<4sBBIHHHBBq")
 
+#: Counter widths whose chunks are whole NumPy words; any other width
+#: (a row that never merges may take any) goes bit by bit.
+_WORD_BITS = (8, 16, 32, 64)
+
 
 def _group_bytes(group_level: int) -> int:
     """Bytes per Appendix-A group number on the wire."""
@@ -132,7 +136,7 @@ def _encode_store(engine: VectorRowEngine, off: np.ndarray) -> np.ndarray:
         raw = np.abs(raw).astype(np.uint64) | sign
     chunks = ((raw >> (off * s).astype(np.uint64))
               & np.uint64((1 << s) - 1))
-    if s >= 8:
+    if s in _WORD_BITS:
         return chunks.astype(f"<u{s // 8}")
     bits = (chunks[:, None] >> np.arange(s, dtype=np.uint64)) & np.uint64(1)
     return np.packbits(bits.astype(np.uint8), axis=None, bitorder="little")
@@ -206,7 +210,7 @@ def _decode_groups(layout: np.ndarray, w: int, max_level: int) -> np.ndarray:
 
 def _decode_store(store: np.ndarray, w: int, s: int) -> np.ndarray:
     """The ``s``-bit chunk of every slot, as uint64."""
-    if s >= 8:
+    if s in _WORD_BITS:
         return store.view(f"<u{s // 8}").astype(np.uint64)
     bits = np.unpackbits(store, count=w * s, bitorder="little")
     bits = bits.reshape(w, s).astype(np.uint64)

@@ -15,7 +15,7 @@ same plumbing as the paper figures; the bench targets live in
 
 from __future__ import annotations
 
-from repro.core import SalsaCountMin, SalsaCountSketch
+from repro.core import SalsaCountSketch
 from repro.experiments import algorithms as alg
 from repro.experiments import config
 from repro.experiments.runner import (
@@ -29,6 +29,7 @@ from repro.metrics import relative_error
 from repro.sketches import (
     AugmentedSketch,
     CounterTree,
+    CountMinSketch,
     CuckooCounter,
     ElasticSketch,
     HyperLogLog,
@@ -135,10 +136,10 @@ def ext_distinct(length: int | None = None, trials: int | None = None
         trace = synthetic_caida(length, "ny18", seed=t)
         if isinstance(sketch, HyperLogLog):
             kind = "hll"
-        elif isinstance(sketch, SalsaCountMin):
-            kind = "salsa"
-        else:
+        elif isinstance(sketch, CountMinSketch):  # rows that never merge
             kind = "baseline"
+        else:
+            kind = "salsa"
         return _distinct_are(sketch, trace, kind)
 
     return sweep(result, config.MEMORY_SWEEP, factories, measure, trials)

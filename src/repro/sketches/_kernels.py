@@ -1,17 +1,16 @@
 """Matrix batch kernels for fixed-width ``d x w`` counter sketches.
 
-The fixed-width competitor family (Count-Min, Count Sketch, and the
-sketches built from them: Elastic's light part, Cold Filter's stage 1,
-UnivMon's level sketches, NitroSketch's rows) all share one physical
-shape: a ``d x w`` matrix of counters where an update touches one
-column per row and a query gathers one column per row.  This module is
-the single vectorized datapath for that shape -- every primitive takes
-*stacked* per-row indices (a ``(d, n)`` matrix built from one
-:func:`~repro.hashing.mix64_many` call over all rows at once) and
-performs the whole batch in a constant number of NumPy operations:
+The matrix-backed sketches (Count Sketch, the AEE baseline, and
+UnivMon's Count Sketch levels) and the competitors that hash like them
+(NitroSketch, Pyramid's layers) share one physical shape: a ``d x w``
+matrix of counters where an update touches one column per row and a
+query gathers one column per row.  This module is the vectorized datapath
+for that shape -- every primitive takes *stacked* per-row indices (a
+``(d, n)`` matrix built from one
+:meth:`~repro.hashing.HashFamily.index_matrix` call over all rows at
+once) and performs the whole batch in a constant number of NumPy
+operations:
 
-* :func:`scatter_add_capped` -- saturating Count-Min-style bulk add
-  (one ``np.add.at`` over the flattened matrix for all rows);
 * :func:`scatter_add_signed` -- Count-Sketch-style signed bulk add
   behind a per-row clamp guard (rows that could clamp are *not*
   applied and reported back for an exact ordered replay);
@@ -21,13 +20,16 @@ performs the whole batch in a constant number of NumPy operations:
 * :func:`gather_2d` / :func:`min_over_rows` / :func:`median_over_rows`
   -- the query-side gathers and row aggregations.
 
-Which batch a kernel sees is the caller's choice.  The order-free
-update doors (Count-Min's capped scatter, Count Sketch's signed one)
-collapse duplicate keys with :func:`repro.sketches.base.aggregate_batch`
-before building the index matrix; the query gathers and
-:func:`scatter_add_running` take the raw batch, duplicates included,
-in stream order.  Everything here preserves the batch contract (bit-identity with the
-per-item walk); the guard-then-fallback decisions stay in the sketches.
+The fixed-width Count-Min and Conservative Update sketches are not
+here: their rows are SALSA rows that never merge, so their batches
+take the SALSA row doors (:mod:`repro.core.row`, :mod:`repro.core._native`).
+
+Which batch a kernel sees is the caller's choice.  Count Sketch's
+signed scatter collapses duplicate flat indices first; the query
+gathers and :func:`scatter_add_running` take the raw batch, duplicates
+included, in stream order.  Everything here preserves the batch
+contract (bit-identity with the per-item walk); the guard-then-fallback
+decisions stay in the sketches.
 """
 
 from __future__ import annotations
@@ -91,24 +93,6 @@ def _aggregate_flat(flat: np.ndarray, deltas: np.ndarray
     agg = np.zeros(len(uidx), dtype=np.int64)
     np.add.at(agg, inv, deltas)
     return uidx, agg
-
-
-def scatter_add_capped(mat: np.ndarray, idx2d: np.ndarray,
-                       sums: np.ndarray, cap: int) -> None:
-    """Saturating bulk add of per-key ``sums`` into every row at once.
-
-    Exact for non-negative inflows because the cap is absorbing: the
-    final value of a counter receiving total inflow ``t`` is
-    ``min(cap, old + t)`` regardless of arrival order.  Callers
-    guarantee ``sums >= 0`` and that the batch total fits int64
-    (:func:`repro.sketches.base.batch_sum_fits`).
-    """
-    w = mat.shape[1]
-    flat = flat_indices(idx2d, w)
-    deltas = np.broadcast_to(sums, idx2d.shape).ravel()
-    uidx, agg = _aggregate_flat(flat, deltas)
-    view = mat.reshape(-1)
-    view[uidx] = np.minimum(cap, view[uidx] + agg)
 
 
 def scatter_add_signed(mat: np.ndarray, idx2d: np.ndarray,

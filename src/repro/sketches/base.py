@@ -289,15 +289,16 @@ class BatchOpsMixin:
     preconditions (e.g. non-negative values) must delegate back to
     these defaults when the precondition fails.
 
-    Sketches whose storage is backed by a pluggable row engine
-    (:mod:`repro.core.engines`) accept an ``engine=`` kwarg -- plumbed
-    through their ``for_memory`` constructors as well -- and record the
-    choice in :attr:`engine_name`; fixed-width sketches leave it
-    ``None``.  The engine only changes which code path the batch
-    door takes, never the answers.
+    Sketches whose storage is a row engine (:mod:`repro.core.engines`)
+    record it in :attr:`engine_name`: the SALSA family takes an
+    ``engine=`` kwarg (plumbed through ``for_memory`` as well), and the
+    fixed-width CMS and CUS, whose rows are SALSA rows that never
+    merge, report ``"vector"`` without taking one.  The other sketches
+    leave it ``None``.  The engine only changes which code path the
+    batch door takes, never the answers.
     """
 
-    #: Row-engine name for engine-backed sketches, else None.
+    #: Row-engine name for row-backed sketches, else None.
     engine_name: str | None = None
 
     #: dtype of every ``query_many`` answer, fixed by the sketch's
@@ -339,50 +340,27 @@ def row_hashes(d: int, seed: int = 0,
     return hashes
 
 
-class MatrixSketch(BatchOpsMixin):
-    """``d`` rows of ``w`` fixed-width counters under one hash family:
-    the base of the fixed-width CMS, CUS, CS and AEE.
+class FixedWidth:
+    """Sizing shared by every fixed-width sketch: ``d`` rows of ``w``
+    counters of ``counter_bits`` bits each, with no encoding overhead.
 
-    It holds the shape and ``counter_bits`` checks, the hashes
-    (:func:`row_hashes`), the counters as one ``(d, w)`` int64 matrix
-    ``mat``, the per-item hashing, the min-over-rows query on both
-    doors and memory sizing.  A subclass defines its ``update`` rule,
-    an ``update_many`` when it has an exact vectorized path, and its
-    own query when rows do not combine by minimum.  Per-item doors and
-    Python walks read and write ``mat`` through a memoryview made inside
-    each call (a Python int per cell, cheaper than NumPy scalar
-    indexing); nothing stores one, so sketches stay deep-copyable.
-
-    Parameters
-    ----------
-    w:
-        Row width (a power of two).
-    d:
-        Number of rows.
-    counter_bits:
-        Unsigned counters hold ``[0, 2^b - 1]``, ``b`` in ``[1, 63]``
-        so every value fits an int64 cell; signed (two's-complement)
-        ones ``[-2^(b-1), 2^(b-1) - 1]``, ``b`` in ``[2, 64]``.
-    seed, hash_family:
-        The rows' hash functions, as :func:`row_hashes` takes them.
+    Unsigned counters hold ``[0, 2^b - 1]``, ``b`` in ``[1, 63]`` (so
+    every value fits an int64); signed (two's-complement) ones
+    ``[-2^(b-1), 2^(b-1) - 1]``, ``b`` in ``[2, 64]``.
     """
 
     #: Two's-complement counters (Count Sketch) rather than unsigned.
     signed = False
 
-    def __init__(self, w: int, d: int = 4, counter_bits: int = 32,
-                 seed: int = 0, hash_family: HashFamily | None = None):
-        if w < 1 or w & (w - 1):
-            raise ValueError(f"w must be a positive power of two, got {w}")
+    def _set_counter_bits(self, counter_bits: int) -> None:
+        """Check ``counter_bits`` and set it with :attr:`cap`, the
+        largest value a counter holds."""
         low, high = (2, 64) if self.signed else (1, 63)
         if not low <= counter_bits <= high:
             raise ValueError(f"counter_bits must be in [{low}, {high}], "
                              f"got {counter_bits}")
-        self.w, self.d, self.counter_bits = w, d, counter_bits
-        #: the largest value a counter holds
+        self.counter_bits = counter_bits
         self.cap = (1 << (counter_bits - self.signed)) - 1
-        self.hashes = row_hashes(d, seed, hash_family)
-        self.mat = np.zeros((d, w), dtype=np.int64)
 
     @classmethod
     def for_memory(cls, memory_bytes: int, **kwargs):
@@ -393,6 +371,76 @@ class MatrixSketch(BatchOpsMixin):
         d = kwargs.get("d", params["d"].default)
         bits = kwargs.get("counter_bits", params["counter_bits"].default)
         return cls(w=width_for_memory(memory_bytes, d, bits), **kwargs)
+
+    @property
+    def memory_bytes(self) -> int:
+        """Counter storage only: fixed-width sketches have no overhead."""
+        return self.d * self.w * self.counter_bits // 8
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"{type(self).__name__}(w={self.w}, d={self.d}, "
+                f"counter_bits={self.counter_bits})")
+
+
+class FixedWidthRows(FixedWidth):
+    """The fixed-width CMS and CUS over SALSA rows that never merge.
+
+    A row with ``s = max_bits = counter_bits`` has ``max_level = 0``:
+    an add clamps at zero and saturates at ``2^counter_bits - 1``,
+    exactly the fixed-width rule.  Mixed in ahead of the SALSA sketch
+    it specializes, it keeps the baseline's sizing (no encoding bit)
+    and its int64 answers: ``query_many`` views the rows' uint64
+    minimum as int64, exact because counters stay below ``2^63``.
+    """
+
+    query_dtype = np.dtype(np.int64)
+
+    def query_many(self, items) -> np.ndarray:
+        """The rows' min-over-rows batch query, as int64."""
+        return super().query_many(items).view(np.int64)
+
+    def zero_counters(self, row: int = 0) -> int:
+        """Number of zero-valued counters in ``row`` (Linear Counting)."""
+        slots = np.arange(self.w, dtype=np.int64)
+        return int(np.count_nonzero(self.rows[row].read_many(slots) == 0))
+
+
+class MatrixSketch(FixedWidth, BatchOpsMixin):
+    """``d`` rows of ``w`` fixed-width counters under one hash family,
+    held as one ``(d, w)`` int64 matrix: the base of the fixed-width
+    Count Sketch and AEE.
+
+    It holds the shape and ``counter_bits`` checks, the hashes
+    (:func:`row_hashes`), the counters as the matrix ``mat``, the
+    per-item hashing, the min-over-rows query on both doors and, through
+    :class:`FixedWidth`, memory sizing.  A subclass defines its
+    ``update`` rule, an ``update_many`` when it has an exact vectorized
+    path, and its own query when rows do not combine by minimum.
+    Per-item doors and Python walks read and write ``mat`` through a
+    memoryview made inside each call (a Python int per cell, cheaper
+    than NumPy scalar indexing); nothing stores one, so sketches stay
+    deep-copyable.
+
+    Parameters
+    ----------
+    w:
+        Row width (a power of two).
+    d:
+        Number of rows.
+    counter_bits:
+        Counter width, as :class:`FixedWidth` takes it.
+    seed, hash_family:
+        The rows' hash functions, as :func:`row_hashes` takes them.
+    """
+
+    def __init__(self, w: int, d: int = 4, counter_bits: int = 32,
+                 seed: int = 0, hash_family: HashFamily | None = None):
+        if w < 1 or w & (w - 1):
+            raise ValueError(f"w must be a positive power of two, got {w}")
+        self._set_counter_bits(counter_bits)
+        self.w, self.d = w, d
+        self.hashes = row_hashes(d, seed, hash_family)
+        self.mat = np.zeros((d, w), dtype=np.int64)
 
     @property
     def rows(self) -> list[np.ndarray]:
@@ -418,24 +466,11 @@ class MatrixSketch(BatchOpsMixin):
         idx2d = self.hashes.index_matrix(items, self.w)
         return _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
 
-    @property
-    def memory_bytes(self) -> int:
-        """Counter storage only: fixed-width sketches have no overhead."""
-        return self.d * self.w * self.counter_bits // 8
-
-    def zero_counters(self, row: int = 0) -> int:
-        """Number of zero-valued counters in ``row`` (Linear Counting)."""
-        return int((self.mat[row] == 0).sum())
-
     def _check_compatible(self, other: "MatrixSketch") -> None:
         if (self.w, self.d) != (other.w, other.d):
             raise ValueError("sketch shapes differ")
         if not self.hashes.same_functions(other.hashes):
             raise ValueError("sketches do not share hash functions")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"{type(self).__name__}(w={self.w}, d={self.d}, "
-                f"counter_bits={self.counter_bits})")
 
 
 def width_for_memory(memory_bytes: int, d: int, counter_bits: int,

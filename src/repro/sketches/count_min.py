@@ -8,35 +8,38 @@ minimum (section III).  ``counter_bits`` configures the width
 overflow" -- which is exactly what makes them useless for heavy
 hitters and what SALSA fixes.
 
-The counters are :class:`~repro.sketches.base.MatrixSketch`'s
-``(d, w)`` int64 matrix, so the batch door is a single pass through
-the matrix kernels (:mod:`repro.sketches._kernels`): one stacked hash,
-one scatter-add, one gather per batch -- no per-row Python loop.
+Each row is a sum-merge SALSA row that never merges
+(:class:`~repro.sketches.base.FixedWidthRows`), so the baseline runs
+on SALSA CMS's own substrate and doors: the per-item
+``RowSketch.update`` and the native ``SalsaRow.add_many`` batch door.
+A comparison of the two then measures the algorithms, not two
+implementations.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.hashing import mix64
-from repro.sketches import _kernels
-from repro.sketches.base import (
-    BatchOpsMixin,
-    MatrixSketch,
-    StreamModel,
-    aggregate_batch,
-    as_batch,
-    as_item,
-    batch_sum_fits,
-)
+from repro.core import ops
+from repro.core.row import SUM
+from repro.core.salsa_cms import SalsaCountMin
+from repro.hashing import HashFamily
+from repro.sketches.base import FixedWidthRows
 
 
-class CountMinSketch(MatrixSketch):
+class CountMinSketch(FixedWidthRows, SalsaCountMin):
     """Fixed-width Count-Min Sketch (Strict Turnstile).
 
-    Parameters are :class:`~repro.sketches.base.MatrixSketch`'s (paper
-    default ``d=4``); counters saturate at ``2**counter_bits - 1``, and
-    counter-wise merge/subtract need a shared ``hash_family``.
+    Parameters
+    ----------
+    w:
+        Row width (a power of two).
+    d:
+        Number of rows (paper default 4).
+    counter_bits:
+        Counters hold ``[0, 2^b - 1]``, ``b`` in ``[1, 63]``; an add
+        saturates at the top and clamps at zero.
+    seed, hash_family:
+        The rows' hash functions; counter-wise merge/subtract need a
+        shared ``hash_family``.
 
     Examples
     --------
@@ -47,64 +50,27 @@ class CountMinSketch(MatrixSketch):
     True
     """
 
-    model = StreamModel.STRICT_TURNSTILE
+    def __init__(self, w: int, d: int = 4, counter_bits: int = 32,
+                 seed: int = 0, hash_family: HashFamily | None = None):
+        self._set_counter_bits(counter_bits)
+        super().__init__(w, d, s=counter_bits, merge=SUM,
+                         max_bits=counter_bits, seed=seed,
+                         hash_family=hash_family)
 
-    # ------------------------------------------------------------------
-    def update(self, item: int, value: int = 1) -> None:
-        """Add ``value`` to each of the item's counters (saturating)."""
-        item, value = as_item(item, value)
-        mask = self.w - 1
-        cap = self.cap
-        cells = memoryview(self.mat)
-        for row, seed in enumerate(self.hashes.seeds):
-            cell = row, mix64(item ^ seed) & mask
-            new = cells[cell] + value
-            cells[cell] = cap if new > cap else (0 if new < 0 else new)
-
-    # ------------------------------------------------------------------
-    # batch pipeline (matrix kernels)
-    # ------------------------------------------------------------------
-    def update_many(self, items, values=None) -> None:
-        """Fully vectorized batch update: one 2D kernel call.
-
-        Positive inflows into saturating counters are order-free (the
-        cap is absorbing), so duplicates pre-aggregate, all ``d`` rows
-        hash in one stacked ``mix64_many`` call, and the counters take
-        one matrix scatter-add.  Negative values (Strict Turnstile
-        deletions) clamp at zero per step, which is order-sensitive,
-        so they use the exact per-item fallback; so do >=63-bit
-        counters and batches whose total inflow nears the int64
-        scratch space.
-        """
-        items, values = as_batch(items, values)
-        if len(items) == 0:
-            return
-        if (int(values.min()) < 0 or self.counter_bits >= 63
-                or not batch_sum_fits(values)):
-            BatchOpsMixin.update_many(self, items, values)
-            return
-        uniq, sums = aggregate_batch(items, values)
-        idx2d = self.hashes.index_matrix(uniq, self.w)
-        _kernels.scatter_add_capped(self.mat, idx2d, sums, self.cap)
-
-    # ------------------------------------------------------------------
     def merge(self, other: "CountMinSketch") -> None:
-        """Counter-wise sum: self becomes s(A u B).
+        """Counter-wise sum, saturating: self becomes s(A u B).
 
-        Standard linear-sketch merging; requires identical shape and
-        shared hash functions.
+        Standard linear-sketch merging (:func:`repro.core.ops.merge`);
+        requires identical shape and shared hash functions.
         """
-        self._check_compatible(other)
-        # min(a, cap - b) + b == min(a + b, cap), with no int64 wrap
-        # for counters near 2^63 - 1.
-        np.minimum(self.mat, self.cap - other.mat, out=self.mat)
-        self.mat += other.mat
+        ops.merge(self, other)
 
     def subtract(self, other: "CountMinSketch") -> None:
-        """Counter-wise difference: self becomes s(A \\ B).
+        """Counter-wise difference, clamped at zero: self becomes
+        s(A \\ B).
 
         Valid in the Strict Turnstile model only "given a guarantee
-        that B is a subset of A" (section V).
+        that B is a subset of A" (section V); otherwise a counter
+        clamps at zero, as a deletion on the update doors does.
         """
-        self._check_compatible(other)
-        self.mat -= other.mat
+        ops.subtract(self, other)

@@ -277,7 +277,8 @@ def test_elastic_evictions_and_heavy_entries_match():
     _feed_per_item(a, items, values)
     _feed_batched(b, items, values, chunk=409)
     assert a.heavy_entries() == b.heavy_entries()
-    assert np.array_equal(a.light.mat, b.light.mat)
+    for ra, rb in zip(a.light.rows, b.light.rows, strict=True):
+        assert np.array_equal(ra.engine.values, rb.engine.values)
     assert a.n == b.n
 
 
