@@ -6,6 +6,8 @@ updates; the raw stream through ``SalsaRow.add_many`` for the
 fixed-width and SALSA CMS and SALSA CS/AEE, the native walk for both
 CUS, duplicate pre-aggregation for the order-free competitors) actually
 buys throughput over the per-item loop, per sketch, on a skewed trace.
+The fixed-width AEE's batch door is its per-item walk (its sampler
+draws in arrival order), so its row reads about 1x.
 Results land in ``results/batch_throughput.txt`` as items/sec for both
 ingest paths, next to the query side on the fed sketch: per-item
 ``query`` and ``query_many`` per chunk.  Each cell of that table is timed
@@ -40,6 +42,7 @@ from repro.core.row import SUM
 from repro.experiments.runner import ingest_seconds, per_item_seconds
 from repro.sketches import (
     AbcSketch,
+    AeeSketch,
     ConservativeUpdateSketch,
     CountMinSketch,
     CountSketch,
@@ -52,6 +55,7 @@ FACTORIES = {
     "cms": lambda: CountMinSketch(w=4096, d=4, seed=1),
     "cus": lambda: ConservativeUpdateSketch(w=4096, d=4, seed=1),
     "cs": lambda: CountSketch(w=4096, d=5, seed=1),
+    "aee": lambda: AeeSketch(w=4096, d=4, counter_bits=8, seed=1),
     "abc": lambda: AbcSketch(w=4096, d=4, s=8, seed=1),
     "spacesaving": lambda: SpaceSaving(k=1024),
     "salsa-cms": lambda: SalsaCountMin(w=4096, d=4, s=8, seed=1),

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.layout import MergeBitLayout
-
 
 @lru_cache(maxsize=None)
 def layout_count(n: int) -> int:
@@ -196,15 +194,6 @@ class CompactLayout:
         out = CompactLayout(self.w, self.max_level, self.group_level)
         out._x = list(self._x)
         return out
-
-    def to_merge_bits(self) -> MergeBitLayout:
-        """Convert to the simple encoding (for cross-checking tests)."""
-        simple = MergeBitLayout(self.w, self.max_level)
-        for start, level in self.counters():
-            lvl, st = 0, start
-            while lvl < level:
-                lvl, st = simple.merge_up(st, lvl)
-        return simple
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"CompactLayout(w={self.w}, max_level={self.max_level}, "

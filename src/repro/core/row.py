@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core import _native
 from repro.core.engines import (
     COMPACT,
@@ -329,11 +331,16 @@ class SalsaRow:
         """Halve every counter (AEE downsampling).
 
         Probabilistic ``Binomial(c, 1/2)`` when ``rng`` is given (the
-        AEE "probabilistic downsampling"), else ``floor(c/2)``.
+        AEE "probabilistic downsampling"), else ``floor(c/2)``.  One
+        ``read_many`` finds the non-zero counters; they are halved in
+        slot order, so the draws are those of a walk over every counter.
         """
-        for start, level, value in list(self.counters()):
-            if value == 0:
-                continue
+        values = self.read_many(np.arange(self.w, dtype=np.int64))
+        for j in np.flatnonzero(values).tolist():
+            level, start = self.engine.locate(j)
+            if start != j:
+                continue  # a merged block, halved at its first slot
+            value = values.item(j)
             if rng is None:
                 new = value // 2 if value >= 0 else -((-value) // 2)
             else:

@@ -224,19 +224,6 @@ class SalsaAeeCountMin(RowSketch):
             for _ in range(v):
                 self._update_one(item, idxs)
 
-    def _superblock_mass(self, row, sb: int) -> int:
-        """Total value of the live counters in one superblock of a row
-        (an upper bound, with inflow, on any counter it can produce)."""
-        base = sb << row.max_level
-        end = base + (1 << row.max_level)
-        total = 0
-        j = base
-        while j < end:
-            level, start = row.locate(j)
-            total += row.read_block(start, level)
-            j = start + (1 << level)
-        return total
-
     def _try_batch_apply(self, idx_arrays, values) -> bool:
         """Bulk-apply one batch if no policy decision can fire.
 
@@ -256,13 +243,16 @@ class SalsaAeeCountMin(RowSketch):
             dirty = row.add_batch_partial(idxs, values, apply=False)
             if dirty is None:
                 continue
-            sb_ids = idxs >> row.max_level
+            top = row.max_level
+            sb_ids = idxs >> top
             sel = dirty[sb_ids]
             inflow: dict[int, int] = {}
             for sb, v in zip(sb_ids[sel].tolist(), values[sel].tolist()):
                 inflow[sb] = inflow.get(sb, 0) + v
             for sb, flow in inflow.items():
-                if self._superblock_mass(row, sb) + flow > threshold:
+                # Its live counters plus inflow bound any counter a
+                # superblock can produce.
+                if sum(row._block_values(sb << top, top)) + flow > threshold:
                     return False
         for row, idxs in zip(rows, idx_arrays):
             row.add_many(idxs, values)

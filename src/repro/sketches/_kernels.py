@@ -1,7 +1,7 @@
 """Matrix batch kernels for fixed-width ``d x w`` counter sketches.
 
-The matrix-backed sketches (Count Sketch, the AEE baseline, and
-UnivMon's Count Sketch levels) and the competitors that hash like them
+The matrix-backed sketches (Count Sketch and UnivMon's Count Sketch
+levels) and the competitors that hash like them
 (NitroSketch, Pyramid's layers) share one physical shape: a ``d x w``
 matrix of counters where an update touches one column per row and a
 query gathers one column per row.  This module is the vectorized datapath
@@ -17,12 +17,12 @@ operations:
 * :func:`scatter_add_running` -- ordered bulk add that also returns the
   post-update value of each touched counter (the on-arrival door:
   exact intermediate estimates without a per-item loop);
-* :func:`gather_2d` / :func:`min_over_rows` / :func:`median_over_rows`
-  -- the query-side gathers and row aggregations.
+* :func:`gather_2d` / :func:`median_over_rows` -- the query-side
+  gather and Count Sketch's row aggregation.
 
-The fixed-width Count-Min and Conservative Update sketches are not
-here: their rows are SALSA rows that never merge, so their batches
-take the SALSA row doors (:mod:`repro.core.row`, :mod:`repro.core._native`).
+The fixed-width Count-Min, Conservative Update and AEE sketches are
+not here: their rows are SALSA rows that never merge, so they take the
+SALSA row doors (:mod:`repro.core.row`, :mod:`repro.core._native`).
 
 Which batch a kernel sees is the caller's choice.  Count Sketch's
 signed scatter collapses duplicate flat indices first; the query
@@ -48,11 +48,6 @@ def flat_indices(idx2d: np.ndarray, w: int) -> np.ndarray:
 def gather_2d(mat: np.ndarray, idx2d: np.ndarray) -> np.ndarray:
     """Counter values at ``idx2d``: a ``(d, n)`` gather in one shot."""
     return mat.ravel()[flat_indices(idx2d, mat.shape[1])].reshape(idx2d.shape)
-
-
-def min_over_rows(values2d: np.ndarray) -> np.ndarray:
-    """Count-Min query aggregation: the minimum across rows."""
-    return values2d.min(axis=0)
 
 
 def median_over_rows(votes2d: np.ndarray) -> np.ndarray:

@@ -23,18 +23,25 @@ import random
 
 import numpy as np
 
+from repro.core.row import MAX, SalsaRow
+from repro.core.sketch import RowSketch
 from repro.hashing import mix64
 from repro.sketches.base import (
     BatchOpsMixin,
-    MatrixSketch,
-    StreamModel,
+    FixedWidthRows,
     as_batch,
     as_item,
 )
 
 
-class AeeSketch(MatrixSketch):
+class AeeSketch(FixedWidthRows, RowSketch):
     """AEE-augmented Count-Min sketch with small fixed counters.
+
+    Each row is a max-merge SALSA row that never merges
+    (:class:`~repro.sketches.base.FixedWidthRows`), so downsampling is
+    :meth:`SalsaRow.scale_down_half <repro.core.row.SalsaRow.scale_down_half>`,
+    the halving SALSA AEE runs too.  ``w`` must be a power of two
+    ``>= 2``.
 
     Parameters
     ----------
@@ -51,7 +58,6 @@ class AeeSketch(MatrixSketch):
         MaxSpeed only: downsample after this many *sampled* updates.
     """
 
-    model = StreamModel.CASH_REGISTER
     query_dtype = np.dtype(np.float64)  # the minimum scaled by 1 / p
 
     def __init__(self, w: int, d: int = 4, counter_bits: int = 16,
@@ -59,7 +65,9 @@ class AeeSketch(MatrixSketch):
                  speed_interval: int | None = None, seed: int = 0):
         if mode not in ("accuracy", "speed"):
             raise ValueError(f"mode must be 'accuracy' or 'speed', got {mode!r}")
-        super().__init__(w, d, counter_bits, seed)
+        self._set_counter_bits(counter_bits)
+        super().__init__([SalsaRow(w=w, s=counter_bits, max_bits=counter_bits,
+                                   merge=MAX) for _ in range(d)], seed)
         self.mode = mode
         self.probabilistic = probabilistic
         # MaxSpeed default: keep roughly half the counter range in play
@@ -71,29 +79,13 @@ class AeeSketch(MatrixSketch):
         self._rng = random.Random(seed ^ 0xAEE)
 
     # ------------------------------------------------------------------
-    def _halve_counters(self) -> None:
-        if not self.probabilistic:
-            self.mat >>= 1
-            return
-        rng = self._rng
-        cells = memoryview(self.mat)
-        # Row-major over the nonzero counters: the order, and so the
-        # RNG draws, of a walk over every counter.
-        for cell in zip(*(axis.tolist() for axis in np.nonzero(self.mat))):
-            c = cells[cell]
-            # Binomial(c, 1/2) via half-width normal approx for large
-            # c, exact bit-sampling for small c.
-            if c > 64:
-                half = int(rng.gauss(c / 2, math.sqrt(c) / 2) + 0.5)
-                cells[cell] = min(c, max(0, half))
-            else:
-                cells[cell] = sum(1 for _ in range(c) if rng.random() < 0.5)
-
     def downsample(self) -> None:
         """Halve the sampling probability and all counters."""
         self.p /= 2.0
         self._sampled = 0
-        self._halve_counters()
+        rng = self._rng if self.probabilistic else None
+        for row in self.rows:
+            row.scale_down_half(rng)
 
     def update(self, item: int, value: int = 1) -> None:
         """Record the update with probability p (unit updates)."""
@@ -125,16 +117,14 @@ class AeeSketch(MatrixSketch):
                 # (it survives the conceptual re-sampling).
                 if self._rng.random() >= 0.5:
                     return
+        # A counter at cap saturates (the row counts it) and stays put;
+        # the other rows still take the update, then the sketch halves.
         mask = self.w - 1
-        cells = memoryview(self.mat)
         overflowed = False
-        for row, seed in enumerate(self.hashes.seeds):
-            cell = row, mix64(item ^ seed) & mask
-            new = cells[cell] + 1
-            if new > self.cap:
-                overflowed = True
-            else:
-                cells[cell] = new
+        for row, seed in zip(self.rows, self.hashes.seeds):
+            saturations = row.saturations
+            row.add(mix64(item ^ seed) & mask, 1)
+            overflowed |= row.saturations != saturations
         if overflowed:
             self.downsample()
 

@@ -17,7 +17,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.hashing import HashFamily, mix64
+from repro.hashing import HashFamily
 from repro.sketches import _kernels
 
 
@@ -383,14 +383,16 @@ class FixedWidth:
 
 
 class FixedWidthRows(FixedWidth):
-    """The fixed-width CMS and CUS over SALSA rows that never merge.
+    """The fixed-width CMS, CUS and AEE over SALSA rows that never
+    merge.
 
     A row with ``s = max_bits = counter_bits`` has ``max_level = 0``:
     an add clamps at zero and saturates at ``2^counter_bits - 1``,
-    exactly the fixed-width rule.  Mixed in ahead of the SALSA sketch
+    exactly the fixed-width rule.  Mixed in ahead of the row sketch
     it specializes, it keeps the baseline's sizing (no encoding bit)
     and its int64 answers: ``query_many`` views the rows' uint64
-    minimum as int64, exact because counters stay below ``2^63``.
+    minimum as int64, exact because counters stay below ``2^63``
+    (AEE then scales that minimum to float64).
     """
 
     query_dtype = np.dtype(np.int64)
@@ -403,74 +405,6 @@ class FixedWidthRows(FixedWidth):
         """Number of zero-valued counters in ``row`` (Linear Counting)."""
         slots = np.arange(self.w, dtype=np.int64)
         return int(np.count_nonzero(self.rows[row].read_many(slots) == 0))
-
-
-class MatrixSketch(FixedWidth, BatchOpsMixin):
-    """``d`` rows of ``w`` fixed-width counters under one hash family,
-    held as one ``(d, w)`` int64 matrix: the base of the fixed-width
-    Count Sketch and AEE.
-
-    It holds the shape and ``counter_bits`` checks, the hashes
-    (:func:`row_hashes`), the counters as the matrix ``mat``, the
-    per-item hashing, the min-over-rows query on both doors and, through
-    :class:`FixedWidth`, memory sizing.  A subclass defines its
-    ``update`` rule, an ``update_many`` when it has an exact vectorized
-    path, and its own query when rows do not combine by minimum.
-    Per-item doors and Python walks read and write ``mat`` through a
-    memoryview made inside each call (a Python int per cell, cheaper
-    than NumPy scalar indexing); nothing stores one, so sketches stay
-    deep-copyable.
-
-    Parameters
-    ----------
-    w:
-        Row width (a power of two).
-    d:
-        Number of rows.
-    counter_bits:
-        Counter width, as :class:`FixedWidth` takes it.
-    seed, hash_family:
-        The rows' hash functions, as :func:`row_hashes` takes them.
-    """
-
-    def __init__(self, w: int, d: int = 4, counter_bits: int = 32,
-                 seed: int = 0, hash_family: HashFamily | None = None):
-        if w < 1 or w & (w - 1):
-            raise ValueError(f"w must be a positive power of two, got {w}")
-        self._set_counter_bits(counter_bits)
-        self.w, self.d = w, d
-        self.hashes = row_hashes(d, seed, hash_family)
-        self.mat = np.zeros((d, w), dtype=np.int64)
-
-    @property
-    def rows(self) -> list[np.ndarray]:
-        """Per-row views of ``mat``."""
-        return list(self.mat)
-
-    def query(self, item: int) -> int:
-        """Minimum of the item's counters."""
-        item, _ = as_item(item)
-        mask = self.w - 1
-        cells = memoryview(self.mat)
-        est = None
-        for row, seed in enumerate(self.hashes.seeds):
-            c = cells[row, mix64(item ^ seed) & mask]
-            if est is None or c < est:
-                est = c
-        return est
-
-    def query_many(self, items) -> np.ndarray:
-        """Batched query over the raw batch: one ``index_matrix`` hash
-        call, one gather, the minimum over rows."""
-        items, _ = as_batch(items)
-        idx2d = self.hashes.index_matrix(items, self.w)
-        return _kernels.min_over_rows(_kernels.gather_2d(self.mat, idx2d))
-
-    def _check_compatible(self, other: "MatrixSketch") -> None:
-        if (self.w, self.d) != (other.w, other.d):
-            raise ValueError("sketch shapes differ")
-        if not self.hashes.same_functions(other.hashes):
-            raise ValueError("sketches do not share hash functions")
 
 
 def width_for_memory(memory_bytes: int, d: int, counter_bits: int,

@@ -9,9 +9,9 @@ The baseline uses 32-bit two's-complement counters (sign-magnitude is
 a SALSA-specific change, see :mod:`repro.core.salsa_cs`); values are
 clamped to the representable range, which never binds in practice.
 
-The counters are :class:`~repro.sketches.base.MatrixSketch`'s
-``(d, w)`` int64 matrix; batch updates and queries go through the
-matrix kernels (:mod:`repro.sketches._kernels`), and
+The counters are one ``(d, w)`` int64 matrix ``mat``; batch updates
+and queries go through the matrix kernels
+(:mod:`repro.sketches._kernels`), and
 :meth:`CountSketch.update_many_with_estimates` additionally exposes
 the *on-arrival* batch door (post-update estimates per arrival) that
 UnivMon's heap maintenance needs.
@@ -25,7 +25,7 @@ from repro.hashing import HashFamily, mix64
 from repro.sketches import _kernels
 from repro.sketches.base import (
     BatchOpsMixin,
-    MatrixSketch,
+    FixedWidth,
     StreamModel,
     aggregate_batch,
     as_batch,
@@ -33,15 +33,31 @@ from repro.sketches.base import (
     batch_sum_fits,
     median,
     median_dtype,
+    row_hashes,
 )
 
 
-class CountSketch(MatrixSketch):
+class CountSketch(FixedWidth, BatchOpsMixin):
     """Fixed-width Count Sketch (Turnstile).
 
-    Parameters are :class:`~repro.sketches.base.MatrixSketch`'s, with
-    ``d=5`` (the paper's default for CS, to take a clean median) and
-    two's-complement counters of ``[-2^(b-1), 2^(b-1) - 1]``.
+    The per-item doors and Python walks read and write ``mat`` through
+    a memoryview made inside each call (a Python int per cell, cheaper
+    than NumPy scalar indexing); nothing stores one, so the sketch
+    stays deep-copyable.
+
+    Parameters
+    ----------
+    w:
+        Row width (a power of two).
+    d:
+        Number of rows (5, the paper's default for CS: a clean median).
+    counter_bits:
+        Two's-complement counters of ``[-2^(b-1), 2^(b-1) - 1]``,
+        ``b`` in ``[2, 64]``.
+    seed, hash_family:
+        The rows' hash functions, as
+        :func:`~repro.sketches.base.row_hashes` takes them; merge and
+        subtract need a shared ``hash_family``.
 
     Examples
     --------
@@ -57,7 +73,12 @@ class CountSketch(MatrixSketch):
 
     def __init__(self, w: int, d: int = 5, counter_bits: int = 32,
                  seed: int = 0, hash_family: HashFamily | None = None):
-        super().__init__(w, d, counter_bits, seed, hash_family)
+        if w < 1 or w & (w - 1):
+            raise ValueError(f"w must be a positive power of two, got {w}")
+        self._set_counter_bits(counter_bits)
+        self.w, self.d = w, d
+        self.hashes = row_hashes(d, seed, hash_family)
+        self.mat = np.zeros((d, w), dtype=np.int64)
         self.max_val, self.min_val = self.cap, -self.cap - 1
 
     def update(self, item: int, value: int = 1) -> None:
@@ -199,6 +220,12 @@ class CountSketch(MatrixSketch):
         """
         self._check_compatible(other)
         self._fold(other.mat, -1)
+
+    def _check_compatible(self, other: "CountSketch") -> None:
+        if (self.w, self.d) != (other.w, other.d):
+            raise ValueError("sketch shapes differ")
+        if not self.hashes.same_functions(other.hashes):
+            raise ValueError("sketches do not share hash functions")
 
     def _fold(self, b: np.ndarray, sign: int) -> None:
         """``mat += sign * b``, saturating at ``[min_val, max_val]``

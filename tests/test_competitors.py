@@ -157,9 +157,9 @@ class TestAee:
 
     def test_deterministic_halving(self):
         aee = AeeSketch(w=64, d=1, counter_bits=16, probabilistic=False, seed=4)
-        aee.rows[0][0] = 9
+        aee.rows[0].add(0, 9)
         aee.downsample()
-        assert aee.rows[0][0] == 4
+        assert aee.rows[0].read(0) == 4
         assert aee.p == 0.5
 
     def test_max_speed_downsamples_proactively(self):

@@ -1,4 +1,4 @@
-"""The fixed-width CMS and CUS as SALSA rows that never merge.
+"""The fixed-width CMS, CUS and AEE as SALSA rows that never merge.
 
 A SALSA row with ``s = max_bits = counter_bits`` has ``max_level = 0``:
 it never merges, clamps a deletion at zero and saturates at
@@ -17,9 +17,14 @@ fixed-width rules they had as one ``(d, w)`` matrix, kept below as
 It must hold on every door, with the native kernel on and off, and on
 bit-packed rows built as ``SalsaCountMin`` /
 ``SalsaConservativeUpdate(s=b, max_bits=b)``.
+
+:class:`AeeSketch` is ``d`` max-merge rows of that kind, halved by
+``SalsaRow.scale_down_half``; :class:`MatrixAee` keeps the matrix
+sketch it was, and the two agree down to the sampler's RNG state.
 """
 
 import contextlib
+import math
 import random
 
 import numpy as np
@@ -38,7 +43,7 @@ from repro.core import (
 )
 from repro.core.serialize import dumps, loads
 from repro.hashing import HashFamily, mix64
-from repro.sketches import ConservativeUpdateSketch, CountMinSketch
+from repro.sketches import AeeSketch, ConservativeUpdateSketch, CountMinSketch
 
 from answers import assert_answers
 
@@ -342,3 +347,121 @@ def test_distinct_count_figures_score_the_baseline_as_a_baseline(
     assert ("distinct_count_salsa", SalsaCountMin) in seen
     assert set(seen) == {("distinct_count_baseline", CountMinSketch),
                          ("distinct_count_salsa", SalsaCountMin)}
+
+
+class MatrixAee:
+    """The fixed-width AEE as it was before its rows became SALSA rows:
+    one ``(d, w)`` int64 matrix, its own Binomial halving, the same
+    RNG seed and update rule (a counter at ``cap`` stays put, the
+    other rows take the add, then the sketch downsamples)."""
+
+    def __init__(self, w, d, counter_bits, mode, probabilistic,
+                 speed_interval, seed):
+        self.w, self.cap = w, (1 << counter_bits) - 1
+        self.seeds = HashFamily(d, seed).seeds
+        self.mat = np.zeros((d, w), dtype=np.int64)
+        self.mode, self.probabilistic = mode, probabilistic
+        self.speed_interval = speed_interval or (self.cap + 1) * w // 4
+        self.p = 1.0
+        self.volume = 0
+        self._sampled = 0
+        self._rng = random.Random(seed ^ 0xAEE)
+
+    def _halve_counters(self):
+        if not self.probabilistic:
+            self.mat >>= 1
+            return
+        rng = self._rng
+        cells = memoryview(self.mat)
+        for cell in zip(*(axis.tolist() for axis in np.nonzero(self.mat))):
+            c = cells[cell]
+            if c > 64:
+                half = int(rng.gauss(c / 2, math.sqrt(c) / 2) + 0.5)
+                cells[cell] = min(c, max(0, half))
+            else:
+                cells[cell] = sum(1 for _ in range(c) if rng.random() < 0.5)
+
+    def downsample(self):
+        self.p /= 2.0
+        self._sampled = 0
+        self._halve_counters()
+
+    def update(self, item, value):
+        self.volume += value
+        for _ in range(value):
+            self._update_one(item)
+
+    def _update_one(self, item):
+        if self.p < 1.0 and self._rng.random() >= self.p:
+            return
+        if self.mode == "speed":
+            self._sampled += 1
+            if self._sampled >= self.speed_interval:
+                self.downsample()
+                if self._rng.random() >= 0.5:
+                    return
+        cells = memoryview(self.mat)
+        overflowed = False
+        for row, seed in enumerate(self.seeds):
+            cell = row, mix64(item ^ seed) & (self.w - 1)
+            new = cells[cell] + 1
+            if new > self.cap:
+                overflowed = True
+            else:
+                cells[cell] = new
+        if overflowed:
+            self.downsample()
+
+    def query(self, item):
+        return min(int(self.mat[row, mix64(item ^ seed) & (self.w - 1)])
+                   for row, seed in enumerate(self.seeds)) / self.p
+
+
+@st.composite
+def aee_cases(draw):
+    mode_ = draw(st.sampled_from(["accuracy", "speed"]))
+    stream = draw(st.lists(st.tuples(st.integers(-3, 40),
+                                     st.integers(1, 3) | st.integers(1, 90)),
+                           max_size=50))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=4)))
+    bounds = [0, *cuts, len(stream)]
+    return dict(
+        w=1 << draw(st.integers(1, 6)), d=draw(st.integers(1, 4)),
+        counter_bits=draw(st.integers(1, 16)), mode=mode_,
+        probabilistic=draw(st.booleans()),
+        speed_interval=(draw(st.integers(1, 20)) if mode_ == "speed"
+                        else None),
+        seed=draw(st.integers(0, 2**32)),
+        chunks=[(stream[a:b], draw(st.booleans()))
+                for a, b in zip(bounds, bounds[1:])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=aee_cases(), name=st.sampled_from(["kernel", "no-kernel"]))
+def test_aee_equals_the_matrix_aee(case, name):
+    """The AEE on SALSA rows is the matrix AEE down to the RNG state:
+    ``p``, ``volume``, ``_sampled``, every counter and both query doors
+    agree after every chunk, per item or through ``update_many``."""
+    chunks = case.pop("chunks")
+    with mode(name):
+        sketch = AeeSketch(**case)
+        oracle = MatrixAee(**case)
+        probe = [INT64_MIN, -1, 0, 7, 1000]
+        for chunk, batched in chunks:
+            feed(sketch, oracle, [(chunk, batched)])
+            probe += [x for x, _ in chunk]
+            assert (sketch.p, sketch.volume, sketch._sampled) == (
+                oracle.p, oracle.volume, oracle._sampled)
+            assert sketch._rng.getstate() == oracle._rng.getstate()
+            assert counters(sketch) == oracle.mat.tolist()
+            expected = [oracle.query(x) for x in probe]
+            assert [sketch.query(x) for x in probe] == expected
+            assert_answers(sketch, probe, expected)
+
+
+def test_aee_needs_two_counters_a_row():
+    """Its rows are SALSA rows, so ``w = 1`` raises as it does for the
+    fixed-width CMS; ``for_memory`` never builds one."""
+    for cls in (AeeSketch, CountMinSketch):
+        with pytest.raises(ValueError, match="w must be"):
+            cls(w=1)

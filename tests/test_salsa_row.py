@@ -1,5 +1,6 @@
 """Tests for SalsaRow: merging counters over bit-packed storage."""
 
+import math
 import random
 
 import pytest
@@ -331,3 +332,50 @@ def test_row_max_merge_upper_bounds_slot_loads(data):
     if not row.saturations:
         for j in range(16):
             assert row.read(j) >= loads[j]
+
+
+def all_counter_halving(row, rng):
+    """The halving ``scale_down_half`` replaced: a walk over every
+    live counter, skipping zeros, drawing in slot order."""
+    for start, level, value in list(row.counters()):
+        if value == 0:
+            continue
+        if rng is None:
+            new = value // 2 if value >= 0 else -((-value) // 2)
+        else:
+            mag = abs(value)
+            if mag <= 64:
+                half = sum(1 for _ in range(mag) if rng.random() < 0.5)
+            else:
+                half = int(rng.gauss(mag / 2, math.sqrt(mag) / 2) + 0.5)
+                half = min(mag, max(0, half))
+            new = half if value > 0 else -half
+        row.engine.write_block(start, level, new)
+
+
+@pytest.mark.parametrize("engine", ["vector", "bitpacked"])
+@pytest.mark.parametrize("kind", ["sum", "max", "signed"])
+@pytest.mark.parametrize("probabilistic", [True, False])
+def test_scale_down_half_draws_as_the_all_counter_walk(probabilistic, kind,
+                                                       engine):
+    """On merged rows, ``scale_down_half`` (one ``read_many`` over the
+    row) leaves the counters, levels and RNG state the old walk over
+    every counter leaves."""
+    rng = random.Random(7)
+    row = SalsaRow(w=64, s=4, merge="max" if kind == "max" else "sum",
+                   signed=kind == "signed", engine=engine)
+    for _ in range(400):
+        v = rng.choice([1, 3, 9, 40, 70, 300])
+        row.add(rng.randrange(64), -v if kind == "signed" and
+                rng.random() < 0.5 else v)
+    assert row.merge_events > 0
+    for _ in range(3):
+        ours, theirs = row.copy(), row.copy()
+        draws = [random.Random(11) if probabilistic else None
+                 for _ in range(2)]
+        ours.scale_down_half(draws[0])
+        all_counter_halving(theirs, draws[1])
+        assert list(ours.counters()) == list(theirs.counters())
+        if probabilistic:
+            assert draws[0].getstate() == draws[1].getstate()
+        row = ours
