@@ -6,8 +6,10 @@ updates; the raw stream through ``SalsaRow.add_many`` for the
 fixed-width and SALSA CMS and SALSA CS/AEE, the native walk for both
 CUS, duplicate pre-aggregation for the order-free competitors) actually
 buys throughput over the per-item loop, per sketch, on a skewed trace.
-The fixed-width AEE's batch door is its per-item walk (its sampler
-draws in arrival order), so its row reads about 1x.
+The fixed-width AEE shares SALSA AEE's batch door: at 8-bit counters
+it samples (``p < 1``) almost at once, where the batch walks item by
+item and its row reads about 1x; ``aee-32`` stays at ``p == 1``, where
+a batch in which no add saturates takes the bulk path.
 Results land in ``results/batch_throughput.txt`` as items/sec for both
 ingest paths, next to the query side on the fed sketch: per-item
 ``query`` and ``query_many`` per chunk.  Each cell of that table is timed
@@ -56,6 +58,7 @@ FACTORIES = {
     "cus": lambda: ConservativeUpdateSketch(w=4096, d=4, seed=1),
     "cs": lambda: CountSketch(w=4096, d=5, seed=1),
     "aee": lambda: AeeSketch(w=4096, d=4, counter_bits=8, seed=1),
+    "aee-32": lambda: AeeSketch(w=4096, d=4, counter_bits=32, seed=1),
     "abc": lambda: AbcSketch(w=4096, d=4, s=8, seed=1),
     "spacesaving": lambda: SpaceSaving(k=1024),
     "salsa-cms": lambda: SalsaCountMin(w=4096, d=4, s=8, seed=1),

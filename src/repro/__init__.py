@@ -17,7 +17,7 @@ distinct, entropy, moments, change detection) in :mod:`repro.tasks`;
 the figure-regeneration harness in :mod:`repro.experiments`.
 """
 
-# repro.sketches first: its fixed-width CMS and CUS import repro.core,
+# repro.sketches first: its fixed-width CMS, CUS and AEE import repro.core,
 # whose modules import repro.sketches.base, and that order is the one
 # without a cycle.
 from repro.sketches import (

@@ -51,7 +51,7 @@ class SalsaRow:
     s:
         Base counter width in bits (paper default 8): a power of two in
         ``[2, 64]``, or any width in ``[1, 64]`` when ``max_bits == s``
-        (a row that never merges, as the fixed-width CMS and CUS use).
+        (a row that never merges, as the fixed-width CMS, CUS and AEE use).
     max_bits:
         Widest counter allowed; merging stops there and the counter
         saturates (the paper lets counters grow to 64 bits).  The

@@ -38,6 +38,10 @@ from repro.core.row import MAX, SIMPLE, SalsaRow
 from repro.core.sketch import RowSketch
 from repro.sketches.base import BatchOpsMixin, as_batch, as_item
 
+#: Largest weight of one update: a weight is that many unit arrivals,
+#: each drawing the sampler once ``p < 1`` (Cash Register: at least 1).
+MAX_WEIGHT = 1 << 20
+
 
 class SalsaAeeCountMin(RowSketch):
     """SALSA CMS with interleaved estimator downsampling.
@@ -59,6 +63,7 @@ class SalsaAeeCountMin(RowSketch):
     """
 
     query_dtype = np.dtype(np.float64)  # scaled by 1 / p
+    _rng_salt = 0x5A15AEE  # the sampler's RNG is seeded seed ^ salt
 
     def __init__(self, w: int, d: int = 4, s: int = 8, max_bits: int = 64,
                  delta: float = 0.001, downsample_first: int = 0,
@@ -67,6 +72,9 @@ class SalsaAeeCountMin(RowSketch):
                  engine: str = "vector"):
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
+        if downsample_first < 0:
+            raise ValueError(f"downsample_first must be >= 0, "
+                             f"got {downsample_first}")
         super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
                      encoding=SIMPLE, engine=engine)
@@ -82,7 +90,7 @@ class SalsaAeeCountMin(RowSketch):
         self.top_level = 0
         self.max_level = self.rows[0].max_level
         self.downsample_events = 0
-        self._rng = random.Random(seed ^ 0x5A15AEE)
+        self._rng = random.Random(seed ^ self._rng_salt)
 
     # ------------------------------------------------------------------
     # the overflow policy
@@ -110,7 +118,7 @@ class SalsaAeeCountMin(RowSketch):
         delta_cms = self.merge_error()
         return delta_cms <= delta_est
 
-    def _downsample(self) -> None:
+    def downsample(self) -> None:
         """Halve p, halve all counters, optionally split shrunk ones."""
         self.p /= 2.0
         self.downsample_events += 1
@@ -129,10 +137,11 @@ class SalsaAeeCountMin(RowSketch):
 
     # ------------------------------------------------------------------
     def update(self, item: int, value: int = 1) -> None:
-        """Process ``value`` unit arrivals of ``item``."""
+        """Process ``value`` (in ``[1, MAX_WEIGHT]``) arrivals of ``item``."""
         item, value = as_item(item, value)
-        if value < 1:
-            raise ValueError("SALSA AEE is a Cash Register sketch")
+        if not 1 <= value <= MAX_WEIGHT:
+            raise ValueError(f"{type(self).__name__} takes weights in "
+                             f"[1, MAX_WEIGHT = 2^20], got {value}")
         self.volume += value
         for _ in range(value):
             self._update_one(item)
@@ -160,7 +169,7 @@ class SalsaAeeCountMin(RowSketch):
             if self._prefer_merge():
                 self.top_level += 1
                 break
-            self._downsample()
+            self.downsample()
             # The arriving update survives the implied re-sampling
             # with probability 1/2.
             if self._rng.random() >= 0.5:
@@ -171,6 +180,18 @@ class SalsaAeeCountMin(RowSketch):
     def query(self, item: int) -> float:
         """Minimum over rows, scaled back by the sampling rate."""
         return super().query(item) / self.p
+
+    def error_bound(self, delta_est: float) -> float:
+        """The implied additive error N*eps_est of section V.
+
+        ``eps_est = sqrt(2 p^-1 ln(2/delta_est)) / N``, so the bound is
+        ``sqrt(2 N p^-1 ln(2/delta_est))``.
+        """
+        if not 0 < delta_est < 1:
+            raise ValueError("delta_est must be in (0, 1)")
+        if self.volume == 0:
+            return 0.0
+        return math.sqrt(2 * self.volume / self.p * math.log(2 / delta_est))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"{super().__repr__()[:-1]}, p={self.p}, "
@@ -202,13 +223,15 @@ class SalsaAeeCountMin(RowSketch):
         Once the sampler is active (p < 1), pre-hashing would pay for
         updates the sampling test discards -- the opposite of AEE's
         "dropped updates never compute a hash" design -- so the walk
-        reverts to hashing lazily inside ``_update_one``.
+        reverts to hashing lazily inside ``_update_one``.  A weight
+        outside ``[1, MAX_WEIGHT]`` raises before anything moves.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
             return
-        if int(values.min()) < 1:
-            raise ValueError("SALSA AEE is a Cash Register sketch")
+        if int(values.min()) < 1 or int(values.max()) > MAX_WEIGHT:
+            raise ValueError(f"{type(self).__name__} takes weights in "
+                             "[1, MAX_WEIGHT = 2^20]")
         if self.p < 1.0:
             BatchOpsMixin.update_many(self, items, values)
             return
@@ -217,10 +240,9 @@ class SalsaAeeCountMin(RowSketch):
         if self._try_batch_apply(idx_arrays, values):
             self.volume += sum(values.tolist())  # exact past int64
             return
-        idx_rows = [idxs.tolist() for idxs in idx_arrays]
-        for t, (item, v) in enumerate(zip(items.tolist(), values.tolist())):
+        for item, v, *idxs in zip(items.tolist(), values.tolist(),
+                                  *(arr.tolist() for arr in idx_arrays)):
             self.volume += v
-            idxs = [idx_row[t] for idx_row in idx_rows]
             for _ in range(v):
                 self._update_one(item, idxs)
 

@@ -3,7 +3,7 @@
 SALSA CMS, CUS, CS and AEE and Tango CMS are one design: ``d`` rows of
 self-adjusting counters (:class:`~repro.core.row.SalsaRow` or
 :class:`~repro.core.tango.TangoRow`) under one :class:`HashFamily`.
-The fixed-width CMS and CUS are too, over SALSA rows that never merge.
+The fixed-width CMS, CUS and AEE are too, on rows that never merge.
 They differ only in how an update reaches the rows and how row reads
 combine.  :class:`RowSketch` holds everything else once: the shape and
 hashes, the per-item hashing behind :func:`as_item`, the Count-Min

@@ -14,34 +14,27 @@ Two variants from the AEE paper, both used in Fig 16:
 * **MaxSpeed** -- downsample proactively once enough updates have been
   processed, keeping ``p`` low so most updates skip the hash
   computations entirely (the source of AEE's speedup).
+
+:class:`AeeSketch` is SALSA AEE
+(:class:`~repro.core.salsa_aee.SalsaAeeCountMin`) over rows that never
+merge, with its own overflow rule.
 """
 
 from __future__ import annotations
 
-import math
-import random
-
 import numpy as np
 
-from repro.core.row import MAX, SalsaRow
-from repro.core.sketch import RowSketch
+from repro.core.salsa_aee import SalsaAeeCountMin
 from repro.hashing import mix64
-from repro.sketches.base import (
-    BatchOpsMixin,
-    FixedWidthRows,
-    as_batch,
-    as_item,
-)
+from repro.sketches.base import FixedWidthRows
 
 
-class AeeSketch(FixedWidthRows, RowSketch):
+class AeeSketch(FixedWidthRows, SalsaAeeCountMin):
     """AEE-augmented Count-Min sketch with small fixed counters.
 
-    Each row is a max-merge SALSA row that never merges
-    (:class:`~repro.sketches.base.FixedWidthRows`), so downsampling is
-    :meth:`SalsaRow.scale_down_half <repro.core.row.SalsaRow.scale_down_half>`,
-    the halving SALSA AEE runs too.  ``w`` must be a power of two
-    ``>= 2``.
+    SALSA AEE over rows that never merge
+    (:class:`~repro.sketches.base.FixedWidthRows`), so an overflow
+    always downsamples.  ``w`` must be a power of two ``>= 2``.
 
     Parameters
     ----------
@@ -55,56 +48,38 @@ class AeeSketch(FixedWidthRows, RowSketch):
     probabilistic:
         Binomial halving when True, ``floor(c/2)`` when False.
     speed_interval:
-        MaxSpeed only: downsample after this many *sampled* updates.
+        MaxSpeed only: downsample after this many *sampled* updates
+        (``>= 1``; ``None`` picks a default from the shape).
     """
 
-    query_dtype = np.dtype(np.float64)  # the minimum scaled by 1 / p
+    # The minimum scaled by 1 / p, not FixedWidthRows' int64 view.
+    query_dtype = np.dtype(np.float64)
+    query_many = SalsaAeeCountMin.query_many
+    _rng_salt = 0xAEE
 
     def __init__(self, w: int, d: int = 4, counter_bits: int = 16,
                  mode: str = "accuracy", probabilistic: bool = True,
                  speed_interval: int | None = None, seed: int = 0):
         if mode not in ("accuracy", "speed"):
             raise ValueError(f"mode must be 'accuracy' or 'speed', got {mode!r}")
+        if speed_interval is not None and speed_interval < 1:
+            raise ValueError(f"speed_interval must be >= 1, "
+                             f"got {speed_interval}")
         self._set_counter_bits(counter_bits)
-        super().__init__([SalsaRow(w=w, s=counter_bits, max_bits=counter_bits,
-                                   merge=MAX) for _ in range(d)], seed)
+        super().__init__(w, d, s=counter_bits, max_bits=counter_bits,
+                         probabilistic=probabilistic, seed=seed)
         self.mode = mode
-        self.probabilistic = probabilistic
         # MaxSpeed default: keep roughly half the counter range in play
         # between proactive downsamplings.
         self.speed_interval = speed_interval or (self.cap + 1) * w // 4
-        self.p = 1.0
-        self.volume = 0          # total stream volume N seen
         self._sampled = 0        # sampled updates since last downsample
-        self._rng = random.Random(seed ^ 0xAEE)
 
-    # ------------------------------------------------------------------
     def downsample(self) -> None:
-        """Halve the sampling probability and all counters."""
-        self.p /= 2.0
+        """SALSA AEE's downsample, restarting MaxSpeed's count."""
+        super().downsample()
         self._sampled = 0
-        rng = self._rng if self.probabilistic else None
-        for row in self.rows:
-            row.scale_down_half(rng)
 
-    def update(self, item: int, value: int = 1) -> None:
-        """Record the update with probability p (unit updates)."""
-        item, value = as_item(item, value)
-        if value < 1:
-            raise ValueError("AEE is a Cash Register sketch")
-        self.volume += value
-        for _ in range(value):
-            self._update_one(item)
-
-    def update_many(self, items, values=None) -> None:
-        """The per-item walk, after checking the whole batch: a
-        non-positive value raises before any counter moves."""
-        items, values = as_batch(items, values)
-        if len(values) and int(values.min()) < 1:
-            raise ValueError("AEE is a Cash Register sketch")
-        BatchOpsMixin.update_many(self, items, values)
-
-    def _update_one(self, item: int) -> None:
+    def _update_one(self, item: int, idxs: list[int] | None = None) -> None:
         # The sampling test happens *before* any hashing -- this is
         # where AEE's speed advantage comes from.
         if self.p < 1.0 and self._rng.random() >= self.p:
@@ -119,32 +94,32 @@ class AeeSketch(FixedWidthRows, RowSketch):
                     return
         # A counter at cap saturates (the row counts it) and stays put;
         # the other rows still take the update, then the sketch halves.
-        mask = self.w - 1
+        # Hashed inline: a comprehension's closure cells cost every call
+        # ~8% of the per-item door in paired runs, dropped ones too.
         overflowed = False
-        for row, seed in zip(self.rows, self.hashes.seeds):
-            saturations = row.saturations
-            row.add(mix64(item ^ seed) & mask, 1)
-            overflowed |= row.saturations != saturations
+        if idxs is None:
+            mask = self.w - 1
+            for row, seed in zip(self.rows, self.hashes.seeds):
+                saturations = row.saturations
+                row.add(mix64(item ^ seed) & mask, 1)
+                overflowed |= row.saturations != saturations
+        else:
+            for row, idx in zip(self.rows, idxs):
+                saturations = row.saturations
+                row.add(idx, 1)
+                overflowed |= row.saturations != saturations
         if overflowed:
             self.downsample()
 
-    def query(self, item: int) -> float:
-        """Estimate: min over rows, scaled back by 1/p."""
-        return super().query(item) / self.p
-
-    def query_many(self, items) -> np.ndarray:
-        """The batched minimum, scaled back by 1/p."""
-        return super().query_many(items) / self.p
-
-    # ------------------------------------------------------------------
-    def error_bound(self, delta_est: float) -> float:
-        """The implied additive error N*eps_est of section V.
-
-        ``eps_est = sqrt(2 p^-1 ln(2/delta_est)) / N``, so the bound is
-        ``sqrt(2 N p^-1 ln(2/delta_est))``.
-        """
-        if not 0 < delta_est < 1:
-            raise ValueError("delta_est must be in (0, 1)")
-        if self.volume == 0:
-            return 0.0
-        return math.sqrt(2 * self.volume / self.p * math.log(2 / delta_est))
+    def _try_batch_apply(self, idx_arrays, values) -> bool:
+        """SALSA AEE's bulk path at ``p == 1``, whose proof here reads
+        "no add saturates"; in MaxSpeed, where every arrival is then
+        sampled, the batch must also end below ``speed_interval``."""
+        sampled = self._sampled
+        if self.mode == "speed":
+            sampled += sum(values.tolist())
+        if sampled >= self.speed_interval or not super()._try_batch_apply(
+                idx_arrays, values):
+            return False
+        self._sampled = sampled
+        return True

@@ -292,7 +292,7 @@ class BatchOpsMixin:
     Sketches whose storage is a row engine (:mod:`repro.core.engines`)
     record it in :attr:`engine_name`: the SALSA family takes an
     ``engine=`` kwarg (plumbed through ``for_memory`` as well), and the
-    fixed-width CMS and CUS, whose rows are SALSA rows that never
+    fixed-width CMS, CUS and AEE, whose rows are SALSA rows that never
     merge, report ``"vector"`` without taking one.  The other sketches
     leave it ``None``.  The engine only changes which code path the
     batch door takes, never the answers.
@@ -392,7 +392,7 @@ class FixedWidthRows(FixedWidth):
     it specializes, it keeps the baseline's sizing (no encoding bit)
     and its int64 answers: ``query_many`` views the rows' uint64
     minimum as int64, exact because counters stay below ``2^63``
-    (AEE then scales that minimum to float64).
+    (AEE restates SALSA AEE's, which scales it to float64).
     """
 
     query_dtype = np.dtype(np.int64)

@@ -138,6 +138,13 @@ class TestAee:
         with pytest.raises(ValueError):
             AeeSketch(w=64, mode="warp")
 
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_speed_interval_validation(self, interval):
+        """0 used to take the default silently, and -3 downsampled on
+        every sampled update."""
+        with pytest.raises(ValueError, match="speed_interval"):
+            AeeSketch(w=64, mode="speed", speed_interval=interval)
+
     def test_exact_before_any_downsampling(self):
         aee = AeeSketch(w=1 << 12, d=4, counter_bits=16, seed=1)
         for _ in range(50):

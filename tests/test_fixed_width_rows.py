@@ -465,3 +465,57 @@ def test_aee_needs_two_counters_a_row():
     for cls in (AeeSketch, CountMinSketch):
         with pytest.raises(ValueError, match="w must be"):
             cls(w=1)
+
+
+@pytest.mark.parametrize("aee_mode", ["accuracy", "speed"])
+def test_aee_batch_at_p_one_takes_the_bulk_path(aee_mode, monkeypatch):
+    """While ``p == 1``, a batch in which no add saturates goes through
+    SALSA AEE's bulk path: with the kernel on it makes no
+    ``SalsaRow.add`` call, and the sketch ends as the per-item loop
+    leaves it (MaxSpeed counts every arrival as sampled)."""
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    rng = np.random.default_rng(5)
+    items = rng.integers(-500, 500, 4000)
+    values = rng.integers(1, 4, 4000)
+    case = dict(w=256, d=4, counter_bits=16, mode=aee_mode,
+                speed_interval=10**6, seed=2)
+    per_item, batched = AeeSketch(**case), AeeSketch(**case)
+    for x, v in zip(items.tolist(), values.tolist()):
+        per_item.update(x, v)
+    calls = []
+    add = SalsaRow.add
+    monkeypatch.setattr(SalsaRow, "add",
+                        lambda row, j, v: calls.append(j) or add(row, j, v))
+    with mode("kernel"):
+        batched.update_many(items, values)
+    monkeypatch.undo()
+    assert calls == []
+    assert batched.p == per_item.p == 1.0
+    assert (batched.volume, batched._sampled) == (per_item.volume,
+                                                  per_item._sampled)
+    assert batched._rng.getstate() == per_item._rng.getstate()
+    assert counters(batched) == counters(per_item)
+    assert sum(row.saturations for row in batched.rows) == 0
+
+
+@pytest.mark.parametrize("name", ["kernel", "no-kernel"])
+@pytest.mark.parametrize("short", [1, 0, -1])
+def test_max_speed_batch_that_reaches_the_interval_walks(short, name):
+    """At ``p == 1`` a MaxSpeed batch whose total brings ``_sampled``
+    to ``speed_interval`` fires a proactive downsample inside the
+    batch, so it must walk; one arrival short of it may go in bulk.
+    Either way the sketch stays the matrix AEE, RNG state included."""
+    case = dict(w=64, d=3, counter_bits=16, mode="speed",
+                probabilistic=True, speed_interval=100, seed=7)
+    sketch, oracle = AeeSketch(**case), MatrixAee(**case)
+    first = [(x % 13, 2) for x in range(15)]
+    second = [(x % 17, 1) for x in range(70 - short)]
+    with mode(name):
+        feed(sketch, oracle, [(first, True), (second, True)])
+        assert sketch.p == oracle.p == (1.0 if short > 0 else 0.5)
+        feed(sketch, oracle, [(first, True)])
+    assert (sketch.p, sketch.volume, sketch._sampled) == (
+        oracle.p, oracle.volume, oracle._sampled)
+    assert sketch._rng.getstate() == oracle._rng.getstate()
+    assert counters(sketch) == oracle.mat.tolist()

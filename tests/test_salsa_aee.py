@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import SalsaAeeCountMin
+from repro.core import SalsaAeeCountMin, salsa_aee
+from repro.sketches import AeeSketch
 from repro.streams import zipf_trace
 
 
@@ -27,6 +28,42 @@ class TestConstruction:
     def test_for_memory(self):
         sk = SalsaAeeCountMin.for_memory(8 * 1024)
         assert sk.memory_bytes <= 8 * 1024
+
+    def test_rejects_negative_downsample_first(self):
+        with pytest.raises(ValueError, match="downsample_first"):
+            SalsaAeeCountMin(w=64, downsample_first=-1)
+
+
+#: a SALSA AEE and a fixed-width AEE that `update(1, 600)` downsamples
+SAMPLED = {
+    "salsa-aee": lambda: SalsaAeeCountMin(w=8, d=2, s=4, max_bits=8,
+                                          seed=1),
+    "aee": lambda: AeeSketch(w=8, d=2, counter_bits=4, seed=1),
+}
+
+
+def _aee_state(sk):
+    return (sk.p, sk.volume, sk._rng.getstate(),
+            [[row.read(j) for j in range(sk.w)] for row in sk.rows])
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_both_doors_reject_a_weight_above_the_bound(name):
+    """A weight is that many unit arrivals, each drawing the sampler
+    once p < 1; both doors refuse one above MAX_WEIGHT at entry, at
+    ``p == 1`` and below, before anything moves
+    (``update(3, 2**63 - 1)`` used to never return)."""
+    sk = SAMPLED[name]()
+    for p_is_one in (True, False):
+        before = _aee_state(sk)
+        assert (sk.p == 1.0) == p_is_one
+        for weight in (salsa_aee.MAX_WEIGHT + 1, 2**63 - 1):
+            with pytest.raises(ValueError, match="MAX_WEIGHT"):
+                sk.update(3, weight)
+            with pytest.raises(ValueError, match="MAX_WEIGHT"):
+                sk.update_many([1, 2, 3], [1, weight, 1])
+        assert _aee_state(sk) == before
+        sk.update(1, 600)
 
 
 class TestErrorModel:
@@ -98,7 +135,7 @@ class TestSplitting:
                               probabilistic=False, seed=6)
         row = sk.rows[0]
         row.add(4, 300)          # 16-bit counter <4,5>
-        sk._downsample()          # halves to 150, splits back to 8-bit
+        sk.downsample()          # halves to 150, splits back to 8-bit
         assert row.level_of(4) == 0
         assert row.read(4) == 150
         assert row.read(5) == 150
@@ -108,7 +145,7 @@ class TestSplitting:
                               probabilistic=False, seed=7)
         row = sk.rows[0]
         row.add(4, 60_000)
-        sk._downsample()          # 30_000 still needs 16 bits
+        sk.downsample()          # 30_000 still needs 16 bits
         assert row.level_of(4) >= 1
 
     def test_split_variant_estimates_match_unsplit(self):
