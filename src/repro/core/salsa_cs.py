@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing import HashFamily
+from repro.hashing import HashFamily, mix64
 from repro.core.row import SIMPLE, SUM, SalsaRow
 from repro.core.sketch import RowSketch
 from repro.sketches.base import (
@@ -64,7 +64,8 @@ class SalsaCountSketch(RowSketch):
         """Add ``g_i(x) * value`` to the item's counter in each row."""
         item, value = as_item(item, value)
         mask = self.w - 1
-        for row, h in zip(self.rows, self._hashes(item)):
+        for row, seed in zip(self.rows, self.hashes.seeds):
+            h = mix64(item ^ seed)  # the slot's low bits, the sign's top one
             row.add(h & mask, value if h >> 63 else -value)
 
     def query(self, item: int) -> float:
@@ -72,7 +73,8 @@ class SalsaCountSketch(RowSketch):
         item, _ = as_item(item)
         mask = self.w - 1
         votes = []
-        for row, h in zip(self.rows, self._hashes(item)):
+        for row, seed in zip(self.rows, self.hashes.seeds):
+            h = mix64(item ^ seed)
             c = row.read(h & mask)
             votes.append(c if h >> 63 else -c)
         return median(votes)

@@ -81,32 +81,24 @@ class RowSketch(BatchOpsMixin):
     @classmethod
     def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
                    **kwargs):
-        """Largest sketch fitting in ``memory_bytes`` with overheads.
-
-        The simple encoding charges 1 overhead bit per counter, the
-        compact one ~0.594 (Appendix A).  Both engines charge the same
-        bits, so the engine never changes the configured shape.  Other
-        keyword arguments go to the constructor.
-        """
+        """Largest sketch whose :attr:`memory_bytes` (whole-byte rows,
+        the exact encoding) fits in ``memory_bytes``: the width assumes
+        1 overhead bit per counter, ~0.594 if compact (Appendix A), and
+        halves until it fits.  Both engines charge the same bits.  Other
+        keyword arguments go to the constructor."""
         overhead = 0.594 if kwargs.get("encoding") == COMPACT else 1.0
         w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
-        return cls(w=w, d=d, s=s, **kwargs)
+        while True:
+            sketch = cls(w=w, d=d, s=s, **kwargs)
+            if sketch.memory_bytes <= memory_bytes:
+                return sketch
+            if w == 2:
+                raise ValueError(f"{memory_bytes}B cannot hold d={d} rows "
+                                 f"of {s}-bit counters")
+            w //= 2
 
-    # ------------------------------------------------------------------
-    # per-item hashing (keys already through as_item)
-    # ------------------------------------------------------------------
-    def _hashes(self, item: int) -> list[int]:
-        """The key's raw 64-bit hash in each row; its slot is
-        ``h & (w - 1)``, its Count Sketch sign the top bit."""
-        return [mix64(item ^ seed) for seed in self.hashes.seeds]
-
-    def _slots(self, item: int) -> list[int]:
-        """The key's slot in each row."""
-        mask = self.w - 1
-        return [h & mask for h in self._hashes(item)]
-
-    # The per-item doors hash inline: ``repro run`` calls both per
-    # arrival, and the ``_hashes`` list cost them ~12% in paired runs.
+    # Every per-item door hashes inline: ``repro run`` calls both per
+    # arrival, and a helper's list of hashes cost them ~12% in paired runs.
     def update(self, item: int, value: int = 1) -> None:
         """The Count-Min rule: add ``value`` to each of the item's
         counters (merging on overflow).  Max-merge rows take no

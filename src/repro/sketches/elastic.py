@@ -141,11 +141,11 @@ class ElasticSketch(BatchOpsMixin):
         buckets = 2
         while buckets * 2 * BUCKET_BYTES <= memory_bytes * heavy_fraction:
             buckets *= 2
-        light = memory_bytes - buckets * BUCKET_BYTES
-        if light < 2:
-            raise ValueError(
-                f"{memory_bytes}B cannot hold an Elastic Sketch")
-        return cls(heavy_buckets=buckets, light_memory=light, seed=seed)
+        sketch = cls(heavy_buckets=buckets, seed=seed,
+                     light_memory=memory_bytes - buckets * BUCKET_BYTES)
+        if sketch.memory_bytes > memory_bytes:
+            raise ValueError(f"{memory_bytes}B cannot hold an Elastic Sketch")
+        return sketch
 
     def update_many(self, items, values=None) -> None:
         """Batched insertion: vectorized bucket hashing, deferred light.

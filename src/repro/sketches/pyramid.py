@@ -83,25 +83,15 @@ class PyramidSketch(BatchOpsMixin):
     @classmethod
     def for_memory(cls, memory_bytes: int, d: int = 4, delta: int = 8,
                    seed: int = 0) -> "PyramidSketch":
-        """Largest Pyramid fitting in ``memory_bytes``.
-
-        Total bits ~= 2 * w1 * delta (the geometric layer series), so
-        we size w1 to half the budget.
-        """
+        """Largest Pyramid fitting in ``memory_bytes``: its layers hold
+        ``w1 + w1/2 + ... + 4 = 2 * w1 - 4`` counters of ``delta`` bits."""
         total_bits = memory_bytes * 8
+        if 4 * delta > total_bits:
+            raise ValueError(f"{memory_bytes}B cannot hold a Pyramid sketch")
         w1 = 4
-        while cls._footprint_bits(w1 * 2, delta) <= total_bits:
+        while (4 * w1 - 4) * delta <= total_bits:  # 2 * w1 fits too
             w1 *= 2
         return cls(w1=w1, d=d, delta=delta, seed=seed)
-
-    @staticmethod
-    def _footprint_bits(w1: int, delta: int) -> int:
-        bits = 0
-        width = w1
-        while width > 4:
-            bits += width * delta
-            width //= 2
-        return bits + width * delta
 
     # ------------------------------------------------------------------
     def _carry(self, layer: int, idx: int) -> None:
