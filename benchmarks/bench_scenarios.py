@@ -4,9 +4,9 @@ Workload dynamics change which fast path a batch takes -- churned
 elephants force merge-window replays, drift spreads inflow across the
 universe, replay concentrates it -- so both ingest throughput *and*
 accuracy are scenario-dependent at fixed memory.  This bench runs
-every tuned :data:`~repro.experiments.scenarios.SCENARIO_SPECS` preset
-through a 64KB SALSA CMS on the production (vector) row engine, timing
-the per-item loop against chunked ``update_many`` ingest
+every :data:`~repro.streams.scenarios.SCENARIOS` generator, at its
+defaults, through a 64KB SALSA CMS on the production (vector) row
+engine, timing the per-item loop against chunked ``update_many`` ingest
 (``runner.per_item_seconds`` / ``runner.ingest_seconds``) and scoring
 the final state against the exact counts (``runner.score``).
 
@@ -31,7 +31,7 @@ import numpy as np
 from _harness import ingest_rates, run_table
 from repro.core import SalsaCountMin
 from repro.experiments.runner import score
-from repro.experiments.scenarios import SCENARIO_SPECS
+from repro.streams.scenarios import SCENARIO_NAMES, make_scenario
 
 
 def measure(chunks: list, memory: int) -> dict[str, float]:
@@ -57,9 +57,9 @@ def main(argv: list[str] | None = None) -> int:
 
     run_table("scenario_throughput", "scenarios",
               "scenario workload throughput + final-state AAE, SALSA CMS",
-              {name: list(spec.build().chunks(args.length, args.chunk,
-                                              seed=0))
-               for name, spec in sorted(SCENARIO_SPECS.items())},
+              {name: list(make_scenario(name).chunks(args.length, args.chunk,
+                                                     seed=0))
+               for name in SCENARIO_NAMES},
               lambda chunks: measure(chunks, args.memory),
               {"sketch": "salsa-cms", "memory_bytes": args.memory,
                "length": args.length, "chunk": args.chunk},

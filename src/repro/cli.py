@@ -333,31 +333,30 @@ def _scenario_specs(args, overrides=None):
     scenario up front, so a multi-scenario run fails immediately and
     atomically instead of dying mid-table after partial results.
     """
-    from repro.experiments.scenarios import SCENARIO_SPECS
+    from repro.streams.scenarios import SCENARIOS, make_scenario
 
-    names = args.names or sorted(SCENARIO_SPECS)
-    unknown = [n for n in names if n not in SCENARIO_SPECS]
+    names = args.names or sorted(SCENARIOS)
+    unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         raise SystemExit(
             f"error: unknown scenario(s) {unknown}; "
-            f"known: {sorted(SCENARIO_SPECS)}")
+            f"known: {sorted(SCENARIOS)}")
     built = []
     for name in names:
         try:
-            built.append((name,
-                          SCENARIO_SPECS[name].build(**(overrides or {}))))
+            built.append((name, make_scenario(name, **(overrides or {}))))
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"error: {name}: {exc}")
     return built
 
 
 def cmd_scenario_list(args) -> int:
-    from repro.experiments.scenarios import SCENARIO_SPECS
+    from repro.streams.scenarios import SCENARIOS
 
     print(f"{'scenario':<12} description")
     print("-" * 64)
-    for name in sorted(SCENARIO_SPECS):
-        print(f"{name:<12} {SCENARIO_SPECS[name].summary()}")
+    for name in sorted(SCENARIOS):
+        print(f"{name:<12} {SCENARIOS[name].summary()}")
     print("\n(`repro scenario describe <name>` for parameters; "
           "`repro scenario run` to measure)")
     return 0

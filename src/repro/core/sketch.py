@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import HashFamily, mix64
-from repro.core.row import COMPACT, MAX, SUM
+from repro.core.row import MAX, SUM
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
@@ -82,12 +82,11 @@ class RowSketch(BatchOpsMixin):
     def for_memory(cls, memory_bytes: int, d: int = 4, s: int = 8,
                    **kwargs):
         """Largest sketch whose :attr:`memory_bytes` (whole-byte rows,
-        the exact encoding) fits in ``memory_bytes``: the width assumes
-        1 overhead bit per counter, ~0.594 if compact (Appendix A), and
-        halves until it fits.  Both engines charge the same bits.  Other
-        keyword arguments go to the constructor."""
-        overhead = 0.594 if kwargs.get("encoding") == COMPACT else 1.0
-        w = width_for_memory(memory_bytes, d, s, overhead_bits=overhead)
+        the exact encoding) fits in ``memory_bytes``: the width starts
+        from the counters' payload alone and halves until the encoded
+        sketch fits.  Both engines charge the same bits.  Other keyword
+        arguments go to the constructor."""
+        w = width_for_memory(memory_bytes, d, s)
         while True:
             sketch = cls(w=w, d=d, s=s, **kwargs)
             if sketch.memory_bytes <= memory_bytes:
@@ -95,6 +94,7 @@ class RowSketch(BatchOpsMixin):
             if w == 2:
                 raise ValueError(f"{memory_bytes}B cannot hold d={d} rows "
                                  f"of {s}-bit counters")
+            del sketch  # so the too-wide rows never coexist with the next
             w //= 2
 
     # Every per-item door hashes inline: ``repro run`` calls both per

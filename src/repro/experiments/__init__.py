@@ -5,8 +5,9 @@ Usage::
     python -m repro.experiments fig10a      # one figure
     python -m repro.experiments --list      # enumerate figures
 
-or through the benchmark suite (``pytest benchmarks/ --benchmark-only``),
-which runs all of them and writes tables under ``results/``.
+or through the figure bench
+(``pytest benchmarks/bench_figures.py --benchmark-only``), which runs
+all of them and writes tables under ``results/``.
 """
 
 from repro.experiments.runner import (
@@ -24,11 +25,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.report import emit, format_table
 from repro.experiments.registry import EXPERIMENTS, run
-from repro.experiments.scenarios import (
-    SCENARIO_SPECS,
-    ScenarioSpec,
-    using_scenario_grid,
-)
 
 __all__ = [
     "ExperimentResult",
@@ -46,7 +42,4 @@ __all__ = [
     "format_table",
     "EXPERIMENTS",
     "run",
-    "ScenarioSpec",
-    "SCENARIO_SPECS",
-    "using_scenario_grid",
 ]

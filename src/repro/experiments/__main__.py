@@ -6,10 +6,10 @@ import argparse
 import sys
 import time
 
+from repro.experiments.figures_scenarios import scenario_grid
 from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.report import emit
 from repro.experiments.runner import using_jobs
-from repro.experiments.scenarios import using_scenario_grid
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,8 +31,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated scenario names scoping "
                              "the scenario_* figures (default: all; "
                              "see `repro scenario list`)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="route every scenario sweep cell through "
+    parser.add_argument("--shards", type=int, default=1,
+                        help="route every scenario_error cell through "
                              "this many DistributedSketch workers and "
                              "measure the merged sketch")
     args = parser.parse_args(argv)
@@ -44,11 +44,14 @@ def main(argv: list[str] | None = None) -> int:
 
     targets = (sorted(EXPERIMENTS) if args.figures == ["all"]
                else args.figures)
-    scenarios = args.scenario.split(",") if args.scenario else None
-    with using_jobs(args.jobs), using_scenario_grid(scenarios, args.shards):
+    grid = {"scenarios": args.scenario.split(",") if args.scenario else None,
+            "shards": args.shards}
+    scenario_grid(**grid)                # fail before any figure runs
+    with using_jobs(args.jobs):
         for fig in targets:
             start = time.perf_counter()
-            for result in run(fig):
+            for result in run(fig, **(grid if fig.startswith("scenario_")
+                                      else {})):
                 emit(result)
             print(f"[{fig}: {time.perf_counter() - start:.1f}s]",
                   file=sys.stderr)

@@ -119,7 +119,7 @@ def univmon(memory: int, seed: int = 0, use_salsa: bool = False,
     ``use_salsa`` swaps the level sketches for SALSA CS of equal
     per-level memory.
     """
-    per_level = max(256, memory // levels)
+    per_level = memory // levels
     if use_salsa:
         w = width_for_memory(per_level, d=5, counter_bits=salsa_s,
                              overhead_bits=1.0)

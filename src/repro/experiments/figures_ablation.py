@@ -23,7 +23,12 @@ from repro.streams import synthetic_caida
 
 def ablation_encoding(length: int | None = None, trials: int | None = None
                       ) -> list[ExperimentResult]:
-    """NRMSE and throughput of SALSA CMS under both encodings."""
+    """NRMSE and throughput of SALSA CMS under both encodings.
+
+    Expected shape: compact fits more counters (slightly lower NRMSE)
+    but pays divmod-decoding cost on every access (lower throughput) --
+    the trade-off section IV describes.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     error = ExperimentResult(

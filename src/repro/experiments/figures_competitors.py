@@ -34,7 +34,13 @@ _ALGOS = {
 
 def fig8(dataset: str = "ny18", length: int | None = None,
          trials: int | None = None) -> list[ExperimentResult]:
-    """Full Fig 8 panel set for one dataset: speed, NRMSE, AAE, ARE."""
+    """Full Fig 8 panel set for one dataset: speed, NRMSE, AAE, ARE.
+
+    Expected shape: SALSA best/competitive on NRMSE everywhere; ABC's
+    NRMSE floors once heavy hitters pass 2^13 - 1; the Baseline loses on
+    AAE/ARE across the range; the variable-size schemes pay a throughput
+    tax over the Baseline.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     suffix = "a" if dataset == "ny18" else "b"
@@ -88,7 +94,12 @@ def fig8(dataset: str = "ny18", length: int | None = None,
 def fig9(dataset: str = "ny18", length: int | None = None,
          memory: int = 32 * 1024) -> ExperimentResult:
     """Error-distribution quantiles per algorithm (one trial, as the
-    paper samples one element per frequency)."""
+    paper samples one element per frequency).
+
+    Expected shape: SALSA has low error variance; Pyramid's tail blows
+    up (sibling MSB sharing, region A); ABC's max error is the saturated
+    heavy hitter (region B).
+    """
     length = length or config.stream_length()
     suffix = "a" if dataset == "ny18" else "b"
     result = ExperimentResult(

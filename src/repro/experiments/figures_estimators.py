@@ -31,7 +31,12 @@ _FAMILIES = {
 
 def fig16_error(dataset: str = "ny18", length: int | None = None,
                 trials: int | None = None) -> ExperimentResult:
-    """NRMSE vs memory for the estimator family (panels a/b)."""
+    """NRMSE vs memory for the estimator family (panels a/b).
+
+    Expected shape: SALSA AEE tracks the best of SALSA and AEE
+    MaxAccuracy; SALSA AEE_10's aggressive downsampling trades accuracy
+    for speed.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     panel = "a" if dataset == "ny18" else "b"
@@ -49,8 +54,12 @@ def fig16_error(dataset: str = "ny18", length: int | None = None,
 
 def fig16_speed(dataset: str = "ny18", length: int | None = None,
                 trials: int | None = None) -> ExperimentResult:
-    """Update throughput vs memory (panels c/d): the AEE variants skip
-    hashes for unsampled packets and come out fastest."""
+    """Update throughput vs memory (panels c/d).
+
+    Expected shape: the AEE variants skip hashes for unsampled packets
+    and come out fastest; SALSA AEE_10's aggressive downsampling buys
+    speed with accuracy.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     panel = "c" if dataset == "ny18" else "d"
@@ -69,8 +78,11 @@ def fig16_speed(dataset: str = "ny18", length: int | None = None,
 
 def fig17(dataset: str = "ny18", length: int | None = None,
           trials: int | None = None) -> ExperimentResult:
-    """Counter splitting in SALSA AEE (panels a/b): the paper finds the
-    effect 'minor, and in most cases ... insignificant'."""
+    """Counter splitting in SALSA AEE (panels a/b).
+
+    Expected shape: a minor, mostly insignificant accuracy effect (the
+    paper: 'minor, and in most cases ... insignificant').
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     panel = "a" if dataset == "ny18" else "b"

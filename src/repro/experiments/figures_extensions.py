@@ -9,8 +9,8 @@ updates a random one", "such solutions cannot capture the sizes of the
 heavy hitters", ...) gets a measured counterpart.
 
 Each function regenerates one ``results/ext_*.txt`` table through the
-same plumbing as the paper figures; the bench targets live in
-``benchmarks/bench_ext_related_work.py``.
+same plumbing as the paper figures, and ``benchmarks/bench_figures.py``
+benches them with every other registered figure.
 """
 
 from __future__ import annotations

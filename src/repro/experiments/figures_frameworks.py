@@ -30,6 +30,9 @@ def fig12a(length: int | None = None, trials: int | None = None,
     The paper uses 16 levels; the default here is 8 to match the
     scaled-down stream (fewer levels than log2 of the distinct count
     are wasted).
+
+    Expected shape: SALSA levels improve the estimate; smaller s helps
+    entropy.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()
@@ -57,7 +60,11 @@ def fig12a(length: int | None = None, trials: int | None = None,
 
 def fig12b(length: int | None = None, trials: int | None = None,
            memory: int = 32 * 1024, levels: int = 8) -> ExperimentResult:
-    """F_p moment ARE vs p (0..2) at fixed memory."""
+    """F_p moment ARE vs p (0..2) at fixed memory.
+
+    Expected shape: SALSA levels improve the estimate; the gain
+    concentrates at large p (small p is cardinality-dominated).
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -84,7 +91,11 @@ def fig12b(length: int | None = None, trials: int | None = None,
 
 def fig13(length: int | None = None, trials: int | None = None
           ) -> list[ExperimentResult]:
-    """Cold Filter AAE and ARE vs memory, Baseline vs SALSA stage 2."""
+    """Cold Filter AAE and ARE vs memory, Baseline vs SALSA stage 2.
+
+    Expected shape: SALSA saves up to ~half the space at small memory,
+    with the benefit fading as stage 1 absorbs everything.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     aae = ExperimentResult(

@@ -24,7 +24,11 @@ _PANELS_11 = {"ny18": "a", "ch16": "b", "univ2": "c", "youtube": "d"}
 
 def fig10_error(dataset: str, length: int | None = None,
                 trials: int | None = None) -> ExperimentResult:
-    """NRMSE vs memory for Baseline/SALSA CMS and CUS on one dataset."""
+    """NRMSE vs memory for Baseline/SALSA CMS and CUS on one dataset.
+
+    Expected shape: SALSA roughly halves the memory needed for a given
+    NRMSE on the skewed traces; the gain narrows on the low-skew Univ2.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -47,7 +51,10 @@ def fig10_error(dataset: str, length: int | None = None,
 
 def fig10_speed(dataset: str, length: int | None = None,
                 trials: int | None = None) -> ExperimentResult:
-    """Update throughput vs memory for the same four algorithms."""
+    """Update throughput vs memory for the same four algorithms.
+
+    Expected shape: SALSA pays a throughput tax for its merging logic.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -72,7 +79,12 @@ def fig10_speed(dataset: str, length: int | None = None,
 
 def fig11(dataset: str, length: int | None = None,
           trials: int | None = None) -> ExperimentResult:
-    """SALSA CS vs Baseline CS NRMSE on one dataset."""
+    """SALSA CS vs Baseline CS NRMSE on one dataset.
+
+    Expected shape: statistically significant SALSA wins on NY18, CH16
+    and YouTube; a wash on Univ2 where the encoding overhead offsets the
+    gain.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(

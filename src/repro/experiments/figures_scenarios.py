@@ -1,10 +1,10 @@
 """Scenario sweeps: accuracy and speed across workload dynamics.
 
 Beyond-the-paper experiments over the :mod:`repro.streams.scenarios`
-stress lab:
+stress lab, each scenario at its generator's defaults:
 
-* :func:`scenario_error` -- final-state AAE vs memory for each scenario
-  in the active grid, one table per scenario, the usual sketch lineup
+* :func:`scenario_error` -- final-state AAE vs memory for each
+  requested scenario, one table per scenario, the usual sketch lineup
   as series.  Shows where self-adjusting merges win (stationary,
   replay) and where workload dynamics erode them (drift, churn).
 * :func:`scenario_speed` -- batched ingest throughput per scenario vs
@@ -12,9 +12,8 @@ stress lab:
   (churned elephants force merge replays), so throughput is
   scenario-dependent even at fixed memory.
 
-Both respect the scoped grids: ``using_scenario_grid`` picks the
-scenarios (and an optional shard count routed through
-``DistributedSketch.feed_stream`` + ``ops.merge``), and
+Both take ``scenarios`` (names, default all) and ``shards``, which
+``python -m repro.experiments --scenario/--shards`` pass through;
 ``using_jobs`` fans the accuracy cells over fork workers (speed cells
 always run serial).
 """
@@ -34,13 +33,9 @@ from repro.experiments.runner import (
     sweep,
     throughput_mops,
 )
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    get_scenario_grid,
-    get_scenario_shards,
-)
 from repro.sketches import ConservativeUpdateSketch, CountMinSketch
 from repro.streams.model import Trace
+from repro.streams.scenarios import SCENARIO_NAMES, SCENARIOS, make_scenario
 
 #: Chunk size every scenario sweep feeds through ``update_many``.
 CHUNK = 8192
@@ -51,26 +46,38 @@ CHUNK = 8192
 _traces: dict[tuple, Trace] = {}
 
 
-def _scenario_trace(spec: ScenarioSpec, length: int, trial: int) -> Trace:
-    key = (spec.name, tuple(sorted(spec.params.items())), length, trial)
+def _scenario_trace(name: str, length: int, trial: int) -> Trace:
+    key = (name, length, trial)
     if key not in _traces:
-        _traces[key] = spec.build().trace(length, seed=trial)
+        _traces[key] = make_scenario(name).trace(length, seed=trial)
     return _traces[key]
 
 
-def scenario_error(length: int | None = None,
-                   trials: int | None = None) -> list[ExperimentResult]:
-    """Final-state AAE vs memory, one table per scenario in the grid.
+def scenario_grid(scenarios=None, shards: int = 1) -> tuple[str, ...]:
+    """The scenario names a sweep runs (``None``: all), checked with
+    its shard count; ``ValueError`` for an unknown name or
+    ``shards < 1``."""
+    names = SCENARIO_NAMES if scenarios is None else tuple(scenarios)
+    for name in names:
+        make_scenario(name)          # raises for an unknown name
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    return names
 
-    With ``using_scenario_grid(shards=N)`` each cell shards the stream
-    chunk by chunk through :meth:`DistributedSketch.feed_stream` and
-    measures the *merged* sketch -- only the mergeable SALSA family
-    runs then, since the fixed-width baselines have no ``ops.merge``
-    door.
+
+def scenario_error(length: int | None = None, trials: int | None = None,
+                   scenarios=None, shards: int = 1
+                   ) -> list[ExperimentResult]:
+    """Final-state AAE vs memory, one table per requested scenario.
+
+    With ``shards > 1`` each cell shards the stream chunk by chunk
+    through :meth:`DistributedSketch.feed_stream` and measures the
+    *merged* sketch -- only the mergeable SALSA family runs then, since
+    the fixed-width baselines have no ``ops.merge`` door.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()
-    shards = get_scenario_shards()
+    names = scenario_grid(scenarios, shards)
     memories = [float(m) for m in config.MEMORY_SWEEP[:3]]
 
     def single(build):
@@ -100,18 +107,18 @@ def scenario_error(length: int | None = None,
                 mem, d=4, seed=t))
 
     results = []
-    for spec in get_scenario_grid():
+    for name in names:
         for trial in range(trials):          # pre-warm the shared cache
-            _scenario_trace(spec, length, trial)
+            _scenario_trace(name, length, trial)
         result = ExperimentResult(
-            figure=f"scenario_error_{spec.name}",
-            title=(f"Scenario '{spec.name}': {spec.summary()}"
+            figure=f"scenario_error_{name}",
+            title=(f"Scenario '{name}': {SCENARIOS[name].summary()}"
                    + (f" [{shards} shards]" if shards > 1 else "")),
             xlabel="memory_bytes", ylabel="AAE (final state)",
         )
 
-        def measure(sketch, mem, trial, spec=spec):
-            trace = _scenario_trace(spec, length, trial)
+        def measure(sketch, mem, trial, name=name):
+            trace = _scenario_trace(name, length, trial)
             ingest_seconds(sketch, trace.chunks(CHUNK), seed=trial)
             return score(sketch, trace.items)[1]
 
@@ -120,37 +127,39 @@ def scenario_error(length: int | None = None,
     return results
 
 
-def scenario_speed(length: int | None = None,
-                   trials: int | None = None) -> ExperimentResult:
+def scenario_speed(length: int | None = None, trials: int | None = None,
+                   scenarios=None, shards: int = 1) -> ExperimentResult:
     """Batched ingest throughput (Mops) per scenario vs batch size.
 
-    One series per scenario in the grid, all through the same 32KB
-    SALSA CMS (on vector rows).  Wall-clock cells always run serial
-    (``jobs=1``), like every other speed figure.
+    One series per requested scenario, all through the same 32KB
+    SALSA CMS (on vector rows).  ``shards`` is checked as
+    :func:`scenario_error` checks it, but every cell times one
+    unsharded sketch.  Wall-clock cells always run serial (``jobs=1``),
+    like every other speed figure.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()
+    names = scenario_grid(scenarios, shards)
     result = ExperimentResult(
         figure="scenario_speed",
         title="SALSA CMS batched ingest across scenario workloads",
         xlabel="batch_size", ylabel="Mops",
     )
-    specs = get_scenario_grid()
-    for spec in specs:
+    for name in names:
         for trial in range(trials):
-            _scenario_trace(spec, length, trial)
+            _scenario_trace(name, length, trial)
 
     # ``measure`` needs to know which series' cell it is evaluating, so
-    # each factory returns (spec, sketch) and ``measure`` unpacks.
+    # each factory returns (name, sketch) and ``measure`` unpacks.
     factories = {
-        spec.name: (lambda batch, t, spec=spec: (
-            spec, SalsaCountMin.for_memory(32 * 1024, d=4, s=8, seed=t)))
-        for spec in specs
+        name: (lambda batch, t, name=name: (
+            name, SalsaCountMin.for_memory(32 * 1024, d=4, s=8, seed=t)))
+        for name in names
     }
 
     def measure(cell, batch, trial):
-        spec, sketch = cell
-        return throughput_mops(sketch, _scenario_trace(spec, length, trial),
+        name, sketch = cell
+        return throughput_mops(sketch, _scenario_trace(name, length, trial),
                                int(batch))
 
     return sweep(result, (1024.0, 4096.0, 16384.0), factories, measure,

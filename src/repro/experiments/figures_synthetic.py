@@ -33,6 +33,9 @@ def fig4a(length: int | None = None, trials: int | None = None,
 
     The Baseline uses ``base_w`` 32-bit counters per row; SALSA-s uses
     ``base_w * 32 / s`` s-bit counters -- identical counter memory.
+
+    Expected shape: most of the gain comes from 32 -> 8 bits; smaller s
+    helps most at low skew.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()
@@ -56,7 +59,10 @@ def fig4a(length: int | None = None, trials: int | None = None,
 
 def fig4b(length: int | None = None, trials: int | None = None,
           base_w: int = 1 << 9) -> ExperimentResult:
-    """NRMSE vs Zipf skew for SALSA-s Count Sketch (d=5)."""
+    """NRMSE vs Zipf skew for SALSA-s Count Sketch (d=5).
+
+    Expected shape: as :func:`fig4a`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -79,7 +85,11 @@ def fig4b(length: int | None = None, trials: int | None = None,
 
 def fig5a(length: int | None = None, trials: int | None = None
           ) -> ExperimentResult:
-    """Sum vs max merge, NY18-like memory sweep."""
+    """Sum vs max merge, NY18-like memory sweep.
+
+    Expected shape: max is slightly more accurate, especially at low
+    skew.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -99,7 +109,10 @@ def fig5a(length: int | None = None, trials: int | None = None
 
 def fig5b(length: int | None = None, trials: int | None = None
           ) -> ExperimentResult:
-    """Sum vs max merge across Zipf skews (8KB)."""
+    """Sum vs max merge across Zipf skews (8KB).
+
+    Expected shape: as :func:`fig5a`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     memory = 8 * 1024
@@ -129,6 +142,9 @@ def fig6a(length: int | None = None, trials: int | None = None,
 
     Reproduces the collapse of small fixed counters once phi*N passes
     their saturation value.
+
+    Expected shape: 8/16-bit CMS collapse on heavy hitters past their
+    saturation values; 32-bit and SALSA do not.
     """
     length = length or config.stream_length()
     trials = trials or config.trials()
@@ -157,7 +173,11 @@ def fig6a(length: int | None = None, trials: int | None = None,
 def fig6b(trials: int | None = None, memory: int = 8 * 1024,
           phi: float = 3e-3) -> ExperimentResult:
     """Heavy-hitter ARE vs stream length: the 16-bit variant degrades
-    once streams outgrow its counting range."""
+    once streams outgrow its counting range.
+
+    Expected shape: 8/16-bit CMS degrade as streams lengthen; 32-bit and
+    SALSA do not.
+    """
     trials = trials or config.trials()
     # Spans the 8-bit saturation point: at the shortest length the head
     # flow fits in 255, at the longest it is ~40x past it (the paper's
@@ -187,7 +207,11 @@ def fig6b(trials: int | None = None, memory: int = 8 * 1024,
 
 def fig7a(length: int | None = None, trials: int | None = None
           ) -> ExperimentResult:
-    """Tango-s vs SALSA, NY18-like memory sweep."""
+    """Tango-s vs SALSA, NY18-like memory sweep.
+
+    Expected shape: Tango marginally more accurate than SALSA at equal
+    s, nowhere near enough to justify its decode cost.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -209,7 +233,10 @@ def fig7a(length: int | None = None, trials: int | None = None
 
 def fig7b(length: int | None = None, trials: int | None = None,
           memory: int = 8 * 1024) -> ExperimentResult:
-    """Tango-s vs SALSA across Zipf skews."""
+    """Tango-s vs SALSA across Zipf skews.
+
+    Expected shape: as :func:`fig7a`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(

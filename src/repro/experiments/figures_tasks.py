@@ -40,7 +40,11 @@ def _distinct_are(sketch, trace, is_salsa: bool) -> float:
 
 def fig14_distinct(dataset: str, length: int | None = None,
                    trials: int | None = None) -> ExperimentResult:
-    """Count-distinct ARE vs memory (panels a/b)."""
+    """Count-distinct ARE vs memory (panels a/b).
+
+    Expected shape: SALSA's Linear Counting works at lower memory and
+    with lower ARE (more, smaller cells).
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     panel = "a" if dataset == "ny18" else "b"
@@ -63,7 +67,10 @@ def fig14_distinct(dataset: str, length: int | None = None,
 
 def fig14c(length: int | None = None, trials: int | None = None,
            memory: int = 32 * 1024) -> ExperimentResult:
-    """Count-distinct ARE vs Zipf skew (panel c)."""
+    """Count-distinct ARE vs Zipf skew (panel c).
+
+    Expected shape: as :func:`fig14_distinct`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -94,7 +101,11 @@ def _hh_are(sketch, trace, phi: float) -> float:
 def fig14_hitters(dataset: str, length: int | None = None,
                   trials: int | None = None, memory: int = 8 * 1024
                   ) -> ExperimentResult:
-    """Heavy-hitter size ARE vs phi (panels d/e)."""
+    """Heavy-hitter size ARE vs phi (panels d/e).
+
+    Expected shape: SALSA sizes heavy hitters better, especially at
+    small phi.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     panel = "d" if dataset == "ny18" else "e"
@@ -119,7 +130,10 @@ def fig14_hitters(dataset: str, length: int | None = None,
 
 def fig14f(length: int | None = None, trials: int | None = None,
            memory: int = 8 * 1024, phi: float = 3e-3) -> ExperimentResult:
-    """Heavy-hitter size ARE vs skew (panel f)."""
+    """Heavy-hitter size ARE vs skew (panel f).
+
+    Expected shape: as :func:`fig14_hitters`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -142,7 +156,11 @@ def fig14f(length: int | None = None, trials: int | None = None,
 # ----------------------------------------------------------------------
 def fig15a(length: int | None = None, trials: int | None = None,
            memory: int = 8 * 1024) -> ExperimentResult:
-    """Top-k accuracy vs k on the NY18-like trace (constrained memory)."""
+    """Top-k accuracy vs k on the NY18-like trace (constrained memory).
+
+    Expected shape: SALSA detects top-k more accurately under
+    constrained memory (biggest gains at large k / low skew).
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -164,7 +182,10 @@ def fig15a(length: int | None = None, trials: int | None = None,
 
 def fig15b(length: int | None = None, trials: int | None = None,
            memory: int = 8 * 1024, k: int = 128) -> ExperimentResult:
-    """Top-k accuracy vs skew."""
+    """Top-k accuracy vs skew.
+
+    Expected shape: as :func:`fig15a`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -205,7 +226,11 @@ def _change_nrmse(trace, memory: int, use_salsa: bool, seed: int) -> float:
 
 def fig15c(length: int | None = None, trials: int | None = None
            ) -> ExperimentResult:
-    """Change-detection NRMSE vs memory, NY18-like trace."""
+    """Change-detection NRMSE vs memory, NY18-like trace.
+
+    Expected shape: SALSA wins change-detection NRMSE across memory and
+    skew.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(
@@ -226,7 +251,10 @@ def fig15c(length: int | None = None, trials: int | None = None
 
 def fig15d(length: int | None = None, trials: int | None = None,
            memory: int = 8 * 1024) -> ExperimentResult:
-    """Change-detection NRMSE vs skew at fixed memory."""
+    """Change-detection NRMSE vs skew at fixed memory.
+
+    Expected shape: as :func:`fig15c`'s.
+    """
     length = length or config.stream_length()
     trials = trials or config.trials()
     result = ExperimentResult(

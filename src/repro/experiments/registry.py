@@ -2,7 +2,7 @@
 
 Every entry regenerates one figure (or panel group) of the paper's
 evaluation as one or more :class:`ExperimentResult` tables.  The
-benchmark files under ``benchmarks/`` and the CLI
+figure bench (``benchmarks/bench_figures.py``) and the CLI
 (``python -m repro.experiments <figure>``) both dispatch through here.
 """
 
@@ -100,7 +100,7 @@ EXPERIMENTS: dict[str, Callable] = {
     "ext_partitioned": figures_extensions.ext_partitioned,
     "ablation_hashing": figures_extensions.ablation_hashing,
     # Scenario workload sweeps (the stress lab beyond static traces;
-    # scoped by --scenario / --shards via using_scenario_grid).
+    # they take the --scenario / --shards arguments).
     "scenario_error": figures_scenarios.scenario_error,
     "scenario_speed": figures_scenarios.scenario_speed,
 }

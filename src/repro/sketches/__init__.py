@@ -11,7 +11,7 @@
 * :class:`ZeroSketch` -- Appendix B's "0" algorithm.
 
 Related-work algorithms cited by the paper, used by the extension
-benches (``benchmarks/bench_ext_*.py``):
+experiments (``repro.experiments.figures_extensions``):
 
 * :class:`SpaceSaving`, :class:`MisraGries` -- counter-based heavy
   hitters [48].

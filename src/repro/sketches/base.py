@@ -239,16 +239,20 @@ def answer_dtype(sketch) -> np.dtype:
     return np.dtype(getattr(sketch, "query_dtype", np.float64))
 
 
-def query_loop(sketch, items: np.ndarray) -> np.ndarray:
-    """Per-item ``sketch.query`` over int64 ``items``, as one
-    :func:`answer_dtype` array; ``ValueError`` for an answer outside
-    that dtype's range."""
-    dtype = answer_dtype(sketch)
+def answer_array(answers, n: int, dtype) -> np.ndarray:
+    """The ``n`` ints of ``answers`` as one ``dtype`` array;
+    ``ValueError`` for an answer outside that dtype's range."""
     try:
-        return np.fromiter(map(sketch.query, items.tolist()), dtype=dtype,
-                           count=len(items))
+        return np.fromiter(answers, dtype=dtype, count=n)
     except OverflowError:
         raise _out_of_range(dtype) from None
+
+
+def query_loop(sketch, items: np.ndarray) -> np.ndarray:
+    """Per-item ``sketch.query`` over int64 ``items``, as one
+    :func:`answer_dtype` array (see :func:`answer_array`)."""
+    return answer_array(map(sketch.query, items.tolist()), len(items),
+                        answer_dtype(sketch))
 
 
 def batch_answers(sketch, items: np.ndarray) -> np.ndarray:

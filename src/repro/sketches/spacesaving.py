@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     aggregate_batch,
+    answer_array,
     as_batch,
     as_item,
     batch_sum_fits,
@@ -38,6 +41,9 @@ from repro.sketches.base import (
 #: [48] use a "stream summary" doubly-linked bucket list; we use a lazy
 #: min-heap with the same amortized footprint).
 ENTRY_BYTES = 24
+
+#: The table entry an unmonitored key reads as (count 0).
+_UNSEEN = (0,)
 
 
 class SpaceSaving(BatchOpsMixin):
@@ -146,8 +152,14 @@ class SpaceSaving(BatchOpsMixin):
     def query(self, item: int) -> int:
         """Over-estimate of ``item``'s frequency (0 if unmonitored)."""
         item, _ = as_item(item)
-        entry = self._table.get(item)
-        return entry[0] if entry is not None else 0
+        return self._table.get(item, _UNSEEN)[0]
+
+    def query_many(self, items) -> np.ndarray:
+        """Batched :meth:`query`: one table read per key, as int64."""
+        keys = as_batch(items)[0].tolist()
+        get = self._table.get
+        return answer_array((get(x, _UNSEEN)[0] for x in keys), len(keys),
+                            self.query_dtype)
 
     # ------------------------------------------------------------------
     # batch pipeline
@@ -292,6 +304,13 @@ class MisraGries(BatchOpsMixin):
         """Under-estimate of ``item``'s frequency (0 if unmonitored)."""
         item, _ = as_item(item)
         return self._table.get(item, 0)
+
+    def query_many(self, items) -> np.ndarray:
+        """Batched :meth:`query`: one table read per key, as int64."""
+        keys = as_batch(items)[0].tolist()
+        get = self._table.get
+        return answer_array((get(x, 0) for x in keys), len(keys),
+                            self.query_dtype)
 
     def entries(self) -> list[tuple[int, int]]:
         """Monitored ``(item, estimate)`` rows, largest first."""

@@ -439,13 +439,15 @@ class TraceReplay(Scenario):
     arbitrarily long run.  ``shuffle_window > 0`` additionally shuffles
     arrivals within fixed windows: local order is randomized, coarse
     arrival structure is preserved -- the knob between 'as recorded'
-    and the paper's fully random order.
+    and the paper's fully random order.  The defaults replay the ny18
+    substitute at 1.5x with a 4K-window shuffle; ``warp=1.0,
+    shuffle_window=0`` replays it as recorded.
     """
 
     name = "replay"
 
     def __init__(self, source: str = "ny18", source_length: int = 65536,
-                 warp: float = 1.0, shuffle_window: int = 0,
+                 warp: float = 1.5, shuffle_window: int = 4096,
                  skew: float = 1.0):
         if warp <= 0:
             raise ValueError(f"warp must be > 0, got {warp}")
@@ -503,9 +505,11 @@ class TraceReplay(Scenario):
         return items
 
 
-#: Registry: scenario name -> class.  The experiments layer wraps these
-#: in :class:`~repro.experiments.scenarios.ScenarioSpec` presets; the
-#: CLI and benchmarks resolve through :func:`make_scenario`.
+#: Registry: scenario name -> class.  Each class's defaults are its
+#: tuned operating point, with periods sized against the default
+#: ``config.stream_length()`` (~1.3e5 updates) so every dynamic scenario
+#: goes through several regime changes per run.  The experiments, the
+#: CLI and the benchmarks all resolve through :func:`make_scenario`.
 SCENARIOS: dict[str, type[Scenario]] = {
     cls.name: cls
     for cls in (StationaryZipf, DriftingZipf, FlashCrowd,

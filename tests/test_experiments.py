@@ -143,48 +143,28 @@ class TestConfig:
 
 
 class TestScenarioSweeps:
-    """The ScenarioSpec registry and the scenario_* figures."""
+    """The scenario_* figures and their scenarios/shards arguments."""
 
-    def test_specs_cover_every_scenario(self):
-        from repro.experiments.scenarios import SCENARIO_SPECS
-        from repro.streams import SCENARIO_NAMES
+    def test_every_scenario_builds_at_its_defaults(self):
+        from repro.streams import SCENARIO_NAMES, SCENARIOS, make_scenario
 
-        assert tuple(sorted(SCENARIO_SPECS)) == SCENARIO_NAMES
-        for spec in SCENARIO_SPECS.values():
-            assert spec.summary()
-            assert spec.build().trace(100, seed=0).volume == 100
+        for name in SCENARIO_NAMES:
+            assert SCENARIOS[name].summary()
+            assert make_scenario(name).trace(100, seed=0).volume == 100
 
-    def test_spec_build_overrides_win(self):
-        from repro.experiments.scenarios import SCENARIO_SPECS
-
-        scenario = SCENARIO_SPECS["drift"].build(period=99)
-        assert scenario.params["period"] == 99
-
-    def test_grid_scoping_and_validation(self):
-        from repro.experiments.scenarios import (
-            get_scenario_grid,
-            get_scenario_shards,
-            using_scenario_grid,
-        )
-
-        assert len(get_scenario_grid()) >= 6
-        with using_scenario_grid(["drift"], shards=2):
-            assert [s.name for s in get_scenario_grid()] == ["drift"]
-            assert get_scenario_shards() == 2
-        assert len(get_scenario_grid()) >= 6
-        assert get_scenario_shards() == 1
-        with pytest.raises(ValueError, match="unknown scenario"):
-            using_scenario_grid(["tsunami"]).__enter__()
-        with pytest.raises(ValueError, match="shards"):
-            using_scenario_grid(shards=0).__enter__()
-
-    def test_scenario_error_one_table_per_grid_entry(self, monkeypatch):
-        from repro.experiments.scenarios import using_scenario_grid
-
+    def test_grid_scoping_and_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         monkeypatch.setenv("REPRO_TRIALS", "1")
-        with using_scenario_grid(["flash", "replay"]):
-            results = run("scenario_error")
+        for fig in ("scenario_error", "scenario_speed"):
+            with pytest.raises(ValueError, match="unknown scenario"):
+                run(fig, scenarios=["tsunami"])
+            with pytest.raises(ValueError, match="shards"):
+                run(fig, shards=0)
+
+    def test_scenario_error_one_table_per_grid_entry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        monkeypatch.setenv("REPRO_TRIALS", "1")
+        results = run("scenario_error", scenarios=["flash", "replay"])
         assert [r.figure for r in results] == [
             "scenario_error_flash", "scenario_error_replay"]
         for result in results:
@@ -194,23 +174,17 @@ class TestScenarioSweeps:
     def test_scenario_error_sharded_matches_single_for_sum_free_cells(
             self, monkeypatch):
         """Sharding changes the route, not the table shape."""
-        from repro.experiments.scenarios import using_scenario_grid
-
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         monkeypatch.setenv("REPRO_TRIALS", "1")
-        with using_scenario_grid(["drift"], shards=3):
-            (result,) = run("scenario_error")
+        (result,) = run("scenario_error", scenarios=["drift"], shards=3)
         assert "[3 shards]" in result.title
         assert {s.name for s in result.series} == {"SALSA CMS",
                                                    "SALSA CUS"}
 
     def test_scenario_speed_series_per_scenario(self, monkeypatch):
-        from repro.experiments.scenarios import using_scenario_grid
-
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         monkeypatch.setenv("REPRO_TRIALS", "1")
-        with using_scenario_grid(["drift", "churn"]):
-            (result,) = run("scenario_speed")
+        (result,) = run("scenario_speed", scenarios=["drift", "churn"])
         assert {s.name for s in result.series} == {"drift", "churn"}
         for series in result.series:
             assert all(mops.mean > 0 for _, mops in series.points)

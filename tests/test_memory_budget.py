@@ -1,6 +1,10 @@
-"""Every ``for_memory`` in the library builds a sketch within its byte
-budget (``memory_bytes <= budget``) or raises ``ValueError``: never a
-sketch over the budget it was sized for."""
+"""Every ``for_memory`` in the library, and every figure factory in
+``experiments/algorithms.py``, builds a sketch within its byte budget
+(``memory_bytes <= budget``) or raises ``ValueError``: never a sketch
+over the budget it was sized for.  The SALSA row sketches build the
+widest power of two that fits."""
+
+import inspect
 
 import pytest
 
@@ -11,6 +15,8 @@ from repro.core import (
     SalsaCountSketch,
     TangoCountMin,
 )
+from repro.core.sketch import RowSketch
+from repro.experiments import algorithms
 from repro.sketches import (
     AbcSketch,
     AeeSketch,
@@ -23,6 +29,7 @@ from repro.sketches import (
     PyramidSketch,
     UnivMon,
 )
+from repro.sketches.base import FixedWidth
 
 CONFIGS = (
     [(cls, {"s": s, "encoding": encoding})
@@ -48,6 +55,55 @@ def test_for_memory_never_builds_over_budget(cls, kwargs):
     for budget in range(1, 4097):
         try:
             sketch = cls.for_memory(budget, **kwargs)
+        except ValueError:
+            continue
+        if sketch.memory_bytes > budget:
+            over.append((budget, sketch.memory_bytes))
+    assert over == []
+
+
+ROW_CONFIGS = [(cls, kw) for cls, kw in CONFIGS if issubclass(cls, RowSketch)
+               and not issubclass(cls, FixedWidth)]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", ROW_CONFIGS,
+    ids=[f"{cls.__name__}-{'-'.join(map(str, kw.values()))}"
+         for cls, kw in ROW_CONFIGS])
+def test_row_sketch_width_is_the_largest_power_of_two_that_fits(cls, kwargs):
+    d = inspect.signature(cls.for_memory).parameters["d"].default
+    cost = {}  # power-of-two width -> memory_bytes at that width
+    w = 2
+    while cost.setdefault(w, cls(w=w, d=d, **kwargs).memory_bytes) <= 4096:
+        w *= 2
+    wrong = []
+    for budget in range(1, 4097):
+        widest = max((w for w, b in cost.items() if b <= budget), default=None)
+        try:
+            got = cls.for_memory(budget, **kwargs).w
+        except ValueError:
+            got = None
+        if got != widest:
+            wrong.append((budget, got, widest))
+    assert wrong == []
+
+
+FACTORIES = [(name, kw) for name, f in inspect.getmembers(
+                 algorithms, inspect.isfunction)
+             if f.__module__ == algorithms.__name__
+             for kw in ([{}, {"use_salsa": True}]
+                        if "use_salsa" in inspect.signature(f).parameters
+                        else [{}])]
+
+
+@pytest.mark.parametrize(
+    "name, kwargs", FACTORIES,
+    ids=[name + ("-salsa" if kw else "") for name, kw in FACTORIES])
+def test_figure_factories_never_build_over_budget(name, kwargs):
+    over = []
+    for budget in range(256, 128 * 1024 + 1, 256):
+        try:
+            sketch = getattr(algorithms, name)(budget, **kwargs)
         except ValueError:
             continue
         if sketch.memory_bytes > budget:

@@ -28,7 +28,13 @@ from repro.core import (
     _native,
 )
 from repro.core.row import SUM
-from repro.sketches import AeeSketch, CountSketch, NitroSketch
+from repro.sketches import (
+    AeeSketch,
+    CountSketch,
+    MisraGries,
+    NitroSketch,
+    SpaceSaving,
+)
 from repro.streams import WeightedTrace
 
 from answers import assert_answers
@@ -149,6 +155,35 @@ def test_aee_answers_like_the_per_item_query(name, work):
     sketch = feed(AEE[name](), stream)
     assert sketch.query_dtype == DTYPES[name]
     check_contract(sketch, probe)
+
+
+#: the counter-based heavy-hitter tables (k below the key pool, so
+#: misses evict)
+COUNTERS = {
+    "spacesaving": lambda: SpaceSaving(k=3),
+    "misra-gries": lambda: MisraGries(k=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+@settings(max_examples=25, deadline=None)
+@given(work=workloads())
+def test_counter_tables_answer_like_the_per_item_query(name, work):
+    stream, probe = work
+    sketch = feed(COUNTERS[name](), stream)
+    assert sketch.query_dtype == np.int64
+    check_contract(sketch, probe)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+def test_counter_table_count_past_int64_raises(name):
+    sketch = COUNTERS[name]()
+    sketch.update(7, (1 << 63) - 1)
+    sketch.update(7, 1)
+    assert sketch.query(7) == 1 << 63
+    with pytest.raises(ValueError):
+        sketch.query_many([7])
+    check_contract(sketch, [8, 9, 8])
 
 
 WINDOWED = {
