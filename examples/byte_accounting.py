@@ -2,12 +2,14 @@
 
 Section IV notes practitioners "allocate ... 64-bit counters for
 measuring weighted-frequency (e.g. byte counts)".  That is exactly
-where fixed-width counters hurt most: a 64-bit-per-cell CMS fits 8x
-fewer counters than SALSA's 8-bit cells, yet almost every flow's byte
-count fits in far fewer bits.
+where fixed-width counters hurt most: a 63-bit-per-cell CMS (the
+widest the fixed-width CMS takes; at this budget it fits as many
+counters per row as 64 bits would) fits a quarter as many counters
+per row as SALSA's 8-bit cells, yet almost every flow's byte count
+fits in far fewer bits.
 
 This example weights a skewed packet stream with realistic (bimodal)
-packet sizes and compares byte-count estimates from a 64-bit baseline
+packet sizes and compares byte-count estimates from a 63-bit baseline
 CMS and a SALSA CMS at the same memory budget.
 
 Run:  python examples/byte_accounting.py
@@ -24,10 +26,10 @@ def main() -> None:
     packets = zipf_trace(STREAM, skew=1.1, universe=30_000, seed=11)
     stream = packet_size_weights(packets, seed=11)
 
-    baseline = CountMinSketch.for_memory(MEMORY, d=4, counter_bits=64, seed=2)
+    baseline = CountMinSketch.for_memory(MEMORY, d=4, counter_bits=63, seed=2)
     salsa = SalsaCountMin.for_memory(MEMORY, d=4, s=8, seed=2)
     print(f"memory budget {MEMORY // 1024}KB:")
-    print(f"  64-bit baseline: {baseline.w} counters/row")
+    print(f"  63-bit baseline: {baseline.w} counters/row")
     print(f"  SALSA (s=8):     {salsa.w} counters/row "
           f"({salsa.w / baseline.w:.1f}x)")
 

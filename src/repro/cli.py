@@ -465,16 +465,14 @@ def cmd_figure(args) -> int:
     from repro.experiments.__main__ import main as experiments_main
 
     argv = list(args.figures)
-    jobs = getattr(args, "jobs", None)
-    if jobs:
-        argv = ["--jobs", str(jobs)] + argv
-    scenario = getattr(args, "scenario", None)
-    if scenario:
-        argv = ["--scenario", scenario] + argv
-    shards = getattr(args, "shards", None)
-    if shards:
-        argv = ["--shards", str(shards)] + argv
-    return experiments_main(argv)
+    for flag in ("jobs", "scenario", "shards"):
+        value = getattr(args, flag)
+        if value is not None:
+            argv = [f"--{flag}", str(value)] + argv
+    try:
+        return experiments_main(argv)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 # ----------------------------------------------------------------------

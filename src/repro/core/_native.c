@@ -5,10 +5,11 @@
  * a VectorRowEngine's arrays: values[j] is the decoded value of the
  * counter containing slot j (uint64 for unsigned rows, int64 for
  * sign-magnitude rows, duplicated across a merged block) and levels[j]
- * its merge level, so its block starts at start_of(levels, j).  All
- * arithmetic is in __int128, so uint64 saturation, sign-magnitude
- * clamps and clamping at zero are exact.  Merges and saturations are
- * counted per row in counts[2 * r] and counts[2 * r + 1].
+ * its merge level, so its block starts at start_of(levels, j).  The
+ * walks compute in __int128, so uint64 saturation, sign-magnitude
+ * clamps and clamping at zero are exact; the batch door sums in uint64
+ * and flags whatever could overflow instead.  Merges and saturations
+ * are counted per row in counts[2 * r] and counts[2 * r + 1].
  *
  *   salsa_cu_walk      == SalsaConservativeUpdate.update per item
  *   salsa_absorb       == ops._absorb_walk over b's counters in slot order
@@ -62,19 +63,15 @@ static inline i128 clamp(i128 x, int64_t width, int sgn)
     return x > hi ? hi : (x < lo ? lo : x);
 }
 
-/* VectorRowEngine.write_block */
-static void write_block(row_t *r, int64_t start, int64_t level, i128 x)
+/* VectorRowEngine.write_block: x is the value's 64-bit word (two's
+ * complement on a signed row). */
+static void write_block(void *values, int64_t start, int64_t level,
+                        uint64_t x)
 {
+    uint64_t *v = values;
     int64_t end = start + ((int64_t)1 << level);
-    if (r->sgn) {
-        int64_t *v = (int64_t *)r->values;
-        for (int64_t k = start; k < end; k++)
-            v[k] = (int64_t)x;
-    } else {
-        uint64_t *v = (uint64_t *)r->values;
-        for (int64_t k = start; k < end; k++)
-            v[k] = (uint64_t)x;
-    }
+    for (int64_t k = start; k < end; k++)
+        v[k] = x;
 }
 
 /* SalsaRow._grow: merge (start, level) upward once, folding the
@@ -114,7 +111,7 @@ static void settle(row_t *r, int64_t start, int64_t level, i128 value)
         }
         grow(r, &start, &level, &value);
     }
-    write_block(r, start, level, value);
+    write_block(r->values, start, level, (uint64_t)value);
 }
 
 /* The value SalsaRow.add stores before any merge: the counter at
@@ -146,7 +143,8 @@ static void ensure_level(row_t *r, int64_t j, int64_t target_level)
     while (level < target_level) {
         i128 value = get(r->values, start, r->sgn);
         grow(r, &start, &level, &value);
-        write_block(r, start, level, clamp(value, r->s << level, r->sgn));
+        write_block(r->values, start, level,
+                    (uint64_t)clamp(value, r->s << level, r->sgn));
     }
 }
 
@@ -213,69 +211,81 @@ int salsa_absorb(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
 /*
  * Merge-free batch apply on one row.  Counters merge only inside their
  * 2^max_level-aligned superblock, so superblocks are independent.  The
- * batch (idx[t], val[t]) is summed per live counter; a superblock is
- * dirty when one of its touched counters could leave its width under
- * the batch, i.e. |value| + inflow does not fit (or, on unsigned rows,
- * any delta is negative, since the per-item walk clamps at zero).
- * Dirty superblocks are flagged in dirty[] and never written; with
- * apply set, every other touched counter gets value + net.  Returns
- * the number of dirty superblocks, -1 (nothing written) on an index
- * outside [0, w), or -2 when scratch memory cannot be allocated.
+ * batch (idx[t], val[t]) is summed per live counter into a table
+ * indexed by counter start: net, the sum of its deltas mod 2^64, and
+ * mag, the sum of their magnitudes.  A superblock is dirty when one of
+ * its touched counters could leave its width under the batch, i.e.
+ * |value| + mag does not fit: flagged as soon as mag passes 2^64 - 1
+ * (no width holds it) or, on unsigned rows, a delta is negative (the
+ * per-item walk clamps at zero), and otherwise checked once per
+ * touched counter.  A clean counter's net is exact (|net| <= mag fits
+ * 64 bits), so its new value is one word add.  Dirty superblocks are
+ * flagged in dirty[] and never written; with apply set, every other
+ * touched counter gets value + net.  Returns the number of dirty
+ * superblocks, -1 (nothing written) on an index outside [0, w), or -2
+ * when scratch memory cannot be allocated.
  */
 int64_t salsa_add_partial(int64_t w, int64_t s, int64_t max_level,
                           int64_t sgn, void *values, const int64_t *levels,
                           int64_t n, const int64_t *idx, const int64_t *val,
                           int64_t apply, uint8_t *dirty)
 {
-    /* One entry per touched counter, in first-touch order; pos[start]
-     * is 1 + its entry, or 0 while untouched. */
-    struct flow { i128 net, mag; int64_t start; } *acc =
-        malloc((size_t)(n ? n : 1) * sizeof *acc);
-    int64_t *pos = calloc((size_t)w, sizeof *pos);
-    int64_t m = 0, ndirty = -1;
-    if (!acc || !pos) {
-        ndirty = -2;
+    uint64_t outside = 0;
+    for (int64_t t = 0; t < n; t++)
+        outside |= (uint64_t)idx[t] >= (uint64_t)w;
+    if (outside)
+        return -1;
+    /* acc[start] and seen[start] per counter start; starts[] lists the
+     * touched starts in first-touch order. */
+    struct flow { uint64_t net, mag; } *acc = calloc((size_t)w, sizeof *acc);
+    uint8_t *seen = calloc((size_t)w, 1);
+    int64_t *starts = malloc((size_t)(n ? n : 1) * sizeof *starts);
+    uint64_t *words = values;
+    int64_t m = 0, ndirty = -2;
+    if (!acc || !seen || !starts)
         goto out;
-    }
-    for (int64_t t = 0; t < n; t++) {
-        if (idx[t] < 0 || idx[t] >= w)
-            goto out;
-        int64_t st = start_of(levels, idx[t]);
-        if (!pos[st]) {
-            struct flow fresh = {0, 0, st};
-            acc[m] = fresh;
-            pos[st] = ++m;
-        }
-        struct flow *f = &acc[pos[st] - 1];
-        f->net += val[t];
-        f->mag += val[t] < 0 ? -(i128)val[t] : (i128)val[t];
-    }
     ndirty = 0;
-    for (int64_t k = 0; k < m; k++) {
-        struct flow *f = &acc[k];
-        i128 cur = get(values, f->start, (int)sgn);
-        /* the largest magnitude any order of the adds can reach */
-        i128 peak = (cur < 0 ? -cur : cur) + f->mag;
-        int ok = fits(peak, s << levels[f->start], (int)sgn)
-                 && (sgn || f->net == f->mag);
-        if (!ok && !dirty[f->start >> max_level]) {
-            dirty[f->start >> max_level] = 1;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t st = start_of(levels, idx[t]);
+        uint64_t v = (uint64_t)val[t], neg = v >> 63;
+        starts[m] = st;
+        m += !seen[st];
+        seen[st] = 1;
+        acc[st].net += v;
+        int flag = __builtin_add_overflow(acc[st].mag,
+                                          (v ^ -neg) + neg /* |val[t]| */,
+                                          &acc[st].mag);
+        if ((flag | (neg & !sgn)) && !dirty[st >> max_level]) {
+            dirty[st >> max_level] = 1;
             ndirty++;
         }
     }
-    if (apply) {
-        row_t r = {values, (int64_t *)levels, s, max_level, (int)sgn, 0,
-                   NULL};
-        for (int64_t k = 0; k < m; k++) {
-            struct flow *f = &acc[k];
-            if (f->net && !dirty[f->start >> max_level])
-                write_block(&r, f->start, levels[f->start],
-                            get(values, f->start, (int)sgn) + f->net);
+    for (int64_t k = 0; k < m; k++) {
+        int64_t st = starts[k];
+        if (dirty[st >> max_level])
+            continue;
+        uint64_t cur = words[st], peak;
+        if (sgn && (int64_t)cur < 0)
+            cur = -cur;
+        /* fits(peak), peak being the largest magnitude any order of the
+         * adds can reach: < 2^width unsigned, <= 2^(width-1) - 1 signed */
+        int64_t width = s << levels[st];
+        if (__builtin_add_overflow(cur, acc[st].mag, &peak)
+            || peak >> (width - 1) >> !sgn) {
+            dirty[st >> max_level] = 1;
+            ndirty++;
         }
     }
+    if (apply)
+        for (int64_t k = 0; k < m; k++) {
+            int64_t st = starts[k];
+            if (acc[st].net && !dirty[st >> max_level])
+                write_block(values, st, levels[st], words[st] + acc[st].net);
+        }
 out:
     free(acc);
-    free(pos);
+    free(seen);
+    free(starts);
     return ndirty;
 }
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.experiments import report
 from repro.experiments.__main__ import main
 
 
@@ -19,11 +20,13 @@ class TestMain:
         assert "fig10a" in capsys.readouterr().out
 
     def test_runs_figure(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         monkeypatch.setenv("REPRO_TRIALS", "1")
         assert main(["fig5b"]) == 0
         out = capsys.readouterr().out
         assert "fig5b" in out and "SALSA Max" in out
+        assert (tmp_path / "fig5b.txt").exists()
 
     def test_unknown_figure_raises(self):
         with pytest.raises(KeyError):

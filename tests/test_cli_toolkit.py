@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import SKETCHES, _parse_memory, main
+from repro.experiments import report
 
 
 @pytest.fixture
@@ -223,22 +224,39 @@ class TestScenario:
 
 
 class TestFigureAlias:
-    def test_figure_runs_one(self, capsys, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def results_dir(self, monkeypatch, tmp_path):
+        """Tables land in ``tmp_path``, never in the tracked results/."""
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRIALS", "1")
         monkeypatch.setenv("REPRO_SCALE", "0.02")   # ~2.6K updates
+        return tmp_path
+
+    def test_figure_runs_one(self, capsys, results_dir):
         code = main(["figure", "fig5b"])
         assert code == 0
         assert "fig5b" in capsys.readouterr().out
+        assert "fig5b" in (results_dir / "fig5b.txt").read_text()
 
-    def test_figure_scenario_grid_passthrough(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIALS", "1")
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
+    def test_figure_scenario_grid_passthrough(self, capsys, results_dir):
         code = main(["figure", "--scenario", "flash", "--shards", "2",
                      "scenario_error"])
         assert code == 0
         out = capsys.readouterr().out
         assert "scenario_error_flash" in out and "[2 shards]" in out
         assert "drift" not in out                 # grid was scoped
+        assert [p.name for p in results_dir.iterdir()] == [
+            "scenario_error_flash.txt"]
+
+    @pytest.mark.parametrize("flag", ["--shards", "--jobs"])
+    def test_zero_is_a_clean_error(self, flag, results_dir):
+        """``0`` is forwarded, not dropped as falsy, and fails as
+        ``python -m repro.experiments`` does, before any figure runs."""
+        with pytest.raises(SystemExit) as info:
+            main(["figure", flag, "0", "scenario_error"])
+        assert str(info.value) == (
+            f"error: {flag.lstrip('-')} must be >= 1, got 0")
+        assert list(results_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -443,13 +443,16 @@ def test_using_jobs_validates_and_restores():
         using_jobs(0).__enter__()
 
 
-def test_experiments_cli_accepts_jobs(monkeypatch, capsys):
+def test_experiments_cli_accepts_jobs(monkeypatch, capsys, tmp_path):
+    from repro.experiments import report
     from repro.experiments.__main__ import main
 
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SCALE", "0.02")
     monkeypatch.setenv("REPRO_TRIALS", "1")
     assert main(["--jobs", "2", "fig5b"]) == 0
     assert "fig5b" in capsys.readouterr().err
+    assert (tmp_path / "fig5b.txt").exists()
 
 
 # ----------------------------------------------------------------------

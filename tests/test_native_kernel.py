@@ -308,6 +308,84 @@ def test_add_partial_flags_exactly_past_the_width_bound(config, s):
                         else set(np.flatnonzero(mask).tolist())) == dirty
 
 
+def door_mask(row, idxs, vals):
+    """The dirty superblocks the kernel's batch door names (apply off,
+    so the row is checked to stay as it was)."""
+    if _native.library() is None:
+        pytest.skip("native kernel unavailable")
+    before = row_arrays(row)
+    mask = row.add_batch_partial(idxs, vals, apply=False)
+    assert row_arrays(row) == before
+    return set() if mask is None else set(np.flatnonzero(mask).tolist())
+
+
+def test_add_partial_on_a_perfbench_shaped_batch():
+    """A 64 KiB-sketch row (w = 8192) with merged counters takes 8192
+    Zipf keys, some landing on different slots of one merged block:
+    the door names exactly the predicate's superblocks, and the row
+    ends where the per-item replay with the kernel off leaves it."""
+    rng = np.random.default_rng(1)
+    row = SalsaRow(w=8192, s=8)
+    for j, v in ((8, 300), (16, 70_000), (104, 1 << 40)):
+        row.add(j, v)                     # levels 1, 2 and 3
+    assert [row.level_of(j) for j in (8, 16, 104)] == [1, 2, 3]
+    ranks = np.minimum(rng.zipf(1.2, 8192 - 8), 8192) - 1
+    idxs = np.concatenate([rng.permutation(8192)[ranks],
+                           [16, 17, 18, 19, 104, 111, 8, 9]])
+    vals = np.ones(len(idxs), dtype=np.int64)
+    expect = merge_free_dirty(row, idxs.tolist(), vals.tolist())
+    assert expect and len(expect) < 1024 // 8   # dirty and clean both
+    assert door_mask(row, idxs, vals) == expect
+    off = row.copy()
+    row.add_many(idxs, vals)
+    with kernel_off():
+        off.add_many(idxs, vals)
+    assert row_arrays(row) == row_arrays(off)
+    assert row_state(row) == row_state(off)
+
+
+@pytest.mark.parametrize("config", sorted(ROW_CONFIGS))
+def test_add_partial_flags_an_inflow_past_2_64(config):
+    """Three ``2^63 - 1`` deltas on one 64-bit counter: the absolute
+    inflow passes ``2^64`` (no width holds it, though its sum mod
+    ``2^64`` would fit), so its superblock is dirty."""
+    row = SalsaRow(w=ROW_W, s=64, max_bits=64, **ROW_CONFIGS[config])
+    vals = [INT64_MAX] * 3
+    assert merge_free_dirty(row, [42] * 3, vals) == {42 >> row.max_level}
+    assert door_mask(row, [42] * 3, vals) == {42 >> row.max_level}
+
+
+def test_add_partial_fills_a_64_bit_counter_to_its_last_value():
+    """Deltas summing to exactly ``2^64 - 1`` on a 64-bit counter
+    holding 0 stay clean and land in one bulk add."""
+    row = SalsaRow(w=ROW_W, s=64, max_bits=64)
+    vals = [INT64_MAX, INT64_MAX, 1]
+    assert door_mask(row, [5] * 3, vals) == set()
+    assert row.add_batch_partial([5] * 3, vals) is None
+    assert row.read(5) == (1 << 64) - 1
+
+
+def test_add_partial_writes_nothing_for_a_net_zero_signed_counter():
+    """``+x, -x`` on a signed row: clean, and the counter is not
+    written (its net delta is zero)."""
+    row = SalsaRow(w=ROW_W, s=8, merge="sum", signed=True)
+    row.add(9, -7)
+    before = row_arrays(row)
+    assert door_mask(row, [9, 9], [50, -50]) == set()
+    assert row.add_batch_partial([9, 9], [50, -50]) is None
+    assert row_arrays(row) == before
+
+
+@pytest.mark.parametrize("w, idxs", [(ROW_W, []), (1 << 16, [12_345])])
+def test_add_partial_on_an_empty_or_one_key_batch(w, idxs):
+    """An empty batch and one key on a 2^16-wide row are clean."""
+    row = SalsaRow(w=w, s=8)
+    vals = [7] * len(idxs)
+    assert door_mask(row, idxs, vals) == set()
+    assert row.add_batch_partial(idxs, vals) is None
+    assert [row.read(j) for j in idxs] == vals
+
+
 BATCH_CONFIGS = {
     "cms-max": (SalsaCountMin, dict(merge="max"), False),
     "cms-sum": (SalsaCountMin, dict(merge="sum"), True),
