@@ -6,12 +6,17 @@
  * counter containing slot j (uint64 for unsigned rows, int64 for
  * sign-magnitude rows, duplicated across a merged block) and levels[j]
  * its merge level, so its block starts at start_of(levels, j).  The
- * walks compute in __int128, so uint64 saturation, sign-magnitude
- * clamps and clamping at zero are exact; the batch door sums in uint64
- * and flags whatever could overflow instead.  Merges and saturations
- * are counted per row in counts[2 * r] and counts[2 * r + 1].
+ * walks' merge and saturation steps compute in __int128, so uint64
+ * saturation, sign-magnitude clamps and clamping at zero are exact;
+ * the batch door and the CUS walk sum in uint64 and hand whatever
+ * could overflow to those steps instead.  Merges and saturations are
+ * counted per row in counts[2 * r] and counts[2 * r + 1].  The CUS
+ * walk and the min-query hash their keys themselves, with the mix64
+ * of hashing/family.py.
  *
- *   salsa_cu_walk      == SalsaConservativeUpdate.update per item
+ *   salsa_cu_walk      == hash, then SalsaConservativeUpdate.update
+ *                         per item
+ *   salsa_min_query    == hash, then RowSketch.query per item
  *   salsa_absorb       == ops._absorb_walk over b's counters in slot order
  *   salsa_add_partial  == the merge-free part of a batch of SalsaRow.add
  *   salsa_replay       == SalsaRow.add over a batch's dirty-superblock
@@ -148,36 +153,91 @@ static void ensure_level(row_t *r, int64_t j, int64_t target_level)
     }
 }
 
+/* The splitmix64 finalizer of hashing.family.mix64. */
+static inline uint64_t mix64(uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
 /*
  * Stream-order conservative update over d unsigned max-merge rows:
- * item t raises each of its counters idx[r][t] to at least
- * min_r(counter) + vals[t].  Returns -1, writing nothing, when d < 1
- * or a slot lies outside [0, w).
+ * item t hashes to slot mix64(items[t] ^ seeds[r]) & (w - 1) of row r
+ * and raises each of its d counters to at least min_r(counter) +
+ * vals[t].  The target is summed in uint64, and each counter's new
+ * value max(counter, target) is stored in place, over its whole block,
+ * when it fits the counter's width; every other case -- a target past
+ * 2^64 - 1 or a negative vals[t] (both computed in __int128), a
+ * counter that must merge or saturate -- goes through set_at_least, as
+ * the reference does.  Returns -1, writing nothing, when
+ * d < 1 or w is not a power of two.
  */
 int salsa_cu_walk(int64_t d, int64_t n, int64_t w, int64_t s,
                   int64_t max_level, void **values, int64_t **levels,
-                  const int64_t **idx, const int64_t *vals, int64_t *counts)
+                  const uint64_t *seeds, const int64_t *items,
+                  const int64_t *vals, int64_t *counts)
 {
-    if (d < 1)
+    if (d < 1 || w < 1 || (w & (w - 1)))
         return -1;
-    for (int64_t r = 0; r < d; r++)
-        for (int64_t t = 0; t < n; t++)
-            if (idx[r][t] < 0 || idx[r][t] >= w)
-                return -1;
     row_t rows[d];
+    int64_t slot[d];
+    uint64_t cur[d];
     for (int64_t r = 0; r < d; r++) {
         row_t row = {values[r], levels[r], s, max_level, 0, 1, counts + 2 * r};
         rows[r] = row;
     }
+    uint64_t mask = (uint64_t)w - 1;
     for (int64_t t = 0; t < n; t++) {
-        i128 est = get(rows[0].values, idx[0][t], 0);
-        for (int64_t r = 1; r < d; r++) {
-            i128 c = get(rows[r].values, idx[r][t], 0);
-            est = c < est ? c : est;
+        uint64_t est = UINT64_MAX, target;
+        for (int64_t r = 0; r < d; r++) {
+            slot[r] = (int64_t)(mix64((uint64_t)items[t] ^ seeds[r]) & mask);
+            cur[r] = ((const uint64_t *)values[r])[slot[r]];
+            est = cur[r] < est ? cur[r] : est;
         }
-        i128 target = est + vals[t];
-        for (int64_t r = 0; r < d; r++)
-            set_at_least(&rows[r], idx[r][t], target);
+        if (vals[t] < 0
+            || __builtin_add_overflow(est, (uint64_t)vals[t], &target)) {
+            for (int64_t r = 0; r < d; r++)
+                set_at_least(&rows[r], slot[r], (i128)est + vals[t]);
+            continue;
+        }
+        /* Each counter becomes max(cur, target), stored without a
+         * branch on which is larger when it fits. */
+        for (int64_t r = 0; r < d; r++) {
+            int64_t j = slot[r], level = levels[r][j];
+            uint64_t top = cur[r] > target ? cur[r] : target;
+            if (top >> ((s << level) - 1) >> 1)  /* !fits(top) */
+                set_at_least(&rows[r], j, target);
+            else if (level)
+                write_block(values[r], start_of(levels[r], j), level, top);
+            else
+                ((uint64_t *)values[r])[j] = top;
+        }
+    }
+    return 0;
+}
+
+/*
+ * The min-over-rows batch query of d unsigned rows: out[t] is the
+ * smallest of values[r][mix64(items[t] ^ seeds[r]) & (w - 1)] over the
+ * rows (a row's values duplicate each counter across its block, so
+ * one gather reads it).  Returns -1, writing nothing, when d < 1 or w
+ * is not a power of two.
+ */
+int salsa_min_query(int64_t d, int64_t n, int64_t w,
+                    const uint64_t *const *values, const uint64_t *seeds,
+                    const int64_t *items, uint64_t *out)
+{
+    if (d < 1 || w < 1 || (w & (w - 1)))
+        return -1;
+    uint64_t mask = (uint64_t)w - 1;
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t est = UINT64_MAX;
+        for (int64_t r = 0; r < d; r++) {
+            uint64_t j = mix64((uint64_t)items[t] ^ seeds[r]) & mask;
+            est = values[r][j] < est ? values[r][j] : est;
+        }
+        out[t] = est;
     }
     return 0;
 }
@@ -331,10 +391,6 @@ int64_t salsa_replay(int64_t w, int64_t s, int64_t max_level, int64_t sgn,
 void salsa_hash(int64_t n, const uint64_t *items, uint64_t seed,
                 uint64_t mask, uint64_t *out)
 {
-    for (int64_t t = 0; t < n; t++) {
-        uint64_t x = items[t] ^ seed;
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-        out[t] = (x ^ (x >> 31)) & mask;
-    }
+    for (int64_t t = 0; t < n; t++)
+        out[t] = mix64(items[t] ^ seed) & mask;
 }

@@ -4,7 +4,11 @@ The SALSA walks run in C over a
 :class:`~repro.core.engines.VectorRowEngine`'s arrays:
 
 * :func:`cu_walk` -- the stream-order conservative update of SALSA
-  CUS, equal to :meth:`SalsaConservativeUpdate.update` per item;
+  CUS, equal to :meth:`SalsaConservativeUpdate.update` per item; it
+  hashes each key itself;
+* :func:`min_query` -- the min-over-rows batch query of unsigned rows,
+  equal to :meth:`RowSketch.query` per item: one pass that hashes each
+  key, gathers it from every row and keeps the minimum;
 * :func:`absorb` -- one row of ``ops.merge``/``ops.subtract``, equal to
   ``ops._absorb_walk`` over ``b``'s counters in slot order;
 * :func:`add_partial` -- the vector engine's merge-free batch door
@@ -23,16 +27,18 @@ One more kernel serves the hashing layer:
 
 The walks count merges and saturations into the rows'
 ``merge_events`` and ``saturations`` exactly as :class:`SalsaRow`
-does.  The Python walks and :func:`repro.hashing.mix64_many` stay the
-reference: callers take them whenever :func:`usable` or
-:func:`library` says no (bit-packed rows, or no C compiler), and
+does.  The Python walks, :func:`repro.sketches.base.batched_min_query`
+and :func:`repro.hashing.mix64_many` stay the reference: callers take
+them whenever :func:`usable` or :func:`library` says no (bit-packed
+rows, or no C compiler), and
 without the library the vector batch door reports every superblock
 dirty, so SALSA CMS/CS batches replay per item through
 :meth:`SalsaRow.add`.
 
 Every wrapper checks what it hands C (dtype, shape, contiguity,
 writability), and every kernel that takes slots checks them against
-the row width before it writes anything.  A vector engine's two arrays are checked
+the row width before it writes anything; the two that hash mask their
+own slots into the row.  A vector engine's two arrays are checked
 once per pair of arrays: their addresses are cached by engine in a
 :class:`weakref.WeakKeyDictionary` and reused while both arrays are
 still the engine's own (``is``), so a copy, a pickle round trip or a
@@ -122,8 +128,10 @@ def _build() -> str:
 def _load():
     lib = ctypes.CDLL(_build())
     i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
-    lib.salsa_cu_walk.argtypes = [i64] * 5 + [ptr] * 5
+    lib.salsa_cu_walk.argtypes = [i64] * 5 + [ptr] * 6
     lib.salsa_cu_walk.restype = ctypes.c_int
+    lib.salsa_min_query.argtypes = [i64] * 3 + [ptr] * 4
+    lib.salsa_min_query.restype = ctypes.c_int
     lib.salsa_absorb.argtypes = [i64] * 5 + [ptr] * 4 + [i64, ptr]
     lib.salsa_absorb.restype = ctypes.c_int
     lib.salsa_add_partial.argtypes = [i64] * 4 + [ptr] * 2 + [i64] + \
@@ -224,31 +232,59 @@ def mix(items: np.ndarray, seeds, mask: int, out: np.ndarray) -> None:
         dst += 8 * n
 
 
-def cu_walk(rows, idx: np.ndarray, values: np.ndarray) -> None:
-    """Conservative-update ``values`` (positive int64) into unsigned
-    max-merge vector ``rows``; ``idx`` is the ``(d, n)`` int64 matrix
-    of :meth:`HashFamily.index_matrix`, every entry in ``[0, w)``."""
-    lib = library()
-    d, n = len(rows), len(values)
+def _alike(rows, merge: str):
+    """The head of ``rows``, once every row is an unsigned vector row
+    of its shape with merge policy ``merge``."""
     head = rows[0]
     if any((row.w, row.s, row.max_level, row.merge, row.signed)
-           != (head.w, head.s, head.max_level, MAX, False)
+           != (head.w, head.s, head.max_level, merge, False)
            for row in rows):
-        raise ValueError("cu_walk needs alike unsigned max-merge rows")
+        raise ValueError(f"native kernel needs alike unsigned {merge}-merge "
+                         f"rows")
+    return head
+
+
+def cu_walk(sketch, items: np.ndarray, values: np.ndarray) -> None:
+    """Conservative-update the int64 batch ``items``/``values`` (values
+    positive) into ``sketch``'s unsigned max-merge vector rows, each
+    key hashed by the sketch's :class:`HashFamily`."""
+    lib = library()
+    rows = sketch.rows
+    d, n = len(rows), len(items)
+    head = _alike(rows, MAX)
     ptrs = [_row_ptrs(row.engine) for row in rows]
-    idx_ptr = _ptr(idx, _I64, (d, n))
     arrays = ctypes.c_void_p * d
     counts = np.zeros(2 * d, dtype=np.int64)
     status = lib.salsa_cu_walk(
         d, n, head.w, head.s, head.max_level,
         arrays(*(p[0] for p in ptrs)), arrays(*(p[1] for p in ptrs)),
-        arrays(*(idx_ptr + 8 * n * r for r in range(d))),
-        _ptr(values, _I64, (n,)), _ptr(counts, _I64, (2 * d,), True))
+        (ctypes.c_uint64 * d)(*sketch.hashes.seeds),
+        _ptr(items, _I64, (n,)), _ptr(values, _I64, (n,)),
+        _ptr(counts, _I64, (2 * d,), True))
     if status:
-        raise ValueError(f"cu_walk slots must lie in [0, {head.w})")
+        raise ValueError(f"cu_walk needs a power-of-two width, got {head.w}")
     for row, (merges, sats) in zip(rows, counts.reshape(d, 2).tolist()):
         row.merge_events += merges
         row.saturations += sats
+
+
+def min_query(sketch, items: np.ndarray) -> np.ndarray:
+    """The minimum over ``sketch``'s unsigned vector rows of each int64
+    key's counter, as uint64, each key hashed by the sketch's
+    :class:`HashFamily`."""
+    lib = library()
+    rows = sketch.rows
+    d, n = len(rows), len(items)
+    head = _alike(rows, rows[0].merge)
+    out = np.empty(n, dtype=np.uint64)
+    status = lib.salsa_min_query(
+        d, n, head.w,
+        (ctypes.c_void_p * d)(*(_row_ptrs(row.engine)[0] for row in rows)),
+        (ctypes.c_uint64 * d)(*sketch.hashes.seeds),
+        _ptr(items, _I64, (n,)), _ptr(out, _U64, (n,), True))
+    if status:
+        raise ValueError(f"min_query needs a power-of-two width, got {head.w}")
+    return out
 
 
 def absorb(a_row, b_row, sign: int) -> None:

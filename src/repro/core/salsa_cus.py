@@ -64,9 +64,9 @@ class SalsaConservativeUpdate(RowSketch):
 
         The conservative rule couples rows through the pre-update
         minimum, so the walk stays in stream order.  On vector rows it
-        runs natively (:func:`repro.core._native.cu_walk`) over the
-        indices of one :meth:`HashFamily.index_matrix` call; bit-packed
-        rows, or a machine without a C compiler, take the per-item loop.
+        runs natively (:func:`repro.core._native.cu_walk`), hashing
+        each key in the same pass; bit-packed rows, or a machine
+        without a C compiler, take the per-item loop.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:
@@ -77,8 +77,7 @@ class SalsaConservativeUpdate(RowSketch):
         if not _native.usable(self.rows):
             BatchOpsMixin.update_many(self, items, values)
             return
-        _native.cu_walk(self.rows, self.hashes.index_matrix(items, self.w,
-                                                            self.d), values)
+        _native.cu_walk(self, items, values)
 
     # In the class dict, where perfbench's tracer wraps it by name.
     query_many = RowSketch.query_many

@@ -29,11 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import HashFamily, mix64
+from repro.core import _native
 from repro.core.row import MAX, SUM
 from repro.sketches.base import (
     BatchOpsMixin,
     StreamModel,
     as_item,
+    as_keys,
     batched_min_query,
     row_hashes,
     width_for_memory,
@@ -121,8 +123,13 @@ class RowSketch(BatchOpsMixin):
         return est
 
     def query_many(self, items) -> np.ndarray:
-        """Batched query: one hash call and one gather per row over the
-        raw batch, answered as uint64."""
+        """Batched query over the raw batch, answered as uint64: on
+        unsigned vector rows one native pass hashes, gathers and takes
+        the minimum (:func:`repro.core._native.min_query`); otherwise
+        one hash call and one gather per row."""
+        if not self.rows[0].signed and _native.usable(self.rows):
+            return _native.min_query(self, as_keys(items))
+
         def row_values(row_id, keys):
             idxs = self.hashes.index_many(keys, row_id, self.w)
             return self.rows[row_id].read_many(idxs)

@@ -27,6 +27,7 @@ from repro.sketches.base import (
     add_exact,
     answer_dtype,
     as_batch,
+    as_keys,
     batch_answers,
 )
 
@@ -145,7 +146,7 @@ class WindowedSketch:
         """Window estimates for a batch: current plus previous epoch,
         through each resident sketch's ``query_many`` when available.
         A sum past the answer dtype raises ``ValueError``."""
-        items, _ = as_batch(items)
+        items = as_keys(items)
         totals = batch_answers(self.current, items)
         if self.previous is not None:
             totals = add_exact(totals, batch_answers(self.previous, items))

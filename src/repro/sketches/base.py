@@ -108,6 +108,18 @@ def as_item(item, value=1) -> tuple[int, int]:
     return _int64_scalar(item, "keys"), _int64_scalar(value, "values")
 
 
+def as_keys(items) -> np.ndarray:
+    """The keys of a batch as :func:`as_batch` normalizes them (and
+    with its ``ValueError``), for the query doors: no unit weights are
+    built, and a WeightedTrace's values are not read."""
+    if (type(items) is np.ndarray and items.dtype == _INT64
+            and items.ndim == 1 and items.flags.c_contiguous):
+        return items
+    if isinstance(getattr(items, "items", None), np.ndarray):
+        items = items.items  # a Trace
+    return _int64_column(items, "keys")
+
+
 def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
     """Normalize an update batch to int64 ``(items, values)`` arrays.
 
@@ -122,7 +134,7 @@ def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
             and items.ndim == 1 and items.shape == values.shape
             and items.flags.c_contiguous and values.flags.c_contiguous):
         return items, values  # every internal caller's shape, as is
-    if hasattr(items, "items") and isinstance(getattr(items, "items"), np.ndarray):
+    if isinstance(getattr(items, "items", None), np.ndarray):
         trace_values = getattr(items, "values", None)
         if isinstance(trace_values, np.ndarray):  # a WeightedTrace
             if values is not None:
@@ -131,8 +143,7 @@ def as_batch(items, values=None) -> tuple[np.ndarray, np.ndarray]:
                     "values array"
                 )
             values = trace_values
-        items = items.items  # a Trace
-    items = _int64_column(items, "keys")
+    items = as_keys(items)
     if values is None:
         values = np.ones(len(items), dtype=np.int64)
     else:
@@ -210,7 +221,7 @@ def batched_min_query(items, d: int, row_values) -> np.ndarray:
     minimum across rows, in the rows' dtype.  Bit-identical to per-item
     min queries because reads are pure.
     """
-    items, _ = as_batch(items)
+    items = as_keys(items)
     est = row_values(0, items)
     for row_id in range(1, d):
         est = np.minimum(est, row_values(row_id, items))
@@ -225,7 +236,7 @@ def batched_median_query(items, d: int, row_votes) -> np.ndarray:
     :func:`median_dtype` ``(d)``
     (:func:`~repro.sketches._kernels.median_over_rows`).
     """
-    items, _ = as_batch(items)
+    items = as_keys(items)
     votes = np.empty((d, len(items)), dtype=np.int64)
     for row_id in range(d):
         votes[row_id] = row_votes(row_id, items)
@@ -320,12 +331,12 @@ class BatchOpsMixin:
         """Per-item ``query`` over a batch, preserving order, as one
         :attr:`query_dtype` array.
 
-        Normalizes through :func:`as_batch` so lists, tuples, NumPy
+        Normalizes through :func:`as_keys` so lists, tuples, NumPy
         arrays, Traces, and WeightedTraces are all accepted uniformly
-        (the same front door ``update_many`` uses).  An answer outside
-        the dtype's range raises ``ValueError``.
+        (the keys ``update_many`` takes).  An answer outside the
+        dtype's range raises ``ValueError``.
         """
-        return query_loop(self, as_batch(items)[0])
+        return query_loop(self, as_keys(items))
 
 
 def row_hashes(d: int, seed: int = 0,

@@ -27,6 +27,7 @@ from repro.sketches.base import (
     answer_dtype,
     as_batch,
     as_item,
+    as_keys,
     batch_answers,
 )
 
@@ -198,7 +199,7 @@ class ColdFilter(BatchOpsMixin):
     def query_many(self, items) -> np.ndarray:
         """Batched query over the raw batch: stage-1 gather, then one
         stage-2 batch query for the hot items."""
-        items, _ = as_batch(items)
+        items = as_keys(items)
         idx2d = self.hashes.index_matrix(items, self.w1, self.d1)
         est = np.frombuffer(self.stage1, dtype=np.int64)[idx2d].min(axis=0)
         out = est.astype(self.query_dtype)

@@ -30,6 +30,7 @@ from repro.sketches.base import (
     aggregate_batch,
     as_batch,
     as_item,
+    as_keys,
     batch_sum_fits,
     median,
     median_dtype,
@@ -198,7 +199,7 @@ class CountSketch(FixedWidth, BatchOpsMixin):
     def query_many(self, items) -> np.ndarray:
         """Vectorized batch query over the raw batch: exact median over
         one 2D gather."""
-        items, _ = as_batch(items)
+        items = as_keys(items)
         raw2d = self.hashes.raw_matrix(items, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
         vals = _kernels.gather_2d(self.mat, idx2d)

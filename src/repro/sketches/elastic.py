@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import HashFamily, mix64, mix64_many
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, as_item
+from repro.sketches.base import (BatchOpsMixin, StreamModel, as_batch,
+                                 as_item, as_keys)
 from repro.sketches.count_min import CountMinSketch
 
 #: Eviction threshold: evict when negative_votes / positive_votes
@@ -205,7 +206,7 @@ class ElasticSketch(BatchOpsMixin):
         light-part gather, then the heavy part read once per bucket the
         batch touches (a Python pass over at most ``heavy_buckets``
         buckets, not over the keys)."""
-        items, _ = as_batch(items)
+        items = as_keys(items)
         est = self.light.query_many(items)
         bidx = (mix64_many(items.view(np.uint64)
                            ^ np.uint64(mix64(self.seed)))

@@ -32,7 +32,8 @@ import numpy as np
 
 from repro.hashing import HashFamily
 from repro.sketches import _kernels
-from repro.sketches.base import BatchOpsMixin, StreamModel, as_batch, as_item, median
+from repro.sketches.base import (BatchOpsMixin, StreamModel, as_batch,
+                                 as_item, as_keys, median)
 
 
 class NitroSketch(BatchOpsMixin):
@@ -184,7 +185,7 @@ class NitroSketch(BatchOpsMixin):
     def query_many(self, items) -> np.ndarray:
         """Vectorized batch query over the raw batch: exact float median
         over row gathers."""
-        items, _ = as_batch(items)
+        items = as_keys(items)
         raw2d = self.hashes.raw_matrix(items, self.d)
         idx2d = (raw2d & np.uint64(self.w - 1)).astype(np.int64)
         vals = _kernels.gather_2d(self._rows, idx2d)

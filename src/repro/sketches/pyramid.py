@@ -32,6 +32,7 @@ from repro.sketches.base import (
     aggregate_batch,
     as_batch,
     as_item,
+    as_keys,
     batch_sum_fits,
 )
 
@@ -238,7 +239,7 @@ class PyramidSketch(BatchOpsMixin):
             top_bit += self.delta - 2
             if top_bit > 63 and any(self.flags[layer]):
                 return BatchOpsMixin.query_many(self, items)
-        items, _ = as_batch(items)
+        items = as_keys(items)
         idx2d = self.hashes.index_matrix(items, self.w1, self.d)
         child = idx2d.ravel()
         totals = np.frombuffer(self.values[0], dtype=np.int64)[child]

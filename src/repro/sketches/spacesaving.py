@@ -32,6 +32,7 @@ from repro.sketches.base import (
     answer_array,
     as_batch,
     as_item,
+    as_keys,
     batch_sum_fits,
     collapse_runs,
 )
@@ -156,7 +157,7 @@ class SpaceSaving(BatchOpsMixin):
 
     def query_many(self, items) -> np.ndarray:
         """Batched :meth:`query`: one table read per key, as int64."""
-        keys = as_batch(items)[0].tolist()
+        keys = as_keys(items).tolist()
         get = self._table.get
         return answer_array((get(x, _UNSEEN)[0] for x in keys), len(keys),
                             self.query_dtype)
@@ -307,7 +308,7 @@ class MisraGries(BatchOpsMixin):
 
     def query_many(self, items) -> np.ndarray:
         """Batched :meth:`query`: one table read per key, as int64."""
-        keys = as_batch(items)[0].tolist()
+        keys = as_keys(items).tolist()
         get = self._table.get
         return answer_array((get(x, 0) for x in keys), len(keys),
                             self.query_dtype)

@@ -26,6 +26,7 @@ from repro.sketches.base import (
     answer_dtype,
     as_batch,
     as_item,
+    as_keys,
     batch_answers,
 )
 from repro.sketches.count_sketch import CountSketch
@@ -201,7 +202,7 @@ class UnivMon(BatchOpsMixin):
 
     def query_many(self, items) -> np.ndarray:
         """Batched frequency estimates from the level-0 sketch."""
-        return batch_answers(self.sketches[0], as_batch(items)[0])
+        return batch_answers(self.sketches[0], as_keys(items))
 
     # ------------------------------------------------------------------
     def gsum(self, g: Callable[[float], float]) -> float:

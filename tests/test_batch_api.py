@@ -9,6 +9,8 @@ its fast path and its exact fallback with random, hot-key, weighted,
 and turnstile streams.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from repro.sketches.base import (
     BatchFrequencySketch,
     aggregate_batch,
     as_batch,
+    as_keys,
     collapse_runs,
 )
 
@@ -185,6 +188,31 @@ def test_update_many_accepts_traces_and_lists():
 def test_as_batch_validates_lengths():
     with pytest.raises(ValueError):
         as_batch([1, 2, 3], [1, 2])
+
+
+def test_as_keys_normalizes_keys_as_as_batch_does():
+    """The query doors' key normaliser returns ``as_batch``'s keys and
+    raises its ``ValueError``, without building unit weights."""
+    from repro.streams import zipf_trace
+    from repro.streams.weighted import WeightedTrace
+
+    trace = zipf_trace(50, skew=1.1, universe=1 << 10, seed=9)
+    weighted = WeightedTrace(np.array([1, -2], dtype=np.int64),
+                             np.array([3, 4], dtype=np.int64))
+    keys = np.arange(-5, 5, dtype=np.int64)
+    for batch in (keys, keys[::2], keys.tolist(), (1, 2), [],
+                  keys.astype(np.int32), trace, weighted):
+        got = as_keys(batch)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, as_batch(batch)[0])
+    assert as_keys(keys) is keys
+    for case, (items, values) in sorted(MALFORMED_BATCHES.items()):
+        if values is None:
+            with pytest.raises(ValueError) as batch_error:
+                as_batch(items)
+            with pytest.raises(ValueError, match=re.escape(
+                    str(batch_error.value))):
+                as_keys(items)
 
 
 #: one sketch per batch door the input contract guards

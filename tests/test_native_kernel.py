@@ -13,7 +13,8 @@ the updates that merge, and saturate and clamp at zero as it does;
 SALSA CMS/CS ``update_many`` over the raw stream
 (deletions, ``-2^63`` on CS) must equal the per-item loop with the
 kernel on, off and on bit-packed rows, and AEE's must be unchanged
-with the kernel off.
+with the kernel off.  The native min-query of ``RowSketch.query_many``
+must answer what ``batched_min_query`` answers, in values and dtype.
 Streams are small rows with hot keys, base widths 2/4/8 and weights up
 to ``2^63 - 1``, so overflow merges and 64-bit saturation are common,
 fed in arbitrary batch splits.
@@ -37,10 +38,13 @@ from repro.core import (
     SalsaCountMin,
     SalsaCountSketch,
     SalsaRow,
+    TangoCountMin,
     _native,
     ops,
 )
 from repro.hashing import HashFamily
+from repro.sketches import (AeeSketch, ConservativeUpdateSketch,
+                            CountMinSketch)
 
 from answers import assert_answers
 
@@ -103,6 +107,21 @@ def split_streams(draw, signed=False):
 # ----------------------------------------------------------------------
 # conservative update
 # ----------------------------------------------------------------------
+def cus_four_ways(make, stream, cuts=()):
+    """Feed ``stream`` to ``make(engine)`` with the kernel on and off,
+    item by item and on bit-packed rows; all four states must agree."""
+    cuts = list(cuts)
+    kernel = feed(make("vector"), stream, cuts)
+    with kernel_off():
+        off = feed(make("vector"), stream, cuts)
+    per_item = make("vector")
+    for x, v in stream:
+        per_item.update(x, v)
+    bitpacked = feed(make("bitpacked"), stream, cuts)
+    assert state(kernel) == state(off) == state(per_item) == state(bitpacked)
+    return kernel
+
+
 @settings(max_examples=60, deadline=None)
 @given(split_streams(), st.sampled_from([2, 4, 8]),
        st.integers(0, 2 ** 32))
@@ -110,18 +129,125 @@ def test_cus_kernel_matches_python_walks(split, s, seed):
     stream, cuts = split
     fam = HashFamily(3, seed)
 
-    def make(engine="vector"):
+    def make(engine):
         return SalsaConservativeUpdate(w=W, d=3, s=s, hash_family=fam,
                                        engine=engine)
 
-    kernel = feed(make(), stream, cuts)
-    with kernel_off():
-        off = feed(make(), stream, cuts)
-    per_item = make()
-    for x, v in stream:
-        per_item.update(x, v)
-    bitpacked = feed(make("bitpacked"), stream, cuts)
-    assert state(kernel) == state(off) == state(per_item) == state(bitpacked)
+    cus_four_ways(make, stream, cuts)
+
+
+def test_cus_target_past_2_64_saturates_a_64_bit_counter():
+    """``est + v`` past ``2^64 - 1`` leaves the uint64 sum for the exact
+    walk, which saturates; a target of exactly ``2^64 - 1`` still fits."""
+    fam = HashFamily(2, 4)
+    stream = [(5, INT64_MAX), (5, INT64_MAX), (6, 1), (5, 1), (7, 1),
+              (5, INT64_MAX), (8, 3)]
+
+    def make(engine):
+        return SalsaConservativeUpdate(w=8, d=2, s=8, hash_family=fam,
+                                       engine=engine)
+
+    top = (1 << 64) - 1
+    filled = cus_four_ways(make, stream[:3], [1])   # 2^64 - 2, then + 1
+    assert {v for row in state(filled) for v in row[1]} == {top}
+    assert [row.saturations for row in filled.rows] == [0, 0]
+    for cuts in ([], [2], [3, 5]):
+        sk = cus_four_ways(make, stream, cuts)
+        assert {v for row in state(sk) for v in row[1]} == {top}
+        assert [row.saturations for row in sk.rows] == [4, 4]
+
+
+@pytest.mark.parametrize("bits", [17, 63])
+def test_fixed_width_cus_saturates_at_odd_counter_bits(bits):
+    """At ``max_level = 0`` a target past ``2^bits - 1`` saturates at the
+    cap, on every door, for counter widths that are not a byte multiple."""
+    fam = HashFamily(3, 11)
+    rng = np.random.default_rng(bits)
+    top = 1 << (bits - 2)
+    stream = list(zip(rng.integers(-4, 4, 80).tolist(),
+                      rng.integers(1, top, 80).tolist()))
+
+    def make(engine):
+        if engine == "vector":
+            return ConservativeUpdateSketch(w=16, d=3, counter_bits=bits,
+                                            hash_family=fam)
+        return SalsaConservativeUpdate(w=16, d=3, s=bits, max_bits=bits,
+                                       hash_family=fam, engine=engine)
+
+    sk = cus_four_ways(make, stream, [17, 50])
+    assert max(max(row[1]) for row in state(sk)) == (1 << bits) - 1
+    assert all(row.saturations > 0 and row.merge_events == 0
+               for row in sk.rows)
+
+
+def test_cus_stores_into_merged_level_1_and_2_blocks():
+    """Targets that fit a merged counter are written across its whole
+    block: every slot of a level-1/2 block reads the new value."""
+    fam = HashFamily(2, 3)
+    stream = [(1, 20), (2, 200), (3, 300), (1, 1), (2, 5), (3, 7),
+              (1, 2), (3, 40), (2, 1), (4, 1), (1, 9)]
+
+    def make(engine):
+        return SalsaConservativeUpdate(w=16, d=2, s=4, hash_family=fam,
+                                       engine=engine)
+
+    for cuts in ([], [3], [1, 6, 9]):
+        sk = cus_four_ways(make, stream, cuts)
+        levels = {lv for row in state(sk) for lv in row[0]}
+        assert {1, 2} <= levels and max(levels) == 2
+
+
+# ----------------------------------------------------------------------
+# the fused min-query
+# ----------------------------------------------------------------------
+QUERY_SKETCHES = {
+    "salsa-cms-sum": lambda: SalsaCountMin(w=32, d=3, s=4, merge="sum",
+                                           seed=1),
+    "salsa-cms-max": lambda: SalsaCountMin(w=32, d=3, s=4, merge="max",
+                                           seed=1),
+    "salsa-cus": lambda: SalsaConservativeUpdate(w=32, d=3, s=4, seed=1),
+    "cms": lambda: CountMinSketch(w=32, d=3, counter_bits=17, seed=1),
+    "cus": lambda: ConservativeUpdateSketch(w=32, d=3, counter_bits=17,
+                                            seed=1),
+    "aee": lambda: AeeSketch(w=32, d=3, counter_bits=8, seed=1),
+    "salsa-aee": lambda: SalsaAeeCountMin(w=32, d=3, s=4, max_bits=16,
+                                          seed=1),
+    "tango": lambda: TangoCountMin(w=32, d=3, s=4, seed=1),
+}
+#: Tango rows are not SALSA vector rows and keep the NumPy path.
+FUSED = set(QUERY_SKETCHES) - {"tango"}
+
+
+def query_inputs():
+    keys = np.arange(-20, 20, dtype=np.int64)
+    return {"list": keys.tolist(), "int64": keys,
+            "strided": np.arange(-40, 40, dtype=np.int64)[::2],
+            "negative": np.array([-1, -(1 << 63), -7, -7], dtype=np.int64),
+            "empty": np.zeros(0, dtype=np.int64)}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_SKETCHES))
+def test_fused_query_equals_the_reference_min_query(name, monkeypatch):
+    """The native min-query answers what ``batched_min_query`` answers,
+    in values and in dtype, on every input form."""
+    rng = np.random.default_rng(8)
+    sk = QUERY_SKETCHES[name]()
+    sk.update_many(rng.integers(-20, 20, 3000), rng.integers(1, 60, 3000))
+    calls = []
+    fused = _native.min_query
+    monkeypatch.setattr(_native, "min_query",
+                        lambda *a: calls.append(1) or fused(*a))
+    for form, keys in query_inputs().items():
+        with kernel_off():
+            ref = sk.query_many(keys)
+        assert not calls
+        got = assert_answers(sk, keys, ref.tolist())
+        assert got.dtype == ref.dtype == sk.query_dtype
+        assert got.tolist() == [sk.query(x) for x in np.asarray(
+            keys, dtype=np.int64).tolist()], form
+        expect = name in FUSED and _native.library() is not None
+        assert calls == [1] * expect, form
+        calls.clear()
 
 
 # ----------------------------------------------------------------------
@@ -634,15 +760,22 @@ def test_wrappers_reject_malformed_arrays():
     if _native.library() is None:
         pytest.skip("native kernel unavailable")
     sk = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
-    idx = np.zeros((2, 3), dtype=np.int64)
+    keys = np.arange(6, dtype=np.int64)
+    ones = np.ones(6, dtype=np.int64)
+    # The kernels hash and mask their own slots, so none can lie
+    # outside the row; what is left to reject is the arrays.
+    for bad_keys, bad_vals in ((keys, ones.astype(np.int32)),
+                               (keys.astype(np.int32), ones),
+                               (keys[::2], ones[::2]),
+                               (keys, ones[:5])):
+        with pytest.raises(ValueError):
+            _native.cu_walk(sk, bad_keys, bad_vals)
+    for bad_keys in (keys.astype(np.int32), keys.astype(np.uint64),
+                     keys[::2], keys.reshape(2, 3)):
+        with pytest.raises(ValueError):
+            _native.min_query(sk, bad_keys)
     with pytest.raises(ValueError):
-        _native.cu_walk(sk.rows, idx, np.ones(3, dtype=np.int32))
-    with pytest.raises(ValueError):
-        _native.cu_walk(sk.rows, idx[:, ::2], np.ones(2, dtype=np.int64))
-    with pytest.raises(ValueError):
-        _native.cu_walk(sk.rows, idx, np.ones(4, dtype=np.int64))
-    with pytest.raises(ValueError):
-        _native.cu_walk(sk.rows, idx + 16, np.ones(3, dtype=np.int64))
+        _native.min_query(SalsaCountSketch(w=16, d=3, s=4), keys)
     b = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
     b.rows[0].engine.levels[1] = 1   # a level-1 counter cannot start at 1
     with pytest.raises(ValueError):
