@@ -12,12 +12,9 @@ item and its row reads about 1x; ``aee-32`` stays at ``p == 1``, where
 a batch in which no add saturates takes the bulk path.
 Results land in ``results/batch_throughput.txt`` as items/sec for both
 ingest paths, next to the query side on the fed sketch: per-item
-``query`` and ``query_many`` per chunk.  The SALSA sketches are
-additionally measured under **both row engines** (the ``bitpacked``
-test reference vs the ``vector`` production engine) in
-``results/engine_throughput.txt`` -- same estimates by contract, very
-different speed.  Every cell is the median of ``_harness.REPEATS``
-timings on fresh sketches with its quartile spread.
+``query`` and ``query_many`` per chunk.  Every cell is the median of
+``_harness.REPEATS`` timings on fresh sketches with its quartile
+spread.
 
 Run standalone::
 
@@ -29,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from functools import partial
 
 from _harness import ingest_rates, run_table
 from repro import (
@@ -49,22 +45,7 @@ from repro.sketches import (
 )
 from repro.streams import dataset
 
-#: SALSA sketch name -> engine-parameterized factory.
-SALSA_FACTORIES = {
-    "salsa-cms": lambda engine: SalsaCountMin(
-        w=4096, d=4, s=8, seed=1, engine=engine),
-    "salsa-cms-sum": lambda engine: SalsaCountMin(
-        w=4096, d=4, s=8, merge=SUM, seed=1, engine=engine),
-    "salsa-cs": lambda engine: SalsaCountSketch(
-        w=4096, d=5, s=8, seed=1, engine=engine),
-    "salsa-cus": lambda engine: SalsaConservativeUpdate(
-        w=4096, d=4, s=8, seed=1, engine=engine),
-    "salsa-aee": lambda engine: SalsaAeeCountMin(
-        w=4096, d=4, s=8, seed=1, engine=engine),
-}
-
-#: name -> zero-argument sketch factory (fresh state per measurement);
-#: the SALSA sketches on the production (vector) engine.
+#: name -> zero-argument sketch factory (fresh state per measurement).
 FACTORIES = {
     "cms": lambda: CountMinSketch(w=4096, d=4, seed=1),
     "cus": lambda: ConservativeUpdateSketch(w=4096, d=4, seed=1),
@@ -73,9 +54,13 @@ FACTORIES = {
     "aee-32": lambda: AeeSketch(w=4096, d=4, counter_bits=32, seed=1),
     "abc": lambda: AbcSketch(w=4096, d=4, s=8, seed=1),
     "spacesaving": lambda: SpaceSaving(k=1024),
-} | {name: partial(make, "vector") for name, make in SALSA_FACTORIES.items()}
-
-ENGINES = ("bitpacked", "vector")
+    "salsa-cms": lambda: SalsaCountMin(w=4096, d=4, s=8, seed=1),
+    "salsa-cms-sum": lambda: SalsaCountMin(w=4096, d=4, s=8, merge=SUM,
+                                           seed=1),
+    "salsa-cs": lambda: SalsaCountSketch(w=4096, d=5, s=8, seed=1),
+    "salsa-cus": lambda: SalsaConservativeUpdate(w=4096, d=4, s=8, seed=1),
+    "salsa-aee": lambda: SalsaAeeCountMin(w=4096, d=4, s=8, seed=1),
+}
 
 
 def query_rates(sketch, trace, batch_size: int) -> dict[str, float]:
@@ -117,14 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     run_table("batch_throughput", "sketches",
               "batch ingestion and query throughput", FACTORIES,
               lambda factory: measure(factory, trace, args.batch_size), meta)
-    run_table("engine_throughput", "engines",
-              "row-engine ingestion throughput (estimates are "
-              "bit-identical across engines; only speed moves)",
-              {f"{name}/{engine}": partial(make, engine)
-               for name, make in SALSA_FACTORIES.items()
-               for engine in ENGINES},
-              lambda factory: ingest_rates(
-                  factory, trace, trace.chunks(args.batch_size))[0], meta)
     return 0
 
 

@@ -2,8 +2,7 @@
 
 Section V's scale-out story -- "parallelize the sketching of A and B
 and then merge them" -- runs through ``DistributedSketch``.  This bench
-measures what its batch door buys: each sketch, on the production
-(vector) row engine, feeds the same trace, hash-sharded, through the
+measures what its batch door buys: each sketch feeds the same trace, hash-sharded, through the
 per-item reference (``update(worker, x)`` over ``shard``) and through
 ``feed_stream`` (chunks of ``batch_size`` items per worker), and the
 combine (serialize + ``ops.merge``) is timed separately.  The merged

@@ -5,8 +5,7 @@ elephants force merge-window replays, drift spreads inflow across the
 universe, replay concentrates it -- so both ingest throughput *and*
 accuracy are scenario-dependent at fixed memory.  This bench runs
 every :data:`~repro.streams.scenarios.SCENARIOS` generator, at its
-defaults, through a 64KB SALSA CMS on the production (vector) row
-engine, timing the per-item loop against chunked ``update_many`` ingest
+defaults, through a 64KB SALSA CMS, timing the per-item loop against chunked ``update_many`` ingest
 (``runner.per_item_seconds`` / ``runner.ingest_seconds``) and scoring
 the final state against the exact counts (``runner.score``).
 

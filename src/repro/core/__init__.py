@@ -1,11 +1,10 @@
 """The SALSA core: self-adjusting counter arrays and SALSA-fied sketches.
 
-* :class:`SalsaRow` over a :class:`MergeBitLayout` (1 bit/counter) or
-  :class:`CompactLayout` (~0.594 bits/counter, Appendix A);
-* row storage behind one :class:`RowEngine` interface:
-  :class:`VectorRowEngine` (native bulk path, the default) and
-  :class:`BitPackedEngine` (the bit-exact reference, whose buffers
-  define the wire format);
+* :class:`SalsaRow`, one row of self-adjusting counters held as a
+  value and a merge level per slot, charging the paper's simple
+  (1 bit/counter) or compact (~0.594 bits/counter, Appendix A:
+  :func:`layout_count`, :func:`encoding_bits`) encoding, which is also
+  its wire format;
 * :class:`TangoRow` for fine-grained merging;
 * the SALSA sketches of section V: :class:`SalsaCountMin`,
   :class:`TangoCountMin`, :class:`SalsaConservativeUpdate`,
@@ -17,14 +16,7 @@
   sliding windows).
 """
 
-from repro.core.layout import MergeBitLayout
-from repro.core.compact import CompactLayout, encoding_bits, layout_count
-from repro.core.engines import (
-    ENGINES,
-    BitPackedEngine,
-    RowEngine,
-    VectorRowEngine,
-)
+from repro.core.compact import encoding_bits, layout_count
 from repro.core.row import COMPACT, MAX, SIMPLE, SUM, SalsaRow
 from repro.core.tango import TangoRow
 from repro.core.salsa_cms import SalsaCountMin, TangoCountMin
@@ -37,16 +29,10 @@ from repro.core.distributed import DistributedSketch, shard
 from repro.core import ops
 
 __all__ = [
-    "MergeBitLayout",
-    "CompactLayout",
     "layout_count",
     "encoding_bits",
     "SalsaRow",
     "TangoRow",
-    "RowEngine",
-    "BitPackedEngine",
-    "VectorRowEngine",
-    "ENGINES",
     "SUM",
     "MAX",
     "SIMPLE",

@@ -2,7 +2,7 @@
  * Native SALSA walks over vector-row arrays (see core/_native.py).
  *
  * Each function runs, in C, a Python reference walk of core/row.py on
- * a VectorRowEngine's arrays: values[j] is the decoded value of the
+ * a SalsaRow's arrays: values[j] is the decoded value of the
  * counter containing slot j (uint64 for unsigned rows, int64 for
  * sign-magnitude rows, duplicated across a merged block) and levels[j]
  * its merge level, so its block starts at start_of(levels, j).  The
@@ -68,7 +68,7 @@ static inline i128 clamp(i128 x, int64_t width, int sgn)
     return x > hi ? hi : (x < lo ? lo : x);
 }
 
-/* VectorRowEngine.write_block: x is the value's 64-bit word (two's
+/* SalsaRow.write_block: x is the value's 64-bit word (two's
  * complement on a signed row). */
 static void write_block(void *values, int64_t start, int64_t level,
                         uint64_t x)

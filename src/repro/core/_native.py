@@ -1,7 +1,7 @@
 """Loader and wrappers for the native kernels in ``_native.c``.
 
-The SALSA walks run in C over a
-:class:`~repro.core.engines.VectorRowEngine`'s arrays:
+The SALSA walks run in C over a :class:`~repro.core.row.SalsaRow`'s
+own ``values`` and ``levels`` arrays:
 
 * :func:`cu_walk` -- the stream-order conservative update of SALSA
   CUS, equal to :meth:`SalsaConservativeUpdate.update` per item; it
@@ -11,8 +11,9 @@ The SALSA walks run in C over a
   key, gathers it from every row and keeps the minimum;
 * :func:`absorb` -- one row of ``ops.merge``/``ops.subtract``, equal to
   ``ops._absorb_walk`` over ``b``'s counters in slot order;
-* :func:`add_partial` -- the vector engine's merge-free batch door
-  (``SalsaRow.add_batch_partial``), the only implementation it has;
+* :func:`add_partial` -- the merge-free batch door
+  (``SalsaRow.add_batch_partial``), the only implementation that
+  proves anything;
 * :func:`replay` -- ``SalsaRow.add_many``'s stream-order replay of the
   updates landing in the superblocks that door flagged dirty: C adds
   every one that needs no merge and hands each one that would merge
@@ -29,19 +30,18 @@ The walks count merges and saturations into the rows'
 ``merge_events`` and ``saturations`` exactly as :class:`SalsaRow`
 does.  The Python walks, :func:`repro.sketches.base.batched_min_query`
 and :func:`repro.hashing.mix64_many` stay the reference: callers take
-them whenever :func:`usable` or :func:`library` says no (bit-packed
-rows, or no C compiler), and
-without the library the vector batch door reports every superblock
-dirty, so SALSA CMS/CS batches replay per item through
-:meth:`SalsaRow.add`.
+them whenever :func:`usable` or :func:`library` says no (a row that is
+not a plain :class:`SalsaRow`, or no C compiler), and without the
+library the batch door reports every superblock dirty, so SALSA CMS/CS
+batches replay per item through :meth:`SalsaRow.add`.
 
 Every wrapper checks what it hands C (dtype, shape, contiguity,
 writability), and every kernel that takes slots checks them against
 the row width before it writes anything; the two that hash mask their
-own slots into the row.  A vector engine's two arrays are checked
-once per pair of arrays: their addresses are cached by engine in a
+own slots into the row.  A row's two arrays are checked once per pair
+of arrays: their addresses are cached by row in a
 :class:`weakref.WeakKeyDictionary` and reused while both arrays are
-still the engine's own (``is``), so a copy, a pickle round trip or a
+still the row's own (``is``), so a copy, a pickle round trip or a
 replaced array never reuses another array's address.
 
 On first use the C file is compiled with the system ``cc`` into the
@@ -61,8 +61,6 @@ import warnings
 import weakref
 
 import numpy as np
-
-from repro.core.engines import MAX, VectorRowEngine
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_native.c")
@@ -163,10 +161,20 @@ def library():
     return _lib or None
 
 
+#: :class:`~repro.core.row.SalsaRow`, bound on first use: row.py imports
+#: this module, so this module cannot import row.py at its top.
+_salsa_row = None
+
+
 def usable(rows) -> bool:
-    """True when the kernels can run on ``rows`` (all vector rows and
-    the library loads); loads the library on first call."""
-    return (all(isinstance(row.engine, VectorRowEngine) for row in rows)
+    """True when the kernels can run on ``rows``: each is a plain
+    :class:`~repro.core.row.SalsaRow`, whose own arrays the kernels
+    read (a subclass may keep its counters elsewhere), and the library
+    loads; loads the library on first call."""
+    global _salsa_row
+    if _salsa_row is None:
+        from repro.core.row import SalsaRow as _salsa_row
+    return (all(type(row) is _salsa_row for row in rows)
             and library() is not None)
 
 
@@ -195,24 +203,24 @@ def _ptr(arr, dtype: np.dtype, shape: tuple, writable: bool = False) -> int:
     )
 
 
-#: engine -> (values, levels, their addresses); see _row_ptrs.
+#: row -> (values, levels, their addresses); see _row_ptrs.
 _ROW_PTRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _row_ptrs(engine) -> tuple[int, int]:
-    """Addresses of a vector engine's ``values`` and ``levels``,
-    checked once per pair of arrays.  The cache lives here, keyed by
-    the engine, never on it (a deep copy would carry the original's
-    addresses along), and holds both arrays, so an address is reused
-    only while it is still the engine's array's own."""
-    values, levels = engine.values, engine.levels
-    hit = _ROW_PTRS.get(engine)
+def _row_ptrs(row) -> tuple[int, int]:
+    """Addresses of a row's ``values`` and ``levels``, checked once per
+    pair of arrays.  The cache lives here, keyed by the row, never on
+    it (a deep copy would carry the original's addresses along), and
+    holds both arrays, so an address is reused only while it is still
+    the row's array's own."""
+    values, levels = row.values, row.levels
+    hit = _ROW_PTRS.get(row)
     if hit is not None and hit[0] is values and hit[1] is levels:
         return hit[2]
-    w = engine.w
-    ptrs = (_ptr(values, _I64 if engine.signed else _U64, (w,), True),
+    w = row.w
+    ptrs = (_ptr(values, _I64 if row.signed else _U64, (w,), True),
             _ptr(levels, _I64, (w,), True))
-    _ROW_PTRS[engine] = (values, levels, ptrs)
+    _ROW_PTRS[row] = (values, levels, ptrs)
     return ptrs
 
 
@@ -233,8 +241,8 @@ def mix(items: np.ndarray, seeds, mask: int, out: np.ndarray) -> None:
 
 
 def _alike(rows, merge: str):
-    """The head of ``rows``, once every row is an unsigned vector row
-    of its shape with merge policy ``merge``."""
+    """The head of ``rows``, once every row is an unsigned row of its
+    shape with merge policy ``merge``."""
     head = rows[0]
     if any((row.w, row.s, row.max_level, row.merge, row.signed)
            != (head.w, head.s, head.max_level, merge, False)
@@ -246,13 +254,13 @@ def _alike(rows, merge: str):
 
 def cu_walk(sketch, items: np.ndarray, values: np.ndarray) -> None:
     """Conservative-update the int64 batch ``items``/``values`` (values
-    positive) into ``sketch``'s unsigned max-merge vector rows, each
-    key hashed by the sketch's :class:`HashFamily`."""
+    positive) into ``sketch``'s unsigned max-merge rows, each key
+    hashed by the sketch's :class:`HashFamily`."""
     lib = library()
     rows = sketch.rows
     d, n = len(rows), len(items)
-    head = _alike(rows, MAX)
-    ptrs = [_row_ptrs(row.engine) for row in rows]
+    head = _alike(rows, "max")
+    ptrs = [_row_ptrs(row) for row in rows]
     arrays = ctypes.c_void_p * d
     counts = np.zeros(2 * d, dtype=np.int64)
     status = lib.salsa_cu_walk(
@@ -269,7 +277,7 @@ def cu_walk(sketch, items: np.ndarray, values: np.ndarray) -> None:
 
 
 def min_query(sketch, items: np.ndarray) -> np.ndarray:
-    """The minimum over ``sketch``'s unsigned vector rows of each int64
+    """The minimum over ``sketch``'s unsigned rows of each int64
     key's counter, as uint64, each key hashed by the sketch's
     :class:`HashFamily`."""
     lib = library()
@@ -279,7 +287,7 @@ def min_query(sketch, items: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.uint64)
     status = lib.salsa_min_query(
         d, n, head.w,
-        (ctypes.c_void_p * d)(*(_row_ptrs(row.engine)[0] for row in rows)),
+        (ctypes.c_void_p * d)(*(_row_ptrs(row)[0] for row in rows)),
         (ctypes.c_uint64 * d)(*sketch.hashes.seeds),
         _ptr(items, _I64, (n,)), _ptr(out, _U64, (n,), True))
     if status:
@@ -287,12 +295,11 @@ def min_query(sketch, items: np.ndarray) -> np.ndarray:
     return out
 
 
-def absorb(a_row, b_row, sign: int) -> None:
-    """Fold vector row ``b_row`` into vector row ``a_row`` with ``sign``
-    (+1 merge, -1 subtract).  Rows must agree on width, base bits,
-    ``max_level`` and signedness (``ops`` checks that first)."""
+def absorb(a, b, sign: int) -> None:
+    """Fold row ``b`` into row ``a`` with ``sign`` (+1 merge, -1
+    subtract).  Rows must agree on width, base bits, ``max_level`` and
+    signedness (``ops`` checks that first)."""
     lib = library()
-    a, b = a_row.engine, b_row.engine
     if ((a.w, a.s, a.max_level, a.signed)
             != (b.w, b.s, b.max_level, b.signed)):
         raise ValueError("absorb needs rows of one shape and signedness")
@@ -305,34 +312,34 @@ def absorb(a_row, b_row, sign: int) -> None:
     a_values, a_levels = _row_ptrs(a)
     counts = np.zeros(2, dtype=np.int64)
     status = lib.salsa_absorb(
-        a.w, a.s, a.max_level, int(a.signed), int(a_row.merge == MAX),
+        a.w, a.s, a.max_level, int(a.signed), int(a.merge == "max"),
         a_values, a_levels, _ptr(b_values, a.values.dtype, (a.w,)),
         _ptr(b_levels, _I64, (a.w,)), sign,
         _ptr(counts, _I64, (2,), True))
     if status:
         raise ValueError("absorbed row has a malformed layout")
     merges, sats = counts.tolist()
-    a_row.merge_events += merges
-    a_row.saturations += sats
+    a.merge_events += merges
+    a.saturations += sats
 
 
-def add_partial(engine, idxs: np.ndarray, values: np.ndarray,
+def add_partial(row, idxs: np.ndarray, values: np.ndarray,
                 apply: bool):
-    """Merge-free batch door of a vector row engine: sum the int64
+    """Merge-free batch door of a row: sum the int64
     deltas ``values`` per live counter of slots ``idxs``, flag every
     superblock where a touched counter might overflow (or, unsigned,
     take a negative delta), and with ``apply`` write the rest.  Returns
     ``None`` or the dirty mask over ``w >> max_level`` superblocks."""
     lib = library()
     n = len(idxs)
-    mask = np.zeros(engine.w >> engine.max_level, dtype=np.uint8)
+    mask = np.zeros(row.w >> row.max_level, dtype=np.uint8)
     status = lib.salsa_add_partial(
-        engine.w, engine.s, engine.max_level, int(engine.signed),
-        *_row_ptrs(engine), n, _ptr(idxs, _I64, (n,)),
+        row.w, row.s, row.max_level, int(row.signed),
+        *_row_ptrs(row), n, _ptr(idxs, _I64, (n,)),
         _ptr(values, _I64, (n,)), int(apply),
         _ptr(mask, mask.dtype, mask.shape, True))
     if status == -1:
-        raise ValueError(f"batch slots must lie in [0, {engine.w})")
+        raise ValueError(f"batch slots must lie in [0, {row.w})")
     if status == -2:
         raise MemoryError("no scratch memory for the batch check")
     return mask.view(bool) if status else None
@@ -349,12 +356,11 @@ def replay(row, idxs: np.ndarray, values: np.ndarray,
     before writing anything on a malformed array or a slot outside
     ``[0, w)``."""
     lib = library()
-    engine = row.engine
-    w, n = engine.w, len(idxs)
-    args = (w, engine.s, engine.max_level, int(engine.signed),
-            *_row_ptrs(engine), n, _ptr(idxs, _I64, (n,)),
+    w, n = row.w, len(idxs)
+    args = (w, row.s, row.max_level, int(row.signed),
+            *_row_ptrs(row), n, _ptr(idxs, _I64, (n,)),
             _ptr(values, _I64, (n,)),
-            _ptr(dirty, _BOOL, (w >> engine.max_level,)))
+            _ptr(dirty, _BOOL, (w >> row.max_level,)))
     counts = np.zeros(2, dtype=np.int64)
     counts_ptr = _ptr(counts, _I64, (2,), True)
     t = lib.salsa_replay(*args, 0, counts_ptr)

@@ -23,7 +23,7 @@ packages that pattern:
 The correctness fact the tests pin down: *merging the shard sketches
 equals sketching the whole stream* (exactly, counter-for-counter, for
 sum-merge SALSA CMS -- see the order-invariance tests for why),
-whatever the chunk split, row engine or shard policy.  A Count-Sketch
+whatever the chunk split or shard policy.  A Count-Sketch
 counter's layout depends on the order of its signed deltas, so there
 only each superblock's total is order-free.
 """
@@ -181,7 +181,7 @@ class DistributedSketch:
         With several workers, locals are serialized and deserialized
         first -- the coordinator only ever sees the wire format,
         exactly as a real deployment would -- then folded with
-        :func:`repro.core.ops.merge`, on vector rows.  A single worker
+        :func:`repro.core.ops.merge`.  A single worker
         *is* the coordinator: its sketch is returned directly (shared,
         not copied), with no pointless wire round-trip.
         """

@@ -11,6 +11,11 @@ procedure illustrated in Fig 3.
 * SALSA CS (Turnstile) supports both operations in general.
 * SALSA CMS (Strict Turnstile) supports union always and difference
   only "given a guarantee that B is a subset of A".
+* SALSA CUS folds the same way (its counters are over-estimates, so
+  their sums are too).
+
+No other sketch folds here: Tango rows have no aligned blocks to
+coarsen, and two AEE sketches count at sampling rates of their own.
 
 Change detection (Fig 15 c/d) is built on :func:`subtract`, and the
 distributed scale-out path (:mod:`repro.core.distributed`) is built on
@@ -18,20 +23,31 @@ distributed scale-out path (:mod:`repro.core.distributed`) is built on
 
 Each row of ``b`` folds into ``a``'s through the reference
 ``ensure_level`` + ``add`` walk over ``b``'s counters in slot order
-(:func:`_absorb_walk`).  On vector rows that walk runs natively
+(:func:`_absorb_walk`).  That walk runs natively
 (:func:`repro.core._native.absorb`), observably identical to the Python
 walk -- the representation-independence bar of the CRDT-emulation work
-in PAPERS.md; bit-packed rows, or mixed engines, walk in Python.
+in PAPERS.md; without a C compiler it runs in Python.
 """
 
 from __future__ import annotations
 
 from repro.core import _native
+from repro.core.salsa_cms import SalsaCountMin
+from repro.core.salsa_cs import SalsaCountSketch
+from repro.core.salsa_cus import SalsaConservativeUpdate
+
+#: The sketches whose rows fold counter by counter.
+_FOLDABLE = (SalsaCountMin, SalsaConservativeUpdate, SalsaCountSketch)
 
 
 def _check_compatible(a, b) -> None:
     """Raise ``ValueError`` unless ``b`` can fold into ``a``; runs
     before any row is touched."""
+    if not isinstance(a, _FOLDABLE):
+        raise ValueError(
+            f"cannot merge or subtract {type(a).__name__}: only SALSA "
+            f"CMS, CUS and CS sketches fold"
+        )
     if type(a) is not type(b):
         raise ValueError(
             f"sketch types differ: {type(a).__name__} vs {type(b).__name__}"
@@ -64,8 +80,8 @@ def _absorb_walk(a_row, counters, sign: int) -> None:
 
 def _absorb(a_row, b_row, sign: int) -> None:
     """Fold one row of ``b`` into the matching row of ``a``: natively
-    on vector rows, else the reference walk over a snapshot of ``b``'s
-    counters (so a self-merge reads ``b`` as it was)."""
+    when the kernel loads, else the reference walk over a snapshot of
+    ``b``'s counters (so a self-merge reads ``b`` as it was)."""
     if _native.usable((a_row, b_row)):
         _native.absorb(a_row, b_row, sign)
     else:

@@ -68,8 +68,7 @@ class SalsaAeeCountMin(RowSketch):
     def __init__(self, w: int, d: int = 4, s: int = 8, max_bits: int = 64,
                  delta: float = 0.001, downsample_first: int = 0,
                  split: bool = False, probabilistic: bool = True,
-                 seed: int = 0, hash_family: HashFamily | None = None,
-                 engine: str = "vector"):
+                 seed: int = 0, hash_family: HashFamily | None = None):
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if downsample_first < 0:
@@ -77,7 +76,7 @@ class SalsaAeeCountMin(RowSketch):
                              f"got {downsample_first}")
         super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
-                     encoding=SIMPLE, engine=engine)
+                     encoding=SIMPLE)
             for _ in range(d)
         ], seed, hash_family)
         self.delta = delta
@@ -131,7 +130,7 @@ class SalsaAeeCountMin(RowSketch):
                 changed = True
                 while changed:
                     changed = False
-                    for start, level in list(row.engine.counters()):
+                    for start, level, _v in list(row.counters()):
                         if level > 0 and row.try_split(start, level):
                             changed = True
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.hashing import HashFamily
 from repro.core.row import MAX, SIMPLE, SalsaRow
-from repro.core.sketch import RowSketch, _check_smallest
+from repro.core.sketch import RowSketch, _check_smallest, _only_vector
 from repro.core.tango import TangoRow
 from repro.sketches.base import (
     BatchOpsMixin,
@@ -45,8 +45,7 @@ class SalsaCountMin(RowSketch):
     max_bits:
         Counter growth ceiling (paper: up to 64).
     engine:
-        Row storage backend: ``"vector"`` (native bulk path, the
-        default) or ``"bitpacked"`` (the bit-exact reference).
+        Only ``"vector"``; any other value raises ``ValueError``.
 
     Examples
     --------
@@ -61,9 +60,10 @@ class SalsaCountMin(RowSketch):
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
                  engine: str = "vector"):
+        _only_vector(engine)  # perfbench/workloads.py passes "vector"
         super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=merge,
-                     encoding=encoding, engine=engine)
+                     encoding=encoding)
             for _ in range(d)
         ], seed, hash_family)
 
@@ -77,8 +77,8 @@ class SalsaCountMin(RowSketch):
         Nothing is pre-aggregated and no batch forks: duplicates,
         Strict Turnstile deletions (sum merge) and weights up to
         ``2^63 - 1`` all go through each row's one batch door, which
-        bulk-applies the merge-free superblocks (one native pass on the
-        vector engine) and replays, in stream order, only the updates
+        bulk-applies the merge-free superblocks (one native pass) and
+        replays, in stream order, only the updates
         landing where a merge, saturation or clamp at zero could fire,
         so the result is bit-identical to the per-item path.
         """
@@ -97,11 +97,8 @@ class SalsaCountMin(RowSketch):
     @property
     def max_level(self) -> int:
         """Largest merge level currently present in any row."""
-        return max(
-            (level for row in self.rows
-             for _s, level in row.engine.counters()),
-            default=0,
-        )
+        return max(level for row in self.rows
+                   for _s, level, _v in row.counters())
 
     def estimate_zero_counters(self, row: int = 0) -> float:
         """SALSA's Linear Counting heuristic (section V).
@@ -124,16 +121,17 @@ class TangoCountMin(RowSketch):
 
     Same interface as :class:`SalsaCountMin`; rows grow one slot at a
     time instead of doubling, and charge one overhead bit per counter
-    (Tango cannot use the compact encoding).
+    (Tango cannot use the compact encoding).  ``max_bits`` is at least
+    ``s``; counters grow to ``max_bits // s`` slots.
     """
 
     def __init__(self, w: int, d: int = 4, s: int = 8, merge: str = MAX,
                  max_bits: int = 64, seed: int = 0,
-                 hash_family: HashFamily | None = None,
-                 engine: str = "vector"):
+                 hash_family: HashFamily | None = None):
+        if max_bits < s:
+            raise ValueError(f"max_bits {max_bits} smaller than s {s}")
         super().__init__([
-            TangoRow(w=w, s=s, max_slots=max(1, max_bits // s), merge=merge,
-                     engine=engine)
+            TangoRow(w=w, s=s, max_slots=max_bits // s, merge=merge)
             for _ in range(d)
         ], seed, hash_family)
 

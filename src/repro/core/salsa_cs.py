@@ -46,11 +46,10 @@ class SalsaCountSketch(RowSketch):
 
     def __init__(self, w: int, d: int = 5, s: int = 8,
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
-                 hash_family: HashFamily | None = None,
-                 engine: str = "vector"):
+                 hash_family: HashFamily | None = None):
         super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=SUM, signed=True,
-                     encoding=encoding, engine=engine)
+                     encoding=encoding)
             for _ in range(d)
         ], seed, hash_family)
 

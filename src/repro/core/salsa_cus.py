@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.hashing import HashFamily, mix64
 from repro.core import _native
 from repro.core.row import MAX, SIMPLE, SalsaRow
-from repro.core.sketch import RowSketch
+from repro.core.sketch import RowSketch, _only_vector
 from repro.sketches.base import BatchOpsMixin, as_batch, as_item
 
 
@@ -33,9 +33,10 @@ class SalsaConservativeUpdate(RowSketch):
                  encoding: str = SIMPLE, max_bits: int = 64, seed: int = 0,
                  hash_family: HashFamily | None = None,
                  engine: str = "vector"):
+        _only_vector(engine)  # perfbench/workloads.py passes "vector"
         super().__init__([
             SalsaRow(w=w, s=s, max_bits=max_bits, merge=MAX,
-                     encoding=encoding, engine=engine)
+                     encoding=encoding)
             for _ in range(d)
         ], seed, hash_family)
 
@@ -63,10 +64,10 @@ class SalsaConservativeUpdate(RowSketch):
         :meth:`update`.
 
         The conservative rule couples rows through the pre-update
-        minimum, so the walk stays in stream order.  On vector rows it
-        runs natively (:func:`repro.core._native.cu_walk`), hashing
-        each key in the same pass; bit-packed rows, or a machine
-        without a C compiler, take the per-item loop.
+        minimum, so the walk stays in stream order.  It runs natively
+        (:func:`repro.core._native.cu_walk`), hashing each key in the
+        same pass; without a C compiler (or on rows the kernel cannot
+        read) it is the per-item loop.
         """
         items, values = as_batch(items, values)
         if len(items) == 0:

@@ -6,21 +6,20 @@ requires shipping sketch state around.  This module provides a compact,
 versioned binary codec for the SALSA sketches: header, per-row merge
 bits (or compact-group words), and the raw counter payload.
 
-The wire format is the **bit-packed reference encoding**: a row's
-payload is exactly the two buffers a
-:class:`~repro.core.engines.BitPackedEngine` maintains -- the layout
-(one merge bit per slot, or one Appendix-A group number per ``2^m``
-slots) followed by the ``w * s``-bit counter store, with Count-Sketch
-fields in sign-magnitude.  Bit-packed rows write those buffers as they
-are; vector rows encode their ``levels``/``values`` arrays
-to the same bytes with array operations, so a blob never records which
-engine wrote it.  :func:`loads` decodes a payload straight into vector
+The wire format is the paper's **bit-packed encoding** of each row:
+the layout (one merge bit per slot, or one Appendix-A group number per
+``2^m`` slots) followed by the ``w * s``-bit counter store, with
+Count-Sketch fields in sign-magnitude.  A row's ``levels``/``values``
+arrays encode to those bytes with array operations (the test suite
+checks them against a bit-packed reference row, buffer for buffer), so
+a blob records the counters and merge levels, never the in-memory
+representation.  :func:`loads` decodes a payload straight into a row's
 arrays and accepts only bytes :func:`dumps` could have written: every
 decoded row is re-encoded and compared with its payload.
 
 The format is deliberately simple -- little-endian fixed header plus
-the two buffers each row's reference engine maintains -- so a C
-consumer could read it directly.
+the two buffers of each row's bit-packed encoding -- so a C consumer
+could read it directly.
 
 Examples
 --------
@@ -44,7 +43,7 @@ from repro.core.compact import (
     encoding_bits,
     layout_count,
 )
-from repro.core.engines import SIMPLE, BitPackedEngine, VectorRowEngine
+from repro.core.row import SIMPLE, SalsaRow
 from repro.core.salsa_cms import SalsaCountMin
 from repro.core.salsa_cus import SalsaConservativeUpdate
 from repro.core.salsa_cs import SalsaCountSketch
@@ -79,34 +78,22 @@ def _group_bytes(group_level: int) -> int:
     return (encoding_bits(group_level) + 7) // 8
 
 
-def _layout_nbytes(engine) -> int:
+def _layout_nbytes(row) -> int:
     """Size of one row's layout bytes."""
-    if engine.encoding == SIMPLE:
-        return (engine.w + 7) // 8
-    group_level = default_group_level(engine.w, engine.max_level)
-    return (engine.w >> group_level) * _group_bytes(group_level)
+    if row.encoding == SIMPLE:
+        return (row.w + 7) // 8
+    group_level = default_group_level(row.w, row.max_level)
+    return (row.w >> group_level) * _group_bytes(group_level)
 
 
-def _payload_nbytes(engine) -> int:
+def _payload_nbytes(row) -> int:
     """Size of one row's payload: layout bytes, then counter bytes."""
-    return _layout_nbytes(engine) + (engine.w * engine.s + 7) // 8
+    return _layout_nbytes(row) + (row.w * row.s + 7) // 8
 
 
 # ----------------------------------------------------------------------
 # encode
 # ----------------------------------------------------------------------
-def _bitpacked_payload(engine: BitPackedEngine) -> bytes:
-    """The reference engine's own buffers -- the wire format's spec."""
-    layout = engine.layout
-    if engine.encoding == SIMPLE:
-        layout_bytes = bytes(layout.bits._data)
-    else:
-        zbytes = _group_bytes(layout.group_level)
-        layout_bytes = b"".join(x.to_bytes(zbytes, "little")
-                                for x in layout._x)
-    return layout_bytes + engine.store.tobytes()
-
-
 def _encode_groups(levels: np.ndarray, group_level: int) -> np.ndarray:
     """Appendix-A group numbers, built bottom-up over whole arrays.
 
@@ -115,7 +102,7 @@ def _encode_groups(levels: np.ndarray, group_level: int) -> np.ndarray:
     halves' numbers in base ``a_{n-1}``.  Returns the little-endian
     wire bytes as a ``(groups, bytes)`` uint8 array.
     """
-    # Vector counters stop at 64 bits, so group_level <= 5 and every
+    # Counters stop at 64 bits, so group_level <= 5 and every
     # X_n < a_5 = 458330 fits int64.
     x = np.zeros(levels.size, dtype=np.int64)
     for n in range(1, group_level + 1):
@@ -125,13 +112,13 @@ def _encode_groups(levels: np.ndarray, group_level: int) -> np.ndarray:
     return wire[:, :_group_bytes(group_level)]
 
 
-def _encode_store(engine: VectorRowEngine, off: np.ndarray) -> np.ndarray:
+def _encode_store(row: SalsaRow, off: np.ndarray) -> np.ndarray:
     """The ``w * s``-bit counter store: slot ``j`` holds the ``s``-bit
     chunk at offset ``off[j]`` of its counter's field."""
-    s = engine.s
-    raw = engine.values
-    if engine.signed:
-        top = ((s << engine.levels) - 1).astype(np.uint64)
+    s = row.s
+    raw = row.values
+    if row.signed:
+        top = ((s << row.levels) - 1).astype(np.uint64)
         sign = (raw < 0).astype(np.uint64) << top
         raw = np.abs(raw).astype(np.uint64) | sign
     chunks = ((raw >> (off * s).astype(np.uint64))
@@ -142,26 +129,18 @@ def _encode_store(engine: VectorRowEngine, off: np.ndarray) -> np.ndarray:
     return np.packbits(bits.astype(np.uint8), axis=None, bitorder="little")
 
 
-def _vector_payload(engine: VectorRowEngine) -> bytes:
-    """Encode a vector row's arrays to the reference engine's bytes."""
-    levels = engine.levels
+def _payload(row: SalsaRow) -> bytes:
+    """One row's wire bytes: its layout, then its counter store."""
+    levels = row.levels
     # Offset of each slot inside its counter's aligned block.
-    off = np.arange(engine.w, dtype=np.int64) & ((1 << levels) - 1)
-    if engine.encoding == SIMPLE:
+    off = np.arange(row.w, dtype=np.int64) & ((1 << levels) - 1)
+    if row.encoding == SIMPLE:
         # A level-L block sets the merge bits of all but its last slot.
         layout = np.packbits(off < (1 << levels) - 1, bitorder="little")
     else:
         layout = _encode_groups(
-            levels, default_group_level(engine.w, engine.max_level))
-    return layout.tobytes() + _encode_store(engine, off).tobytes()
-
-
-def _row_payload(row) -> bytes:
-    """Layout bytes followed by counter bytes for one row."""
-    engine = row.engine
-    if isinstance(engine, BitPackedEngine):
-        return _bitpacked_payload(engine)
-    return _vector_payload(engine)
+            levels, default_group_level(row.w, row.max_level))
+    return layout.tobytes() + _encode_store(row, off).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -218,22 +197,21 @@ def _decode_store(store: np.ndarray, w: int, s: int) -> np.ndarray:
                                                        dtype=np.uint64)
 
 
-def _restore_row(engine: VectorRowEngine, payload: bytes) -> None:
-    """Decode one row's payload into a fresh vector engine's arrays.
+def _restore_row(row: SalsaRow, payload: bytes) -> None:
+    """Decode one row's payload into a fresh row's arrays.
 
     Raises ``ValueError`` unless re-encoding the decoded row gives
     ``payload`` back, so non-canonical merge bits, group numbers no
     layout has, a sign-magnitude ``-0`` and set padding bits are all
     rejected rather than silently rewritten.
     """
-    w, s = engine.w, engine.s
-    n_layout = _layout_nbytes(engine)
+    w, s = row.w, row.s
+    n_layout = _layout_nbytes(row)
     raw_bytes = np.frombuffer(payload, dtype=np.uint8)
-    if engine.encoding == SIMPLE:
-        levels = _decode_merge_bits(raw_bytes[:n_layout], w,
-                                    engine.max_level)
+    if row.encoding == SIMPLE:
+        levels = _decode_merge_bits(raw_bytes[:n_layout], w, row.max_level)
     else:
-        levels = _decode_groups(raw_bytes[:n_layout], w, engine.max_level)
+        levels = _decode_groups(raw_bytes[:n_layout], w, row.max_level)
     off = np.arange(w, dtype=np.int64) & ((1 << levels) - 1)
     chunks = _decode_store(raw_bytes[n_layout:], w, s)
     heads = np.flatnonzero(off == 0)
@@ -241,24 +219,21 @@ def _restore_row(engine: VectorRowEngine, payload: bytes) -> None:
     # Each counter's field is the OR of its slots' shifted chunks.
     raw = np.bitwise_or.reduceat(chunks << (off * s).astype(np.uint64),
                                  heads)
-    if engine.signed:
+    if row.signed:
         top = ((s << head_levels) - 1).astype(np.uint64)
         magnitude = (raw & ((np.uint64(1) << top) - np.uint64(1))
                      ).astype(np.int64)
         raw = np.where((raw >> top).astype(bool), -magnitude, magnitude)
-    engine.levels[:] = levels
-    engine.values[:] = np.repeat(raw, 1 << head_levels)
-    if _vector_payload(engine) != payload:
+    row.levels[:] = levels
+    row.values[:] = np.repeat(raw, 1 << head_levels)
+    if _payload(row) != payload:
         raise ValueError(
             "non-canonical SALSA row payload (no dumps writes these bytes)")
 
 
 def dumps(sketch) -> bytes:
-    """Serialize a SALSA CMS / CUS / CS sketch to bytes.
-
-    Engine-independent: both engines write the reference bit-packed
-    encoding, never their in-memory representation.
-    """
+    """Serialize a SALSA CMS / CUS / CS sketch to bytes: the paper's
+    bit-packed encoding of each row, never its in-memory arrays."""
     cls = type(sketch)
     if cls not in _TYPES:
         raise TypeError(f"cannot serialize {cls.__name__}")
@@ -268,16 +243,16 @@ def dumps(sketch) -> bytes:
         row0.max_bits, _MERGES[row0.merge], _ENCODINGS[row0.encoding],
         sketch.hashes.seed,
     )
-    return header + b"".join(_row_payload(row) for row in sketch.rows)
+    return header + b"".join(_payload(row) for row in sketch.rows)
 
 
 def loads(data: bytes):
-    """Reconstruct a sketch serialized by :func:`dumps`, on vector rows.
+    """Reconstruct a sketch serialized by :func:`dumps`.
 
     The hash family is re-derived from the stored seed, so a round
     trip preserves hash functions (and therefore merge compatibility).
     A malformed blob -- including any payload :func:`dumps` could not
-    have written, or counters wider than a vector row holds -- raises
+    have written, or counters wider than a row holds -- raises
     ``ValueError``.
     """
     if len(data) < _HEADER.size:
@@ -312,7 +287,7 @@ def loads(data: bytes):
         raise ValueError(
             f"merge tag {merge!r} is invalid for {cls.__name__}")
 
-    row_bytes = _payload_nbytes(sketch.rows[0].engine)
+    row_bytes = _payload_nbytes(sketch.rows[0])
     expected = _HEADER.size + d * row_bytes
     if len(data) < expected:
         raise ValueError("truncated SALSA sketch blob")
@@ -323,6 +298,6 @@ def loads(data: bytes):
         )
     offset = _HEADER.size
     for row in sketch.rows:
-        _restore_row(row.engine, data[offset:offset + row_bytes])
+        _restore_row(row, data[offset:offset + row_bytes])
         offset += row_bytes
     return sketch

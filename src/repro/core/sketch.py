@@ -52,13 +52,22 @@ def _check_smallest(sketch, value: int) -> None:
         )
 
 
+def _only_vector(engine: str) -> None:
+    """The ``engine`` keyword of :class:`SalsaCountMin` and
+    :class:`SalsaConservativeUpdate`: rows have one storage, named
+    ``"vector"``, and any other name raises ``ValueError``."""
+    if engine != "vector":
+        raise ValueError(f"unknown row engine {engine!r}; rows have one "
+                         f"storage, 'vector'")
+
+
 class RowSketch(BatchOpsMixin):
     """``d`` self-adjusting counter rows under one hash family.
 
     Parameters
     ----------
     rows:
-        The ``d`` rows, all of one shape, merge policy and engine.
+        The ``d`` rows, all of one class, shape and merge policy.
     seed, hash_family:
         The rows' hash functions: ``hash_family`` if given (sketches
         that merge must share one), else ``HashFamily(d, seed)``.
@@ -72,7 +81,6 @@ class RowSketch(BatchOpsMixin):
         self.rows = rows
         row = rows[0]
         self.w, self.d, self.s = row.w, len(rows), row.s
-        self.engine_name = row.engine_name
         if row.signed:
             self.model = StreamModel.TURNSTILE
         elif row.merge == SUM:
@@ -86,8 +94,7 @@ class RowSketch(BatchOpsMixin):
         """Largest sketch whose :attr:`memory_bytes` (whole-byte rows,
         the exact encoding) fits in ``memory_bytes``: the width starts
         from the counters' payload alone and halves until the encoded
-        sketch fits.  Both engines charge the same bits.  Other keyword
-        arguments go to the constructor."""
+        sketch fits.  Other keyword arguments go to the constructor."""
         w = width_for_memory(memory_bytes, d, s)
         while True:
             sketch = cls(w=w, d=d, s=s, **kwargs)
@@ -124,8 +131,8 @@ class RowSketch(BatchOpsMixin):
 
     def query_many(self, items) -> np.ndarray:
         """Batched query over the raw batch, answered as uint64: on
-        unsigned vector rows one native pass hashes, gathers and takes
-        the minimum (:func:`repro.core._native.min_query`); otherwise
+        unsigned rows one native pass hashes, gathers and takes the
+        minimum (:func:`repro.core._native.min_query`); otherwise
         one hash call and one gather per row."""
         if not self.rows[0].signed and _native.usable(self.rows):
             return _native.min_query(self, as_keys(items))
@@ -143,4 +150,4 @@ class RowSketch(BatchOpsMixin):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"{type(self).__name__}(w={self.w}, d={self.d}, s={self.s}, "
-                f"merge={self.rows[0].merge!r}, engine={self.engine_name!r})")
+                f"merge={self.rows[0].merge!r})")

@@ -15,110 +15,20 @@ asserted by a property test).  The paper's example: counter 9 overflows
 into ``<8,9>``, then ``<8..10>``, ``<8..11>``, ..., ``<8..15>``, then
 ``<7..15>`` and onward.
 
-Like :class:`~repro.core.row.SalsaRow`, the physical storage is a
-pluggable engine: ``"vector"`` (NumPy span/value arrays with vectorized
-gathers, the default) or ``"bitpacked"`` (the reference ``BitArray`` +
-``Bitmap`` the tests compare against).  Both report identical spans,
-values, and ``memory_bits``.
+Like :class:`~repro.core.row.SalsaRow`, a row holds its observable
+state in arrays rather than in the merge bits: ``span_start[j]`` and
+``span_end[j]`` bound the counter containing slot ``j``, and
+``values[j]`` is its value, duplicated across the span, so point reads
+and batched gathers are single array indexes.  The row charges the
+encoding's one merge bit per slot, and its counters are ``uint64``
+words, so a row whose counters could grow past 64 bits is refused.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitvec import BitArray, Bitmap
 from repro.core.row import MAX, SUM
-
-
-class TangoBitPackedEngine:
-    """Reference Tango storage: bit-packed payload + merge bitmap."""
-
-    name = "bitpacked"
-
-    def __init__(self, w: int, s: int):
-        self.w = w
-        self.s = s
-        self.store = BitArray(w * s)
-        self.bits = Bitmap(w)  # bit j: slot j merged with slot j+1
-
-    def span_of(self, j: int) -> tuple[int, int]:
-        """Inclusive (L, R) span of the counter containing slot ``j``."""
-        bits = self.bits
-        left = j
-        while left > 0 and bits.get(left - 1):
-            left -= 1
-        right = j
-        while right < self.w - 1 and bits.get(right):
-            right += 1
-        return left, right
-
-    def read_span(self, left: int, right: int) -> int:
-        return self.store.read(left * self.s, (right - left + 1) * self.s)
-
-    def write_span(self, left: int, right: int, value: int) -> None:
-        self.store.write(left * self.s, (right - left + 1) * self.s, value)
-
-    def link(self, pos: int) -> None:
-        """Join the spans containing ``pos`` and ``pos + 1``."""
-        self.bits.set(pos)
-
-    def read(self, j: int) -> int:
-        left, right = self.span_of(j)
-        return self.read_span(left, right)
-
-    def read_many(self, idxs) -> np.ndarray:
-        if isinstance(idxs, np.ndarray):
-            idxs = idxs.tolist()
-        read = self.read
-        return np.fromiter((read(j) for j in idxs), dtype=np.uint64,
-                           count=len(idxs))
-
-
-class TangoVectorEngine:
-    """NumPy Tango storage: per-slot span bounds and duplicated values.
-
-    ``span_start[j]``/``span_end[j]`` bound the counter containing
-    ``j``; ``values[j]`` is its value, duplicated across the span, so
-    point reads and batched gathers are single array indexes.  Merge
-    bits are derived, and the engine charges the same one bit per slot
-    as the reference encoding.
-    """
-
-    name = "vector"
-
-    def __init__(self, w: int, s: int):
-        self.w = w
-        self.s = s
-        self.span_start = np.arange(w, dtype=np.int64)
-        self.span_end = np.arange(w, dtype=np.int64)
-        self.values = np.zeros(w, dtype=np.uint64)
-
-    def span_of(self, j: int) -> tuple[int, int]:
-        return int(self.span_start[j]), int(self.span_end[j])
-
-    def read_span(self, left: int, right: int) -> int:
-        return int(self.values[left])
-
-    def write_span(self, left: int, right: int, value: int) -> None:
-        self.values[left:right + 1] = value
-
-    def link(self, pos: int) -> None:
-        left = int(self.span_start[pos])
-        right = int(self.span_end[pos + 1])
-        self.span_start[left:right + 1] = left
-        self.span_end[left:right + 1] = right
-
-    def read(self, j: int) -> int:
-        return int(self.values[j])
-
-    def read_many(self, idxs) -> np.ndarray:
-        return self.values[np.ascontiguousarray(idxs, dtype=np.int64)]
-
-
-_TANGO_ENGINES = {
-    TangoBitPackedEngine.name: TangoBitPackedEngine,
-    TangoVectorEngine.name: TangoVectorEngine,
-}
 
 
 class TangoRow:
@@ -129,17 +39,16 @@ class TangoRow:
     w:
         Number of base slots (power of two).
     s:
-        Base counter width in bits; Tango supports s in {1,2,4,8,16}
-        as evaluated in Fig 7 (non-power-of-two field offsets are
-        handled by the generic BitArray paths).
+        Base counter width in bits, in ``[1, 64]``; Fig 7 evaluates
+        s in {1,2,4,8,16}.
     max_slots:
-        Widest counter allowed, in slots (default: grows to 64 bits).
-        The vector engine holds at most 64 bits; wider needs
-        ``"bitpacked"``.
+        Widest counter allowed, in slots (at least 1; default: grows to
+        64 bits, the most a row holds).
     merge:
         ``"sum"`` or ``"max"`` -- same semantics as SALSA.
-    engine:
-        ``"vector"`` (the default) or ``"bitpacked"`` (the reference).
+
+    Every door that takes a slot raises ``ValueError`` outside
+    ``[0, w)``.
 
     Examples
     --------
@@ -158,39 +67,71 @@ class TangoRow:
     signed = False
 
     def __init__(self, w: int, s: int = 8, max_slots: int | None = None,
-                 merge: str = MAX, engine: str = "vector"):
+                 merge: str = MAX):
         if w < 2 or w & (w - 1):
             raise ValueError(f"w must be a power of two >= 2, got {w}")
         if s < 1 or s > 64:
             raise ValueError(f"s must be in [1, 64], got {s}")
+        if max_slots is not None and max_slots < 1:
+            raise ValueError(f"max_slots must be >= 1, got {max_slots}")
         if merge not in (SUM, MAX):
             raise ValueError(f"merge must be 'sum' or 'max', got {merge!r}")
         self.w = w
         self.s = s
         self.max_slots = min(64 // s if max_slots is None else max_slots, w)
+        if self.max_slots * s > 64:
+            raise ValueError(
+                f"rows hold counters in 64-bit words, but max_slots * s "
+                f"= {self.max_slots * s} bits"
+            )
         self.merge = merge
-        if engine not in _TANGO_ENGINES:
-            raise ValueError(
-                f"unknown Tango engine {engine!r}; "
-                f"known: {sorted(_TANGO_ENGINES)}"
-            )
-        if engine == "vector" and self.max_slots * s > 64:
-            raise ValueError(
-                f"vector Tango engine holds counters in uint64; "
-                f"max_slots * s = {self.max_slots * s} exceeds 64 bits"
-            )
-        self.engine_name = engine
-        self.engine = _TANGO_ENGINES[engine](w, s)
+        self.span_start = np.arange(w, dtype=np.int64)
+        self.span_end = np.arange(w, dtype=np.int64)
+        self.values = np.zeros(w, dtype=np.uint64)
         self.merge_events = 0
         self.saturations = 0
 
     # ------------------------------------------------------------------
-    # layout
+    # storage: the only methods that touch the arrays
     # ------------------------------------------------------------------
     def span_of(self, j: int) -> tuple[int, int]:
         """Inclusive (L, R) span of the counter containing slot ``j``."""
-        return self.engine.span_of(j)
+        if not 0 <= j < self.w:
+            raise ValueError(f"slot {j} outside [0, {self.w})")
+        return self.span_start.item(j), self.span_end.item(j)
 
+    def read(self, j: int) -> int:
+        """Value of the counter containing slot ``j``."""
+        if not 0 <= j < self.w:
+            raise ValueError(f"slot {j} outside [0, {self.w})")
+        return self.values.item(j)
+
+    def read_many(self, idxs) -> np.ndarray:
+        """uint64 values of the counters containing each slot."""
+        idxs = np.asarray(idxs)
+        if idxs.size and (idxs.dtype.kind not in "iu"
+                          or not 0 <= idxs.min() <= idxs.max() < self.w):
+            raise ValueError(f"slots must be integers in [0, {self.w})")
+        return self.values[idxs.astype(np.int64, copy=False)]
+
+    def read_span(self, left: int, right: int) -> int:
+        """Value of the (known) counter spanning ``[left, right]``."""
+        return self.values.item(left)
+
+    def write_span(self, left: int, right: int, value: int) -> None:
+        """Store ``value`` (it fits) in the counter spanning ``[left, right]``."""
+        self.values[left:right + 1] = value
+
+    def _link(self, pos: int) -> None:
+        """Join the spans containing ``pos`` and ``pos + 1``."""
+        left = self.span_start.item(pos)
+        right = self.span_end.item(pos + 1)
+        self.span_start[left:right + 1] = left
+        self.span_end[left:right + 1] = right
+
+    # ------------------------------------------------------------------
+    # layout
+    # ------------------------------------------------------------------
     @staticmethod
     def _next_extension(left: int, right: int, w: int) -> int:
         """Slot to absorb next, per the power-of-two alignment rule.
@@ -215,42 +156,31 @@ class TangoRow:
         return left - 1
 
     # ------------------------------------------------------------------
-    # field access
-    # ------------------------------------------------------------------
-    def read(self, j: int) -> int:
-        """Value of the counter containing slot ``j``."""
-        return self.engine.read(j)
-
-    def read_many(self, idxs) -> np.ndarray:
-        """uint64 values of the counters containing each slot."""
-        return self.engine.read_many(idxs)
-
-    # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
     def _grow(self, left: int, right: int, value: int) -> tuple[int, int, int]:
         """Absorb one neighbouring counter; return new (L, R, value)."""
         target = self._next_extension(left, right, self.w)
-        n_left, n_right = self.engine.span_of(target)
-        neighbour = self.engine.read_span(n_left, n_right)
+        n_left, n_right = self.span_of(target)
+        neighbour = self.read_span(n_left, n_right)
         if self.merge == SUM:
             value += neighbour
         else:
             value = max(value, neighbour)
         # Join the spans (they are adjacent by construction).
         if target < left:
-            self.engine.link(n_right)  # n_right == left - 1
+            self._link(n_right)  # n_right == left - 1
             left = n_left
         else:
-            self.engine.link(right)    # target == right + 1
+            self._link(right)    # target == right + 1
             right = n_right
         self.merge_events += 1
         return left, right, value
 
     def add(self, j: int, v: int) -> int:
         """Add ``v`` to the counter containing ``j``, growing as needed."""
-        left, right = self.engine.span_of(j)
-        value = max(0, self.engine.read_span(left, right) + v)
+        left, right = self.span_of(j)
+        value = max(0, self.read_span(left, right) + v)
         return self._settle(left, right, value)
 
     def _settle(self, left: int, right: int, value: int) -> int:
@@ -263,15 +193,15 @@ class TangoRow:
                 self.saturations += 1
                 break
             left, right, value = self._grow(left, right, value)
-        self.engine.write_span(left, right, value)
+        self.write_span(left, right, value)
         return value
 
     def set_at_least(self, j: int, target: int) -> int:
         """Conservative-update primitive (max-merge rows only)."""
         if self.merge != MAX:
             raise ValueError("set_at_least requires a max-merge row")
-        left, right = self.engine.span_of(j)
-        value = self.engine.read_span(left, right)
+        left, right = self.span_of(j)
+        value = self.read_span(left, right)
         if value >= target:
             return value
         return self._settle(left, right, target)
@@ -281,16 +211,15 @@ class TangoRow:
         """Yield ``(left, right, value)`` for every live counter."""
         j = 0
         while j < self.w:
-            left, right = self.engine.span_of(j)
-            yield left, right, self.engine.read_span(left, right)
+            left, right = self.span_of(j)
+            yield left, right, self.read_span(left, right)
             j = right + 1
 
     @property
     def memory_bits(self) -> int:
-        """Payload plus one merge bit per slot (engine-independent)."""
+        """Payload plus one merge bit per slot."""
         return self.w * self.s + self.w
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TangoRow(w={self.w}, s={self.s}, "
-                f"max_slots={self.max_slots}, merge={self.merge!r}, "
-                f"engine={self.engine_name!r})")
+                f"max_slots={self.max_slots}, merge={self.merge!r})")

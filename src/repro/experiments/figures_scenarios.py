@@ -132,7 +132,7 @@ def scenario_speed(length: int | None = None, trials: int | None = None,
     """Batched ingest throughput (Mops) per scenario vs batch size.
 
     One series per requested scenario, all through the same 32KB
-    SALSA CMS (on vector rows).  ``shards`` is checked as
+    SALSA CMS.  ``shards`` is checked as
     :func:`scenario_error` checks it, but every cell times one
     unsharded sketch.  Wall-clock cells always run serial (``jobs=1``),
     like every other speed figure.

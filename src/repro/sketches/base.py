@@ -303,18 +303,7 @@ class BatchOpsMixin:
     ``tests/test_batch_api.py``).  Overrides that are only exact under
     preconditions (e.g. non-negative values) must delegate back to
     these defaults when the precondition fails.
-
-    Sketches whose storage is a row engine (:mod:`repro.core.engines`)
-    record it in :attr:`engine_name`: the SALSA family takes an
-    ``engine=`` kwarg (plumbed through ``for_memory`` as well), and the
-    fixed-width CMS, CUS and AEE, whose rows are SALSA rows that never
-    merge, report ``"vector"`` without taking one.  The other sketches
-    leave it ``None``.  The engine only changes which code path the
-    batch door takes, never the answers.
     """
-
-    #: Row-engine name for row-backed sketches, else None.
-    engine_name: str | None = None
 
     #: dtype of every ``query_many`` answer, fixed by the sketch's
     #: configuration (never inferred from the values).

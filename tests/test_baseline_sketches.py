@@ -233,7 +233,7 @@ def test_63_bit_counters_saturate_on_both_doors(cls):
     batched.update_many([9, 9, 9], [top, top, top])
     assert per_item.query(9) == batched.query(9) == top
     for a, b in zip(per_item.rows, batched.rows, strict=True):
-        assert np.array_equal(a.engine.values, b.engine.values)
+        assert np.array_equal(a.values, b.values)
     assert per_item.query_many([9, 10]).tolist() == [top, 0]
 
 

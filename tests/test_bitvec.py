@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitvec import BitArray, Bitmap
+from reference_rows import BitArray, Bitmap
 
 
 class TestBitArrayBasics:

@@ -278,7 +278,7 @@ def test_elastic_evictions_and_heavy_entries_match():
     _feed_batched(b, items, values, chunk=409)
     assert a.heavy_entries() == b.heavy_entries()
     for ra, rb in zip(a.light.rows, b.light.rows, strict=True):
-        assert np.array_equal(ra.engine.values, rb.engine.values)
+        assert np.array_equal(ra.values, rb.values)
     assert a.n == b.n
 
 

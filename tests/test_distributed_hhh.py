@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.distributed as distributed
 from repro.core import (
     DistributedSketch,
     SalsaCountMin,
     SalsaCountSketch,
-    VectorRowEngine,
+    SalsaRow,
     shard,
 )
 from repro.core.distributed import _split, _worker_keys
@@ -19,6 +20,7 @@ from repro.tasks import HierarchicalHeavyHitters, dotted
 from repro.streams import Trace, WeightedTrace, zipf_trace
 
 from answers import assert_answers
+from reference_rows import bitpacked, blob, build, wire
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,9 +108,13 @@ class TestDistributedSketch:
         with pytest.raises(ValueError):
             DistributedSketch(self._factory(), workers=0)
 
-    def _engine_factory(self, engine):
-        return lambda fam: SalsaCountMin(w=512, d=4, s=8, merge="sum",
-                                         hash_family=fam, engine=engine)
+    @staticmethod
+    def _engine_factory(engine, monkeypatch):
+        """Workers on production rows, or on bit-packed reference rows,
+        whose bytes ``combined`` ships through :func:`wire`."""
+        monkeypatch.setattr(distributed, "dumps", wire)
+        return lambda fam: build(SalsaCountMin, engine, w=512, d=4, s=8,
+                                 merge="sum", hash_family=fam)
 
     @staticmethod
     def _assert_counters_equal(a, b):
@@ -119,14 +125,15 @@ class TestDistributedSketch:
 
     @pytest.mark.parametrize("policy", ["hash", "round_robin"])
     @pytest.mark.parametrize("engine", ["bitpacked", "vector"])
-    def test_merge_equals_single_sketch(self, policy, engine):
+    def test_merge_equals_single_sketch(self, policy, engine, monkeypatch):
         """Counter-for-counter: distributed == centralized (sum-merge),
         whichever door (per-item ``update`` or ``feed_stream`` at any
         chunk size), shard policy, and row engine ran."""
         trace = zipf_trace(20_000, 1.1, universe=2_000, seed=6)
         single = None
         for chunk in (None, 512 * 4, len(trace)):
-            dist = DistributedSketch(self._engine_factory(engine),
+            dist = DistributedSketch(self._engine_factory(engine,
+                                                          monkeypatch),
                                      workers=4, d=4, seed=6)
             if chunk is None:
                 for worker, piece in enumerate(
@@ -139,9 +146,8 @@ class TestDistributedSketch:
                 dist.feed_stream(trace.chunks(chunk), policy=policy, seed=6)
             combined = dist.combined()
             if single is None:
-                single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
-                                       hash_family=dist.family,
-                                       engine=engine)
+                single = build(SalsaCountMin, engine, w=512, d=4, s=8,
+                               merge="sum", hash_family=dist.family)
                 single.update_many(trace)
             self._assert_counters_equal(combined, single)
 
@@ -159,19 +165,19 @@ class TestDistributedSketch:
         self._assert_counters_equal(combined, single)
 
     @pytest.mark.parametrize("engine", ["bitpacked", "vector"])
-    def test_combined_answers_on_vector_rows(self, engine):
+    def test_combined_answers_on_vector_rows(self, engine, monkeypatch):
         """Regression: the wire round-trip inside ``combined`` once
         rebuilt bit-packed sketches, so every merge walked
-        ``SalsaRow.add`` and the final query ran on the slow engine.
-        Whatever engine the workers use, the merged sketch is on vector
-        rows and answers exactly like a whole-stream sum-merge sketch."""
+        ``SalsaRow.add`` and the final query ran on the slow storage.
+        Whatever rows the workers use, the merged sketch is on
+        production rows and answers exactly like a whole-stream
+        sum-merge sketch."""
         trace = zipf_trace(20_000, 1.1, universe=2_000, seed=14)
-        dist = DistributedSketch(self._engine_factory(engine), workers=4,
-                                 d=4, seed=14)
+        dist = DistributedSketch(self._engine_factory(engine, monkeypatch),
+                                 workers=4, d=4, seed=14)
         dist.feed_stream(trace.chunks(4096), seed=14)
         combined = dist.combined()
-        assert all(isinstance(row.engine, VectorRowEngine)
-                   for row in combined.rows)
+        assert all(type(row) is SalsaRow for row in combined.rows)
         single = SalsaCountMin(w=512, d=4, s=8, merge="sum",
                                hash_family=dist.family)
         single.update_many(trace)
@@ -180,20 +186,19 @@ class TestDistributedSketch:
         self._assert_counters_equal(combined, single)
 
     def test_loads_rebuilds_bitpacked_state_on_vector_rows(self):
-        """A blob from a bit-packed sketch loads into vector rows with
-        identical counters, and its bytes equal the blob of the same
-        sketch built on vector rows."""
+        """A blob of a bit-packed sketch's buffers loads into production
+        rows with identical counters, and its bytes equal the blob of
+        the same sketch built on production rows."""
         trace = zipf_trace(20_000, 1.1, universe=2_000, seed=15)
-        ref = SalsaCountMin(w=512, d=4, s=8, seed=15, engine="bitpacked")
+        ref = bitpacked(SalsaCountMin(w=512, d=4, s=8, seed=15))
         fast = SalsaCountMin(w=512, d=4, s=8, seed=15)
         ref.update_many(trace)
         fast.update_many(trace)
-        clone = loads(dumps(ref))
-        assert all(isinstance(row.engine, VectorRowEngine)
-                   for row in clone.rows)
+        clone = loads(blob(ref))
+        assert all(type(row) is SalsaRow for row in clone.rows)
         for row_c, row_r in zip(clone.rows, ref.rows):
             assert list(row_c.counters()) == list(row_r.counters())
-        assert dumps(ref) == dumps(fast) == dumps(clone)
+        assert blob(ref) == dumps(fast) == dumps(clone)
 
     def test_count_sketch_workers(self):
         """CS merging (signed, Turnstile) distributes too."""

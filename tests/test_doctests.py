@@ -9,9 +9,6 @@ import doctest
 import pytest
 
 import repro
-import repro.bitvec.bitarray
-import repro.bitvec.bitmap
-import repro.core.layout
 import repro.core.compact
 import repro.core.row
 import repro.core.tango
@@ -40,11 +37,10 @@ import repro.hashing.tabulation
 import repro.tasks.heavy_hitters
 import repro.tasks.hierarchical
 
+import reference_rows
+
 _MODULES = [
     repro,
-    repro.bitvec.bitarray,
-    repro.bitvec.bitmap,
-    repro.core.layout,
     repro.core.compact,
     repro.core.row,
     repro.core.tango,
@@ -72,6 +68,7 @@ _MODULES = [
     repro.hashing.tabulation,
     repro.tasks.heavy_hitters,
     repro.tasks.hierarchical,
+    reference_rows,   # the paper's Fig 1 encoding, as the tests' oracle
 ]
 
 

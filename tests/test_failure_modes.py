@@ -183,9 +183,9 @@ def test_interleaved_ops_fuzz(data):
         elif op == "scale":
             row.scale_down_half()
         else:
-            level, start = row.layout.locate(j)
+            level, start = row.locate(j)
             if level > 0:
                 row.try_split(start, level)
-    total_slots = sum(1 << lvl for _s, lvl in row.layout.counters())
+    total_slots = sum(1 << lvl for _s, lvl, _v in row.counters())
     assert total_slots == 16
     assert all(v >= 0 for _s, _l, v in row.counters())

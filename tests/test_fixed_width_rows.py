@@ -15,8 +15,7 @@ fixed-width rules they had as one ``(d, w)`` matrix, kept below as
   zero, as a deletion on the update doors is).
 
 It must hold on every door, with the native kernel on and off, and on
-bit-packed rows built as ``SalsaCountMin`` /
-``SalsaConservativeUpdate(s=b, max_bits=b)``.
+the bit-packed reference rows of ``tests/reference_rows.py``.
 
 :class:`AeeSketch` is ``d`` max-merge rows of that kind, halved by
 ``SalsaRow.scale_down_half``; :class:`MatrixAee` keeps the matrix
@@ -35,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core import (
     MAX,
     SUM,
-    SalsaConservativeUpdate,
     SalsaCountMin,
     SalsaRow,
     _native,
@@ -46,10 +44,12 @@ from repro.hashing import HashFamily, mix64
 from repro.sketches import AeeSketch, ConservativeUpdateSketch, CountMinSketch
 
 from answers import assert_answers
+from reference_rows import bitpacked, blob
+from reference_rows import build as build_on
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
-#: vector rows with the kernel on or off, or bit-packed rows
+#: production rows with the kernel on or off, or bit-packed rows
 MODES = ("kernel", "no-kernel", "bitpacked")
 
 
@@ -99,17 +99,11 @@ def mode(name):
 
 
 def build(kind, name, w, d, bits, hashes):
-    """The sketch under test: the fixed-width class on vector rows, or
-    its bit-packed twin through the SALSA class."""
-    if name == "bitpacked":
-        if kind == "cms":
-            return SalsaCountMin(w, d, s=bits, merge=SUM, max_bits=bits,
-                                 hash_family=hashes, engine="bitpacked")
-        return SalsaConservativeUpdate(w, d, s=bits, max_bits=bits,
-                                       hash_family=hashes,
-                                       engine="bitpacked")
+    """The sketch under test: the fixed-width class, on production rows
+    or on bit-packed ones."""
     cls = CountMinSketch if kind == "cms" else ConservativeUpdateSketch
-    return cls(w=w, d=d, counter_bits=bits, hash_family=hashes)
+    sketch = cls(w=w, d=d, counter_bits=bits, hash_family=hashes)
+    return bitpacked(sketch) if name == "bitpacked" else sketch
 
 
 def counters(sketch):
@@ -242,8 +236,9 @@ def test_rows_that_never_merge_take_any_width(bits, merge, engine):
     if merge == SUM:
         values = [v if rng.random() < 0.7 else -v for v in values]
     slots = [rng.randrange(16) for _ in values]
-    per_item, batched = (SalsaRow(w=16, s=bits, max_bits=bits, merge=merge,
-                                  engine=engine) for _ in range(2))
+    per_item, batched = (build_on(SalsaRow, engine, w=16, s=bits,
+                                  max_bits=bits, merge=merge)
+                         for _ in range(2))
     want = [0] * 16
     for j, v in zip(slots, values):
         want[j] = min(max(want[j] + v, 0), cap)
@@ -253,10 +248,11 @@ def test_rows_that_never_merge_take_any_width(bits, merge, engine):
         assert [row.read(j) for j in range(16)] == want
         assert row.max_level == row.merge_events == 0
     assert per_item.saturations == batched.saturations > 0
-    sketch = SalsaCountMin(w=16, d=1, s=bits, max_bits=bits, merge=merge,
-                           engine=engine)
+    sketch = build_on(SalsaCountMin, engine, w=16, d=1, s=bits,
+                      max_bits=bits, merge=merge)
     sketch.update_many(slots, [abs(v) for v in values])
-    assert counters(loads(dumps(sketch))) == counters(sketch)
+    data = blob(sketch) if engine == "bitpacked" else dumps(sketch)
+    assert counters(loads(data)) == counters(sketch)
 
 
 @pytest.mark.parametrize("s, max_bits", [(3, 64), (3, 6), (0, 0), (65, 65)])
@@ -314,7 +310,7 @@ def test_fixed_width_contract(cls, bits):
     sketch = cls(w=64, d=3, counter_bits=bits, seed=4)
     assert (sketch.counter_bits, sketch.cap) == (bits, (1 << bits) - 1)
     assert sketch.memory_bytes == 3 * 64 * bits // 8
-    assert sketch.engine_name == "vector"
+    assert all(type(row) is SalsaRow for row in sketch.rows)
     assert sketch.query_dtype == np.int64
     sketch.update_many([1, 1, 2], [sketch.cap, sketch.cap, 1])
     assert_answers(sketch, [1, 2, 3], [sketch.cap, 1, 0])

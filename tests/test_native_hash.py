@@ -335,18 +335,17 @@ def test_a_copy_leaves_the_original_byte_identical(cls):
 
 @needs_kernel
 def test_a_replaced_array_is_checked_again():
-    """An engine whose arrays were swapped gets fresh addresses: the
+    """A row whose arrays were swapped gets fresh addresses: the
     kernel writes the new arrays, and a bad one is refused."""
     sketch = SalsaCountMin(w=64, d=1, s=8, seed=1)
     keys = np.arange(10, dtype=np.int64)
     sketch.update_many(keys, keys + 1)
-    engine = sketch.rows[0].engine
-    old = engine.values
-    engine.values = old.copy()
+    row = sketch.rows[0]
+    old = row.values
+    row.values = old.copy()
     sketch.update_many(keys, keys + 1)
     assert sketch.query_many(keys).tolist() == (2 * (keys + 1)).tolist()
-    assert engine.values is not old and not np.array_equal(engine.values,
-                                                           old)
-    engine.values = engine.values[::-1]   # a strided view
+    assert row.values is not old and not np.array_equal(row.values, old)
+    row.values = row.values[::-1]   # a strided view
     with pytest.raises(ValueError):
         sketch.update_many(keys, keys + 1)

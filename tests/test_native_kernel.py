@@ -4,7 +4,8 @@ The kernels must be indistinguishable from the Python reference walks
 they replace: on any stream, ``SalsaConservativeUpdate.update_many``
 and ``ops.merge``/``ops.subtract`` leave the same counter values,
 merge levels, ``merge_events`` and ``saturations`` with the kernel on,
-with it off, item by item, and on bit-packed rows.  The merge-free
+with it off, item by item, and on the bit-packed reference rows of
+``tests/reference_rows.py``.  The merge-free
 batch door (``add_batch_partial``) plus the stream-order dirty replay
 (``SalsaRow.add_many``) must land where the bit-packed reference's
 per-item walk does and flag exactly the superblocks the merge-free
@@ -47,6 +48,7 @@ from repro.sketches import (AeeSketch, ConservativeUpdateSketch,
                             CountMinSketch)
 
 from answers import assert_answers
+from reference_rows import build
 
 W = 32
 INT64_MAX = (1 << 63) - 1
@@ -130,8 +132,8 @@ def test_cus_kernel_matches_python_walks(split, s, seed):
     fam = HashFamily(3, seed)
 
     def make(engine):
-        return SalsaConservativeUpdate(w=W, d=3, s=s, hash_family=fam,
-                                       engine=engine)
+        return build(SalsaConservativeUpdate, engine, w=W, d=3, s=s,
+                     hash_family=fam)
 
     cus_four_ways(make, stream, cuts)
 
@@ -144,8 +146,8 @@ def test_cus_target_past_2_64_saturates_a_64_bit_counter():
               (5, INT64_MAX), (8, 3)]
 
     def make(engine):
-        return SalsaConservativeUpdate(w=8, d=2, s=8, hash_family=fam,
-                                       engine=engine)
+        return build(SalsaConservativeUpdate, engine, w=8, d=2, s=8,
+                     hash_family=fam)
 
     top = (1 << 64) - 1
     filled = cus_four_ways(make, stream[:3], [1])   # 2^64 - 2, then + 1
@@ -171,8 +173,8 @@ def test_fixed_width_cus_saturates_at_odd_counter_bits(bits):
         if engine == "vector":
             return ConservativeUpdateSketch(w=16, d=3, counter_bits=bits,
                                             hash_family=fam)
-        return SalsaConservativeUpdate(w=16, d=3, s=bits, max_bits=bits,
-                                       hash_family=fam, engine=engine)
+        return build(SalsaConservativeUpdate, engine, w=16, d=3, s=bits,
+                     max_bits=bits, hash_family=fam)
 
     sk = cus_four_ways(make, stream, [17, 50])
     assert max(max(row[1]) for row in state(sk)) == (1 << bits) - 1
@@ -188,8 +190,8 @@ def test_cus_stores_into_merged_level_1_and_2_blocks():
               (1, 2), (3, 40), (2, 1), (4, 1), (1, 9)]
 
     def make(engine):
-        return SalsaConservativeUpdate(w=16, d=2, s=4, hash_family=fam,
-                                       engine=engine)
+        return build(SalsaConservativeUpdate, engine, w=16, d=2, s=4,
+                     hash_family=fam)
 
     for cuts in ([], [3], [1, 6, 9]):
         sk = cus_four_ways(make, stream, cuts)
@@ -214,7 +216,7 @@ QUERY_SKETCHES = {
                                           seed=1),
     "tango": lambda: TangoCountMin(w=32, d=3, s=4, seed=1),
 }
-#: Tango rows are not SALSA vector rows and keep the NumPy path.
+#: Tango rows are not SalsaRows and keep the NumPy path.
 FUSED = set(QUERY_SKETCHES) - {"tango"}
 
 
@@ -272,8 +274,8 @@ def test_absorb_kernel_matches_python_walks(name, op, data, s):
 
     def run(engine="vector"):
         def make(stream, cuts):
-            return feed(cls(w=W, d=2, s=s, hash_family=fam, engine=engine,
-                            **kw), stream, cuts)
+            return feed(build(cls, engine, w=W, d=2, s=s, hash_family=fam,
+                              **kw), stream, cuts)
 
         a = make(stream_a, cuts_a)
         getattr(ops, op)(a, make(stream_b, cuts_b))
@@ -339,8 +341,7 @@ DELTAS = st.one_of(st.integers(0, 3), st.integers(-3, 300),
 
 
 def row_arrays(row):
-    engine = row.engine
-    return engine.values.tobytes(), engine.levels.tobytes()
+    return row.values.tobytes(), row.levels.tobytes()
 
 
 def merge_free_dirty(row, idxs, vals) -> set:
@@ -377,7 +378,7 @@ def merge_free_dirty(row, idxs, vals) -> set:
 def test_add_partial_matches_bitpacked_replay(config, s, near, batches):
     if _native.library() is None:
         pytest.skip("native kernel unavailable")
-    vec, ref = (SalsaRow(w=ROW_W, s=s, engine=engine, **ROW_CONFIGS[config])
+    vec, ref = (build(SalsaRow, engine, w=ROW_W, s=s, **ROW_CONFIGS[config])
                 for engine in ("vector", "bitpacked"))
     # Park counters a few units below 2^64 - 1 (unsigned) or the
     # sign-magnitude bound 2^63 - 1 (signed, either sign).
@@ -529,8 +530,8 @@ def test_update_many_is_the_same_with_the_kernel_off(name, split, s, seed):
     fam = HashFamily(3, seed)
 
     def run(engine="vector"):
-        return state(feed(cls(w=W, d=3, s=s, hash_family=fam,
-                              engine=engine, **kw), stream, cuts))
+        return state(feed(build(cls, engine, w=W, d=3, s=s, hash_family=fam,
+                                **kw), stream, cuts))
 
     kernel = run()
     with kernel_off():
@@ -555,8 +556,8 @@ def door_weights(name):
        seed=st.integers(0, 2 ** 32))
 def test_update_many_equals_the_per_item_loop(name, data, s, seed):
     """The one SALSA batch door: ``update_many`` over the raw stream,
-    in any batch split, on vector rows with the kernel on and off and
-    on bit-packed rows, leaves what the per-item loop leaves -- values,
+    in any batch split, on production rows with the kernel on and off
+    and on bit-packed rows, leaves what the per-item loop leaves -- values,
     levels, ``merge_events``, ``saturations`` -- and ``query_many``
     answers what per-item ``query`` does."""
     cls, kw, _ = BATCH_CONFIGS[name]
@@ -567,7 +568,7 @@ def test_update_many_equals_the_per_item_loop(name, data, s, seed):
     fam = HashFamily(3, seed)
 
     def make(engine="vector"):
-        return cls(w=W, d=3, s=s, hash_family=fam, engine=engine, **kw)
+        return build(cls, engine, w=W, d=3, s=s, hash_family=fam, **kw)
 
     probe = [x for x, _ in stream] + [0]
     per_item = make()
@@ -611,7 +612,7 @@ def test_replay_calls_add_only_where_a_merge_fires(config):
     if _native.library() is None:
         pytest.skip("native kernel unavailable")
     kw = ROW_CONFIGS[config]
-    row, ref = (SalsaRow(w=ROW_W, s=8, engine=engine, **kw)
+    row, ref = (build(SalsaRow, engine, w=ROW_W, s=8, **kw)
                 for engine in ("vector", "bitpacked"))
     # +-100 on a signed row, +-1 on an unsigned one: the batch door
     # flags the superblock (inflow past the width, or a deletion that
@@ -650,8 +651,8 @@ def test_replay_saturates_and_clamps_like_the_reference(config, batches):
     saturate at ``max_level`` and clamp deletions at zero exactly as
     bit-packed ``add_many`` does, with the kernel on and off."""
     def make(engine="vector"):
-        return SalsaRow(w=ROW_W, s=2, max_bits=4, engine=engine,
-                        **ROW_CONFIGS[config])
+        return build(SalsaRow, engine, w=ROW_W, s=2, max_bits=4,
+                     **ROW_CONFIGS[config])
 
     def run(engine="vector"):
         row = make(engine)
@@ -685,8 +686,8 @@ def test_aee_update_many_is_the_same_with_the_kernel_off(stream, cuts,
     cuts = sorted({min(c, len(stream)) for c in cuts})
 
     def run(engine="vector"):
-        sk = feed(SalsaAeeCountMin(w=8, d=2, s=4, max_bits=max_bits,
-                                   seed=seed, engine=engine), stream, cuts)
+        sk = feed(build(SalsaAeeCountMin, engine, w=8, d=2, s=4,
+                        max_bits=max_bits, seed=seed), stream, cuts)
         return state(sk), sk.p, sk.top_level, sk.downsample_events
 
     kernel = run()
@@ -777,7 +778,7 @@ def test_wrappers_reject_malformed_arrays():
     with pytest.raises(ValueError):
         _native.min_query(SalsaCountSketch(w=16, d=3, s=4), keys)
     b = SalsaConservativeUpdate(w=16, d=2, s=4, seed=2)
-    b.rows[0].engine.levels[1] = 1   # a level-1 counter cannot start at 1
+    b.rows[0].levels[1] = 1   # a level-1 counter cannot start at 1
     with pytest.raises(ValueError):
         _native.absorb(sk.rows[0], b.rows[0], +1)
     assert state(sk) == state(SalsaConservativeUpdate(w=16, d=2, s=4,

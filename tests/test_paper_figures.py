@@ -7,15 +7,10 @@ produces exactly the states the paper draws.
 
 import pytest
 
-from repro.core import (
-    CompactLayout,
-    MergeBitLayout,
-    SalsaCountSketch,
-    SalsaRow,
-    layout_count,
-    ops,
-)
+from repro.core import SalsaCountSketch, layout_count, ops
 from repro.hashing import HashFamily
+
+from reference_rows import BitPackedRow, CompactLayout, MergeBitLayout
 
 
 class TestFigure1:
@@ -23,8 +18,8 @@ class TestFigure1:
     <14,15> and merge bits set at positions 4, 5, 6, 10, 14."""
 
     def _build(self):
-        # The bit-packed reference engine: the tests read its merge bits.
-        row = SalsaRow(w=16, s=8, merge="sum", engine="bitpacked")
+        # The bit-packed reference row: the tests read its merge bits.
+        row = BitPackedRow(w=16, s=8, merge="sum")
         row.add(0, 7)
         row.add(2, 3)
         # Build the 32-bit counter <4..7> holding 21773.
@@ -76,7 +71,7 @@ class TestFigure2:
 
     def _initial(self, merge):
         # State: [0, 255, 3, 0, 65533(<4,5>), 95, 11], m4 set.
-        row = SalsaRow(w=8, s=8, merge=merge, engine="bitpacked")
+        row = BitPackedRow(w=8, s=8, merge=merge)
         row.add(1, 255)
         row.add(2, 3)
         row.add(4, 255)

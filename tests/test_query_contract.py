@@ -38,28 +38,27 @@ from repro.sketches import (
 from repro.streams import WeightedTrace
 
 from answers import assert_answers
+from reference_rows import build
 
 MEMORY = 4096
 INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
 
-#: SALSA-family sketches, by row engine
+#: SALSA-family sketches, by row storage
 SALSA = {
-    "salsa-cms-max": lambda engine: SalsaCountMin(w=64, d=4, s=8, seed=1,
-                                                  engine=engine),
-    "salsa-cms-sum": lambda engine: SalsaCountMin(w=64, d=3, s=8,
-                                                  merge=SUM, seed=1,
-                                                  engine=engine),
-    "salsa-cus": lambda engine: SalsaConservativeUpdate(w=64, d=4, s=8,
-                                                        seed=1,
-                                                        engine=engine),
-    "salsa-cs-odd-d": lambda engine: SalsaCountSketch(w=64, d=5, s=8,
-                                                      seed=1, engine=engine),
-    "salsa-cs-even-d": lambda engine: SalsaCountSketch(w=64, d=4, s=8,
-                                                       seed=1, engine=engine),
-    "salsa-aee": lambda engine: SalsaAeeCountMin(w=64, d=4, s=8, seed=1,
-                                                 engine=engine),
-    "tango": lambda engine: TangoCountMin(w=64, d=4, s=8, seed=1,
-                                          engine=engine),
+    "salsa-cms-max": lambda engine: build(SalsaCountMin, engine, w=64, d=4,
+                                          s=8, seed=1),
+    "salsa-cms-sum": lambda engine: build(SalsaCountMin, engine, w=64, d=3,
+                                          s=8, merge=SUM, seed=1),
+    "salsa-cus": lambda engine: build(SalsaConservativeUpdate, engine, w=64,
+                                      d=4, s=8, seed=1),
+    "salsa-cs-odd-d": lambda engine: build(SalsaCountSketch, engine, w=64,
+                                           d=5, s=8, seed=1),
+    "salsa-cs-even-d": lambda engine: build(SalsaCountSketch, engine, w=64,
+                                            d=4, s=8, seed=1),
+    "salsa-aee": lambda engine: build(SalsaAeeCountMin, engine, w=64, d=4,
+                                      s=8, seed=1),
+    "tango": lambda engine: build(TangoCountMin, engine, w=64, d=4, s=8,
+                                  seed=1),
 }
 
 #: AEE in both modes (the CLI's list holds no AEE)
@@ -111,8 +110,9 @@ def check_contract(sketch, probe):
 
 @contextlib.contextmanager
 def engine(name):
-    """Build and query under one engine: vector rows with the native
-    kernel on (``kernel``) or off (``no-kernel``), or bit-packed rows."""
+    """Build and query under one storage: production rows with the
+    native kernel on (``kernel``) or off (``no-kernel``), or bit-packed
+    reference rows."""
     saved = _native._ENABLED
     _native._ENABLED = name != "no-kernel"
     try:

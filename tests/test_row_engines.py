@@ -1,14 +1,17 @@
-"""Cross-engine equivalence: BitPackedEngine vs VectorRowEngine.
+"""Representation independence: production rows vs the bit-packed oracle.
 
-The row-engine contract is observational equality: on any stream, both
-engines must report identical counter values, merge levels, estimates,
-``memory_bits``, and serialized bytes -- the engine changes speed,
-never the sketch.  These tests drive both engines in lockstep through
-random, hot-key, turnstile (sum-merge), and signed Count-Sketch
-streams, through the stateful operations (``scale_down_half``,
-``try_split``, ``copy``), and through serialize round-trips (a blob
-from either engine loads into vector rows and folds back into either),
-at row level and at sketch level.
+The contract is observational equality: on any stream, a production
+row (values and levels in arrays) and the paper's bit-packed encoding
+(``tests/reference_rows.py``) must report identical counter values,
+merge levels, estimates, ``memory_bits``, and serialized bytes -- the
+storage changes speed, never the sketch.  These tests drive both in
+lockstep through random, hot-key, turnstile (sum-merge), and signed
+Count-Sketch streams, through the stateful operations
+(``scale_down_half``, ``try_split``, ``copy``), and through serialize
+round-trips (a blob of either loads into production rows and folds
+back into either), at row level and at sketch level.  Parameters named
+``engine`` pick ``"bitpacked"`` (the oracle) or ``"vector"``
+(production).
 """
 
 import numpy as np
@@ -18,8 +21,6 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (
-    ENGINES,
-    BitPackedEngine,
     SalsaAeeCountMin,
     SalsaConservativeUpdate,
     SalsaCountMin,
@@ -27,13 +28,22 @@ from repro.core import (
     SalsaRow,
     TangoCountMin,
     TangoRow,
-    VectorRowEngine,
 )
 from repro.core import _native, ops
 from repro.core.row import SUM
 from repro.core.serialize import dumps, loads
 
 from answers import assert_answers
+from reference_rows import (
+    BitPackedRow,
+    TangoBitPackedRow,
+    bitpacked,
+    blob,
+    wire,
+)
+
+#: engine name -> row class
+ROWS = {"bitpacked": BitPackedRow, "vector": SalsaRow}
 
 
 def row_state(row):
@@ -47,8 +57,8 @@ def row_state(row):
 
 
 def make_pair(**kwargs):
-    return (SalsaRow(engine="bitpacked", **kwargs),
-            SalsaRow(engine="vector", **kwargs))
+    return BitPackedRow(**kwargs), SalsaRow(**kwargs)
+
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +92,7 @@ def test_row_add_lockstep(stream, merge, signed):
 
 def test_row_add_batch_lockstep():
     """Batches through add_many, the batch door every SALSA sketch
-    uses: the vector bulk path and the bit-packed reference (which
+    uses: the production bulk path and the bit-packed reference (which
     replays everything) stay in lockstep."""
     rng = np.random.default_rng(3)
     a, b = make_pair(w=32, s=4)
@@ -96,7 +106,7 @@ def test_row_add_batch_lockstep():
 
 def test_add_batch_partial_applies_clean_superblocks_only():
     kernel = _native.library() is not None
-    row = SalsaRow(w=16, s=8, engine="vector")
+    row = SalsaRow(w=16, s=8)
     row.add(0, 250)     # superblock 0 close to overflow
     # slots 0 and 8 live in different superblocks (max_level=3).
     dirty = row.add_batch_partial([0, 8], [100, 7])
@@ -111,7 +121,7 @@ def test_add_batch_partial_applies_clean_superblocks_only():
     assert mask is not None and row_state(row) == before
     # The bit-packed reference has no bulk path: everything is dirty,
     # nothing is written.
-    ref = SalsaRow(w=16, s=8, engine="bitpacked")
+    ref = BitPackedRow(w=16, s=8)
     before = row_state(ref)
     dirty = ref.add_batch_partial([0, 8], [100, 7])
     assert dirty.tolist() == [True, True] and row_state(ref) == before
@@ -121,7 +131,7 @@ def test_add_batch_rejects_negative_on_unsigned_vector_rows():
     """A negative delta clamps at zero per item, so summation is not
     equivalent: its superblock is dirty and left untouched."""
     kernel = _native.library() is not None
-    row = SalsaRow(w=16, s=8, engine="vector")
+    row = SalsaRow(w=16, s=8)
     row.add(3, 100)
     dirty = row.add_batch_partial([3, 8], [-5, 4])
     # Without the kernel: every superblock dirty, nothing written.
@@ -142,16 +152,16 @@ MALFORMED_ROW_BATCHES = {
 
 
 @pytest.mark.parametrize("kernel", [True, False])
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(ROWS))
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROW_BATCHES))
 def test_add_batch_partial_rejects_malformed_batches(case, engine, kernel,
                                                       monkeypatch):
-    """On both engines, with the kernel on or off, the door takes 1-D
+    """On both rows, with the kernel on or off, the door takes 1-D
     integer slots in [0, w) and deltas of equal length, else raises
     ValueError and writes nothing (slot -1 used to add to slot 15)."""
     monkeypatch.setattr(_native, "_ENABLED", kernel)
     idxs, vals = MALFORMED_ROW_BATCHES[case]
-    row = SalsaRow(w=16, s=8, engine=engine)
+    row = ROWS[engine](w=16, s=8)
     row.add(15, 3)
     before = row_state(row)
     for apply in (True, False):
@@ -178,21 +188,33 @@ def test_scale_down_and_split_lockstep():
 
 
 def test_copy_is_independent_per_engine():
-    for engine in ENGINES:
-        row = SalsaRow(w=8, s=8, engine=engine)
+    for cls in ROWS.values():
+        row = cls(w=8, s=8)
         row.add(1, 200)
         clone = row.copy()
-        assert clone.engine_name == engine
+        assert type(clone) is cls
         clone.add(1, 100)   # forces a merge in the clone only
         assert row.read(1) == 200
         assert row.level_of(1) == 0
         assert clone.level_of(1) == 1
 
 
+@pytest.mark.parametrize("encoding", ["simple", "compact"])
+def test_memory_bits_match_the_reference_encoding(encoding):
+    """A row charges, bit for bit, what the paper's encoding of it
+    holds -- whole-byte sketch sizes would hide a one-bit slip."""
+    for w in (2, 8, 32, 64, 1024):
+        for s in (2, 4, 8, 16, 32, 64):
+            for max_bits in (s, 64):
+                kw = dict(w=w, s=s, max_bits=max_bits, encoding=encoding)
+                assert SalsaRow(**kw).memory_bits == \
+                    BitPackedRow(**kw).memory_bits, kw
+
+
 def test_read_many_matches_point_reads():
     rng = np.random.default_rng(9)
-    for engine in ENGINES:
-        row = SalsaRow(w=32, s=4, engine=engine)
+    for cls in ROWS.values():
+        row = cls(w=32, s=4)
         for j, v in zip(rng.integers(0, 32, 500).tolist(),
                         rng.integers(1, 6, 500).tolist()):
             row.add(j, v)
@@ -207,8 +229,8 @@ def test_read_many_matches_point_reads():
 class EngineLockstepMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.a = SalsaRow(w=16, s=2, merge="sum", engine="bitpacked")
-        self.b = SalsaRow(w=16, s=2, merge="sum", engine="vector")
+        self.a = BitPackedRow(w=16, s=2, merge="sum")
+        self.b = SalsaRow(w=16, s=2, merge="sum")
 
     @rule(j=st.integers(min_value=0, max_value=15),
           v=st.integers(min_value=0, max_value=40))
@@ -219,7 +241,7 @@ class EngineLockstepMachine(RuleBasedStateMachine):
                                   st.integers(min_value=1, max_value=9)),
                         max_size=12))
     def add_batch_partial(self, data):
-        """The vector bulk path plus its dirty replay lands where the
+        """The production bulk path plus its dirty replay lands where the
         reference's all-dirty replay does (checked by the invariant)."""
         idxs = [j for j, _ in data]
         vals = [v for _, v in data]
@@ -244,17 +266,19 @@ TestEngineLockstepMachine.settings = settings(
 # sketch-level equivalence (batched and per-item, every variant)
 # ----------------------------------------------------------------------
 SKETCHES = {
-    "cms-max": lambda e: SalsaCountMin(w=64, d=4, s=8, seed=3, engine=e),
-    "cms-sum": lambda e: SalsaCountMin(w=64, d=4, s=8, merge=SUM, seed=3,
-                                       engine=e),
-    "cms-compact": lambda e: SalsaCountMin(w=64, d=4, s=8,
-                                           encoding="compact", seed=3,
-                                           engine=e),
-    "cs": lambda e: SalsaCountSketch(w=64, d=5, s=8, seed=3, engine=e),
-    "cus": lambda e: SalsaConservativeUpdate(w=64, d=4, s=8, seed=3,
-                                             engine=e),
-    "aee": lambda e: SalsaAeeCountMin(w=64, d=4, s=8, seed=3, engine=e),
+    "cms-max": lambda: SalsaCountMin(w=64, d=4, s=8, seed=3),
+    "cms-sum": lambda: SalsaCountMin(w=64, d=4, s=8, merge=SUM, seed=3),
+    "cms-compact": lambda: SalsaCountMin(w=64, d=4, s=8,
+                                         encoding="compact", seed=3),
+    "cs": lambda: SalsaCountSketch(w=64, d=5, s=8, seed=3),
+    "cus": lambda: SalsaConservativeUpdate(w=64, d=4, s=8, seed=3),
+    "aee": lambda: SalsaAeeCountMin(w=64, d=4, s=8, seed=3),
 }
+
+
+def make(name, engine):
+    sketch = SKETCHES[name]()
+    return bitpacked(sketch) if engine == "bitpacked" else sketch
 
 
 def _sketch_streams():
@@ -280,9 +304,9 @@ def test_sketch_engines_agree(name, stream):
     values = values.astype(np.int64)
     if name != "cs":
         values = np.abs(values) + 1     # Cash Register / Strict Turnstile
-    a = SKETCHES[name]("bitpacked")
-    b = SKETCHES[name]("vector")
-    assert a.engine_name == "bitpacked" and b.engine_name == "vector"
+    a = make(name, "bitpacked")
+    b = make(name, "vector")
+    assert type(a.rows[0]) is BitPackedRow and type(b.rows[0]) is SalsaRow
     for start in range(0, len(items), 389):
         chunk_i = items[start:start + 389]
         chunk_v = values[start:start + 389]
@@ -301,10 +325,9 @@ def test_aee_downsampling_stays_in_lockstep():
     splitting); identical RNG seeds must keep the engines identical."""
     rng = np.random.default_rng(23)
     items = rng.integers(0, 40, 6000).astype(np.int64)
-    a = SalsaAeeCountMin(w=8, d=2, s=8, max_bits=16, seed=3, split=True,
-                         engine="bitpacked")
-    b = SalsaAeeCountMin(w=8, d=2, s=8, max_bits=16, seed=3, split=True,
-                         engine="vector")
+    a = bitpacked(SalsaAeeCountMin(w=8, d=2, s=8, max_bits=16, seed=3,
+                                   split=True))
+    b = SalsaAeeCountMin(w=8, d=2, s=8, max_bits=16, seed=3, split=True)
     for start in range(0, len(items), 500):
         a.update_many(items[start:start + 500])
         b.update_many(items[start:start + 500])
@@ -314,40 +337,45 @@ def test_aee_downsampling_stays_in_lockstep():
 
 
 # ----------------------------------------------------------------------
-# serialization: one wire format, any engine
+# serialization: one wire format, either storage
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["cms-max", "cms-compact", "cs", "cus"])
 def test_serialized_bytes_are_engine_independent(name):
     items, values = SKETCH_STREAMS["random"]
     values = np.abs(values.astype(np.int64)) + 1
-    a = SKETCHES[name]("bitpacked")
-    b = SKETCHES[name]("vector")
+    a = make(name, "bitpacked")
+    b = make(name, "vector")
     a.update_many(items, values)
     b.update_many(items, values)
-    assert dumps(a) == dumps(b)
+    assert dumps(b) == blob(a)
 
 
-@pytest.mark.parametrize("src", sorted(ENGINES))
-@pytest.mark.parametrize("dst", sorted(ENGINES))
+def _cms(engine):
+    sketch = SalsaCountMin(w=64, d=3, s=8, seed=5)
+    return bitpacked(sketch) if engine == "bitpacked" else sketch
+
+
+@pytest.mark.parametrize("src", sorted(ROWS))
+@pytest.mark.parametrize("dst", sorted(ROWS))
 def test_serialize_roundtrip_across_engines(src, dst):
-    """A blob from either engine loads into vector rows, and the loaded
-    state folds into an empty sketch of either engine unchanged."""
+    """A blob of either storage loads into production rows, and the
+    loaded state folds into an empty sketch of either unchanged."""
     items, values = SKETCH_STREAMS["hot-key"]
-    sk = SalsaCountMin(w=64, d=3, s=8, seed=5, engine=src)
+    sk = _cms(src)
     sk.update_many(items, values)
-    clone = loads(dumps(sk))
-    assert clone.engine_name == "vector"
-    target = SalsaCountMin(w=64, d=3, s=8, seed=5, engine=dst)
+    clone = loads(wire(sk))
+    assert type(clone.rows[0]) is SalsaRow
+    target = _cms(dst)
     ops.merge(target, clone)
     probe = sorted(set(items.tolist()))
     for other in (clone, target):
         assert_answers(other, probe, sk.query_many(probe))
         assert other.memory_bytes == sk.memory_bytes
-        assert dumps(other) == dumps(sk)
+        assert wire(other) == wire(sk)
 
 
 def test_scale_down_then_serialize_roundtrip():
-    sk = SalsaCountMin(w=32, d=2, s=8, seed=1, engine="vector")
+    sk = SalsaCountMin(w=32, d=2, s=8, seed=1)
     for _ in range(600):
         sk.update(9)
     for row in sk.rows:
@@ -358,12 +386,12 @@ def test_scale_down_then_serialize_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Tango engines
+# Tango rows
 # ----------------------------------------------------------------------
 def test_tango_engines_agree():
     rng = np.random.default_rng(5)
-    a = TangoRow(w=32, s=8, engine="bitpacked")
-    b = TangoRow(w=32, s=8, engine="vector")
+    a = TangoBitPackedRow(w=32, s=8)
+    b = TangoRow(w=32, s=8)
     for j, v in zip(rng.integers(0, 32, 4000).tolist(),
                     rng.integers(1, 200, 4000).tolist()):
         assert a.add(j, v) == b.add(j, v)
@@ -377,8 +405,8 @@ def test_tango_engines_agree():
 def test_tango_sketch_engines_agree():
     rng = np.random.default_rng(6)
     items = rng.integers(0, 300, 5000).astype(np.int64)
-    a = TangoCountMin(w=128, d=3, s=8, seed=2, engine="bitpacked")
-    b = TangoCountMin(w=128, d=3, s=8, seed=2, engine="vector")
+    a = bitpacked(TangoCountMin(w=128, d=3, s=8, seed=2))
+    b = TangoCountMin(w=128, d=3, s=8, seed=2)
     a.update_many(items)
     b.update_many(items)
     probe = sorted(set(items.tolist()))
@@ -386,45 +414,65 @@ def test_tango_sketch_engines_agree():
 
 
 def test_tango_vector_engine_rejects_over_64_bit_counters():
-    with pytest.raises(ValueError):
-        TangoRow(w=32, s=8, max_slots=16, engine="vector")
+    with pytest.raises(ValueError, match="64-bit"):
+        TangoRow(w=32, s=8, max_slots=16)
 
 
 def test_salsa_vector_engine_rejects_over_64_bit_counters():
-    """Vector rows hold counters in 64-bit words, so a row that could
-    merge past 64 bits is refused up front; the bit-packed reference
-    still counts past 2^64 when asked for explicitly, and its blob is
-    refused by ``loads`` (which always builds vector rows)."""
+    """Rows hold counters in 64-bit words, so a row that could merge
+    past 64 bits is refused up front, the reference row included."""
+    for make_row in (SalsaRow, BitPackedRow):
+        with pytest.raises(ValueError, match="64-bit"):
+            make_row(w=64, s=8, max_bits=128, merge="sum")
     with pytest.raises(ValueError, match="64-bit"):
         SalsaCountMin(w=64, d=1, s=8, max_bits=128, merge="sum")
-    ref = SalsaCountMin(w=64, d=1, s=8, max_bits=128, merge="sum",
-                        engine="bitpacked")
-    for _ in range(6):
-        ref.update(1, 2 ** 62)
-    assert ref.query(1) == 6 * 2 ** 62
-    with pytest.raises(ValueError, match="64-bit"):
-        loads(dumps(ref))
     # A row too narrow to merge that far keeps its 64-bit ceiling.
     assert SalsaRow(w=8, s=8, max_bits=128).max_bits == 64
 
 
 # ----------------------------------------------------------------------
-# plumbing: unknown names, for_memory
+# plumbing: the engine keyword, for_memory
 # ----------------------------------------------------------------------
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        SalsaRow(w=8, s=8, engine="gpu")
+@pytest.mark.parametrize("make", [
+    lambda: SalsaRow(w=8, s=8, engine="vector"),
+    lambda: TangoRow(w=8, s=8, engine="vector"),
+    lambda: TangoCountMin(w=8, d=2, engine="vector"),
+    lambda: SalsaCountSketch(w=8, d=3, engine="vector"),
+    lambda: SalsaAeeCountMin(w=8, d=2, engine="vector"),
+], ids=["SalsaRow", "TangoRow", "TangoCountMin", "SalsaCountSketch",
+        "SalsaAeeCountMin"])
+def test_engine_keyword_is_gone(make):
+    """Rows have one storage: no row or sketch takes an ``engine``,
+    bar the two below."""
+    with pytest.raises(TypeError, match="engine"):
+        make()
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("make", [
+    lambda e: SalsaCountMin(w=8, d=2, engine=e),
+    lambda e: SalsaConservativeUpdate(w=8, d=2, engine=e),
+    lambda e: SalsaCountMin.for_memory(1024, engine=e),
+    lambda e: SalsaConservativeUpdate.for_memory(1024, engine=e),
+], ids=["SalsaCountMin", "SalsaConservativeUpdate",
+        "SalsaCountMin.for_memory", "SalsaConservativeUpdate.for_memory"])
+def test_engine_keyword_takes_only_vector(make):
+    """SALSA CMS and CUS still take ``engine="vector"`` (the repo
+    benchmark passes it) and refuse every other name."""
+    assert type(make("vector").rows[0]) is SalsaRow
+    for name in ("bitpacked", "gpu"):
+        with pytest.raises(ValueError, match="engine"):
+            make(name)
+
+
+@pytest.mark.parametrize("engine", sorted(ROWS))
 def test_for_memory_shape_is_engine_independent(engine):
     ref = SalsaCountMin.for_memory(16 * 1024, d=4, s=8)
-    sk = SalsaCountMin.for_memory(16 * 1024, d=4, s=8, engine=engine)
+    sk = SalsaCountMin.for_memory(16 * 1024, d=4, s=8)
+    if engine == "bitpacked":
+        bitpacked(sk)
     assert (sk.w, sk.d, sk.s) == (ref.w, ref.d, ref.s)
     assert sk.memory_bytes == ref.memory_bytes
-    assert isinstance(sk.rows[0].engine,
-                      VectorRowEngine if engine == "vector"
-                      else BitPackedEngine)
+    assert type(sk.rows[0]) is ROWS[engine]
 
 
 # ----------------------------------------------------------------------

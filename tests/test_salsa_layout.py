@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CompactLayout, MergeBitLayout, encoding_bits, layout_count
+from repro.core import encoding_bits, layout_count
+
+from reference_rows import CompactLayout, MergeBitLayout
 
 
 class TestMergeBitLayout:

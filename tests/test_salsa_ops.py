@@ -5,16 +5,21 @@ import random
 import pytest
 
 from repro.core import (
+    SalsaAeeCountMin,
     SalsaCountMin,
     SalsaCountSketch,
     SalsaConservativeUpdate,
     SalsaRow,
+    TangoCountMin,
     ops,
 )
 from repro.hashing import HashFamily
+from repro.sketches import AeeSketch
 from repro.streams import Trace, split_halves, zipf_trace
 
 import numpy as np
+
+from reference_rows import build
 
 
 def _family(d, seed):
@@ -41,13 +46,13 @@ class TestCompatibilityChecks:
         rng = np.random.default_rng(4)
         for sk in (a, b):
             sk.update_many(rng.integers(0, 50, 400), rng.integers(1, 90, 400))
-        before = [(row.engine.levels.tolist(), row.engine.values.tolist(),
-                   row.merge_events) for row in a.rows]
+        before = [(list(row.counters()), row.merge_events)
+                  for row in a.rows]
         for op in (ops.merge, ops.subtract):
             with pytest.raises(ValueError):
                 op(a, b)
-        assert [(row.engine.levels.tolist(), row.engine.values.tolist(),
-                 row.merge_events) for row in a.rows] == before
+        assert [(list(row.counters()), row.merge_events)
+                for row in a.rows] == before
 
     def test_type_mismatch(self):
         fam = _family(4, 1)
@@ -73,6 +78,27 @@ class TestCompatibilityChecks:
         self._assert_rejected_untouched(
             SalsaCountMin(w=64, d=4, hash_family=fam),
             SalsaCountMin(w=64, d=4, max_bits=16, hash_family=fam))
+
+    def test_tango_is_refused(self):
+        """Tango rows have no aligned blocks to coarsen: a clear
+        ValueError, not an AttributeError from inside the fold."""
+        fam = _family(2, 1)
+        self._assert_rejected_untouched(
+            TangoCountMin(w=64, d=2, hash_family=fam),
+            TangoCountMin(w=64, d=2, hash_family=fam))
+
+    @pytest.mark.parametrize("make", [
+        lambda: SalsaAeeCountMin(w=64, d=2, seed=1),
+        lambda: AeeSketch(w=64, d=2, seed=1),
+    ], ids=["SalsaAeeCountMin", "AeeSketch"])
+    def test_aee_is_refused(self, make):
+        """Two AEE sketches count at sampling rates of their own; adding
+        b's counters into a's (``a`` at p = 1/2, ``b`` at p = 1) would
+        scale b's arrivals by a's rate."""
+        a, b = make(), make()
+        a.downsample()
+        assert (a.p, b.p) == (0.5, 1.0)
+        self._assert_rejected_untouched(a, b)
 
 
 class TestCmsMerge:
@@ -136,10 +162,10 @@ class TestCmsMerge:
 
 
 class TestBulkAbsorbEquivalence:
-    """The engine-aware bulk absorb is observably identical to the
-    reference per-counter walk: merging (or subtracting) two
-    vector-engine sketches must leave every counter value and merge
-    level equal to the same operation on bit-packed twins -- the
+    """The native absorb is observably identical to the reference
+    per-counter walk: merging (or subtracting) two sketches must leave
+    every counter value and merge level equal to the same operation on
+    bit-packed twins (``tests/reference_rows.py``) -- the
     representation-independence bar of the CRDT-emulation lens.
     Small rows + heavy keys make overflow-triggered merges (the dirty
     replay path) common."""
@@ -160,7 +186,7 @@ class TestBulkAbsorbEquivalence:
                 for _ in range(n)]
 
     def _pair(self, cls, kw, fam, engine, stream):
-        sk = cls(hash_family=fam, engine=engine, **kw)
+        sk = build(cls, engine, hash_family=fam, **kw)
         for x, v in stream:
             sk.update(x, v)
         return sk
@@ -206,8 +232,8 @@ class TestBulkAbsorbEquivalence:
         self._assert_identical(result["bitpacked"], result["vector"])
 
     def test_merge_across_engines(self):
-        """a and b need not share an engine: vector absorbs bitpacked
-        and vice versa, with identical results."""
+        """a and b need not share a storage: production rows absorb
+        bit-packed ones and vice versa, with identical results."""
         cls, kw = self.CONFIGS["cms-sum"]
         fam = _family(kw["d"], 23)
         stream_a = self._streams(False, 500)
@@ -224,10 +250,10 @@ class TestBulkAbsorbEquivalence:
         fam = _family(2, 24)
         result = {}
         for engine in ("bitpacked", "vector"):
-            a = SalsaCountMin(w=1 << 10, d=2, merge="sum",
-                              hash_family=fam, engine=engine)
-            b = SalsaCountMin(w=1 << 10, d=2, merge="sum",
-                              hash_family=fam, engine=engine)
+            a = build(SalsaCountMin, engine, w=1 << 10, d=2, merge="sum",
+                      hash_family=fam)
+            b = build(SalsaCountMin, engine, w=1 << 10, d=2, merge="sum",
+                      hash_family=fam)
             a.update(1, 10)
             b.update(2, 20)
             b.update(3, 7)

@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SalsaRow
+from repro.core import SalsaRow, TangoRow
+
+from reference_rows import build
 
 
 class TestConstruction:
@@ -350,7 +353,7 @@ def all_counter_halving(row, rng):
                 half = int(rng.gauss(mag / 2, math.sqrt(mag) / 2) + 0.5)
                 half = min(mag, max(0, half))
             new = half if value > 0 else -half
-        row.engine.write_block(start, level, new)
+        row.write_block(start, level, new)
 
 
 @pytest.mark.parametrize("engine", ["vector", "bitpacked"])
@@ -362,8 +365,9 @@ def test_scale_down_half_draws_as_the_all_counter_walk(probabilistic, kind,
     row) leaves the counters, levels and RNG state the old walk over
     every counter leaves."""
     rng = random.Random(7)
-    row = SalsaRow(w=64, s=4, merge="max" if kind == "max" else "sum",
-                   signed=kind == "signed", engine=engine)
+    row = build(SalsaRow, engine, w=64, s=4,
+                merge="max" if kind == "max" else "sum",
+                signed=kind == "signed")
     for _ in range(400):
         v = rng.choice([1, 3, 9, 40, 70, 300])
         row.add(rng.randrange(64), -v if kind == "signed" and
@@ -379,3 +383,42 @@ def test_scale_down_half_draws_as_the_all_counter_walk(probabilistic, kind,
         if probabilistic:
             assert draws[0].getstate() == draws[1].getstate()
         row = ours
+
+
+#: every point door that takes a slot, called at slot ``j``
+POINT_DOORS = {
+    "read": lambda row, j: row.read(j),
+    "add": lambda row, j: row.add(j, 7),
+    "set_at_least": lambda row, j: row.set_at_least(j, 5),
+    "level_of": lambda row, j: row.level_of(j),
+    "locate": lambda row, j: row.locate(j),
+    "read_many": lambda row, j: row.read_many([0, j]),
+}
+
+
+@pytest.mark.parametrize("j", [-1, -16, 16, 99])
+@pytest.mark.parametrize("door", sorted(POINT_DOORS))
+def test_point_doors_reject_slots_outside_the_row(door, j):
+    """A slot outside ``[0, w)`` raises ValueError and moves nothing:
+    ``add(-1, 7)`` used to write slot 15, ``read_many([-1])`` to wrap,
+    and ``read(16)`` to leak NumPy's IndexError."""
+    row = SalsaRow(w=16, s=8)
+    row.add(15, 3)
+    before = (row.levels.tolist(), row.values.tolist())
+    with pytest.raises(ValueError, match=r"\[0, 16\)"):
+        POINT_DOORS[door](row, j)
+    assert (row.levels.tolist(), row.values.tolist()) == before
+    assert row.read(15) == 3 and row.read(0) == 0
+
+
+@pytest.mark.parametrize("row_class", [SalsaRow, TangoRow])
+def test_read_many_rejects_slots_that_are_not_integers(row_class):
+    """Slots are integers, as on the batch door: ``read_many([1.9])``
+    used to truncate to slot 1, and a uint64 slot past ``2^63`` to
+    wrap."""
+    row = row_class(w=16, s=8)
+    row.add(1, 5)
+    assert row.read_many(np.array([1], dtype=np.uint64)).tolist() == [5]
+    for bad in ([1.9], [True], np.array([1 << 63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="integers"):
+            row.read_many(bad)

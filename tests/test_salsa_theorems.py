@@ -55,7 +55,7 @@ def test_theorem_v1_v2_sandwich(merge):
         salsa.update(x)
         tango.update(x)
         truth[x] = truth.get(x, 0) + 1
-    level = max(row.layout.level_of(j) for row in salsa.rows
+    level = max(row.level_of(j) for row in salsa.rows
                 for j in range(w))
     checked = 0
     for x, f in list(truth.items())[:120]:
@@ -79,7 +79,7 @@ def test_theorem_v3_cus_dominance():
     stream = list(zipf_trace(8_000, 1.1, universe=600, seed=13))
     for x in stream:
         salsa.update(x)
-    level = max(row.layout.level_of(j) for row in salsa.rows
+    level = max(row.level_of(j) for row in salsa.rows
                 for j in range(w))
     assert level >= 1
 
@@ -170,7 +170,7 @@ def test_salsa_vs_underlying_on_random_seeds(seed):
         x = rng.randrange(200)
         salsa.update(x)
         truth[x] = truth.get(x, 0) + 1
-    level = max(row.layout.level_of(j) for row in salsa.rows
+    level = max(row.level_of(j) for row in salsa.rows
                 for j in range(w))
     fam2 = HashFamily(2, seed=seed)
     fam2.d = 2

@@ -21,6 +21,7 @@ from repro.streams import SCENARIO_NAMES, StreamingTruth, make_scenario
 from repro.streams.scenarios import SCENARIOS
 
 from answers import assert_answers
+from reference_rows import build
 
 LENGTH = 20_000
 
@@ -203,13 +204,12 @@ class TestScenarioSemantics:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name", scenario_ids())
     def test_engines_agree_on_every_scenario(self, name, traces):
-        """An engine changes speed, never the sketch -- under workload
-        dynamics too."""
+        """The row storage changes speed, never the sketch -- under
+        workload dynamics too."""
         trace = traces[name]
         sketches = {}
         for engine in ("bitpacked", "vector"):
-            sketch = SalsaCountMin(w=1_024, d=4, s=8, seed=1,
-                                   engine=engine)
+            sketch = build(SalsaCountMin, engine, w=1_024, d=4, s=8, seed=1)
             for chunk in trace.chunks(4_096):
                 sketch.update_many(chunk)
             sketches[engine] = sketch

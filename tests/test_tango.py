@@ -28,6 +28,22 @@ class TestConstruction:
         assert TangoRow(w=64, s=8).max_slots == 8   # grows to 64 bits
         assert TangoRow(w=64, s=1).max_slots == 64
 
+    @pytest.mark.parametrize("max_slots", [0, -3])
+    def test_rejects_counters_narrower_than_a_slot(self, max_slots):
+        """``max_slots`` below 1 used to build a row whose 300-add
+        saturated at 255."""
+        with pytest.raises(ValueError, match="max_slots"):
+            TangoRow(w=16, s=8, max_slots=max_slots)
+
+    @pytest.mark.parametrize("max_bits", [4, 7])
+    def test_sketch_rejects_max_bits_below_s(self, max_bits):
+        """As SALSA CMS does: ``max_bits=4`` used to build 8-bit
+        counters silently."""
+        with pytest.raises(ValueError, match="smaller than s"):
+            TangoCountMin(w=16, d=2, s=8, max_bits=max_bits)
+        assert TangoCountMin(w=16, d=2, s=8, max_bits=8).rows[0].max_slots \
+            == 1
+
     def test_memory_one_bit_per_slot(self):
         assert TangoRow(w=32, s=8).memory_bits == 32 * 8 + 32
 
@@ -144,7 +160,7 @@ class TestTangoContainedInSalsa:
             salsa.add(j, v)
             tango.add(j, v)
             for slot in range(16):
-                level, start = salsa.layout.locate(slot)
+                level, start = salsa.locate(slot)
                 s_left, s_right = start, start + (1 << level) - 1
                 t_left, t_right = tango.span_of(slot)
                 assert s_left <= t_left and t_right <= s_right
@@ -212,3 +228,26 @@ class TestTangoCountMin:
         batched.update_many([5, 5, 6], [300, -120, 2])
         assert per_item.query(5) == 180
         assert_answers(batched, [5, 6, 5], [180, per_item.query(6), 180])
+
+
+#: every door of a Tango row that takes a slot, called at slot ``j``
+POINT_DOORS = {
+    "read": lambda row, j: row.read(j),
+    "add": lambda row, j: row.add(j, 7),
+    "set_at_least": lambda row, j: row.set_at_least(j, 5),
+    "span_of": lambda row, j: row.span_of(j),
+    "read_many": lambda row, j: row.read_many([0, j]),
+}
+
+
+@pytest.mark.parametrize("j", [-1, 16, 99])
+@pytest.mark.parametrize("door", sorted(POINT_DOORS))
+def test_point_doors_reject_slots_outside_the_row(door, j):
+    """A slot outside ``[0, w)`` raises ValueError and moves nothing
+    (``add(-1, 7)`` used to write slot 15)."""
+    row = TangoRow(w=16, s=8)
+    row.add(15, 3)
+    before = list(row.counters())
+    with pytest.raises(ValueError, match=r"\[0, 16\)"):
+        POINT_DOORS[door](row, j)
+    assert list(row.counters()) == before
