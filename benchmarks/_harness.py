@@ -33,8 +33,7 @@ REPEATS = 5
 
 def regenerate(figure: str):
     """Run one figure's experiment and persist its tables."""
-    paths = [emit(result) for result in run(figure)]
-    return paths
+    return [emit(result, RESULTS_DIR) for result in run(figure)]
 
 
 def bench_figure(benchmark, figure: str) -> None:

@@ -30,24 +30,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import (
-    DistributedSketch,
-    SalsaConservativeUpdate,
-    SalsaCountMin,
-    SalsaCountSketch,
-    WindowedSketch,
-)
+from repro.core import DistributedSketch, WindowedSketch
+from repro.experiments.algorithms import SKETCHES
 from repro.metrics import OnArrivalCollector
-from repro.sketches import (
-    ColdFilter,
-    ConservativeUpdateSketch,
-    CountMinSketch,
-    CountSketch,
-    ElasticSketch,
-    NitroSketch,
-    PyramidSketch,
-    UnivMon,
-)
 from repro.streams import (
     DATASET_NAMES,
     dataset,
@@ -58,44 +43,6 @@ from repro.streams import (
     write_flows,
     zipf_trace,
 )
-
-#: name -> memory-budgeted sketch factory.
-SKETCHES = {
-    "cms": lambda mem, seed: CountMinSketch.for_memory(mem, d=4, seed=seed),
-    "cus": lambda mem, seed: ConservativeUpdateSketch.for_memory(
-        mem, d=4, seed=seed),
-    "cs": lambda mem, seed: CountSketch.for_memory(mem, d=5, seed=seed),
-    "salsa-cms": lambda mem, seed: SalsaCountMin.for_memory(
-        mem, d=4, s=8, seed=seed),
-    "salsa-cus": lambda mem, seed: SalsaConservativeUpdate.for_memory(
-        mem, d=4, s=8, seed=seed),
-    "salsa-cs": lambda mem, seed: SalsaCountSketch.for_memory(
-        mem, d=5, s=8, seed=seed),
-    # The competitor family of Figs 8-16, batched by the matrix-kernel
-    # layer (see docs/architecture.md).
-    "pyramid": lambda mem, seed: PyramidSketch.for_memory(mem, d=4, seed=seed),
-    "nitro": lambda mem, seed: NitroSketch.for_memory(
-        mem, d=5, p=0.1, seed=seed),
-    "elastic": lambda mem, seed: ElasticSketch.for_memory(mem, seed=seed),
-    "univmon": lambda mem, seed: UnivMon.for_memory(mem, d=5, seed=seed),
-    "coldfilter": lambda mem, seed: ColdFilter.for_memory(mem, seed=seed),
-}
-
-#: Sketches the scale-out path can merge and ship over the wire
-#: (``ops.merge`` + ``serialize``); ``--shards`` on any other sketch is
-#: an error rather than a silently wrong answer.
-MERGEABLE_SKETCHES = frozenset({"salsa-cms", "salsa-cus", "salsa-cs"})
-
-
-def _check_shards(args) -> int:
-    """Validated ``--shards`` value for the selected sketch."""
-    shards = _at_least(getattr(args, "shards", 1), "--shards", 1)
-    if shards > 1 and args.sketch not in MERGEABLE_SKETCHES:
-        raise SystemExit(
-            f"error: --shards applies to {sorted(MERGEABLE_SKETCHES)}; "
-            f"{args.sketch!r} cannot be merged from shards"
-        )
-    return shards
 
 
 def _load(path: str):
@@ -143,11 +90,12 @@ def _target(args):
     ``build()`` makes a fresh ingest target: the sketch itself, or with
     ``--shards N`` a :class:`DistributedSketch` whose locals all come
     from the same seed, so all workers share hash functions -- the
-    merge precondition.  A budget the sketch cannot be built in exits
-    with an error here, before any ingest.
+    merge precondition.  A budget the sketch cannot be built in, or
+    ``--shards`` over a sketch the wire codec cannot ship, exits with
+    the library's error here, before any ingest.
     """
     memory = _parse_memory(args.memory)
-    shards = _check_shards(args)
+    shards = _at_least(getattr(args, "shards", 1), "--shards", 1)
 
     def sketch(_family=None):
         return SKETCHES[args.sketch](memory, args.seed)
@@ -156,10 +104,17 @@ def _target(args):
         sketch()
     except ValueError as exc:
         raise SystemExit(f"error: --memory {args.memory}: {exc}") from None
-    if shards > 1:
-        return memory, lambda: DistributedSketch(sketch, workers=shards,
-                                                 seed=args.seed)
-    return memory, sketch
+    if shards == 1:
+        return memory, sketch
+
+    def sharded():
+        return DistributedSketch(sketch, workers=shards, seed=args.seed)
+
+    try:
+        sharded()
+    except ValueError as exc:
+        raise SystemExit(f"error: --shards {shards}: {exc}") from None
+    return memory, sharded
 
 
 # ----------------------------------------------------------------------

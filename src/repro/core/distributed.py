@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core import ops
-from repro.core.serialize import dumps, loads
+from repro.core.serialize import dumps, loads, shippable
 from repro.hashing import HashFamily, mix64, mix64_keyed
 from repro.sketches.base import as_batch
 from repro.streams.model import Trace
@@ -98,11 +98,12 @@ class DistributedSketch:
     ----------
     factory:
         Callable ``(hash_family) -> sketch`` building one local sketch
-        with an ``update_many`` door (a SALSA sketch, for
-        :meth:`combined`).  All workers share the family (required for
-        merging).
+        with an ``update_many`` door.  All workers share the family
+        (required for merging).
     workers:
-        Number of local sketches.
+        Number of local sketches.  Above one, :meth:`combined` ships
+        each local through :func:`~repro.core.serialize.dumps`, so a
+        local the codec cannot serialize raises ``ValueError`` here.
     d:
         Rows in the shared hash family.
     seed:
@@ -127,6 +128,13 @@ class DistributedSketch:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.family = HashFamily(d, seed)
         self.locals = [factory(self.family) for _ in range(workers)]
+        if workers > 1:
+            for local in self.locals:
+                if not shippable(local):
+                    raise ValueError(
+                        f"{type(local).__name__} cannot be sharded: "
+                        f"serialize.dumps cannot ship it to combine "
+                        f"{workers} workers")
 
     @property
     def workers(self) -> int:

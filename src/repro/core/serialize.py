@@ -231,11 +231,18 @@ def _restore_row(row: SalsaRow, payload: bytes) -> None:
             "non-canonical SALSA row payload (no dumps writes these bytes)")
 
 
+def shippable(sketch) -> bool:
+    """Whether :func:`dumps` can serialize ``sketch``: its exact type
+    is in the codec's type table (a subclass such as the fixed-width
+    ``CountMinSketch`` is not)."""
+    return type(sketch) in _TYPES
+
+
 def dumps(sketch) -> bytes:
     """Serialize a SALSA CMS / CUS / CS sketch to bytes: the paper's
     bit-packed encoding of each row, never its in-memory arrays."""
     cls = type(sketch)
-    if cls not in _TYPES:
+    if not shippable(sketch):
         raise TypeError(f"cannot serialize {cls.__name__}")
     row0 = sketch.rows[0]
     header = _HEADER.pack(

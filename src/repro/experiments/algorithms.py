@@ -1,10 +1,12 @@
-"""Named sketch factories shared by the figure experiments.
+"""The catalogue of named sketches sized to a memory budget.
 
 Each factory takes a memory budget in bytes (encoding overheads
 included, as the paper's x-axes do) and a seed, and returns a fresh
 sketch configured exactly as in section VI: d=4 for CMS/CUS, d=5 for
 CS, s=8 for SALSA, 32-bit baselines, authors' defaults for the
-competitors.
+competitors.  The figures call these factories, and :data:`SKETCHES`
+hands the same ones to the CLI by name, so ``repro run --sketch
+pyramid`` and a Fig 8 cell build the same sketch.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.sketches import (
     ConservativeUpdateSketch,
     CountMinSketch,
     CountSketch,
+    ElasticSketch,
+    NitroSketch,
     PyramidSketch,
     UnivMon,
 )
@@ -99,6 +103,18 @@ def salsa_aee(memory: int, seed: int = 0, downsample_first: int = 0,
     )
 
 
+def nitro(memory: int, seed: int = 0, p: float = 0.1):
+    """NitroSketch over d=5 Count Sketch rows, each row update sampled
+    with probability ``p``."""
+    return NitroSketch.for_memory(memory, d=5, p=p, seed=seed)
+
+
+def elastic(memory: int, seed: int = 0):
+    """Elastic Sketch with the Elastic paper's 25% heavy / 75% light
+    split."""
+    return ElasticSketch.for_memory(memory, seed=seed)
+
+
 def cold_filter(memory: int, seed: int = 0, use_salsa: bool = False):
     """Cold Filter: half the memory to the 4-bit stage-1 filter, half
     to the stage-2 CUS (baseline or SALSA)."""
@@ -133,3 +149,20 @@ def univmon(memory: int, seed: int = 0, use_salsa: bool = False,
         )
     return UnivMon(w=w, d=5, levels=levels, heap_size=100, seed=seed,
                    cs_factory=factory)
+
+
+#: name -> ``factory(memory, seed)``: the sketches ``repro run``,
+#: ``speed``, ``window``, ``scenario run`` and ``topk`` offer.
+SKETCHES = {
+    "cms": baseline_cms,
+    "cus": baseline_cus,
+    "cs": baseline_cs,
+    "salsa-cms": salsa_cms,
+    "salsa-cus": salsa_cus,
+    "salsa-cs": salsa_cs,
+    "pyramid": pyramid,
+    "nitro": nitro,
+    "elastic": elastic,
+    "univmon": univmon,
+    "coldfilter": cold_filter,
+}

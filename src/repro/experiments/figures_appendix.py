@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from repro.experiments import algorithms as alg
 from repro.experiments import config
-from repro.experiments.runner import ExperimentResult, run_updates, sweep
+from repro.experiments.runner import (
+    ExperimentResult,
+    hh_are_of,
+    run_updates,
+    sweep,
+)
 from repro.sketches import ZeroSketch
 from repro.streams import synthetic_caida
-from repro.tasks.heavy_hitters import heavy_hitter_aae, heavy_hitter_are
+from repro.tasks.heavy_hitters import heavy_hitter_aae
 
 
 def _factories(memory: int):
@@ -56,8 +61,7 @@ def fig19(length: int | None = None, trials: int | None = None,
 
     def measure(sketch, phi, t):
         trace = synthetic_caida(length, "ny18", seed=t)
-        truth = run_updates(sketch, trace)
-        return heavy_hitter_are(sketch.query, truth, max(phi, 1e-12))
+        return hh_are_of(sketch, trace, max(phi, 1e-12))
 
     return sweep(result, _PHIS, _factories(memory), measure, trials)
 

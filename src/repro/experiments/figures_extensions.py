@@ -15,11 +15,11 @@ benches them with every other registered figure.
 
 from __future__ import annotations
 
-from repro.core import SalsaCountSketch
 from repro.experiments import algorithms as alg
 from repro.experiments import config
 from repro.experiments.runner import (
     ExperimentResult,
+    hh_are_of,
     nrmse_of,
     run_updates,
     sweep,
@@ -31,7 +31,6 @@ from repro.sketches import (
     CounterTree,
     CountMinSketch,
     CuckooCounter,
-    ElasticSketch,
     HyperLogLog,
     MisraGries,
     MorrisCountMin,
@@ -40,7 +39,6 @@ from repro.sketches import (
     SpaceSaving,
 )
 from repro.streams import synthetic_caida, zipf_trace
-from repro.tasks.heavy_hitters import heavy_hitter_are
 from repro.tasks import distinct_count_baseline, distinct_count_salsa
 
 #: Entry cost used to size the counter-based algorithms at equal memory.
@@ -50,11 +48,6 @@ _SS_ENTRY = 24
 # ----------------------------------------------------------------------
 # ext_heavy_hitters: SALSA vs the counter-based family
 # ----------------------------------------------------------------------
-def _hh_are(sketch, trace, phi: float) -> float:
-    truth = run_updates(sketch, trace)
-    return heavy_hitter_are(sketch.query, truth, phi)
-
-
 def ext_heavy_hitters(length: int | None = None, trials: int | None = None,
                       phi: float = 1e-3) -> ExperimentResult:
     """Heavy-hitter size ARE vs memory: sketch vs counter algorithms.
@@ -81,7 +74,7 @@ def ext_heavy_hitters(length: int | None = None, trials: int | None = None,
     }
     return sweep(
         result, config.MEMORY_SWEEP, factories,
-        lambda sk, mem, t: _hh_are(
+        lambda sk, mem, t: hh_are_of(
             sk, synthetic_caida(length, "ny18", seed=t), phi),
         trials,
     )
@@ -171,15 +164,8 @@ def ext_nitro(length: int | None = None, trials: int | None = None,
         xlabel="sampling_p", ylabel="Mops",
     )
     ps = (0.05, 0.25, 1.0)
-
-    def nitro_for(p: float, seed: int) -> NitroSketch:
-        w = 1
-        while (w * 2) * 5 * 4 <= memory:
-            w *= 2
-        return NitroSketch(w=w, d=5, p=p, seed=seed)
-
     factories = {
-        "NitroSketch": lambda p, t: nitro_for(p, t),
+        "NitroSketch": lambda p, t: alg.nitro(memory, seed=t, p=p),
         "Baseline CS": lambda p, t: alg.baseline_cs(memory, seed=t),
         "SALSA CS": lambda p, t: alg.salsa_cs(memory, seed=t),
     }
@@ -342,14 +328,6 @@ def ext_partitioned(length: int | None = None, trials: int | None = None
         xlabel="memory_bytes", ylabel="NRMSE",
     )
 
-    def elastic_for(memory: int, seed: int) -> ElasticSketch:
-        # Elastic's paper splits memory ~ 25% heavy / 75% light.
-        buckets = 2
-        while (buckets * 2) * 17 <= memory // 4:
-            buckets *= 2
-        return ElasticSketch(heavy_buckets=buckets,
-                             light_memory=memory - buckets * 17, seed=seed)
-
     def tree_for(memory: int, seed: int) -> CounterTree:
         w = 8
         while CounterTree(w=w * 2, s=4, degree=8, d=2).memory_bytes <= memory:
@@ -358,7 +336,7 @@ def ext_partitioned(length: int | None = None, trials: int | None = None
 
     factories = {
         "SALSA CMS": lambda mem, t: alg.salsa_cms(int(mem), seed=t),
-        "Elastic": lambda mem, t: elastic_for(int(mem), t),
+        "Elastic": lambda mem, t: alg.elastic(int(mem), seed=t),
         "Counter Tree": lambda mem, t: tree_for(int(mem), t),
     }
     return sweep(
@@ -391,9 +369,7 @@ def ablation_hashing(length: int | None = None, trials: int | None = None,
               f"{memory // 1024}KB, NY18)",
         xlabel="zipf_skew", ylabel="NRMSE",
     )
-    w = 1
-    while (w * 2) * 5 * 4 <= memory:
-        w *= 2
+    w = alg.nitro(memory).w
 
     factories = {
         "splitmix64": lambda skew, t: NitroSketch(

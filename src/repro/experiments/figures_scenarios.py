@@ -20,11 +20,8 @@ always run serial).
 
 from __future__ import annotations
 
-from repro.core import (
-    DistributedSketch,
-    SalsaConservativeUpdate,
-    SalsaCountMin,
-)
+from repro.core import DistributedSketch
+from repro.experiments import algorithms as alg
 from repro.experiments import config
 from repro.experiments.runner import (
     ExperimentResult,
@@ -33,7 +30,6 @@ from repro.experiments.runner import (
     sweep,
     throughput_mops,
 )
-from repro.sketches import ConservativeUpdateSketch, CountMinSketch
 from repro.streams.model import Trace
 from repro.streams.scenarios import SCENARIO_NAMES, SCENARIOS, make_scenario
 
@@ -92,19 +88,11 @@ def scenario_error(length: int | None = None, trials: int | None = None,
             lambda fam: build(int(mem), t), workers=shards, seed=t)
 
     wrap = sharded if shards > 1 else single
-    factories = {
-        "SALSA CMS": wrap(lambda mem, t: SalsaCountMin.for_memory(
-            mem, d=4, s=8, seed=t)),
-        "SALSA CUS": wrap(lambda mem, t:
-                          SalsaConservativeUpdate.for_memory(
-                              mem, d=4, s=8, seed=t)),
-    }
+    factories = {"SALSA CMS": wrap(alg.salsa_cms),
+                 "SALSA CUS": wrap(alg.salsa_cus)}
     if shards == 1:
-        factories["CMS 32bit"] = single(
-            lambda mem, t: CountMinSketch.for_memory(mem, d=4, seed=t))
-        factories["CUS 32bit"] = single(
-            lambda mem, t: ConservativeUpdateSketch.for_memory(
-                mem, d=4, seed=t))
+        factories["CMS 32bit"] = single(alg.baseline_cms)
+        factories["CUS 32bit"] = single(alg.baseline_cus)
 
     results = []
     for name in names:
@@ -153,7 +141,7 @@ def scenario_speed(length: int | None = None, trials: int | None = None,
     # each factory returns (name, sketch) and ``measure`` unpacks.
     factories = {
         name: (lambda batch, t, name=name: (
-            name, SalsaCountMin.for_memory(32 * 1024, d=4, s=8, seed=t)))
+            name, alg.salsa_cms(32 * 1024, seed=t)))
         for name in names
     }
 

@@ -12,14 +12,13 @@ from repro.experiments import algorithms as alg
 from repro.experiments import config
 from repro.experiments.runner import (
     ExperimentResult,
+    hh_are_of,
     nrmse_of,
-    run_updates,
     sweep,
 )
 from repro.sketches import CountMinSketch, CountSketch
 from repro.core import SalsaCountMin, SalsaCountSketch
 from repro.streams import synthetic_caida, zipf_trace
-from repro.tasks.heavy_hitters import heavy_hitter_are
 
 
 def _skews():
@@ -131,11 +130,6 @@ def fig5b(length: int | None = None, trials: int | None = None
     )
 
 
-def _hh_are_after_run(sketch, trace, phi: float) -> float:
-    truth = run_updates(sketch, trace)
-    return heavy_hitter_are(sketch.query, truth, phi)
-
-
 def fig6a(length: int | None = None, trials: int | None = None,
           memory: int = 8 * 1024) -> ExperimentResult:
     """Heavy-hitter ARE vs threshold phi: SALSA vs fixed 8/16/32-bit CMS.
@@ -164,7 +158,7 @@ def fig6a(length: int | None = None, trials: int | None = None,
     }
     return sweep(
         result, phis, factories,
-        lambda sk, phi, t: _hh_are_after_run(
+        lambda sk, phi, t: hh_are_of(
             sk, zipf_trace(length, 1.0, seed=t), phi),
         trials,
     )
@@ -199,7 +193,7 @@ def fig6b(trials: int | None = None, memory: int = 8 * 1024,
     }
     return sweep(
         result, lengths, factories,
-        lambda sk, n, t: _hh_are_after_run(
+        lambda sk, n, t: hh_are_of(
             sk, zipf_trace(int(n), 1.0, seed=t), phi),
         trials,
     )

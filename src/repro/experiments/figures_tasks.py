@@ -11,7 +11,12 @@ from __future__ import annotations
 from repro.core import SalsaCountSketch, ops
 from repro.experiments import algorithms as alg
 from repro.experiments import config
-from repro.experiments.runner import ExperimentResult, run_updates, sweep
+from repro.experiments.runner import (
+    ExperimentResult,
+    hh_are_of,
+    run_updates,
+    sweep,
+)
 from repro.hashing import HashFamily
 from repro.metrics import relative_error
 from repro.sketches import CountMinSketch, CountSketch
@@ -21,7 +26,6 @@ from repro.tasks import (
     distinct_count_baseline,
     distinct_count_salsa,
 )
-from repro.tasks.heavy_hitters import heavy_hitter_are
 from repro.tasks.topk import run_topk
 
 
@@ -93,11 +97,6 @@ def fig14c(length: int | None = None, trials: int | None = None,
 # ----------------------------------------------------------------------
 # Fig 14 d-f: heavy hitter sizes
 # ----------------------------------------------------------------------
-def _hh_are(sketch, trace, phi: float) -> float:
-    truth = run_updates(sketch, trace)
-    return heavy_hitter_are(sketch.query, truth, phi)
-
-
 def fig14_hitters(dataset: str, length: int | None = None,
                   trials: int | None = None, memory: int = 8 * 1024
                   ) -> ExperimentResult:
@@ -122,7 +121,7 @@ def fig14_hitters(dataset: str, length: int | None = None,
     }
     return sweep(
         result, phis, factories,
-        lambda sk, phi, t: _hh_are(
+        lambda sk, phi, t: hh_are_of(
             sk, synthetic_caida(length, dataset, seed=t), phi),
         trials,
     )
@@ -146,7 +145,8 @@ def fig14f(length: int | None = None, trials: int | None = None,
     }
     return sweep(
         result, config.SKEWS, factories,
-        lambda sk, skew, t: _hh_are(sk, zipf_trace(length, skew, seed=t), phi),
+        lambda sk, skew, t: hh_are_of(
+            sk, zipf_trace(length, skew, seed=t), phi),
         trials,
     )
 

@@ -1,8 +1,9 @@
 """Rendering experiment results as text tables.
 
 Each figure's table lists x values down the side and one column per
-series -- the same rows/lines the paper plots.  Tables are printed and
-saved under ``results/`` by the benchmark harness.
+series -- the same rows/lines the paper plots.  :func:`emit` prints a
+table and saves it under ``results/`` in the current working directory
+(the figure bench passes the checkout's ``results/`` instead).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import os
 
 from repro.experiments.runner import ExperimentResult
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
+#: where :func:`emit` writes by default, relative to the working directory
+RESULTS_DIR = "results"
 
 
 def format_table(result: ExperimentResult) -> str:
@@ -46,7 +48,9 @@ def _fmt_x(x: float) -> str:
 
 
 def emit(result: ExperimentResult, directory: str | None = None) -> str:
-    """Print the table and persist it under ``results/<figure>.txt``."""
+    """Print the table and persist it as ``<figure>.txt`` under
+    ``directory`` (default :data:`RESULTS_DIR`, resolved against the
+    working directory at call time)."""
     table = format_table(result)
     print("\n" + table)
     directory = directory or os.path.abspath(RESULTS_DIR)

@@ -20,6 +20,7 @@ from repro.core.distributed import DistributedSketch, shard
 from repro.core.windowed import WindowedSketch
 from repro.metrics import OnArrivalCollector, Summary, mean_ci
 from repro.streams.model import Trace
+from repro.tasks.heavy_hitters import heavy_hitter_are
 
 
 @dataclass
@@ -251,3 +252,9 @@ def sweep(
 def nrmse_of(sketch, trace) -> float:
     """Convenience: on-arrival NRMSE of one run."""
     return run_on_arrival(sketch, trace).nrmse()
+
+
+def hh_are_of(sketch, trace, phi: float) -> float:
+    """Convenience: heavy-hitter size ARE at threshold ``phi`` after
+    ingesting ``trace``."""
+    return heavy_hitter_are(sketch.query, run_updates(sketch, trace), phi)

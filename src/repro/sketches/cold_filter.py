@@ -47,6 +47,10 @@ class ColdFilter(BatchOpsMixin):
         Stage-1 counter width; the spill threshold is its saturation
         value ``2**stage1_bits - 1`` (4 bits -> T = 15, the authors'
         recommendation).
+
+    The class takes its shape, not a budget: the Fig 13 configuration
+    at a memory budget (half to stage 1, half to a baseline or SALSA
+    CUS) is :func:`repro.experiments.algorithms.cold_filter`.
     """
 
     model = StreamModel.CASH_REGISTER
@@ -102,30 +106,6 @@ class ColdFilter(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d1: int = 3, stage1_bits: int = 4,
-                   stage1_fraction: float = 0.25, seed: int = 0,
-                   stage2_factory=None) -> "ColdFilter":
-        """Largest filter fitting in ``memory_bytes``: stage 1 takes
-        ~``stage1_fraction`` of the budget, the stage-2 sketch (default
-        a Conservative Update Sketch, the original's "CM-CU") the rest.
-        """
-        from repro.sketches.conservative_update import (
-            ConservativeUpdateSketch,
-        )
-
-        if stage2_factory is None:
-            stage2_factory = (
-                lambda mem, s: ConservativeUpdateSketch.for_memory(
-                    mem, d=4, seed=s))
-        w1 = 2
-        while (w1 * 2 * stage1_bits) / 8 <= memory_bytes * stage1_fraction:
-            w1 *= 2
-        stage2_mem = memory_bytes - (w1 * stage1_bits + 7) // 8
-        stage2 = stage2_factory(stage2_mem, seed)
-        return cls(w1=w1, stage2=stage2, d1=d1, stage1_bits=stage1_bits,
-                   seed=seed)
-
     def update_many(self, items, values=None) -> None:
         """Batched two-stage filtering.
 

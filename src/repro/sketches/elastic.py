@@ -33,6 +33,10 @@ LAMBDA = 8
 #: Bytes per heavy-part bucket: 8B key + 4B votes+ + 4B votes- + flag.
 BUCKET_BYTES = 17
 
+#: Share of a :meth:`ElasticSketch.for_memory` budget given to the heavy
+#: part: the Elastic paper's 25% heavy / 75% light split.
+HEAVY_SHARE = 0.25
+
 
 class _Bucket:
     """One heavy-part bucket."""
@@ -57,6 +61,10 @@ class ElasticSketch(BatchOpsMixin):
         Bytes for the light part (an 8-bit CMS, as in the original).
     seed:
         Hash seed for both parts.
+
+    :meth:`for_memory` sizes both parts from one budget with the
+    Elastic paper's split (:data:`HEAVY_SHARE`); the catalogue's
+    ``elastic`` (:mod:`repro.experiments.algorithms`) calls it.
 
     Examples
     --------
@@ -134,13 +142,12 @@ class ElasticSketch(BatchOpsMixin):
     # batch pipeline
     # ------------------------------------------------------------------
     @classmethod
-    def for_memory(cls, memory_bytes: int, heavy_fraction: float = 0.25,
-                   seed: int = 0) -> "ElasticSketch":
+    def for_memory(cls, memory_bytes: int, seed: int = 0) -> "ElasticSketch":
         """Largest sketch fitting in ``memory_bytes``: the heavy part
-        takes ~``heavy_fraction`` of the budget (power-of-two buckets
+        takes ~:data:`HEAVY_SHARE` of the budget (power-of-two buckets
         of :data:`BUCKET_BYTES`), the light CMS the rest."""
         buckets = 2
-        while buckets * 2 * BUCKET_BYTES <= memory_bytes * heavy_fraction:
+        while buckets * 2 * BUCKET_BYTES <= memory_bytes * HEAVY_SHARE:
             buckets *= 2
         sketch = cls(heavy_buckets=buckets, seed=seed,
                      light_memory=memory_bytes - buckets * BUCKET_BYTES)

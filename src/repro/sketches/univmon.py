@@ -70,6 +70,10 @@ class UnivMon(BatchOpsMixin):
         Heavy-item heap per level (paper: 100).
     cs_factory:
         ``f(level) -> sketch`` override; used to build SALSA UnivMon.
+
+    The class takes its shape, not a budget: the paper's configuration
+    at a memory budget (16 levels sharing it equally, baseline or
+    SALSA CS) is :func:`repro.experiments.algorithms.univmon`.
     """
 
     model = StreamModel.CASH_REGISTER
@@ -79,6 +83,8 @@ class UnivMon(BatchOpsMixin):
                  cs_factory: Callable[[int], object] | None = None):
         if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
+        if heap_size < 1:
+            raise ValueError(f"heap_size must be >= 1, got {heap_size}")
         self.w = w
         self.d = d
         self.levels = levels
@@ -130,19 +136,6 @@ class UnivMon(BatchOpsMixin):
     # ------------------------------------------------------------------
     # batch pipeline
     # ------------------------------------------------------------------
-    @classmethod
-    def for_memory(cls, memory_bytes: int, d: int = 5, levels: int = 16,
-                   heap_size: int = 100, seed: int = 0) -> "UnivMon":
-        """Largest UnivMon fitting the level sketches (4B counters) in
-        ``memory_bytes``; heap entries are charged as they fill."""
-        w = 2
-        while levels * d * w * 2 * 4 <= memory_bytes:
-            w *= 2
-        if levels * d * w * 4 > memory_bytes:
-            raise ValueError(
-                f"{memory_bytes}B cannot hold {levels} level sketches")
-        return cls(w=w, d=d, levels=levels, heap_size=heap_size, seed=seed)
-
     def _deepest_levels(self, items: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_max_level` over a batch: the number of
         leading levels (from 1 up) whose sampling bit is 1."""

@@ -84,3 +84,21 @@ def test_cell_shows_median_and_quartile_spread(harness):
     assert harness.cell(2_000_000.0, 1_900_000.0, 2_100_000.0) == (
         "   2,000,000 ± 10%")
     assert harness.cell(2.5, 2.5, 2.5) == "      2.5000 ±  0%"
+
+
+def test_regenerate_writes_the_harness_results_dir(harness, tmp_path,
+                                                   monkeypatch, capsys):
+    """The figure bench writes its own ``results/``, wherever it runs;
+    ``repro figure`` writes under the working directory instead."""
+    from repro.experiments import ExperimentResult
+
+    result = ExperimentResult(figure="figX", title="demo", xlabel="mem",
+                              ylabel="err")
+    result.series_named("algo").add(1024, [0.5])
+    monkeypatch.setattr(harness, "run", lambda figure: [result])
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert harness.regenerate("figX") == [str(tmp_path / "figX.txt")]
+    assert "figX" in (tmp_path / "figX.txt").read_text()
+    assert list(elsewhere.iterdir()) == []

@@ -112,8 +112,12 @@ class TestSharded:
         assert "round_robin" in capsys.readouterr().out
 
     def test_run_shards_rejects_unmergeable_sketch(self, npz_trace):
-        with pytest.raises(SystemExit):
+        """The library's own error, before any ingest."""
+        with pytest.raises(SystemExit) as info:
             main(["run", npz_trace, "--sketch", "cms", "--shards", "2"])
+        assert str(info.value) == (
+            "error: --shards 2: CountMinSketch cannot be sharded: "
+            "serialize.dumps cannot ship it to combine 2 workers")
 
     def test_run_shards_rejects_bad_count(self, npz_trace):
         with pytest.raises(SystemExit):

@@ -253,6 +253,13 @@ class TestUnivMon:
         with pytest.raises(ValueError):
             UnivMon(w=64, levels=0)
 
+    @pytest.mark.parametrize("heap_size", [0, -1])
+    def test_rejects_an_empty_heap(self, heap_size):
+        """A heap that holds nothing failed only at the first update,
+        inside the heap's eviction (``min()`` of an empty dict)."""
+        with pytest.raises(ValueError, match="heap_size"):
+            UnivMon(w=64, levels=2, heap_size=heap_size)
+
     def test_level0_sees_everything(self):
         um = self._build()
         assert um.sampled_at(123, 0)

@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.distributed import _split, _worker_keys
 from repro.core.serialize import dumps, loads
 from repro.hashing import mix64
+from repro.sketches import CountMinSketch
 from repro.tasks import HierarchicalHeavyHitters, dotted
 from repro.streams import Trace, WeightedTrace, zipf_trace
 
@@ -107,6 +108,19 @@ class TestDistributedSketch:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             DistributedSketch(self._factory(), workers=0)
+
+    def test_rejects_a_local_the_codec_cannot_ship(self):
+        """Fixed-width CMS built, ingested and failed only in
+        ``combined()`` (``TypeError: cannot serialize``); now the
+        build fails.  One worker ships nothing, so it may hold any
+        sketch."""
+        factory = lambda fam: CountMinSketch(w=64, hash_family=fam)
+        with pytest.raises(ValueError, match="CountMinSketch cannot be "
+                                             "sharded"):
+            DistributedSketch(factory, workers=2)
+        single = DistributedSketch(factory, workers=1)
+        single.feed_stream([np.arange(10)])
+        assert single.combined().query(3) >= 1
 
     @staticmethod
     def _engine_factory(engine, monkeypatch):

@@ -95,6 +95,15 @@ class TestReport:
         with open(path) as fh:
             assert "figX" in fh.read()
 
+    def test_emit_writes_under_the_working_directory(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """``repro figure`` run anywhere writes its tables there, never
+        into the checkout's tracked ``results/``."""
+        monkeypatch.chdir(tmp_path)
+        path = emit(self._result())
+        assert os.path.samefile(path, tmp_path / "results" / "figX.txt")
+        assert "figX" in (tmp_path / "results" / "figX.txt").read_text()
+
 
 class TestRegistry:
     def test_every_paper_figure_present(self):

@@ -20,14 +20,12 @@ from repro.experiments import algorithms
 from repro.sketches import (
     AbcSketch,
     AeeSketch,
-    ColdFilter,
     ConservativeUpdateSketch,
     CountMinSketch,
     CountSketch,
     ElasticSketch,
     NitroSketch,
     PyramidSketch,
-    UnivMon,
 )
 from repro.sketches.base import FixedWidth
 
@@ -41,8 +39,7 @@ CONFIGS = (
        for cls in (CountMinSketch, ConservativeUpdateSketch, CountSketch,
                    AeeSketch)
        for bits in (4, 8, 16, 32)]
-    + [(cls, {}) for cls in (PyramidSketch, ElasticSketch, NitroSketch,
-                             UnivMon, ColdFilter)]
+    + [(cls, {}) for cls in (PyramidSketch, ElasticSketch, NitroSketch)]
 )
 
 

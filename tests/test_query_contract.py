@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import MERGEABLE_SKETCHES, SKETCHES
+from repro.cli import SKETCHES
 from repro.core import (
     DistributedSketch,
     SalsaAeeCountMin,
@@ -28,6 +28,7 @@ from repro.core import (
     _native,
 )
 from repro.core.row import SUM
+from repro.core.serialize import shippable
 from repro.sketches import (
     AeeSketch,
     CountSketch,
@@ -226,7 +227,12 @@ def test_even_d_median_of_votes_past_int64():
     check_contract(sketch, [7, 7, 8])
 
 
-@pytest.mark.parametrize("name", sorted(MERGEABLE_SKETCHES))
+#: the CLI's sketches that ``--shards`` can combine
+SHIPPABLE = [name for name in sorted(SKETCHES)
+             if shippable(SKETCHES[name](MEMORY, 1))]
+
+
+@pytest.mark.parametrize("name", SHIPPABLE)
 @settings(max_examples=20, deadline=None)
 @given(work=workloads(), workers=st.integers(1, 4))
 def test_combined_answers_like_the_per_item_query(name, work, workers):
